@@ -14,9 +14,10 @@ of standard output is the result; the lines before it, starting with
 from __future__ import annotations
 
 import argparse
+import concurrent.futures
 import contextlib
-import gc
 import json
+import multiprocessing
 import os
 import platform
 import resource
@@ -79,44 +80,54 @@ def _comment(label: str, value) -> None:
 
 
 def _set_up(workload: str, seed: int, work: str, repeats: int):
-    """Set up `repeats` times from scratch; keep the last, return all times."""
-    from workload import at_nominal_speed, setup
+    """Set up `repeats` times from scratch; keep the last, return all times.
 
-    times, raw, prepared = [], [], None
+    Each set-up runs in a freshly spawned interpreter, which hands back
+    only where the inputs are and the expected answers. So the generator's
+    and the oracle's memory never counts in this process's peak RSS, and
+    every set-up starts from the same state.
+    """
+    from workload import setup
+
+    times, raw, prepared, previous = [], [], None, None
     for k in range(repeats):
-        where = os.path.join(work, f"setup{k}")
-        if prepared is not None:
-            shutil.rmtree(os.path.dirname(prepared.inputs.tree.root))
-            prepared = None
-        gc.collect()
-        prepared, scaled, seconds = at_nominal_speed(lambda: setup(workload, seed, where))
+        if previous is not None:
+            shutil.rmtree(previous)
+        previous = os.path.join(work, f"setup{k}")
+        with concurrent.futures.ProcessPoolExecutor(
+                1, mp_context=multiprocessing.get_context("spawn")) as pool:
+            prepared, scaled, seconds = pool.submit(setup, workload, seed, previous).result()
         times.append(scaled)
         raw.append(seconds)
-    # the oracle's objects stay alive all run; keep them out of the collector's
-    # passes so depex's allocations do not pay for scanning them
-    gc.collect()
-    gc.freeze()
     os.sync()  # so timed saves do not wait on the set-up's writeback
     _comment("setup_s samples (scaled, raw)", [times, raw])
-    _comment("peak RSS after set-up (MB)", _peak_rss_mb())
     return prepared, times
 
 
-def _peak_rss_mb() -> float:
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+def _peak_rss_mb(who: int = resource.RUSAGE_SELF) -> float:
+    return resource.getrusage(who).ru_maxrss / 1024
 
 
 def _end_to_end(workload: str, seed: int, seconds: int, work: str) -> dict:
     from workload import Bench, tail
 
     prepared, setup_times = _set_up(workload, seed, work, SETUP_REPEATS)
+    rss_setup, rss_setup_child = _peak_rss_mb(), _peak_rss_mb(resource.RUSAGE_CHILDREN)
     _describe(prepared)
     bench = Bench(prepared, work)
     bench.measure(workload, seconds)
-    files = prepared.inputs.truth.files_seen
+    files = prepared.files_seen
     queries = [t * 1000 for t in bench.times.get("query", [])] or [0.0]
     tail_ms, tail_pct, n_queries = tail(queries)
-    _comment("samples", {k: len(v) for k, v in sorted(bench.times.items())})
+    rss_end = _peak_rss_mb()
+    _comment("peak RSS (MB)", {
+        "this process after set-up": rss_setup, "this process at the end": rss_end,
+        "set-up processes": rss_setup_child,
+        "scan pool workers and set-up processes": _peak_rss_mb(resource.RUSAGE_CHILDREN)})
+    if rss_end <= rss_setup:
+        _comment("warning", "peak_rss_mb was reached before any command ran, so it "
+                            "measures the benchmark, not depex")
+    _comment("samples behind each median", {k: len(v) for k, v in sorted(bench.times.items())})
     _comment("query_tail_ms", f"p{tail_pct:.1f} of {n_queries} samples "
                               f"(10 above it)")
     _comment("raw medians (s)", {k: bench.median(k, raw=True) for k in sorted(bench.raw)})
@@ -131,7 +142,7 @@ def _end_to_end(workload: str, seed: int, seconds: int, work: str) -> dict:
         "stats_s": (bench.median("stats"), "s"),
         "evolve_s": (bench.median("evolve"), "s"),
         "dot_s": (bench.median("dot"), "s"),
-        "peak_rss_mb": (_peak_rss_mb(), "MB"),
+        "peak_rss_mb": (rss_end, "MB"),
     }
     return _result(bench, metrics)
 
@@ -163,35 +174,41 @@ def _per_layer(workload: str, seed: int, work: str) -> dict:
         "children_busy_s": children,
         "self_plus_children_s": tracer.self_time.get("scanner.scan_tree", 0.0)
         + sum(children.values())})
+    if busy:
+        _comment("shares of scanner.scan_tree.busy_s", {
+            name: round(tracer.busy.get(name, 0.0) / busy, 3)
+            for name in ("elf.parse_elf", "elf.classify_kind", "resolver.resolve",
+                         "resolver.canonical_file_stat")})
     out_dir = os.path.join(ROOT, ".perfbench_out")
     os.makedirs(out_dir, exist_ok=True)
     spans_file = os.path.join(out_dir, f"spans-{workload}-seed{seed}.tsv.gz")
     tracer.write(spans_file)
+    misses = tracer.counters.get("trace.observer_misses", 0)
     _comment("spans", f"{len(tracer.spans)} written to "
-                      f"{os.path.relpath(spans_file, ROOT)}, {tracer.dropped} dropped, "
-                      f"{tracer.counters.get('trace.observer_misses', 0)} counter reads "
-                      "that no longer fit their call")
-    return _result(bench, metrics)
+                      f"{os.path.relpath(spans_file, ROOT)}, {tracer.dropped} dropped")
+    if misses:
+        # a counter that no longer fits depex's signatures would read as a
+        # change of the program; the result is marked wrong instead
+        _comment("check failed", f"{misses} layer-boundary counter reads no longer fit "
+                                 "the call they observe; fix perfbench/spans.py")
+    return _result(bench, metrics, counters_ok=not misses)
 
 
 def _describe(prepared) -> None:
-    inputs = prepared.inputs
-    _comment("input digest", inputs.digest())
-    _comment("input properties", inputs.props)
-    if inputs.corpus:
-        _comment("corpus snapshots", [
-            {"label": label, "nodes": len(g), "edges": g.edge_count(), "depth": g.depth()}
-            for label, g in inputs.corpus])
+    _comment("input digest", prepared.digest)
+    _comment("input properties", prepared.props)
+    if len(prepared.snapshots) > 1:
+        _comment("corpus snapshots", prepared.snapshots)
 
 
-def _result(bench, metrics: dict) -> dict:
+def _result(bench, metrics: dict, counters_ok: bool = True) -> dict:
     for problem in bench.problems[:20]:
         print(f"# check failed: {problem}", file=sys.stderr)
     _comment("checks", f"{bench.attempted - bench.failed} of {bench.attempted} "
                        f"operations passed; error_ratio "
                        f"{bench.failed / max(1, bench.attempted)}")
     return {
-        "correct": bench.failed == 0 and bench.attempted > 0,
+        "correct": bench.failed == 0 and bench.attempted > 0 and counters_ok,
         "attempted": max(1, bench.attempted),
         "failed": bench.failed if bench.attempted else 1,
         "metrics": {name: {"value": value, "unit": unit}

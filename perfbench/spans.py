@@ -171,12 +171,13 @@ class Tracer:
 
 
 # -- counters taken at layer boundaries -------------------------------------
-# Each observer reads a call's arguments and result; one that no longer
-# fits the call (the signature changed) records nothing rather than failing
-# the operation.
+# Each observer reads a call's arguments and result. One that no longer
+# fits the call (the signature changed) records nothing and counts a miss,
+# and a run with misses is reported as wrong, so that a broken counter
+# cannot pass as a measurement.
 
 def _parse_bytes(t: Tracer, args, result) -> None:
-    t.count("elf.parse_elf.bytes", len(args[0]))
+    t.count("elf.parse_elf.bytes", memoryview(args[0]).nbytes)  # bytes-like only
 
 
 def _resolve(t: Tracer, args, result) -> None:

@@ -6,6 +6,8 @@ import hashlib
 import importlib.util
 import inspect
 import os
+import pickle
+import shutil
 import sys
 
 import pytest
@@ -23,7 +25,7 @@ from depex.scanner import ScanOptions, scan_tree  # noqa: E402
 
 import gen  # noqa: E402
 from model import TreeWriter, digest_edges, digest_nodes, expected_scan  # noqa: E402
-from spans import LAYERS, Tracer, children_of, layer_metrics  # noqa: E402
+from spans import _OBSERVERS, LAYERS, Tracer, children_of, layer_metrics  # noqa: E402
 from workload import Bench, setup, tail  # noqa: E402
 
 SMALL = {
@@ -61,9 +63,9 @@ def _scan_digests(root: str):
 @pytest.mark.parametrize("workload", sorted(SMALL))
 def test_generator_is_deterministic_per_seed(tmp_path, workload):
     make = gen.GENERATORS[workload]
-    a = make(str(tmp_path / "a"), 7, **SMALL[workload])
-    b = make(str(tmp_path / "b"), 7, **SMALL[workload])
-    c = make(str(tmp_path / "c"), 8, **SMALL[workload])
+    a = make(str(tmp_path / "a"), 7, **SMALL[workload]).finish()
+    b = make(str(tmp_path / "b"), 7, **SMALL[workload]).finish()
+    c = make(str(tmp_path / "c"), 8, **SMALL[workload]).finish()
     assert a.digest() == b.digest() != c.digest()
     assert _tree_fingerprint(a.tree.root) == _tree_fingerprint(b.tree.root)
     assert a.props == b.props
@@ -91,7 +93,7 @@ def test_oracle_agrees_with_depex_on_the_demo_tree(tmp_path):
 
 
 def test_oracle_agrees_with_depex_on_a_generated_distro(tmp_path):
-    inputs = gen.distro(str(tmp_path / "d"), 3, **SMALL["scan-distro"])
+    inputs = gen.distro(str(tmp_path / "d"), 3, **SMALL["scan-distro"]).finish()
     nodes, edges, listed = _scan_digests(inputs.tree.root)
     assert (nodes, edges) == (inputs.truth.node_digest(), inputs.truth.edge_digest())
     assert listed == sorted(inputs.truth.edges, key=str)
@@ -101,7 +103,9 @@ def test_oracle_agrees_with_depex_on_a_generated_distro(tmp_path):
 
 @pytest.mark.parametrize("workload", sorted(SMALL))
 def test_every_command_matches_the_oracle(tmp_path, workload):
-    prepared = setup(workload, 5, str(tmp_path / "setup"), **SMALL[workload])
+    prepared, seconds, raw = setup(workload, 5, str(tmp_path / "setup"), **SMALL[workload])
+    assert 0 < seconds and 0 < raw
+    prepared = pickle.loads(pickle.dumps(prepared))  # as set-up hands it back
     bench = Bench(prepared, str(tmp_path))
     bench.scan(1)
     bench.scan(2)
@@ -109,6 +113,28 @@ def test_every_command_matches_the_oracle(tmp_path, workload):
     bench.dot()  # a repeat must be byte-identical
     assert bench.problems == []
     assert bench.attempted == 2 + 4 + 2 * 5 + 1
+
+
+def test_a_failed_scan_is_counted_not_raised(tmp_path):
+    prepared, _, _ = setup("scan-distro", 5, str(tmp_path / "setup"), **SMALL["scan-distro"])
+    shutil.rmtree(prepared.root)  # the scan fails before it writes a database
+    bench = Bench(prepared, str(tmp_path))
+    bench.scan(1)
+    assert (bench.attempted, bench.failed) == (1, 1)
+    assert "exit code" in bench.problems[0]
+    bench.sequence()  # read commands without a database fail too
+    assert bench.failed == bench.attempted == 2 + 3 + 2 * 5
+    assert all("no database to read" in p for p in bench.problems[2:])
+    assert os.listdir(tmp_path) == ["setup"]
+
+
+def test_a_counter_that_no_longer_fits_its_call_is_a_miss():
+    tracer = Tracer()
+    _OBSERVERS["elf.parse_elf"](tracer, (b"\x7fELF",), None)
+    assert tracer.counters == {"elf.parse_elf.bytes": 4}
+    _OBSERVERS["elf.parse_elf"](tracer, ("/usr/bin/e1",), None)  # a path, not bytes
+    _OBSERVERS["scanner.scan_tree"](tracer, (), None)
+    assert tracer.counters["trace.observer_misses"] == 2
 
 
 def _depex_bindings():
@@ -125,7 +151,7 @@ def _depex_bindings():
 
 
 def test_traced_run_restores_every_wrapped_name(tmp_path):
-    prepared = setup("scan-distro", 5, str(tmp_path / "setup"), **SMALL["scan-distro"])
+    prepared, _, _ = setup("scan-distro", 5, str(tmp_path / "setup"), **SMALL["scan-distro"])
     bench = Bench(prepared, str(tmp_path))
     before = _depex_bindings()
     tracer = Tracer()
@@ -144,9 +170,9 @@ def test_traced_run_restores_every_wrapped_name(tmp_path):
     assert bench.problems == []
 
     metrics = layer_metrics(tracer)
-    assert metrics["elf.parse_elf.calls"][0] == prepared.inputs.props["kinds"]["executable"] \
-        + prepared.inputs.props["kinds"]["library"] + prepared.inputs.props["kinds"]["elf-other"]
-    assert metrics["scanner.files_seen"][0] == prepared.inputs.truth.files_seen
+    assert metrics["elf.parse_elf.calls"][0] == sum(prepared.kind_counts.values())
+    assert metrics["scanner.files_seen"][0] == prepared.files_seen
+    assert "trace.observer_misses" not in tracer.counters
     for name, (value, unit) in metrics.items():
         if name.endswith(("busy_s", ".calls")) and name != "store.reverse_reachable.busy_s":
             assert value > 0, name

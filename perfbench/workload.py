@@ -7,12 +7,14 @@ Only the `run_cli` call is timed; checks against the generator's truth
 run between operations.
 
 Timings are reported at a nominal host speed. On a shared machine the
-speed of the same code drifts by half over seconds, which would swamp any
-change worth measuring. So while a command runs, a SIGALRM handler times a
-fixed arithmetic loop every 20 ms; the command's user-CPU share of its
-time, less the handler's, is scaled by the loop's nominal time over its
-median time around and during the command. The raw times are kept too and
-printed next to the result.
+speed of the same code drifts by up to half over seconds, which would
+swamp any change worth measuring. So while a command runs, a SIGALRM
+handler times a fixed arithmetic loop every 20 ms, and the command's time,
+less the handler's, is divided by the loop's median time around and
+during the command over its nominal time. The whole time is scaled
+alike, so a change that moves work between user and kernel time at equal
+wall time reads the same. The raw times are kept too and printed next to
+the result.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import json
 import os
 import random
 import re
-import resource
 import signal
 import statistics
 import time
@@ -35,14 +36,15 @@ from depex.elf import FileKind
 from depex.resolver import Origin, SearchConfig
 from depex.scanner import ScanOptions, scan_tree
 
-from gen import GENERATORS, Inputs
+from gen import GENERATORS
 from model import EXE, LIB, Graph, digest_edges, digest_nodes
 
 HIDE_TOP = 12
 QUERY_POOL = 64
 MIN_QUERIES = 40
-MIN_SAMPLES = 7
-ENOUGH_S = 5.0  # a kind with fewer than MIN_SAMPLES samples is done once it took this long
+MIN_SAMPLES = 3  # every kind gets a median of at least this many samples
+ENOUGH_SAMPLES = 7
+ENOUGH_S = 5.0  # a kind with fewer than ENOUGH_SAMPLES samples is done once it took this long
 QUERY_KINDS = ("who-uses", "who-uses-t", "impact", "get-deps", "get-all-deps")
 # share of the measured seconds spent scanning; the rest goes to read commands
 SCAN_SHARE = {"scan-distro": 0.6, "corpus-read": 0.25}
@@ -63,20 +65,8 @@ def _probe_loop() -> float:
     return time.perf_counter() - start
 
 
-def _cpu_times() -> tuple[float, float]:
-    """(user, system) CPU seconds of this process and its reaped children."""
-    own = resource.getrusage(resource.RUSAGE_SELF)
-    children = resource.getrusage(resource.RUSAGE_CHILDREN)
-    return own.ru_utime + children.ru_utime, own.ru_stime + children.ru_stime
-
-
 def at_nominal_speed(run):
-    """(result, seconds at nominal host speed, raw seconds) of `run()`.
-
-    The probe measures interpreter speed, so only the user-CPU share of
-    the command is rescaled; the kernel's share (page faults, copies out
-    of the page cache) keeps its raw time.
-    """
+    """(result, seconds at nominal host speed, raw seconds) of `run()`."""
     samples = [_probe_loop() for _ in range(PROBE_AROUND)]
     spent = [0.0]
 
@@ -85,7 +75,6 @@ def at_nominal_speed(run):
         samples.append(_probe_loop())
         spent[0] += time.perf_counter() - start
 
-    user0, system0 = _cpu_times()
     previous = signal.signal(signal.SIGALRM, tick)
     signal.setitimer(signal.ITIMER_REAL, PROBE_INTERVAL_S, PROBE_INTERVAL_S)
     try:
@@ -95,25 +84,31 @@ def at_nominal_speed(run):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0, 0)
         signal.signal(signal.SIGALRM, previous)
-    user1, system1 = _cpu_times()
     samples += [_probe_loop() for _ in range(PROBE_AROUND)]
-    user = max(0.0, user1 - user0 - spent[0])
-    system = system1 - system0
-    share = user / (user + system) if user + system > 0 else 1.0
     slowdown = statistics.median(samples) / PROBE_NOMINAL_S
-    return result, (raw - spent[0]) / (share * slowdown + 1 - share), raw
+    return result, (raw - spent[0]) / slowdown, raw
 
 
 @dataclasses.dataclass
 class Prepared:
-    """Everything set-up produces: inputs on disk plus expected answers."""
+    """What set-up hands the measuring process: where the inputs are on
+    disk, what a scan of them must store, and the read commands' answers."""
 
-    inputs: Inputs
-    corpus_db: str | None  # the prebuilt database reads use, if any
+    root: str                   # the sysroot every scan reads
+    label: str                  # snapshot label the scans use
+    files_seen: int
+    kind_counts: dict[str, int]
+    node_digest: str
+    edge_digest: str
+    edges: int                  # dependency edges of every snapshot the reads see
+    corpus_db: str | None       # the prebuilt database reads use, if any
     stats: dict
     evolve: dict
     dot_lines: tuple[int, int]  # (declaration lines, edge lines)
     queries: list[tuple[list[str], dict]]
+    digest: str                 # fingerprint of the input
+    props: dict                 # sizes and properties of the input
+    snapshots: list[dict]       # label, nodes, edges and depth of each snapshot
 
 
 def _save_graph(graph: Graph, label: str, db: str, template) -> None:
@@ -193,25 +188,45 @@ def _query_pool(g: Graph, rng: random.Random) -> list[tuple[list[str], dict]]:
     return pool
 
 
-def setup(workload: str, seed: int, where: str, **sizes) -> Prepared:
-    """Generate a workload's inputs under `where` and its expected answers.
+def setup(workload: str, seed: int, where: str,
+          **sizes) -> tuple[Prepared, float, float]:
+    """Generate a workload's inputs under `where`, and its expected answers.
 
-    `sizes` overrides the generator's size parameters (the tests shrink them).
+    Returns the prepared run and the set-up's time at nominal speed and raw:
+    writing the tree, generating the corpus and storing it through depex.
+    Deriving the expected answers (the oracle) is not timed. `sizes`
+    overrides the generator's size parameters (the tests shrink them).
     """
-    inputs = GENERATORS[workload](os.path.join(where, "root"), seed, **sizes)
+    inputs, seconds, raw = at_nominal_speed(
+        lambda: GENERATORS[workload](os.path.join(where, "root"), seed, **sizes))
+    inputs.finish()
     corpus_db = None
     if inputs.corpus:
         empty = os.path.join(where, "empty")
         os.makedirs(empty)
         template = scan_tree(ScanOptions(SearchConfig(sysroot=empty)))
         corpus_db = os.path.join(where, "corpus.db")
-        for label, graph in inputs.corpus:
-            _save_graph(graph, label, corpus_db, template)
-    label, g = inputs.snapshots()[-1]
-    return Prepared(
-        inputs, corpus_db, g.stats(),
-        {"rows": [graph.trend_row(label) for label, graph in inputs.snapshots()]},
-        _dot_lines(g), _query_pool(g, random.Random(f"{workload}/{seed}/queries")))
+
+        def save() -> None:
+            for label, graph in inputs.snapshots():
+                _save_graph(graph, label, corpus_db, template)
+
+        _, save_s, save_raw = at_nominal_speed(save)
+        seconds += save_s
+        raw += save_raw
+    snapshots = inputs.snapshots()
+    label, g = snapshots[-1]
+    truth = inputs.truth
+    prepared = Prepared(
+        inputs.tree.root, inputs.label, truth.files_seen, truth.kind_counts(),
+        truth.node_digest(), truth.edge_digest(),
+        sum(graph.edge_count() for _, graph in snapshots), corpus_db,
+        g.stats(), {"rows": [graph.trend_row(label) for label, graph in snapshots]},
+        _dot_lines(g), _query_pool(g, random.Random(f"{workload}/{seed}/queries")),
+        inputs.digest(), inputs.props,
+        [{"label": label, "nodes": len(graph), "edges": graph.edge_count(),
+          "depth": graph.depth()} for label, graph in snapshots])
+    return prepared, seconds, raw
 
 
 def tail(samples: list[float]) -> tuple[float, float, int]:
@@ -292,53 +307,62 @@ class Bench:
         """`depex scan` into a fresh database."""
         self._scans += 1
         db = os.path.join(self.work, f"scan{self._scans}.db")
-        inputs = self.p.inputs
-        argv = ["scan", "--sysroot", inputs.tree.root, "--label", inputs.label,
+        argv = ["scan", "--sysroot", self.p.root, "--label", self.p.label,
                 "--db", db, "--workers", str(workers)]
         ok = self._run("scan" if workers == 1 else "scan_par", argv,
                        lambda out: self._check_scan(db, out))
         if ok and self.read_db is None:
             self.read_db = db  # read commands query the first good scan
         else:
-            os.remove(db)
+            with contextlib.suppress(FileNotFoundError):  # a failed scan may write none
+                os.remove(db)
 
     def _check_scan(self, db: str, out: str) -> str | None:
-        truth = self.p.inputs.truth
+        p = self.p
         seen = re.search(r"(\d+) files seen", out)
-        if seen and int(seen.group(1)) != truth.files_seen:
-            return f"{seen.group(1)} files seen, expected {truth.files_seen}"
-        graph = depex.store.load_graph(self.p.inputs.label, db)
+        if seen and int(seen.group(1)) != p.files_seen:
+            return f"{seen.group(1)} files seen, expected {p.files_seen}"
+        graph = depex.store.load_graph(p.label, db)
         nodes = {n.canonical_path: (n.kind.value, n.soname, tuple(sorted(n.alias_paths)))
                  for n in graph.nodes.values()}
         kinds: dict[str, int] = {}
         for kind, _, _ in nodes.values():
             kinds[kind] = kinds.get(kind, 0) + 1
-        if kinds != truth.kind_counts():
-            return f"kind counts {kinds}, expected {truth.kind_counts()}"
-        if digest_nodes(nodes) != truth.node_digest():
+        if kinds != p.kind_counts:
+            return f"kind counts {kinds}, expected {p.kind_counts}"
+        if digest_nodes(nodes) != p.node_digest:
             return "node set differs from the oracle"
         path = {n.id: n.canonical_path for n in graph.nodes.values()}
         edges = [(path[e.from_node], e.needed_name,
                   None if e.to_node is None else path[e.to_node])
                  for out_edges in graph.adjacency.values() for e in out_edges]
-        if digest_edges(edges) != truth.edge_digest():
+        if digest_edges(edges) != p.edge_digest:
             return "edge set differs from the oracle"
         return None
 
+    def _read(self, kind: str, argv: list[str], check) -> None:
+        """A read command on the database reads use; one without it fails."""
+        if self.read_db is None:
+            self.attempted += 1
+            self.tries[kind] = self.tries.get(kind, 0) + 1
+            self.failed += 1
+            self.problems.append(f"{' '.join(argv[:2])}: no database to read, "
+                                 "every scan failed")
+            return
+        self._run(kind, argv + ["--db", self.read_db], check)
+
     def query(self, i: int) -> None:
         argv, expected = self.p.queries[i % len(self.p.queries)]
-        self._run("query", argv + ["--db", self.read_db], self._json(expected))
+        self._read("query", argv, self._json(expected))
 
     def stats(self) -> None:
-        self._run("stats", ["stats", "--json", "--db", self.read_db],
-                  self._json(self.p.stats))
+        self._read("stats", ["stats", "--json"], self._json(self.p.stats))
 
     def evolve(self) -> None:
-        self._run("evolve", ["evolve", "--db", self.read_db], self._json(self.p.evolve))
+        self._read("evolve", ["evolve"], self._json(self.p.evolve))
 
     def dot(self) -> None:
-        self._run("dot", ["dot", "--hide-top", str(HIDE_TOP), "--db", self.read_db],
-                  self._check_dot)
+        self._read("dot", ["dot", "--hide-top", str(HIDE_TOP)], self._check_dot)
 
     def _check_dot(self, out: str) -> str | None:
         if self._dot is not None:
@@ -355,7 +379,7 @@ class Bench:
 
     def warm_page_cache(self) -> None:
         """Read every input file once, so timed scans find it in the page cache."""
-        for dirpath, _, filenames in os.walk(self.p.inputs.tree.root):
+        for dirpath, _, filenames in os.walk(self.p.root):
             for name in filenames:
                 path = os.path.join(dirpath, name)
                 if not os.path.islink(path):
@@ -372,7 +396,8 @@ class Bench:
         count = self.tries.get(kind, 0)
         if kind == "query":
             return count >= MIN_QUERIES
-        return count >= MIN_SAMPLES or sum(self.raw.get(kind, ())) >= ENOUGH_S
+        return count >= MIN_SAMPLES and (
+            count >= ENOUGH_SAMPLES or sum(self.raw.get(kind, ())) >= ENOUGH_S)
 
     def measure(self, workload: str, seconds: float) -> None:
         """Scan, then read, for their shares of `seconds` and their minimums."""
@@ -384,7 +409,7 @@ class Bench:
             self.scan(1)
             self.scan(2)
         if self.read_db is None:
-            return
+            return  # every scan failed; the run is already marked wrong
         read_until = start + seconds
         spent = dict.fromkeys(READ_MIX, 0.0)
         queries = 0
@@ -422,5 +447,6 @@ class Bench:
         return statistics.median(samples) if samples else 0.0
 
     def db_bytes_per_edge(self) -> float:
-        edges = sum(g.edge_count() for _, g in self.p.inputs.snapshots())
-        return os.path.getsize(self.read_db) / edges if self.read_db and edges else 0.0
+        if not self.read_db or not self.p.edges:
+            return 0.0
+        return os.path.getsize(self.read_db) / self.p.edges
