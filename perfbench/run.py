@@ -14,16 +14,16 @@ of standard output is the result; the lines before it, starting with
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import contextlib
 import json
-import multiprocessing
 import os
+import pickle
 import platform
 import resource
 import shutil
 import sqlite3
 import statistics
+import subprocess
 import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -82,21 +82,25 @@ def _comment(label: str, value) -> None:
 def _set_up(workload: str, seed: int, work: str, repeats: int):
     """Set up `repeats` times from scratch; keep the last, return all times.
 
-    Each set-up runs in a freshly spawned interpreter, which hands back
-    only where the inputs are and the expected answers. So the generator's
-    and the oracle's memory never counts in this process's peak RSS, and
-    every set-up starts from the same state.
+    Each set-up runs in a fresh interpreter (`setup_child.py`), so every
+    set-up starts from the same state. The last also derives the expected
+    answers and hands back only those and where the inputs are, so the
+    generator's and the oracle's memory never counts in this process's
+    peak RSS. The child is a plain subprocess that is waited for, so no
+    helper process outlives it.
     """
-    from workload import setup
-
-    times, raw, prepared, previous = [], [], None, None
+    times, raw = [], []
     for k in range(repeats):
-        if previous is not None:
-            shutil.rmtree(previous)
-        previous = os.path.join(work, f"setup{k}")
-        with concurrent.futures.ProcessPoolExecutor(
-                1, mp_context=multiprocessing.get_context("spawn")) as pool:
-            prepared, scaled, seconds = pool.submit(setup, workload, seed, previous).result()
+        where = os.path.join(work, f"setup{k}")
+        last = k + 1 == repeats
+        result = where + ".pickle"
+        subprocess.run([sys.executable, os.path.join(HERE, "setup_child.py"), workload,
+                        str(seed), where, str(int(last)), result], check=True)
+        with open(result, "rb") as f:
+            prepared, scaled, seconds = pickle.load(f)
+        os.remove(result)
+        if not last:
+            shutil.rmtree(where)
         times.append(scaled)
         raw.append(seconds)
     os.sync()  # so timed saves do not wait on the set-up's writeback

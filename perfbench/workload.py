@@ -42,9 +42,15 @@ from model import EXE, LIB, Graph, digest_edges, digest_nodes
 HIDE_TOP = 12
 QUERY_POOL = 64
 MIN_QUERIES = 40
-MIN_SAMPLES = 3  # every kind gets a median of at least this many samples
-ENOUGH_SAMPLES = 7
-ENOUGH_S = 5.0  # a kind with fewer than ENOUGH_SAMPLES samples is done once it took this long
+MIN_SAMPLES = 2  # every kind gets a median of at least this many samples
+# sub-second read commands vary by a third between samples on a shared
+# host, so their medians need more samples than scans, which vary less
+ENOUGH_SCANS = 7
+ENOUGH_READS = 15
+# a kind short of those counts is done once its samples took this long:
+# a command of seconds is steadied by its own length more than by repeats,
+# and repeating it would push a run past a minute
+ENOUGH_S = 5.0
 QUERY_KINDS = ("who-uses", "who-uses-t", "impact", "get-deps", "get-all-deps")
 # share of the measured seconds spent scanning; the rest goes to read commands
 SCAN_SHARE = {"scan-distro": 0.6, "corpus-read": 0.25}
@@ -188,14 +194,13 @@ def _query_pool(g: Graph, rng: random.Random) -> list[tuple[list[str], dict]]:
     return pool
 
 
-def setup(workload: str, seed: int, where: str,
-          **sizes) -> tuple[Prepared, float, float]:
-    """Generate a workload's inputs under `where`, and its expected answers.
+def generate(workload: str, seed: int, where: str, **sizes):
+    """Write a workload's inputs under `where`.
 
-    Returns the prepared run and the set-up's time at nominal speed and raw:
-    writing the tree, generating the corpus and storing it through depex.
-    Deriving the expected answers (the oracle) is not timed. `sizes`
-    overrides the generator's size parameters (the tests shrink them).
+    Returns the inputs, the corpus database (or None) and the time at
+    nominal speed and raw of writing the tree, generating the corpus and
+    storing it through depex. `sizes` overrides the generator's size
+    parameters (the tests shrink them).
     """
     inputs, seconds, raw = at_nominal_speed(
         lambda: GENERATORS[workload](os.path.join(where, "root"), seed, **sizes))
@@ -214,6 +219,17 @@ def setup(workload: str, seed: int, where: str,
         _, save_s, save_raw = at_nominal_speed(save)
         seconds += save_s
         raw += save_raw
+    return inputs, corpus_db, seconds, raw
+
+
+def setup(workload: str, seed: int, where: str,
+          **sizes) -> tuple[Prepared, float, float]:
+    """Generate a workload's inputs under `where`, and its expected answers.
+
+    Returns the prepared run and the time of `generate`. Deriving the
+    expected answers (the oracle) is not timed.
+    """
+    inputs, corpus_db, seconds, raw = generate(workload, seed, where, **sizes)
     snapshots = inputs.snapshots()
     label, g = snapshots[-1]
     truth = inputs.truth
@@ -396,8 +412,9 @@ class Bench:
         count = self.tries.get(kind, 0)
         if kind == "query":
             return count >= MIN_QUERIES
+        target = ENOUGH_SCANS if kind.startswith("scan") else ENOUGH_READS
         return count >= MIN_SAMPLES and (
-            count >= ENOUGH_SAMPLES or sum(self.raw.get(kind, ())) >= ENOUGH_S)
+            count >= target or sum(self.raw.get(kind, ())) >= ENOUGH_S)
 
     def measure(self, workload: str, seconds: float) -> None:
         """Scan, then read, for their shares of `seconds` and their minimums."""
