@@ -23,8 +23,8 @@ from depex.queries import (AmbiguousName, find_node, get_all_deps, get_deps,
 from depex.resolver import DEFAULT_DIRS, SearchConfig
 from depex.scanner import ScanOptions, SysrootUnreadable, scan_tree
 from depex.store import (DependencyGraph, DuplicateLabel, StorageFailure,
-                         UnknownLabel, UnknownNode, list_snapshots, load_graph,
-                         save_snapshot)
+                         UnknownLabel, UnknownNode, UnreadableDatabase,
+                         list_snapshots, load_graph, save_snapshot)
 
 USER_ERROR, INTERNAL_ERROR = 1, 2
 
@@ -304,7 +304,7 @@ def run_cli(argv: list[str] | None = None) -> int:
     except UnknownNode as exc:
         print(f"depex: unknown file or library {exc}", file=sys.stderr)
         return USER_ERROR
-    except AmbiguousName as exc:
+    except (AmbiguousName, UnreadableDatabase) as exc:
         print(f"depex: {exc}", file=sys.stderr)
         return USER_ERROR
     except DuplicateLabel as exc:

@@ -3,6 +3,8 @@
 All paths handed around here are absolute strings interpreted *inside*
 the sysroot; the functions never touch the host filesystem outside it
 (chroot emulation, including re-rooting of absolute symlink targets).
+Resolver.resolve is the one implementation of the loader's search: every
+candidate, searched or given with a '/', goes through the same probe.
 """
 
 from __future__ import annotations
@@ -179,20 +181,15 @@ def _split_search_value(raw: str, dependent_dir: str) -> list[str]:
 
 
 def build_search_stages(summary: ElfSummary, dependent_dir: str,
-                        config: SearchConfig,
-                        ldso_dirs: list[str] | None = None,
-                        multiarch_dirs: list[str] | None = None,
-                        ) -> list[tuple[Origin, str]]:
+                        config: SearchConfig, ldso_dirs: list[str],
+                        multiarch_dirs: list[str]) -> list[tuple[Origin, str]]:
     """(stage, directory) pairs in loader precedence order.
 
     DT_RPATH only applies when DT_RUNPATH is absent; that flip is the
-    whole reason the two tags exist side by side. ldso_dirs/multiarch_dirs
-    may be supplied precomputed to avoid re-reading the tree.
+    whole reason the two tags exist side by side. ldso_dirs and
+    multiarch_dirs are parse_ldso_conf's and discover_multiarch_dirs'
+    answers for the tree, read once per Resolver.
     """
-    if ldso_dirs is None:
-        ldso_dirs = parse_ldso_conf(config)
-    if multiarch_dirs is None:
-        multiarch_dirs = discover_multiarch_dirs(config)
     stages: list[tuple[Origin, str]] = []
     if summary.rpath is not None and summary.runpath is None:
         stages += [(Origin.RPATH, d)
@@ -207,61 +204,12 @@ def build_search_stages(summary: ElfSummary, dependent_dir: str,
     return stages
 
 
-def build_search_order(summary: ElfSummary, dependent_dir: str,
-                       config: SearchConfig) -> list[str]:
-    """Directory list the loader would walk for this object."""
-    return [d for _, d in build_search_stages(summary, dependent_dir, config)]
-
-
-def _is_regular_file(config: SearchConfig, canonical: str) -> bool:
-    try:
-        return os.path.isfile(_host_path(config, canonical))
-    except OSError:
-        return False
-
-
-def _resolve_direct(needed_name: str, dependent_dir: str,
-                    config: SearchConfig) -> Resolution:
-    raw = needed_name if needed_name.startswith("/") else posixpath.join(
-        dependent_dir, needed_name)
-    try:
-        canonical = canonicalize_in_sysroot(raw, config)
-    except SymlinkLoop:
-        return Resolution(needed_name)
-    if _is_regular_file(config, canonical):
-        return Resolution(needed_name, canonical, Origin.DIRECT)
-    return Resolution(needed_name)
-
-
-def _resolve_in_stages(needed_name: str, stages: list[tuple[Origin, str]],
-                       config: SearchConfig) -> Resolution:
-    for origin, directory in stages:
-        candidate = posixpath.join(directory, needed_name)
-        try:
-            canonical = canonicalize_in_sysroot(candidate, config)
-        except SymlinkLoop:
-            continue
-        if _is_regular_file(config, canonical):
-            return Resolution(needed_name, canonical, origin)
-    return Resolution(needed_name)
-
-
-def resolve_needed(needed_name: str, summary: ElfSummary, dependent_path: str,
-                   config: SearchConfig) -> Resolution:
-    """Find the file a DT_NEEDED entry lands on, or report it missing."""
-    dependent_dir = posixpath.dirname(dependent_path) or "/"
-    if "/" in needed_name:
-        return _resolve_direct(needed_name, dependent_dir, config)
-    stages = build_search_stages(summary, dependent_dir, config)
-    return _resolve_in_stages(needed_name, stages, config)
-
-
 class Resolver:
-    """Caching front-end over the pure functions, for whole-tree scans.
+    """The loader's search for DT_NEEDED names, with per-tree caches.
 
     The sysroot must not change while an instance is in use; every cache
-    below assumes an immutable tree. Resolution outcomes are identical to
-    the pure functions'; the caches only skip repeated filesystem walks.
+    below assumes an immutable tree. A scan keeps one instance for the
+    whole tree; resolve_needed uses a fresh one per call.
     """
 
     def __init__(self, config: SearchConfig):
@@ -329,10 +277,6 @@ class Resolver:
         except OSError:
             return None
 
-    def canonical_file(self, path: str) -> str | None:
-        """Canonical path of one file, reusing the per-directory cache."""
-        return self.canonical_file_stat(path)[0]
-
     def _probe(self, directory: str, name: str) -> str | None:
         canonical, st = self.canonical_file_stat(posixpath.join(directory, name))
         if canonical is not None and st is not None and stat_module.S_ISREG(st.st_mode):
@@ -347,15 +291,22 @@ class Resolver:
         if hit is not None:
             return hit
         if "/" in needed_name:
-            result = _resolve_direct(needed_name, dependent_dir, self.config)
+            # opened as given, relative to the dependent's directory
+            stages = [(Origin.DIRECT, dependent_dir)]
         else:
-            result = Resolution(needed_name)
             stages = build_search_stages(summary, dependent_dir, self.config,
                                          self.ldso_dirs(), self.multiarch_dirs())
-            for origin, directory in stages:
-                found = self._probe(directory, needed_name)
-                if found is not None:
-                    result = Resolution(needed_name, found, origin)
-                    break
+        result = Resolution(needed_name)
+        for origin, directory in stages:
+            found = self._probe(directory, needed_name)
+            if found is not None:
+                result = Resolution(needed_name, found, origin)
+                break
         self._resolution_cache[key] = result
         return result
+
+
+def resolve_needed(needed_name: str, summary: ElfSummary, dependent_path: str,
+                   config: SearchConfig) -> Resolution:
+    """Find the file a DT_NEEDED entry lands on, or report it missing."""
+    return Resolver(config).resolve(needed_name, summary, dependent_path)

@@ -1,11 +1,10 @@
 """Sysroot walker: offers files to type-specific plugins, assembles the graph.
 
-The walk itself is serial (it is cheap); extraction runs on a worker pool
-sized by parallelism_hint. Plugins must be reentrant; when they are also
-picklable (the shipped ELF plugin is), extraction uses worker processes,
-which is what actually buys parallelism for parse-heavy trees. Results
-are assembled into a deterministic, path-sorted node list regardless of
-worker completion order.
+The walk itself is serial (it is cheap); extraction runs on a process pool
+sized by parallelism_hint when the plugin registry can be pickled (the
+shipped ELF plugin can), and serially otherwise. Results are assembled
+into a deterministic, path-sorted node list regardless of worker
+completion order.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import os
 import pickle
 import posixpath
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -104,11 +103,6 @@ def default_registry() -> PluginRegistry:
     registry = PluginRegistry()
     registry.register(ELF_PLUGIN)
     return registry
-
-
-def register_plugin(registry: PluginRegistry,
-                    descriptor: PluginDescriptor) -> PluginDescriptor:
-    return registry.register(descriptor)
 
 
 @dataclass
@@ -213,7 +207,7 @@ class _Extracted:
 
 
 def _extract_one(canonical: str, size: int, options: ScanOptions,
-                 registry: PluginRegistry, resolver: Resolver) -> _Extracted:
+                 registry: PluginRegistry) -> _Extracted:
     host = options.config.sysroot.rstrip("/") + canonical
     try:
         with open(host, "rb") as f:
@@ -243,37 +237,28 @@ _worker_state: dict = {}
 def _pool_init(options: ScanOptions, registry: PluginRegistry) -> None:
     _worker_state["options"] = options
     _worker_state["registry"] = registry
-    _worker_state["resolver"] = Resolver(options.config)
 
 
 def _pool_extract(item: tuple[str, int]) -> _Extracted:
     return _extract_one(item[0], item[1], _worker_state["options"],
-                        _worker_state["registry"], _worker_state["resolver"])
+                        _worker_state["registry"])
 
 
 def _run_extraction(canonical_files: list[tuple[str, int]], workers: int,
-                    options: ScanOptions, registry: PluginRegistry,
-                    resolver: Resolver) -> list[_Extracted]:
-    if workers == 1 or len(canonical_files) < 2 * workers:
-        return [_extract_one(c, size, options, registry, resolver)
-                for c, size in canonical_files]
-    try:
-        pickle.dumps((options, registry))
-        picklable = True
-    except Exception:
-        picklable = False
-    if picklable:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init,
-                                 initargs=(options, registry)) as pool:
-            chunk = max(16, len(canonical_files) // (workers * 8))
-            return list(pool.map(_pool_extract, canonical_files, chunksize=chunk))
-    # closure-based plugins cannot cross a process boundary; threads at
-    # least overlap the filesystem work
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(
-            lambda item: _extract_one(item[0], item[1], options, registry,
-                                      resolver),
-            canonical_files, chunksize=16))
+                    options: ScanOptions,
+                    registry: PluginRegistry) -> list[_Extracted]:
+    if workers > 1 and len(canonical_files) >= 2 * workers:
+        try:
+            pickle.dumps((options, registry))
+        except Exception:
+            pass  # closure-based plugins cannot cross a process boundary
+        else:
+            with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init,
+                                     initargs=(options, registry)) as pool:
+                chunk = max(16, len(canonical_files) // (workers * 8))
+                return list(pool.map(_pool_extract, canonical_files,
+                                     chunksize=chunk))
+    return [_extract_one(c, size, options, registry) for c, size in canonical_files]
 
 
 def scan_tree(options: ScanOptions, registry: PluginRegistry | None = None) -> ScanResult:
@@ -321,8 +306,7 @@ def scan_tree(options: ScanOptions, registry: PluginRegistry | None = None) -> S
             aliases[primary].append(rel)
 
     workers = max(1, options.parallelism_hint)
-    extracted = _run_extraction(canonical_files, workers, options, registry,
-                                resolver)
+    extracted = _run_extraction(canonical_files, workers, options, registry)
 
     counts = ScanCounts()
     summaries: dict[str, ElfSummary] = {}
@@ -365,12 +349,10 @@ def scan_tree(options: ScanOptions, registry: PluginRegistry | None = None) -> S
                 edges.append(DependencyEdge(len(edges), None, from_id, name))
                 continue
             resolution = resolver.resolve(name, summary, item.canonical)
-            target = node_ids.get(resolution.path) if resolution.resolved else None
-            if resolution.resolved and target is None:
-                # the hit is not a scanned node (non-ELF or excluded); a loader
-                # would fail on it too, so record the requirement as unmet
-                log.debug("resolved %s -> %s but target is not a graph node",
-                          name, resolution.path)
+            # a hit on a hard-linked spelling lands on its primary's node; a
+            # hit that is no node at all (non-ELF or excluded) would fail in
+            # the loader too, so it stays an unmet requirement
+            target = node_ids.get(alias_of.get(resolution.path))
             if target is None:
                 edges.append(DependencyEdge(len(edges), None, from_id, name))
             else:

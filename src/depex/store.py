@@ -3,16 +3,19 @@
 One database holds any number of snapshots so cross-snapshot queries and
 evolution reports work without juggling files. The write path is a single
 exclusive transaction: a crash mid-save leaves the database exactly as it
-was.
+was. Reads open the file read-only, so they never create or alter it.
 """
 
 from __future__ import annotations
 
+import os
 import re
 import sqlite3
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Iterator
+from urllib.parse import quote
 
 from depex.elf import FileKind
 from depex.resolver import Origin
@@ -35,6 +38,10 @@ class UnknownLabel(StoreError):
 
 class StorageFailure(StoreError):
     pass
+
+
+class UnreadableDatabase(StoreError):
+    """A read found no database, or one without depex's tables."""
 
 
 class UnknownNode(Exception):
@@ -189,6 +196,39 @@ def open_db(db_path: str) -> sqlite3.Connection:
     return con
 
 
+@contextmanager
+def _read_only(db_path: str) -> Iterator[sqlite3.Connection]:
+    """A connection that can neither create the file nor change its content.
+
+    A writer killed after spilling pages leaves a hot journal, which a
+    read-only connection may not roll back. If the first read fails, one
+    connection that can write but not create opens the file, which rolls
+    such a journal back to the last committed state, as any SQLite reader
+    would.
+    """
+    # an empty authority, so that a path starting with "//" stays a path
+    path = quote(os.path.abspath(db_path), errors="surrogateescape")
+    uri = f"file://{path}?mode="
+    try:
+        con = sqlite3.connect(uri + "ro", uri=True)
+    except sqlite3.OperationalError as exc:
+        raise UnreadableDatabase(f"cannot open database {db_path!r}: {exc}") from None
+    try:
+        try:
+            con.execute("PRAGMA schema_version")
+        except sqlite3.OperationalError:
+            recovery = sqlite3.connect(uri + "rw", uri=True)
+            try:
+                recovery.execute("PRAGMA schema_version")
+            finally:
+                recovery.close()
+        yield con
+    except sqlite3.DatabaseError as exc:
+        raise UnreadableDatabase(f"cannot read database {db_path!r}: {exc}") from None
+    finally:
+        con.close()
+
+
 def save_snapshot(result: "ScanResult", label: str, db_path: str,
                   tool_version: str | None = None) -> Snapshot:
     """Write one scan as a snapshot; all-or-nothing."""
@@ -268,8 +308,7 @@ def _snapshot_row(con: sqlite3.Connection, label: str) -> Snapshot:
 
 def load_graph(label: str, db_path: str) -> DependencyGraph:
     """Load one snapshot back as an in-memory graph."""
-    con = open_db(db_path)
-    try:
+    with _read_only(db_path) as con:
         snap = _snapshot_row(con, label)
         nodes: dict[int, FileNode] = {}
         for fid, path, kind, soname, size in con.execute(
@@ -289,8 +328,6 @@ def load_graph(label: str, db_path: str) -> DependencyGraph:
                 " WHERE snapshot_id = ? ORDER BY id", (snap.id,))
         ]
         return DependencyGraph(snap, nodes.values(), edges)
-    finally:
-        con.close()
 
 
 def _natural_key(label: str) -> list[tuple[int, object]]:
@@ -301,10 +338,7 @@ def _natural_key(label: str) -> list[tuple[int, object]]:
 
 def list_snapshots(db_path: str) -> list[Snapshot]:
     """All snapshots in natural version order, then scan time."""
-    con = open_db(db_path)
-    try:
+    with _read_only(db_path) as con:
         rows = [Snapshot(*row) for row in con.execute(
             "SELECT id, label, root_path, scanned_at, tool_version FROM snapshots")]
-    finally:
-        con.close()
     return sorted(rows, key=lambda s: (_natural_key(s.label), s.scanned_at, s.label))

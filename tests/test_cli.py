@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from importlib import resources
 
 import jsonschema
@@ -10,7 +11,7 @@ import pytest
 from depex.cli import run_cli
 from depex.resolver import SearchConfig
 from depex.scanner import ScanOptions, scan_tree
-from depex.store import save_snapshot
+from depex.store import open_db, save_snapshot
 
 
 @pytest.fixture
@@ -76,6 +77,7 @@ def test_unknown_snapshot(capsys, demo_db):
 
 def test_snapshots_empty_db(capsys, tmp_path):
     db = str(tmp_path / "empty.db")
+    open_db(db).close()
     code, out, _ = run(capsys, "snapshots", "--db", db, "--json")
     assert code == 0
     payload = json.loads(out)
@@ -168,14 +170,26 @@ def test_evolve_csv_and_json(capsys, demo_db):
     validate(payload, "evolve")
 
 
+READ_COMMANDS = (["stats"], ["snapshots"], ["who-uses", "libc.so.6"],
+                 ["get-deps", "/usr/bin/tool"], ["get-all-deps", "/usr/bin/tool"],
+                 ["impact", "libc.so.6"], ["dot"], ["evolve"])
+
+
 def test_read_commands_do_not_modify_db(capsys, demo_db):
     before = db_hash(demo_db)
-    for argv in (["stats"], ["snapshots"], ["who-uses", "libc.so.6"],
-                 ["get-deps", "/usr/bin/tool"], ["get-all-deps", "/usr/bin/tool"],
-                 ["impact", "libc.so.6"], ["dot"], ["evolve"]):
+    for argv in READ_COMMANDS:
         code, _, _ = run(capsys, *argv, "--db", demo_db)
         assert code == 0
     assert db_hash(demo_db) == before
+
+
+def test_read_commands_create_no_database(capsys, tmp_path):
+    db = str(tmp_path / "typo.db")
+    for argv in READ_COMMANDS:
+        code, _, err = run(capsys, *argv, "--db", db)
+        assert code == 1
+        assert "cannot open database" in err
+        assert not os.path.exists(db)
 
 
 def test_scan_cli(capsys, demo_sysroot, tmp_path):

@@ -6,7 +6,7 @@ import pytest
 
 from depex.elf import parse_elf
 from depex.resolver import (Origin, Resolver, SearchConfig, SymlinkLoop,
-                            build_search_order, canonicalize_in_sysroot,
+                            build_search_stages, canonicalize_in_sysroot,
                             discover_multiarch_dirs, parse_ldso_conf,
                             resolve_needed, substitute_origin)
 from elfbuild import ElfSpec, build_elf
@@ -131,46 +131,56 @@ def test_nonexistent_path_passes_through(sysroot):
     assert canonicalize_in_sysroot("/no/such/dir/lib.so", cfg) == "/no/such/dir/lib.so"
 
 
-# --- build_search_order -----------------------------------------------------
+# --- build_search_stages ----------------------------------------------------
+
+def stages_for(summary, dependent_dir, cfg):
+    return build_search_stages(summary, dependent_dir, cfg, parse_ldso_conf(cfg),
+                               discover_multiarch_dirs(cfg))
+
+
+RPATH, ENV, RUNPATH, DEFAULT = (Origin.RPATH, Origin.ENV_PATH, Origin.RUNPATH,
+                                Origin.DEFAULT_DIR)
+
 
 def test_rpath_only_comes_first(sysroot):
     cfg = config_for(sysroot, default_dirs=["/lib"])
     s = summary_with(sysroot, rpath="/a:/b")
-    assert build_search_order(s, "/bin", cfg) == ["/a", "/b", "/lib"]
+    assert stages_for(s, "/bin", cfg) == [(RPATH, "/a"), (RPATH, "/b"), (DEFAULT, "/lib")]
 
 
 def test_runpath_disables_rpath(sysroot):
     cfg = config_for(sysroot, default_dirs=["/lib"])
     s = summary_with(sysroot, rpath="/a", runpath="/r")
-    order = build_search_order(s, "/bin", cfg)
-    assert order == ["/r", "/lib"]
-    assert "/a" not in order
+    stages = stages_for(s, "/bin", cfg)
+    assert stages == [(RUNPATH, "/r"), (DEFAULT, "/lib")]
+    assert "/a" not in [d for _, d in stages]
 
 
 def test_no_paths_defaults_only(sysroot):
     cfg = config_for(sysroot, default_dirs=["/lib", "/usr/lib"])
     s = summary_with(sysroot)
-    assert build_search_order(s, "/bin", cfg) == ["/lib", "/usr/lib"]
+    assert stages_for(s, "/bin", cfg) == [(DEFAULT, "/lib"), (DEFAULT, "/usr/lib")]
 
 
 def test_env_path_between_rpath_and_runpath(sysroot):
     cfg = config_for(sysroot, default_dirs=[], env_library_path=["/env"])
     s = summary_with(sysroot, runpath="/r")
-    assert build_search_order(s, "/bin", cfg) == ["/env", "/r"]
+    assert stages_for(s, "/bin", cfg) == [(ENV, "/env"), (RUNPATH, "/r")]
     s2 = summary_with(sysroot, rpath="/rp")
-    assert build_search_order(s2, "/bin", cfg) == ["/rp", "/env"]
+    assert stages_for(s2, "/bin", cfg) == [(RPATH, "/rp"), (ENV, "/env")]
 
 
 def test_origin_expanded_and_empty_elements_dropped(sysroot):
     cfg = config_for(sysroot, default_dirs=[])
     s = summary_with(sysroot, runpath="$ORIGIN/../lib::/x")
-    assert build_search_order(s, "/opt/app/bin", cfg) == ["/opt/app/bin/../lib", "/x"]
+    assert stages_for(s, "/opt/app/bin", cfg) == \
+        [(RUNPATH, "/opt/app/bin/../lib"), (RUNPATH, "/x")]
 
 
 def test_duplicates_kept(sysroot):
     cfg = config_for(sysroot, default_dirs=["/lib"])
     s = summary_with(sysroot, rpath="/lib:/lib")
-    assert build_search_order(s, "/bin", cfg) == ["/lib", "/lib", "/lib"]
+    assert stages_for(s, "/bin", cfg) == [(RPATH, "/lib"), (RPATH, "/lib"), (DEFAULT, "/lib")]
 
 
 def test_multiarch_discovered_after_defaults(sysroot):
@@ -179,7 +189,22 @@ def test_multiarch_discovered_after_defaults(sysroot):
     cfg = config_for(sysroot, default_dirs=["/lib"])
     assert discover_multiarch_dirs(cfg) == ["/usr/lib/x86_64-linux-gnu"]
     s = summary_with(sysroot)
-    assert build_search_order(s, "/bin", cfg) == ["/lib", "/usr/lib/x86_64-linux-gnu"]
+    assert stages_for(s, "/bin", cfg) == \
+        [(DEFAULT, "/lib"), (DEFAULT, "/usr/lib/x86_64-linux-gnu")]
+
+
+# --- Resolver.canonical_file_stat -------------------------------------------
+
+def test_canonical_file_stat_follows_links_and_reports_absence(sysroot):
+    sysroot.write("/usr/lib/libz.so.1.2.13", b"x")
+    sysroot.symlink("/usr/lib/libz.so.1", "libz.so.1.2.13")
+    sysroot.symlink("/lib", "usr/lib")
+    sysroot.symlink("/usr/lib/libloop.so", "libloop.so")
+    resolver = Resolver(config_for(sysroot))
+    canonical, st = resolver.canonical_file_stat("/lib/libz.so.1")
+    assert canonical == "/usr/lib/libz.so.1.2.13" and st.st_size == 1
+    assert resolver.canonical_file_stat("/lib/libnone.so") == ("/usr/lib/libnone.so", None)
+    assert resolver.canonical_file_stat("/lib/libloop.so") == (None, None)
 
 
 # --- resolve_needed ---------------------------------------------------------

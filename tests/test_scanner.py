@@ -9,9 +9,9 @@ import pytest
 
 from depex.elf import FileKind
 from depex.resolver import SearchConfig
-from depex.scanner import (DuplicateName, NodeFacts, PluginDescriptor,
-                           PluginRegistry, ScanOptions, SysrootUnreadable,
-                           default_registry, register_plugin, scan_tree)
+from depex.scanner import (ELF_PLUGIN, DuplicateName, NodeFacts,
+                           PluginDescriptor, PluginRegistry, ScanOptions,
+                           SysrootUnreadable, default_registry, scan_tree)
 from elfbuild import ElfSpec, build_elf
 
 
@@ -82,6 +82,15 @@ def test_hard_links_deduplicated(sysroot):
         ["/usr/lib/liba.so", "/usr/lib/libb.so"]
 
 
+def test_need_of_hard_linked_spelling_resolves_to_its_node(sysroot):
+    sysroot.elf("/usr/lib/liba.so", ElfSpec(soname="liba.so"))
+    os.link(sysroot.root + "/usr/lib/liba.so", sysroot.root + "/usr/lib/libb.so")
+    sysroot.elf("/usr/bin/tool", ElfSpec(
+        e_type=2, interpreter="/lib/ld.so", needed=["libb.so"]))
+    result = scan_tree(options_for(sysroot))
+    assert edge_tuples(result) == [("/usr/bin/tool", "libb.so", "/usr/lib/liba.so")]
+
+
 def test_no_follow_symlinks(demo_sysroot):
     result = scan_tree(options_for(demo_sysroot, follow_symlinks=False))
     tool = next(n for n in result.nodes if n.canonical_path == "/usr/bin/tool")
@@ -123,6 +132,21 @@ def test_parallel_scan_matches_serial(demo_sysroot):
     assert [n.alias_paths for n in serial.nodes] == [n.alias_paths for n in parallel.nodes]
 
 
+def test_unpicklable_plugin_scans_serially_with_workers(demo_sysroot):
+    # a closure-based plugin cannot reach a worker process
+    demo_sysroot.write("/usr/lib/libbad.so", build_elf(ElfSpec(soname="libbad.so"))[:60])
+    registry = PluginRegistry()
+    registry.register(PluginDescriptor(
+        "elf-closure", lambda p, h: ELF_PLUGIN.supported_matcher(p, h),
+        lambda p, d, c: ELF_PLUGIN.extract(p, d, c)))
+    serial = scan_tree(options_for(demo_sysroot, parallelism_hint=1), registry)
+    wide = scan_tree(options_for(demo_sysroot, parallelism_hint=4), registry)
+    assert node_paths(serial) == node_paths(wide) and len(serial.nodes) == 10
+    assert edge_tuples(serial) == edge_tuples(wide)
+    assert serial.error_records == wide.error_records
+    assert [path for path, _ in wide.error_records] == ["/usr/lib/libbad.so"]
+
+
 def test_no_file_fully_read_twice(demo_sysroot, monkeypatch):
     full_reads = Counter()
     real_open = builtins.open
@@ -148,7 +172,7 @@ def test_register_zero_plugins(demo_sysroot):
 def test_duplicate_plugin_name_rejected():
     registry = default_registry()
     with pytest.raises(DuplicateName):
-        register_plugin(registry, PluginDescriptor(
+        registry.register(PluginDescriptor(
             "elf", lambda p, h: False, lambda p, d, c: (None, [])))
 
 
@@ -161,7 +185,7 @@ def test_overlapping_plugins_first_registered_wins(sysroot, caplog):
         return NodeFacts(FileKind.ELF_OTHER), []
 
     registry = default_registry()
-    register_plugin(registry, PluginDescriptor(
+    registry.register(PluginDescriptor(
         "grabby", lambda p, h: h[:4] == b"\x7fELF", grabby_extract))
     with caplog.at_level(logging.WARNING):
         result = scan_tree(options_for(sysroot), registry=registry)
@@ -177,7 +201,7 @@ def test_failing_plugin_recorded_as_error(sysroot):
         raise RuntimeError("boom")
 
     registry = PluginRegistry()
-    register_plugin(registry, PluginDescriptor(
+    registry.register(PluginDescriptor(
         "xyz", lambda p, h: h[:5] == b"XYZZY", exploding))
     result = scan_tree(options_for(sysroot), registry=registry)
     assert result.counts.errors == 1

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import sqlite3
 import subprocess
 import sys
 import textwrap
@@ -13,7 +14,8 @@ from depex.resolver import Origin, SearchConfig
 from depex.scanner import ScanOptions, scan_tree
 from depex.store import (DependencyEdge, DependencyGraph, DuplicateLabel,
                          FileNode, StorageFailure, UnknownLabel, UnknownNode,
-                         list_snapshots, load_graph, save_snapshot)
+                         UnreadableDatabase, list_snapshots, load_graph,
+                         open_db, save_snapshot)
 from graphbuild import EXE, LIB, build_graph
 
 
@@ -153,19 +155,17 @@ def test_not_elf_kind_rejected(tmp_path):
         save_snapshot(FakeResult(nodes, []), "bad", db_file(tmp_path))
 
 
-def test_kill_during_write_leaves_db_readable(tmp_path):
-    db = db_file(tmp_path)
-    save_snapshot(small_result(), "committed", db)
-    # a writer that dies mid-transaction must leave no trace
+def kill_writer_mid_transaction(db: str, rows: int, cache_pages: int = 2000) -> None:
     script = textwrap.dedent(f"""
         import os, sqlite3
         con = sqlite3.connect({db!r}, isolation_level=None)
+        con.execute("PRAGMA cache_size = {cache_pages}")
         con.execute("BEGIN IMMEDIATE")
         cur = con.execute(
             "INSERT INTO snapshots(label, root_path, scanned_at, tool_version)"
             " VALUES ('doomed', '/', 'now', '0')")
         sid = cur.lastrowid
-        for i in range(50):
+        for i in range({rows}):
             con.execute(
                 "INSERT INTO files(snapshot_id, canonical_path, kind, size_bytes)"
                 " VALUES (?, ?, 'library', 0)", (sid, f'/lib/lib{{i}}.so'))
@@ -173,9 +173,43 @@ def test_kill_during_write_leaves_db_readable(tmp_path):
     """)
     proc = subprocess.run([sys.executable, "-c", script])
     assert proc.returncode == 1
+
+
+def test_kill_during_write_leaves_db_readable(tmp_path):
+    db = db_file(tmp_path)
+    save_snapshot(small_result(), "committed", db)
+    # a writer that dies mid-transaction must leave no trace
+    kill_writer_mid_transaction(db, rows=50)
     assert [s.label for s in list_snapshots(db)] == ["committed"]
     graph = load_graph("committed", db)
     assert len(graph.nodes) == 3
+
+
+def test_read_rolls_back_hot_journal_of_killed_writer(tmp_path):
+    db = db_file(tmp_path)
+    save_snapshot(small_result(), "committed", db)
+    # a 10-page cache makes the writer spill uncommitted pages into the file,
+    # leaving a journal that a read-only connection cannot roll back
+    kill_writer_mid_transaction(db, rows=5000, cache_pages=10)
+    plain = sqlite3.connect(f"file:{db}?mode=ro", uri=True)
+    with pytest.raises(sqlite3.OperationalError):
+        plain.execute("SELECT label FROM snapshots")
+    plain.close()
+    assert [s.label for s in list_snapshots(db)] == ["committed"]
+    assert len(load_graph("committed", db).nodes) == 3
+
+
+def test_reads_open_odd_paths_without_creating_files(tmp_path):
+    db = str(tmp_path / "v1?mode=rwc#x%41.db")
+    save_snapshot(small_result(), "s1", db)
+    assert [s.label for s in list_snapshots(db)] == ["s1"]
+    assert len(load_graph("s1", "/" + db).nodes) == 3  # "//" starts no URI authority
+    missing = str(tmp_path / "typo?mode=rwc.db")
+    with pytest.raises(UnreadableDatabase):
+        list_snapshots(missing)
+    with pytest.raises(UnreadableDatabase):
+        load_graph("s1", missing)
+    assert sorted(os.listdir(tmp_path)) == [os.path.basename(db)]
 
 
 def test_list_snapshots_natural_order(tmp_path):
@@ -202,6 +236,7 @@ def test_list_snapshots_prefixed_versions(tmp_path):
 
 def test_list_snapshots_empty(tmp_path):
     db = db_file(tmp_path)
+    open_db(db).close()
     assert list_snapshots(db) == []
 
 
