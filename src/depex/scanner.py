@@ -1,41 +1,31 @@
-"""Sysroot walker: offers files to type-specific plugins, assembles the graph.
+"""Sysroot walker: parses every ELF file under a sysroot, assembles the graph.
 
 The walk itself is serial (it is cheap); extraction runs on a process pool
-sized by parallelism_hint when the plugin registry can be pickled (the
-shipped ELF plugin can), and serially otherwise. Results are assembled
+sized by parallelism_hint. A file that starts with the ELF magic is parsed;
+any other file is counted in files_seen and skipped. Results are assembled
 into a deterministic, path-sorted node list regardless of worker
 completion order.
 """
 
 from __future__ import annotations
 
-import logging
 import os
-import pickle
 import posixpath
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable
 
-from depex.elf import (ELF_MAGIC, ElfError, ElfSummary, FileKind, NotElf,
-                       classify_kind, parse_elf)
+from depex.elf import (ELF_MAGIC, ElfError, ElfSummary, FileKind, classify_kind,
+                       parse_elf)
 from depex.resolver import (Resolver, SearchConfig, SymlinkLoop,
                             canonicalize_in_sysroot)
 from depex.store import DependencyEdge, FileNode
 
-log = logging.getLogger(__name__)
-
 DEFAULT_EXCLUDES = ("/proc", "/sys", "/dev", "/run")
-HEAD_BYTES = 64  # plugins match on path + this much leading content
 
 
 class SysrootUnreadable(Exception):
     pass
-
-
-class DuplicateName(Exception):
-    """A plugin with this name is already registered."""
 
 
 @dataclass
@@ -44,65 +34,6 @@ class ScanOptions:
     follow_symlinks: bool = True
     excluded_prefixes: list[str] = field(default_factory=lambda: list(DEFAULT_EXCLUDES))
     parallelism_hint: int = 1
-
-
-@dataclass
-class NodeFacts:
-    """What a plugin learned about one file."""
-
-    kind: FileKind
-    soname: str | None = None
-    summary: ElfSummary | None = None
-
-
-@dataclass(frozen=True)
-class PluginDescriptor:
-    name: str
-    supported_matcher: Callable[[str, bytes], bool]
-    extract: Callable[[str, bytes, SearchConfig], tuple[NodeFacts, list[str]]]
-
-
-class PluginRegistry:
-    """Ordered plugin set; registration order is matching priority."""
-
-    def __init__(self) -> None:
-        self._plugins: list[PluginDescriptor] = []
-
-    def register(self, descriptor: PluginDescriptor) -> PluginDescriptor:
-        if any(p.name == descriptor.name for p in self._plugins):
-            raise DuplicateName(descriptor.name)
-        self._plugins.append(descriptor)
-        return descriptor
-
-    def __len__(self) -> int:
-        return len(self._plugins)
-
-    def match(self, path: str, head: bytes) -> PluginDescriptor | None:
-        matches = [p for p in self._plugins if p.supported_matcher(path, head)]
-        if len(matches) > 1:
-            log.warning("plugins %s all claim %s; using %r",
-                        [p.name for p in matches], path, matches[0].name)
-        return matches[0] if matches else None
-
-
-def _elf_matcher(path: str, head: bytes) -> bool:
-    return head[:4] == ELF_MAGIC
-
-
-def _elf_extract(path: str, data: bytes,
-                 config: SearchConfig) -> tuple[NodeFacts, list[str]]:
-    summary = parse_elf(data)
-    kind = classify_kind(summary, path)
-    return NodeFacts(kind, summary.soname, summary), list(summary.needed)
-
-
-ELF_PLUGIN = PluginDescriptor("elf", _elf_matcher, _elf_extract)
-
-
-def default_registry() -> PluginRegistry:
-    registry = PluginRegistry()
-    registry.register(ELF_PLUGIN)
-    return registry
 
 
 @dataclass
@@ -201,74 +132,56 @@ def _walk_regular_files(options: ScanOptions) -> tuple[list[str], list[tuple[str
 class _Extracted:
     canonical: str
     size_bytes: int
-    facts: NodeFacts | None  # None: no plugin matched
-    claims: list[str]
+    summary: ElfSummary | None = None  # None: not an ELF file, or an error
     error: str | None = None
 
 
-def _extract_one(canonical: str, size: int, options: ScanOptions,
-                 registry: PluginRegistry) -> _Extracted:
+def _extract_one(canonical: str, size: int, options: ScanOptions) -> _Extracted:
     host = options.config.sysroot.rstrip("/") + canonical
     try:
         with open(host, "rb") as f:
-            head = f.read(HEAD_BYTES)
-            plugin = registry.match(canonical, head)
-            if plugin is None:
-                return _Extracted(canonical, size, None, [])
-            data = head + f.read()
+            if f.read(len(ELF_MAGIC)) != ELF_MAGIC:
+                return _Extracted(canonical, size)
+            f.seek(0)
+            data = f.read()
     except OSError as exc:
-        return _Extracted(canonical, 0, None, [], error=str(exc))
+        return _Extracted(canonical, 0, error=str(exc))
     try:
-        facts, claims = plugin.extract(canonical, data, options.config)
-    except NotElf:
-        return _Extracted(canonical, size, None, [])
+        return _Extracted(canonical, size, parse_elf(data))
     except ElfError as exc:
-        return _Extracted(canonical, size, None, [],
-                          error=f"{type(exc).__name__}: {exc}")
-    except Exception as exc:  # a misbehaving plugin must not kill the scan
-        return _Extracted(canonical, size, None, [],
-                          error=f"plugin {plugin.name!r} failed: {exc}")
-    return _Extracted(canonical, size, facts, claims)
+        return _Extracted(canonical, size, error=f"{type(exc).__name__}: {exc}")
+    except Exception as exc:  # a parser crash must not kill the scan
+        return _Extracted(canonical, size,
+                          error=f"parser crashed: {type(exc).__name__}: {exc}")
 
 
 _worker_state: dict = {}
 
 
-def _pool_init(options: ScanOptions, registry: PluginRegistry) -> None:
+def _pool_init(options: ScanOptions) -> None:
     _worker_state["options"] = options
-    _worker_state["registry"] = registry
 
 
 def _pool_extract(item: tuple[str, int]) -> _Extracted:
-    return _extract_one(item[0], item[1], _worker_state["options"],
-                        _worker_state["registry"])
+    return _extract_one(item[0], item[1], _worker_state["options"])
 
 
 def _run_extraction(canonical_files: list[tuple[str, int]], workers: int,
-                    options: ScanOptions,
-                    registry: PluginRegistry) -> list[_Extracted]:
+                    options: ScanOptions) -> list[_Extracted]:
     if workers > 1 and len(canonical_files) >= 2 * workers:
-        try:
-            pickle.dumps((options, registry))
-        except Exception:
-            pass  # closure-based plugins cannot cross a process boundary
-        else:
-            with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init,
-                                     initargs=(options, registry)) as pool:
-                chunk = max(16, len(canonical_files) // (workers * 8))
-                return list(pool.map(_pool_extract, canonical_files,
-                                     chunksize=chunk))
-    return [_extract_one(c, size, options, registry) for c, size in canonical_files]
+        with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init,
+                                 initargs=(options,)) as pool:
+            chunk = max(16, len(canonical_files) // (workers * 8))
+            return list(pool.map(_pool_extract, canonical_files, chunksize=chunk))
+    return [_extract_one(c, size, options) for c, size in canonical_files]
 
 
-def scan_tree(options: ScanOptions, registry: PluginRegistry | None = None) -> ScanResult:
+def scan_tree(options: ScanOptions) -> ScanResult:
     """Walk the sysroot and build the node/edge sets for one snapshot."""
     start = time.monotonic()
     sysroot = options.config.sysroot
     if not os.path.isdir(sysroot):
         raise SysrootUnreadable(sysroot)
-    if registry is None:
-        registry = default_registry()
     resolver = Resolver(options.config)
 
     raw_paths, errors = _walk_regular_files(options)
@@ -306,49 +219,37 @@ def scan_tree(options: ScanOptions, registry: PluginRegistry | None = None) -> S
             aliases[primary].append(rel)
 
     workers = max(1, options.parallelism_hint)
-    extracted = _run_extraction(canonical_files, workers, options, registry)
+    extracted = _run_extraction(canonical_files, workers, options)
 
     counts = ScanCounts()
-    summaries: dict[str, ElfSummary] = {}
-    kept: list[_Extracted] = []
+    parsed: list[_Extracted] = []
     for item in extracted:
         counts.files_seen += 1
         if item.error is not None:
-            counts.errors += 1
             errors.append((item.canonical, item.error))
-            continue
-        if item.facts is None:
-            continue
-        counts.elf_parsed += 1
-        if item.facts.kind is FileKind.EXECUTABLE_BINARY:
-            counts.executables += 1
-        elif item.facts.kind is FileKind.SHARED_LIBRARY:
-            counts.libraries += 1
-        kept.append(item)
-        if item.facts.summary is not None:
-            summaries[item.canonical] = item.facts.summary
+        elif item.summary is not None:
+            parsed.append(item)
 
-    kept.sort(key=lambda it: it.canonical)
-    node_ids = {item.canonical: idx for idx, item in enumerate(kept)}
-    nodes = [
-        FileNode(idx, None, item.canonical, sorted(aliases[item.canonical]),
-                 item.facts.kind, item.facts.soname, item.size_bytes)
-        for idx, item in enumerate(kept)
-    ]
+    parsed.sort(key=lambda it: it.canonical)
+    node_ids = {item.canonical: idx for idx, item in enumerate(parsed)}
+    nodes: list[FileNode] = []
+    for idx, item in enumerate(parsed):
+        kind = classify_kind(item.summary, item.canonical)
+        if kind is FileKind.EXECUTABLE_BINARY:
+            counts.executables += 1
+        elif kind is FileKind.SHARED_LIBRARY:
+            counts.libraries += 1
+        nodes.append(FileNode(idx, None, item.canonical,
+                              sorted(aliases[item.canonical]), kind,
+                              item.summary.soname, item.size_bytes))
+    counts.elf_parsed = len(nodes)
 
     edges: list[DependencyEdge] = []
-    for item in kept:
+    for item in parsed:
         from_id = node_ids[item.canonical]
-        summary = item.facts.summary
-        seen_names: set[str] = set()
-        for name in item.claims:
-            if name in seen_names:
-                continue  # repeated DT_NEEDED of the same name is one requirement
-            seen_names.add(name)
-            if summary is None:
-                edges.append(DependencyEdge(len(edges), None, from_id, name))
-                continue
-            resolution = resolver.resolve(name, summary, item.canonical)
+        # a repeated DT_NEEDED of the same name is one requirement
+        for name in dict.fromkeys(item.summary.needed):
+            resolution = resolver.resolve(name, item.summary, item.canonical)
             # a hit on a hard-linked spelling lands on its primary's node; a
             # hit that is no node at all (non-ELF or excluded) would fail in
             # the loader too, so it stays an unmet requirement
@@ -366,6 +267,6 @@ def scan_tree(options: ScanOptions, registry: PluginRegistry | None = None) -> S
         duration=time.monotonic() - start,
         nodes=nodes,
         edges=edges,
-        summaries=summaries,
+        summaries={item.canonical: item.summary for item in parsed},
         error_records=errors,
     )

@@ -190,9 +190,16 @@ CREATE INDEX IF NOT EXISTS idx_files_snapshot_kind ON files(snapshot_id, kind);
 
 
 def open_db(db_path: str) -> sqlite3.Connection:
-    con = sqlite3.connect(db_path, isolation_level=None)
-    con.execute("PRAGMA foreign_keys = ON")
-    con.executescript(_SCHEMA)
+    """A writable connection with depex's tables, creating the file if absent."""
+    con = None
+    try:
+        con = sqlite3.connect(db_path, isolation_level=None)
+        con.execute("PRAGMA foreign_keys = ON")
+        con.executescript(_SCHEMA)
+    except sqlite3.DatabaseError as exc:
+        if con is not None:
+            con.close()
+        raise UnreadableDatabase(f"cannot open database {db_path!r}: {exc}") from None
     return con
 
 

@@ -204,6 +204,20 @@ def test_scan_cli(capsys, demo_sysroot, tmp_path):
     assert "already exists" in err
 
 
+def test_scan_into_non_database_file_fails_cleanly(capsys, demo_sysroot, tmp_path):
+    db = tmp_path / "notes.txt"
+    db.write_bytes(b"hello")
+    code, _, err = run(capsys, "scan", "--sysroot", demo_sysroot.root,
+                       "--label", "v1", "--db", str(db))
+    assert code == 1
+    assert err.startswith("depex: cannot open database")
+    assert db.read_bytes() == b"hello"
+    code, _, err = run(capsys, "scan", "--sysroot", demo_sysroot.root,
+                       "--label", "v1", "--db", str(tmp_path / "absent" / "x.db"))
+    assert code == 1
+    assert err.startswith("depex: cannot open database")
+
+
 def test_scan_bad_sysroot(capsys, tmp_path):
     db = str(tmp_path / "x.db")
     code, _, err = run(capsys, "scan", "--sysroot", str(tmp_path / "nope"),

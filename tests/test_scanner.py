@@ -1,17 +1,14 @@
 from __future__ import annotations
 
 import builtins
-import logging
 import os
 from collections import Counter
 
 import pytest
 
-from depex.elf import FileKind
+import depex.scanner
 from depex.resolver import SearchConfig
-from depex.scanner import (ELF_PLUGIN, DuplicateName, NodeFacts,
-                           PluginDescriptor, PluginRegistry, ScanOptions,
-                           SysrootUnreadable, default_registry, scan_tree)
+from depex.scanner import ScanOptions, SysrootUnreadable, scan_tree
 from elfbuild import ElfSpec, build_elf
 
 
@@ -125,26 +122,14 @@ def test_scan_determinism(demo_sysroot):
 
 
 def test_parallel_scan_matches_serial(demo_sysroot):
+    demo_sysroot.write("/usr/lib/libbad.so", build_elf(ElfSpec(soname="libbad.so"))[:60])
     serial = scan_tree(options_for(demo_sysroot, parallelism_hint=1))
     parallel = scan_tree(options_for(demo_sysroot, parallelism_hint=4))
-    assert node_paths(serial) == node_paths(parallel)
+    assert node_paths(serial) == node_paths(parallel) and len(serial.nodes) == 10
     assert edge_tuples(serial) == edge_tuples(parallel)
     assert [n.alias_paths for n in serial.nodes] == [n.alias_paths for n in parallel.nodes]
-
-
-def test_unpicklable_plugin_scans_serially_with_workers(demo_sysroot):
-    # a closure-based plugin cannot reach a worker process
-    demo_sysroot.write("/usr/lib/libbad.so", build_elf(ElfSpec(soname="libbad.so"))[:60])
-    registry = PluginRegistry()
-    registry.register(PluginDescriptor(
-        "elf-closure", lambda p, h: ELF_PLUGIN.supported_matcher(p, h),
-        lambda p, d, c: ELF_PLUGIN.extract(p, d, c)))
-    serial = scan_tree(options_for(demo_sysroot, parallelism_hint=1), registry)
-    wide = scan_tree(options_for(demo_sysroot, parallelism_hint=4), registry)
-    assert node_paths(serial) == node_paths(wide) and len(serial.nodes) == 10
-    assert edge_tuples(serial) == edge_tuples(wide)
-    assert serial.error_records == wide.error_records
-    assert [path for path, _ in wide.error_records] == ["/usr/lib/libbad.so"]
+    assert serial.error_records == parallel.error_records
+    assert [path for path, _ in parallel.error_records] == ["/usr/lib/libbad.so"]
 
 
 def test_no_file_fully_read_twice(demo_sysroot, monkeypatch):
@@ -162,50 +147,23 @@ def test_no_file_fully_read_twice(demo_sysroot, monkeypatch):
     assert full_reads and max(full_reads.values()) == 1
 
 
-def test_register_zero_plugins(demo_sysroot):
-    result = scan_tree(options_for(demo_sysroot), registry=PluginRegistry())
-    assert result.counts.files_seen > 0
-    assert result.counts.elf_parsed == 0
-    assert result.nodes == []
+def test_parser_crash_recorded_as_error(demo_sysroot, monkeypatch):
+    real_parse = depex.scanner.parse_elf
+    crashing = build_elf(ElfSpec(soname="libcrash.so"))
 
+    def parse_or_crash(data):
+        if data == crashing:
+            raise RuntimeError("boom")
+        return real_parse(data)
 
-def test_duplicate_plugin_name_rejected():
-    registry = default_registry()
-    with pytest.raises(DuplicateName):
-        registry.register(PluginDescriptor(
-            "elf", lambda p, h: False, lambda p, d, c: (None, [])))
-
-
-def test_overlapping_plugins_first_registered_wins(sysroot, caplog):
-    sysroot.elf("/usr/lib/liba.so", ElfSpec(soname="liba.so"))
-    hits = []
-
-    def grabby_extract(path, data, config):
-        hits.append(path)
-        return NodeFacts(FileKind.ELF_OTHER), []
-
-    registry = default_registry()
-    registry.register(PluginDescriptor(
-        "grabby", lambda p, h: h[:4] == b"\x7fELF", grabby_extract))
-    with caplog.at_level(logging.WARNING):
-        result = scan_tree(options_for(sysroot), registry=registry)
-    assert hits == []  # first-registered elf plugin extracted instead
-    assert result.counts.libraries == 1
-    assert any("claim" in r.message for r in caplog.records)
-
-
-def test_failing_plugin_recorded_as_error(sysroot):
-    sysroot.write("/data/blob.xyz", b"XYZZY987")
-
-    def exploding(path, data, config):
-        raise RuntimeError("boom")
-
-    registry = PluginRegistry()
-    registry.register(PluginDescriptor(
-        "xyz", lambda p, h: h[:5] == b"XYZZY", exploding))
-    result = scan_tree(options_for(sysroot), registry=registry)
+    demo_sysroot.write("/usr/lib/libcrash.so", crashing)
+    monkeypatch.setattr(depex.scanner, "parse_elf", parse_or_crash)
+    result = scan_tree(options_for(demo_sysroot))
     assert result.counts.errors == 1
-    assert result.nodes == []
+    [(path, message)] = result.error_records
+    assert path == "/usr/lib/libcrash.so" and "boom" in message
+    assert len(result.nodes) == 10 and "/usr/lib/libcrash.so" not in node_paths(result)
+    assert result.counts.libraries == 7 and result.counts.files_seen == 13
 
 
 def test_resolved_target_outside_graph_downgraded_to_missing(sysroot):
