@@ -65,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sysroot", required=True)
     p.add_argument("--label", required=True)
     p.add_argument("--exclude", action="append", default=[],
-                   metavar="PREFIX", help="extra path prefix to skip")
+                   metavar="PREFIX", help="extra absolute path prefix to skip")
     p.add_argument("--env-library-path", action="append", default=[],
                    metavar="DIR", help="directory searched like LD_LIBRARY_PATH")
     p.add_argument("--default-dirs", metavar="DIR:DIR:...",
@@ -136,6 +136,10 @@ def _print_json(obj) -> None:
 
 def _cmd_scan(args) -> int:
     db = _require_db(args)
+    for prefix in args.exclude:
+        # the walk compares absolute spellings; a relative prefix matches none
+        if not prefix.startswith("/"):
+            raise _CliError(f"--exclude takes an absolute path prefix, got {prefix!r}")
     config = SearchConfig(
         sysroot=args.sysroot,
         env_library_path=list(args.env_library_path),

@@ -23,6 +23,7 @@ from depex.elf import ElfSummary
 log = logging.getLogger(__name__)
 
 DEFAULT_DIRS = ("/lib", "/usr/lib", "/lib64", "/usr/lib64")
+LDSO_CONF_PATH = "/etc/ld.so.conf"
 MAX_LINK_TRAVERSALS = 40  # mirrors the kernel/loader loop limit
 
 
@@ -60,7 +61,6 @@ class SearchConfig:
     sysroot: str
     env_library_path: list[str] = field(default_factory=list)
     default_dirs: list[str] = field(default_factory=lambda: list(DEFAULT_DIRS))
-    ldso_conf_path: str = "/etc/ld.so.conf"
 
 
 def substitute_origin(raw_path_element: str, dependent_file_dir: str) -> str:
@@ -108,7 +108,7 @@ def canonicalize_in_sysroot(path: str, config: SearchConfig) -> str:
 def parse_ldso_conf(config: SearchConfig) -> list[str]:
     """Directories listed by ld.so.conf inside the sysroot, includes expanded."""
     dirs: list[str] = []
-    _read_ldso_conf(config, config.ldso_conf_path, dirs, ())
+    _read_ldso_conf(config, LDSO_CONF_PATH, dirs, ())
     return dirs
 
 

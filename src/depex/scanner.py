@@ -1,7 +1,10 @@
 """Sysroot walker: parses every ELF file under a sysroot, assembles the graph.
 
-The walk itself is serial (it is cheap); extraction runs on a process pool
-sized by parallelism_hint. A file that starts with the ELF magic is parsed;
+The walk itself is serial (it is cheap) and works out each file's identity
+as it goes: its canonical path inside the sysroot, its inode and every
+symlinked or hard-linked spelling, so each file becomes one node with its
+aliases. Extraction runs on a process pool sized by parallelism_hint,
+capped at the CPU count. A file that starts with the ELF magic is parsed;
 any other file is counted in files_seen and skipped. Results are assembled
 into a deterministic, path-sorted node list regardless of worker
 completion order.
@@ -11,14 +14,15 @@ from __future__ import annotations
 
 import os
 import posixpath
+import stat as stat_module
 import time
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from depex.elf import (ELF_MAGIC, ElfError, ElfSummary, FileKind, classify_kind,
                        parse_elf)
-from depex.resolver import (Resolver, SearchConfig, SymlinkLoop,
-                            canonicalize_in_sysroot)
+from depex.resolver import Resolver, SearchConfig
 from depex.store import DependencyEdge, FileNode
 
 DEFAULT_EXCLUDES = ("/proc", "/sys", "/dev", "/run")
@@ -52,7 +56,6 @@ class ScanResult:
     duration: float
     nodes: list[FileNode]
     edges: list[DependencyEdge]
-    summaries: dict[str, ElfSummary]  # canonical path -> parse facts
     error_records: list[tuple[str, str]]
 
 
@@ -60,72 +63,60 @@ def _excluded(path: str, prefixes: list[str]) -> bool:
     return any(path == p or path.startswith(p.rstrip("/") + "/") for p in prefixes)
 
 
-def _walk_regular_files(options: ScanOptions) -> tuple[list[str], list[tuple[str, str]]]:
-    """All regular-file paths under the sysroot, in sorted traversal order.
+def _walk_regular_files(options: ScanOptions, resolver: Resolver,
+                        errors: list[tuple[str, str]]
+                        ) -> Iterator[tuple[str, str, tuple[int, int], int]]:
+    """Every regular file under the sysroot, in sorted traversal order.
 
-    Symlinked directories are listed through their sysroot-canonical target
-    (absolute targets never leak to the host tree) while the yielded paths
-    keep the symlinked spelling, so every alias of a file is seen. Cycles
-    are cut on the ancestor chain, not globally: a directory reachable two
-    independent ways must be walked twice for its aliases to surface.
+    Yields (spelling, canonical path, (st_dev, st_ino), size) and appends
+    what it cannot walk to errors. Each directory on the stack carries its
+    sysroot-canonical path, so a plain entry's canonical path is a join and
+    its inode one lstat; a symlink entry is canonicalised once, through the
+    resolver's cache (absolute targets never leak to the host tree). The
+    spelling keeps the symlinked path, so every alias of a file is seen.
+    Cycles are cut on the ancestor chain, not globally: a directory
+    reachable two independent ways must be walked twice for its aliases to
+    surface.
     """
     sysroot = options.config.sysroot.rstrip("/")
-    config = options.config
-    errors: list[tuple[str, str]] = []
-    files: list[str] = []
-    stack: list[tuple[str, frozenset[tuple[int, int]]]] = [("/", frozenset())]
-
+    root = os.stat(sysroot + "/")
+    stack = [("/", "/", frozenset({(root.st_dev, root.st_ino)}))]
     while stack:
-        rel, ancestors = stack.pop()
+        rel, canonical, ancestors = stack.pop()
         try:
-            canonical = canonicalize_in_sysroot(rel, config)
-        except SymlinkLoop:
-            errors.append((rel, "symlink loop"))
-            continue
-        host = sysroot + canonical
-        try:
-            st = os.stat(host)
-        except OSError as exc:
-            errors.append((rel, f"stat failed: {exc}"))
-            continue
-        key = (st.st_dev, st.st_ino)
-        if key in ancestors:
-            continue
-        ancestors = ancestors | {key}
-        try:
-            with os.scandir(host) as it:
+            with os.scandir(sysroot + canonical) as it:
                 entries = sorted(it, key=lambda e: e.name)
         except OSError as exc:
             errors.append((rel, f"listing failed: {exc}"))
             continue
-        subdirs: list[str] = []
+        subdirs = []
         for entry in entries:
             child = posixpath.join(rel, entry.name)
             if _excluded(child, options.excluded_prefixes):
                 continue
+            target = posixpath.join(canonical, entry.name)
             try:
-                if entry.is_symlink():
-                    if not options.follow_symlinks:
-                        continue
-                    try:
-                        target = canonicalize_in_sysroot(child, config)
-                    except SymlinkLoop:
+                if not entry.is_symlink():
+                    st = entry.stat(follow_symlinks=False)
+                elif not options.follow_symlinks:
+                    continue
+                else:
+                    target, st = resolver.canonical_file_stat(target)
+                    if target is None:
                         errors.append((child, "symlink loop"))
                         continue
-                    target_host = sysroot + target
-                    if os.path.isdir(target_host):
-                        subdirs.append(child)
-                    elif os.path.isfile(target_host):
-                        files.append(child)
-                elif entry.is_dir(follow_symlinks=False):
-                    subdirs.append(child)
-                elif entry.is_file(follow_symlinks=False):
-                    files.append(child)
+                    if st is None:  # dangling
+                        continue
             except OSError as exc:
                 errors.append((child, str(exc)))
-        stack.extend((sub, ancestors) for sub in reversed(subdirs))
-
-    return files, errors
+                continue
+            key = (st.st_dev, st.st_ino)
+            if stat_module.S_ISDIR(st.st_mode):
+                if key not in ancestors:
+                    subdirs.append((child, target, ancestors | {key}))
+            elif stat_module.S_ISREG(st.st_mode):
+                yield child, target, key, st.st_size
+        stack.extend(reversed(subdirs))
 
 
 @dataclass
@@ -166,8 +157,11 @@ def _pool_extract(item: tuple[str, int]) -> _Extracted:
     return _extract_one(item[0], item[1], _worker_state["options"])
 
 
-def _run_extraction(canonical_files: list[tuple[str, int]], workers: int,
+def _run_extraction(canonical_files: list[tuple[str, int]],
                     options: ScanOptions) -> list[_Extracted]:
+    # the fork start method launches every worker at the first submit, and
+    # workers beyond the CPU count add processes, not throughput
+    workers = min(max(1, options.parallelism_hint), os.cpu_count() or 1)
     if workers > 1 and len(canonical_files) >= 2 * workers:
         with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init,
                                  initargs=(options,)) as pool:
@@ -184,42 +178,24 @@ def scan_tree(options: ScanOptions) -> ScanResult:
         raise SysrootUnreadable(sysroot)
     resolver = Resolver(options.config)
 
-    raw_paths, errors = _walk_regular_files(options)
-
     # collapse symlink aliases and hard links onto one canonical node each
-    aliases: dict[str, list[str]] = {}   # keyed by the primary canonical path
+    errors: list[tuple[str, str]] = []
     alias_of: dict[str, str] = {}        # canonical path -> primary
+    aliases: dict[str, set[str]] = {}    # primary -> its other spellings
     by_inode: dict[tuple[int, int], str] = {}
     canonical_files: list[tuple[str, int]] = []
-    for rel in raw_paths:
-        canonical, st = resolver.canonical_file_stat(rel)
-        if canonical is None:
-            errors.append((rel, "symlink loop"))
-            continue
+    for spelling, canonical, key, size in _walk_regular_files(options, resolver, errors):
         primary = alias_of.get(canonical)
         if primary is None:
-            if st is None:
-                errors.append((rel, "stat failed"))
-                continue
-            key = (st.st_dev, st.st_ino)
-            primary = by_inode.get(key)
-            if primary is None:
-                # first sighting of this file
-                by_inode[key] = canonical
-                alias_of[canonical] = canonical
-                aliases[canonical] = []
-                canonical_files.append((canonical, st.st_size))
-                primary = canonical
-            else:
-                # a hard link: different canonical path, same file
-                alias_of[canonical] = primary
-                if canonical not in aliases[primary]:
-                    aliases[primary].append(canonical)
-        if rel != primary and rel not in aliases[primary]:
-            aliases[primary].append(rel)
+            # the first sighting of a file, or a hard link to one seen before
+            primary = alias_of[canonical] = by_inode.setdefault(key, canonical)
+            if primary == canonical:
+                canonical_files.append((canonical, size))
+        for alias in (spelling, canonical):
+            if alias != primary:
+                aliases.setdefault(primary, set()).add(alias)
 
-    workers = max(1, options.parallelism_hint)
-    extracted = _run_extraction(canonical_files, workers, options)
+    extracted = _run_extraction(canonical_files, options)
 
     counts = ScanCounts()
     parsed: list[_Extracted] = []
@@ -240,7 +216,7 @@ def scan_tree(options: ScanOptions) -> ScanResult:
         elif kind is FileKind.SHARED_LIBRARY:
             counts.libraries += 1
         nodes.append(FileNode(idx, None, item.canonical,
-                              sorted(aliases[item.canonical]), kind,
+                              sorted(aliases.get(item.canonical, ())), kind,
                               item.summary.soname, item.size_bytes))
     counts.elf_parsed = len(nodes)
 
@@ -267,6 +243,5 @@ def scan_tree(options: ScanOptions) -> ScanResult:
         duration=time.monotonic() - start,
         nodes=nodes,
         edges=edges,
-        summaries={item.canonical: item.summary for item in parsed},
         error_records=errors,
     )

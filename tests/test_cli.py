@@ -226,6 +226,15 @@ def test_scan_bad_sysroot(capsys, tmp_path):
     assert "sysroot" in err
 
 
+def test_scan_rejects_relative_exclude(capsys, demo_sysroot, tmp_path):
+    db = str(tmp_path / "x.db")
+    code, _, err = run(capsys, "scan", "--sysroot", demo_sysroot.root,
+                       "--label", "v1", "--db", db, "--exclude", "usr/share")
+    assert code == 1
+    assert "'usr/share'" in err
+    assert not os.path.exists(db)
+
+
 def test_missing_db_argument(capsys, monkeypatch):
     monkeypatch.delenv("DEPEX_DB", raising=False)
     code, _, err = run(capsys, "snapshots")

@@ -2,12 +2,15 @@ from __future__ import annotations
 
 import builtins
 import os
+import posixpath
+import random
+import stat
 from collections import Counter
 
 import pytest
 
 import depex.scanner
-from depex.resolver import SearchConfig
+from depex.resolver import SearchConfig, SymlinkLoop, canonicalize_in_sysroot
 from depex.scanner import ScanOptions, SysrootUnreadable, scan_tree
 from elfbuild import ElfSpec, build_elf
 
@@ -183,3 +186,131 @@ def test_repeated_needed_name_yields_one_edge(sysroot):
     result = scan_tree(options_for(sysroot))
     names = [e.needed_name for e in result.edges]
     assert names == ["libc.so.6"]
+
+
+def test_workers_capped_at_cpu_count(demo_sysroot, monkeypatch):
+    seen_workers = []
+
+    class SerialPool:
+        def __init__(self, max_workers, initializer, initargs):
+            seen_workers.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize):
+            return map(fn, items)
+
+    serial = scan_tree(options_for(demo_sysroot))
+    monkeypatch.setattr(depex.scanner, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(depex.scanner, "_worker_state", {})
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    capped = scan_tree(options_for(demo_sysroot, parallelism_hint=10_000))
+    assert seen_workers == [3]
+    assert node_paths(capped) == node_paths(serial)
+    assert edge_tuples(capped) == edge_tuples(serial)
+    assert [n.alias_paths for n in capped.nodes] == [n.alias_paths for n in serial.nodes]
+    assert capped.error_records == serial.error_records
+
+
+# --- the walk: symlinked and hard-linked spellings ---------------------------
+
+def node_aliases(result):
+    return [(n.canonical_path, n.alias_paths) for n in result.nodes]
+
+
+@pytest.mark.parametrize("links, nodes, errors", [
+    ([("sym", "/usr/lib/loopa", "loopb"), ("sym", "/usr/lib/loopb", "loopa")],
+     [("/usr/lib/liba.so", [])],
+     [("/usr/lib/loopa", "symlink loop"), ("/usr/lib/loopb", "symlink loop")]),
+    ([("sym", "/usr/lib/libself.so", "libself.so")],
+     [("/usr/lib/liba.so", [])],
+     [("/usr/lib/libself.so", "symlink loop")]),
+    ([("sym", "/usr/lib/libgone.so", "libgone.so.1")],
+     [("/usr/lib/liba.so", [])],
+     []),
+    ([("sym", "/usr/lib/self", ".")],
+     [("/usr/lib/liba.so", [])],
+     []),
+    ([("sym", "/lib", "/usr/lib")],
+     [("/usr/lib/liba.so", ["/lib/liba.so"])],
+     []),
+    ([("hard", "/usr/lib/libb.so", "/usr/lib/liba.so"),
+      ("sym", "/usr/lib/libc.so", "libb.so")],
+     [("/usr/lib/liba.so", ["/usr/lib/libb.so", "/usr/lib/libc.so"])],
+     []),
+    ([("fifo", "/usr/lib/pipe", None), ("sym", "/usr/lib/libpipe.so", "pipe")],
+     [("/usr/lib/liba.so", [])],
+     []),
+], ids=["two-link loop", "self-link", "dangling link", "self -> . directory link",
+        "absolute directory link", "hard link", "fifo and a link to it"])
+def test_walk_links(sysroot, links, nodes, errors):
+    sysroot.elf("/usr/lib/liba.so", ElfSpec(soname="liba.so"))
+    for kind, path, target in links:
+        if kind == "sym":
+            sysroot.symlink(path, target)
+        elif kind == "hard":
+            os.link(sysroot.root + target, sysroot.root + path)
+        else:
+            os.mkfifo(sysroot.root + path)
+    result = scan_tree(options_for(sysroot))
+    assert node_aliases(result) == nodes
+    assert result.error_records == errors
+    assert result.counts.files_seen == 1
+
+
+def random_tree(sysroot, seed):
+    """A small tree dense in symlinks: loops, dangling and absolute links,
+    '.' and '..' targets, links to links and hard links."""
+    rng = random.Random(seed)
+    dirs = ["/", "/usr/lib"]
+    for i in range(rng.randint(1, 5)):
+        dirs.append(posixpath.join(rng.choice(dirs), f"d{i}"))
+    for path in dirs:
+        sysroot.mkdir(path)
+    files = []
+    for i in range(rng.randint(2, 8)):
+        path = posixpath.join(rng.choice(dirs), f"lib{i}.so")
+        sysroot.elf(path, ElfSpec(soname=f"lib{i}.so"))
+        files.append(path)
+    for i in range(rng.randint(0, 2)):
+        path = posixpath.join(rng.choice(dirs), f"h{i}")
+        os.link(sysroot.root + rng.choice(files), sysroot.root + path)
+    links: list[str] = []
+    for i in range(rng.randint(3, 12)):
+        where = rng.choice(dirs)
+        target = rng.choice(files + dirs)
+        target = rng.choice([
+            target, posixpath.relpath(target, where), ".", "..", "/", f"s{i}",
+            posixpath.relpath(rng.choice(links), where) if links else "nowhere",
+            "nowhere", "/no/such/lib.so"])
+        links.append(posixpath.join(where, f"s{i}"))
+        sysroot.symlink(links[-1], target)
+    return links
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_walk_aliases_land_on_their_node(sysroot, seed):
+    links = random_tree(sysroot, seed)
+    config = SearchConfig(sysroot.root)
+    result = scan_tree(ScanOptions(config))
+
+    def inode_at(path):
+        st = os.stat(sysroot.root + canonicalize_in_sysroot(path, config))
+        assert stat.S_ISREG(st.st_mode)
+        return st.st_dev, st.st_ino
+
+    for node in result.nodes:
+        assert canonicalize_in_sysroot(node.canonical_path, config) == node.canonical_path
+        inode = inode_at(node.canonical_path)
+        assert all(inode_at(alias) == inode for alias in node.alias_paths)
+    recorded = {path for path, message in result.error_records if message == "symlink loop"}
+    for link in links:
+        try:
+            canonicalize_in_sysroot(link, config)
+        except SymlinkLoop:
+            assert link in recorded
