@@ -21,7 +21,8 @@ from depex.metrics import stats_summary
 from depex.queries import (AmbiguousName, find_node, get_all_deps, get_deps,
                            update_impact, who_uses)
 from depex.resolver import DEFAULT_DIRS, SearchConfig
-from depex.scanner import ScanOptions, SysrootUnreadable, scan_tree
+from depex.scanner import (RelativeExclude, ScanOptions, SysrootUnreadable,
+                           scan_tree)
 from depex.store import (DependencyGraph, DuplicateLabel, StorageFailure,
                          UnknownLabel, UnknownNode, UnreadableDatabase,
                          list_snapshots, load_graph, save_snapshot)
@@ -136,10 +137,6 @@ def _print_json(obj) -> None:
 
 def _cmd_scan(args) -> int:
     db = _require_db(args)
-    for prefix in args.exclude:
-        # the walk compares absolute spellings; a relative prefix matches none
-        if not prefix.startswith("/"):
-            raise _CliError(f"--exclude takes an absolute path prefix, got {prefix!r}")
     config = SearchConfig(
         sysroot=args.sysroot,
         env_library_path=list(args.env_library_path),
@@ -313,6 +310,10 @@ def run_cli(argv: list[str] | None = None) -> int:
         return USER_ERROR
     except DuplicateLabel as exc:
         print(f"depex: snapshot label already exists: {exc}", file=sys.stderr)
+        return USER_ERROR
+    except RelativeExclude as exc:
+        print(f"depex: --exclude takes an absolute path prefix, got {exc.args[0]!r}",
+              file=sys.stderr)
         return USER_ERROR
     except SysrootUnreadable as exc:
         print(f"depex: sysroot not readable: {exc}", file=sys.stderr)

@@ -1,20 +1,20 @@
 """Dynamic-loader search semantics confined to a sysroot.
 
 All paths handed around here are absolute strings interpreted *inside*
-the sysroot; the functions never touch the host filesystem outside it
-(chroot emulation, including re-rooting of absolute symlink targets).
-Resolver.resolve is the one implementation of the loader's search: every
-candidate, searched or given with a '/', goes through the same probe.
+the sysroot; nothing is read outside it (chroot emulation, including
+re-rooting of absolute symlink targets). Resolver.canonical is the one
+canonicaliser: the scanner's walk, the search probes, ld.so.conf includes
+and multiarch listings all go through it. Resolver.resolve is the one
+implementation of the loader's search.
 """
 
 from __future__ import annotations
 
-import glob
+import fnmatch
 import logging
 import os
 import posixpath
 import stat as stat_module
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -71,105 +71,21 @@ def substitute_origin(raw_path_element: str, dependent_file_dir: str) -> str:
 
 
 def canonicalize_in_sysroot(path: str, config: SearchConfig) -> str:
-    """Resolve symlinks component-by-component without escaping the sysroot.
-
-    Absolute link targets are re-rooted under the sysroot; ".." clamps at
-    the sysroot. Nonexistent components pass through lexically.
-    """
-    pending = deque(p for p in path.split("/") if p and p != ".")
-    resolved: list[str] = []
-    hops = 0
-    while pending:
-        comp = pending.popleft()
-        if comp == "..":
-            if resolved:
-                resolved.pop()
-            continue
-        host_path = os.path.join(config.sysroot, *resolved, comp)
-        try:
-            is_link = os.path.islink(host_path)
-        except OSError:
-            is_link = False
-        if not is_link:
-            resolved.append(comp)
-            continue
-        hops += 1
-        if hops > MAX_LINK_TRAVERSALS:
-            raise SymlinkLoop(path)
-        target = os.readlink(host_path)
-        if target.startswith("/"):
-            resolved = []
-        pending.extendleft(
-            reversed([p for p in target.split("/") if p and p != "."])
-        )
-    return "/" + "/".join(resolved)
+    """Resolver.canonical with a fresh Resolver; SymlinkLoop on a loop."""
+    hit = Resolver(config).canonical(path)
+    if hit is None:
+        raise SymlinkLoop(path)
+    return hit[0]
 
 
 def parse_ldso_conf(config: SearchConfig) -> list[str]:
     """Directories listed by ld.so.conf inside the sysroot, includes expanded."""
-    dirs: list[str] = []
-    _read_ldso_conf(config, LDSO_CONF_PATH, dirs, ())
-    return dirs
-
-
-def _read_ldso_conf(config: SearchConfig, conf_path: str, dirs: list[str],
-                    chain: tuple[str, ...]) -> None:
-    canonical = canonicalize_in_sysroot(conf_path, config)
-    if canonical in chain:
-        # a diamond include is legal and re-processed; only a true cycle stops
-        log.warning("cyclic include of %s in ld.so.conf; continuing with "
-                    "directories gathered so far", conf_path)
-        return
-    chain = chain + (canonical,)
-    host_path = _host_path(config, canonical)
-    try:
-        with open(host_path, encoding="utf-8", errors="surrogateescape") as f:
-            lines = f.readlines()
-    except OSError:
-        return
-    for line in lines:
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("include") and line[7:8] in (" ", "\t"):
-            pattern = line[8:].strip()
-            if not pattern.startswith("/"):
-                pattern = posixpath.join(posixpath.dirname(conf_path), pattern)
-            host_pattern = config.sysroot.rstrip("/") + pattern
-            for match in sorted(glob.glob(host_pattern)):
-                rel = "/" + os.path.relpath(match, config.sysroot)
-                _read_ldso_conf(config, rel, dirs, chain)
-        else:
-            dirs.append(line)
-
-
-def _host_path(config: SearchConfig, canonical: str) -> str:
-    return config.sysroot.rstrip("/") + canonical
+    return Resolver(config).ldso_dirs()
 
 
 def discover_multiarch_dirs(config: SearchConfig) -> list[str]:
     """Triplet subdirectories of /lib and /usr/lib that hold shared objects."""
-    found = []
-    for parent in ("/lib", "/usr/lib"):
-        host_parent = _host_path(config, parent)
-        try:
-            entries = sorted(os.listdir(host_parent))
-        except OSError:
-            continue
-        for entry in entries:
-            subdir = os.path.join(host_parent, entry)
-            if not os.path.isdir(subdir):
-                continue
-            try:
-                has_libs = any(
-                    name.startswith("lib") and ".so" in name
-                    for name in os.listdir(subdir)
-                )
-            except OSError:
-                continue
-            if has_libs:
-                found.append(posixpath.join(parent, entry))
-    return found
+    return Resolver(config).multiarch_dirs()
 
 
 def _split_search_value(raw: str, dependent_dir: str) -> list[str]:
@@ -205,77 +121,154 @@ def build_search_stages(summary: ElfSummary, dependent_dir: str,
 
 
 class Resolver:
-    """The loader's search for DT_NEEDED names, with per-tree caches.
+    """The loader's search for DT_NEEDED names, and the one canonicaliser
+    for walk spellings, search candidates, includes and multiarch listings.
 
-    The sysroot must not change while an instance is in use; every cache
-    below assumes an immutable tree. A scan keeps one instance for the
-    whole tree; resolve_needed uses a fresh one per call.
-    """
+    The memo and caches assume the tree does not change while an instance
+    is in use. A scan keeps one; the module functions use a fresh one."""
 
     def __init__(self, config: SearchConfig):
         self.config = config
+        self._host = config.sysroot.rstrip("/")
         self._ldso_dirs: list[str] | None = None
         self._multiarch: list[str] | None = None
         self._resolution_cache: dict[tuple[str, str | None, str | None, str],
                                      Resolution] = {}
-        self._dir_cache: dict[str, str | None] = {}
+        # normalised spelling -> (canonical path, links it follows); None: loop
+        self._memo: dict[str, tuple[str, int] | None] = {"/": ("/", 0)}
+
+    def canonical(self, path: str, spent: int = 0) -> tuple[str, int] | None:
+        """(canonical spelling of path, links it follows); None for a loop.
+
+        Link targets are resolved against the canonical parent; absolute
+        ones are re-rooted under the sysroot, and ".." clamps at it.
+        Nonexistent components pass through lexically. As in the kernel
+        (path_resolution(7)), a lookup that follows more than
+        MAX_LINK_TRAVERSALS links, counted over the whole path, is a loop;
+        spent is what an enclosing lookup has followed already. Only
+        following a link recurses, so the depth is bounded by the limit.
+        """
+        memo = self._memo
+        key, parts = path, []
+        if key not in memo:  # normalise, then start from the longest known prefix
+            parts = [p for p in path.split("/") if p and p != "."]
+            for done in range(len(parts), -1, -1):
+                key = "/" + "/".join(parts[:done])
+                if key in memo:
+                    break
+            parts = parts[done:]
+        hit = memo[key]
+        if hit is None or spent + hit[1] > MAX_LINK_TRAVERSALS:
+            return None
+        canonical, links = hit
+        for name in parts:
+            key = posixpath.join(key, name)
+            if name == "..":
+                canonical = posixpath.dirname(canonical)
+            else:
+                parent, canonical = canonical, posixpath.join(canonical, name)
+                try:
+                    target = os.readlink(self._host + canonical)
+                except (OSError, ValueError):  # not a link, or nothing there
+                    pass
+                else:
+                    memo[key] = None  # met again while following it: a loop
+                    hit = (self.canonical(posixpath.join(parent, target), spent + links + 1)
+                           if spent + links < MAX_LINK_TRAVERSALS else None)
+                    if hit is None:
+                        if spent:  # the enclosing lookup's budget may be what ran out
+                            del memo[key]
+                        return None
+                    canonical, links = hit[0], links + 1 + hit[1]
+            memo[key] = (canonical, links)
+        return canonical, links
+
+    def canonical_file_stat(self, path: str) -> tuple[str | None, os.stat_result | None]:
+        """(canonical path, stat): the memo for the directory, then one lstat
+        unless the name is a link. canonical None means a symlink loop;
+        stat None, nothing at the canonical path."""
+        directory, name = posixpath.split(path)
+        if name not in ("", ".", ".."):
+            hit = self.canonical(directory)
+            if hit is None:
+                return None, None
+            canonical = posixpath.join(hit[0], name)
+            try:
+                st = os.lstat(self._host + canonical)
+            except (OSError, ValueError):  # ValueError: a NUL byte in the name
+                return canonical, None
+            if not stat_module.S_ISLNK(st.st_mode):
+                return canonical, st
+        hit = self.canonical(path)
+        if hit is None:
+            return None, None
+        try:
+            return hit[0], os.stat(self._host + hit[0])
+        except (OSError, ValueError):
+            return hit[0], None
+
+    def _listdir(self, path: str) -> list[str]:
+        """Sorted names in the directory path spells, listed inside the sysroot."""
+        hit = self.canonical(path)
+        try:
+            return sorted(os.listdir(self._host + hit[0])) if hit else []
+        except (OSError, ValueError):
+            return []
 
     def ldso_dirs(self) -> list[str]:
         if self._ldso_dirs is None:
-            self._ldso_dirs = parse_ldso_conf(self.config)
+            self._ldso_dirs = []
+            self._read_ldso_conf(LDSO_CONF_PATH, ())
         return self._ldso_dirs
+
+    def _read_ldso_conf(self, conf_path: str, chain: tuple[str, ...]) -> None:
+        hit = self.canonical(conf_path)
+        if hit is None or hit[0] in chain:
+            # a diamond include is legal and re-processed; only a true cycle stops
+            log.warning("cyclic include or symlink loop at %s in ld.so.conf; "
+                        "continuing with directories gathered so far", conf_path)
+            return
+        chain = chain + (hit[0],)
+        try:
+            with open(self._host + hit[0], encoding="utf-8",
+                      errors="surrogateescape") as f:
+                lines = f.readlines()
+        except (OSError, ValueError):
+            return
+        for line in lines:
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if line.startswith("include") and line[7:8] in (" ", "\t"):
+                pattern = line[8:].strip()
+                if not pattern.startswith("/"):
+                    pattern = posixpath.join(posixpath.dirname(conf_path), pattern)
+                for match in self._glob(pattern):
+                    self._read_ldso_conf(match, chain)
+            else:
+                self._ldso_dirs.append(line)
+
+    def _glob(self, pattern: str) -> list[str]:
+        """Sorted spellings an include pattern matches, one component at a
+        time, so that every directory is listed inside the sysroot."""
+        matches = ["/"]
+        for part in pattern.split("/"):
+            if not any(c in part for c in "*?["):
+                matches = [posixpath.join(m, part) for m in matches]
+            else:  # as glob(3): a wildcard matches a leading "." only if part has one
+                matches = [posixpath.join(m, name) for m in matches
+                           for name in fnmatch.filter(self._listdir(m), part)
+                           if part[0] == "." or name[0] != "."]
+        return sorted(matches)
 
     def multiarch_dirs(self) -> list[str]:
         if self._multiarch is None:
-            self._multiarch = discover_multiarch_dirs(self.config)
+            self._multiarch = [
+                subdir for parent in ("/lib", "/usr/lib")
+                for subdir in (posixpath.join(parent, e) for e in self._listdir(parent))
+                if any(name.startswith("lib") and ".so" in name
+                       for name in self._listdir(subdir))]
         return self._multiarch
-
-    def canonical_dir(self, directory: str) -> str | None:
-        """Cached directory canonicalization; None for symlink loops."""
-        hit = self._dir_cache.get(directory, "")
-        if hit != "":
-            return hit
-        try:
-            canonical = canonicalize_in_sysroot(directory, self.config)
-        except SymlinkLoop:
-            canonical = None
-        self._dir_cache[directory] = canonical
-        return canonical
-
-    def canonical_file_stat(self, path: str) -> tuple[str | None, os.stat_result | None]:
-        """(canonical path, stat) with one syscall in the common case.
-
-        canonical None means a symlink loop; stat None means nothing exists
-        at the canonical location.
-        """
-        directory, name = posixpath.split(path)
-        canonical_dir = self.canonical_dir(directory or "/")
-        if canonical_dir is None:
-            return None, None
-        if not name or name in (".", ".."):
-            try:
-                canonical = canonicalize_in_sysroot(path, self.config)
-            except SymlinkLoop:
-                return None, None
-            return canonical, self._stat(canonical)
-        joined = posixpath.join(canonical_dir, name)
-        try:
-            st = os.lstat(_host_path(self.config, joined))
-        except OSError:
-            return joined, None
-        if not stat_module.S_ISLNK(st.st_mode):
-            return joined, st
-        try:
-            canonical = canonicalize_in_sysroot(joined, self.config)
-        except SymlinkLoop:
-            return None, None
-        return canonical, self._stat(canonical)
-
-    def _stat(self, canonical: str) -> os.stat_result | None:
-        try:
-            return os.stat(_host_path(self.config, canonical))
-        except OSError:
-            return None
 
     def _probe(self, directory: str, name: str) -> str | None:
         canonical, st = self.canonical_file_stat(posixpath.join(directory, name))

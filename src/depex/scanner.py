@@ -1,13 +1,13 @@
 """Sysroot walker: parses every ELF file under a sysroot, assembles the graph.
 
 The walk itself is serial (it is cheap) and works out each file's identity
-as it goes: its canonical path inside the sysroot, its inode and every
-symlinked or hard-linked spelling, so each file becomes one node with its
-aliases. Extraction runs on a process pool sized by parallelism_hint,
-capped at the CPU count. A file that starts with the ELF magic is parsed;
-any other file is counted in files_seen and skipped. Results are assembled
-into a deterministic, path-sorted node list regardless of worker
-completion order.
+as it goes, through the resolver's one canonicaliser: its canonical path
+inside the sysroot, its inode and every symlinked or hard-linked spelling,
+so each file becomes one node with its aliases. Extraction runs on a
+process pool sized by parallelism_hint, capped at the CPU count. A file
+that starts with the ELF magic is parsed; any other file is counted in
+files_seen and skipped. Results are assembled into a deterministic,
+path-sorted node list regardless of worker completion order.
 """
 
 from __future__ import annotations
@@ -30,6 +30,10 @@ DEFAULT_EXCLUDES = ("/proc", "/sys", "/dev", "/run")
 
 class SysrootUnreadable(Exception):
     pass
+
+
+class RelativeExclude(ValueError):
+    """An excluded prefix that is not absolute: it could match no spelling."""
 
 
 @dataclass
@@ -69,22 +73,20 @@ def _walk_regular_files(options: ScanOptions, resolver: Resolver,
     """Every regular file under the sysroot, in sorted traversal order.
 
     Yields (spelling, canonical path, (st_dev, st_ino), size) and appends
-    what it cannot walk to errors. Each directory on the stack carries its
-    sysroot-canonical path, so a plain entry's canonical path is a join and
-    its inode one lstat; a symlink entry is canonicalised once, through the
-    resolver's cache (absolute targets never leak to the host tree). The
-    spelling keeps the symlinked path, so every alias of a file is seen.
-    Cycles are cut on the ancestor chain, not globally: a directory
-    reachable two independent ways must be walked twice for its aliases to
-    surface.
+    what it cannot walk to errors. The stack holds spellings: each entry's
+    identity comes from the resolver's canonical_file_stat, and a directory
+    is listed at its canonical path, so links never lead out of the sysroot
+    and every alias spelling of a file is seen. Cycles are cut on the
+    ancestor chain, not globally: a directory reachable two independent
+    ways must be walked twice for its aliases to surface.
     """
     sysroot = options.config.sysroot.rstrip("/")
     root = os.stat(sysroot + "/")
-    stack = [("/", "/", frozenset({(root.st_dev, root.st_ino)}))]
+    stack = [("/", frozenset({(root.st_dev, root.st_ino)}))]
     while stack:
-        rel, canonical, ancestors = stack.pop()
+        rel, ancestors = stack.pop()
         try:
-            with os.scandir(sysroot + canonical) as it:
+            with os.scandir(sysroot + resolver.canonical(rel)[0]) as it:
                 entries = sorted(it, key=lambda e: e.name)
         except OSError as exc:
             errors.append((rel, f"listing failed: {exc}"))
@@ -92,30 +94,21 @@ def _walk_regular_files(options: ScanOptions, resolver: Resolver,
         subdirs = []
         for entry in entries:
             child = posixpath.join(rel, entry.name)
-            if _excluded(child, options.excluded_prefixes):
+            if _excluded(child, options.excluded_prefixes) or (
+                    not options.follow_symlinks and entry.is_symlink()):
                 continue
-            target = posixpath.join(canonical, entry.name)
-            try:
+            canonical, st = resolver.canonical_file_stat(child)
+            if canonical is None:
+                errors.append((child, "symlink loop"))
+            elif st is None:  # dangling, or gone since the listing
                 if not entry.is_symlink():
-                    st = entry.stat(follow_symlinks=False)
-                elif not options.follow_symlinks:
-                    continue
-                else:
-                    target, st = resolver.canonical_file_stat(target)
-                    if target is None:
-                        errors.append((child, "symlink loop"))
-                        continue
-                    if st is None:  # dangling
-                        continue
-            except OSError as exc:
-                errors.append((child, str(exc)))
-                continue
-            key = (st.st_dev, st.st_ino)
-            if stat_module.S_ISDIR(st.st_mode):
+                    errors.append((child, "stat failed"))
+            elif stat_module.S_ISDIR(st.st_mode):
+                key = (st.st_dev, st.st_ino)
                 if key not in ancestors:
-                    subdirs.append((child, target, ancestors | {key}))
+                    subdirs.append((child, ancestors | {key}))
             elif stat_module.S_ISREG(st.st_mode):
-                yield child, target, key, st.st_size
+                yield child, canonical, (st.st_dev, st.st_ino), st.st_size
         stack.extend(reversed(subdirs))
 
 
@@ -173,6 +166,9 @@ def _run_extraction(canonical_files: list[tuple[str, int]],
 def scan_tree(options: ScanOptions) -> ScanResult:
     """Walk the sysroot and build the node/edge sets for one snapshot."""
     start = time.monotonic()
+    for prefix in options.excluded_prefixes:
+        if not prefix.startswith("/"):
+            raise RelativeExclude(prefix)
     sysroot = options.config.sysroot
     if not os.path.isdir(sysroot):
         raise SysrootUnreadable(sysroot)

@@ -1,14 +1,17 @@
 """Independent oracles the implementation is checked against.
 
 readelf/nm come from binutils and know nothing about this package; the
-closure oracle is a dense boolean-matrix fixpoint, deliberately naive.
+closure oracle is a dense boolean-matrix fixpoint, deliberately naive; the
+canonicalisation oracle is a plain root-to-leaf loop with no memo.
 """
 
 from __future__ import annotations
 
+import os
 import re
 import shutil
 import subprocess
+from collections import deque
 
 READELF = shutil.which("readelf")
 
@@ -33,6 +36,38 @@ def readelf_dynamic(path: str) -> dict:
     if m:
         info["runpath"] = m.group(1)
     return info
+
+
+def canonical_reference(sysroot: str, path: str) -> str | None:
+    """path's canonical spelling inside sysroot, or None for a symlink loop.
+
+    Root to leaf, one islink per component: a link's target components
+    are spliced in front of the pending ones, an absolute target restarts
+    at the root and ".." clamps there. Nonexistent components pass through
+    lexically. More than 40 links in the whole lookup is a loop, as in
+    Linux path_resolution(7).
+    """
+    pending = deque(p for p in path.split("/") if p and p != ".")
+    resolved: list[str] = []
+    links = 0
+    while pending:
+        comp = pending.popleft()
+        if comp == "..":
+            if resolved:
+                resolved.pop()
+            continue
+        host_path = os.path.join(sysroot, *resolved, comp)
+        if not os.path.islink(host_path):
+            resolved.append(comp)
+            continue
+        links += 1
+        if links > 40:
+            return None
+        target = os.readlink(host_path)
+        if target.startswith("/"):
+            resolved = []
+        pending.extendleft(reversed([p for p in target.split("/") if p and p != "."]))
+    return "/" + "/".join(resolved)
 
 
 _SYM_LINE = re.compile(

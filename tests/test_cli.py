@@ -235,6 +235,16 @@ def test_scan_rejects_relative_exclude(capsys, demo_sysroot, tmp_path):
     assert not os.path.exists(db)
 
 
+def test_scan_survives_looping_ldso_conf_include(capsys, demo_sysroot, tmp_path):
+    demo_sysroot.symlink("/etc/ld.so.conf.d/a.conf", "a.conf")
+    db = str(tmp_path / "x.db")
+    code, out, _ = run(capsys, "scan", "--sysroot", demo_sysroot.root,
+                       "--label", "v1", "--db", db)
+    assert code == 0 and "10 parsed" in out
+    code, out, _ = run(capsys, "snapshots", "--db", db, "--json")
+    assert code == 0 and [s["label"] for s in json.loads(out)] == ["v1"]
+
+
 def test_missing_db_argument(capsys, monkeypatch):
     monkeypatch.delenv("DEPEX_DB", raising=False)
     code, _, err = run(capsys, "snapshots")

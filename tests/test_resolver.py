@@ -85,6 +85,51 @@ def test_ldso_conf_diamond_include_is_not_a_cycle(sysroot, caplog):
     assert not any("cyclic" in r.message for r in caplog.records)
 
 
+def test_ldso_conf_looping_include_skipped(sysroot, caplog):
+    sysroot.write("/etc/ld.so.conf",
+                  b"/first\ninclude /etc/ld.so.conf.d/*.conf\n/last\n")
+    sysroot.symlink("/etc/ld.so.conf.d/a.conf", "a.conf")
+    sysroot.write("/etc/ld.so.conf.d/b.conf", b"/from-b\n")
+    with caplog.at_level("WARNING"):
+        dirs = parse_ldso_conf(config_for(sysroot))
+    assert dirs == ["/first", "/from-b", "/last"]
+    assert any("symlink loop" in r.message for r in caplog.records)
+
+
+def test_nul_byte_in_ldso_conf_is_no_crash(sysroot):
+    sysroot.write("/etc/ld.so.conf",
+                  b"/usr/\0lib\ninclude /etc/a\0.conf\ninclude /etc/\0d/*.conf\n")
+    sysroot.write("/usr/lib/libm.so.6", elf_bytes())
+    cfg = config_for(sysroot, default_dirs=[])
+    assert parse_ldso_conf(cfg) == ["/usr/\0lib"]
+    assert not resolve_needed("libm.so.6", summary_with(sysroot), "/bin/x", cfg).resolved
+    assert not resolve_needed("", summary_with(sysroot), "/bin/x", cfg).resolved
+
+
+def test_ldso_conf_include_stays_inside_sysroot(sysroot, tmp_path):
+    # an absolute link names a host directory; inside the sysroot it is
+    # re-rooted, so only the sysroot's copy of that path is globbed
+    outside = str(tmp_path / "outside")
+    os.makedirs(outside)
+    with open(outside + "/host.conf", "w") as f:
+        f.write("/from-host\n")
+    sysroot.write(outside + "/inside.conf", b"/from-sysroot\n")
+    sysroot.write("/etc/ld.so.conf", b"include /etc/ld.so.conf.d/*.conf\n")
+    sysroot.symlink("/etc/ld.so.conf.d", outside)
+    assert parse_ldso_conf(config_for(sysroot)) == ["/from-sysroot"]
+
+
+def test_multiarch_listing_stays_inside_sysroot(sysroot, tmp_path):
+    outside = str(tmp_path / "outside")
+    os.makedirs(outside + "/host-gnu")
+    open(outside + "/host-gnu/libhost.so.1", "w").close()
+    sysroot.write(outside + "/inside-gnu/libinside.so.1", b"x")
+    sysroot.write("/usr/lib/x86_64-linux-gnu/libc.so.6", b"x")
+    sysroot.symlink("/lib", outside)
+    assert discover_multiarch_dirs(config_for(sysroot)) == \
+        ["/lib/inside-gnu", "/usr/lib/x86_64-linux-gnu"]
+
+
 # --- canonicalize_in_sysroot ------------------------------------------------
 
 def test_absolute_symlink_rerooted(sysroot):
@@ -208,6 +253,17 @@ def test_canonical_file_stat_follows_links_and_reports_absence(sysroot):
 
 
 # --- resolve_needed ---------------------------------------------------------
+
+def test_runpath_of_2000_components_is_missing(sysroot):
+    # every component follows a link, so the lookup loops after 40; the
+    # component loop must get there without deep recursion
+    sysroot.write("/libdeep.so", elf_bytes())
+    sysroot.symlink("/l", ".")
+    s = summary_with(sysroot, runpath="/l" * 2000)
+    r = resolve_needed("libdeep.so", s, "/bin/x", config_for(sysroot, default_dirs=[]))
+    assert not r.resolved
+    assert resolve_needed("libdeep.so", summary_with(sysroot, runpath="/l" * 40), "/bin/x",
+                          config_for(sysroot, default_dirs=[])).path == "/libdeep.so"
 
 def elf_bytes():
     return build_elf(ElfSpec(soname="libtarget.so"))

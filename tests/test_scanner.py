@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import builtins
+import errno
 import os
 import posixpath
 import random
@@ -10,9 +11,11 @@ from collections import Counter
 import pytest
 
 import depex.scanner
-from depex.resolver import SearchConfig, SymlinkLoop, canonicalize_in_sysroot
-from depex.scanner import ScanOptions, SysrootUnreadable, scan_tree
+from depex.resolver import Resolver, SearchConfig, SymlinkLoop, canonicalize_in_sysroot
+from depex.scanner import RelativeExclude, ScanOptions, SysrootUnreadable, scan_tree
+from conftest import SysrootBuilder
 from elfbuild import ElfSpec, build_elf
+from oracles import canonical_reference
 
 
 def options_for(sysroot, **kw) -> ScanOptions:
@@ -105,6 +108,13 @@ def test_excluded_prefixes(sysroot):
     sysroot.elf("/proc/fake", ElfSpec(soname="libfake.so"))
     result = scan_tree(options_for(sysroot))
     assert node_paths(result) == ["/usr/lib/liba.so"]
+
+
+def test_relative_excluded_prefix_rejected(demo_sysroot):
+    options = options_for(demo_sysroot)
+    options.excluded_prefixes.append("usr/lib")
+    with pytest.raises(RelativeExclude, match="usr/lib"):
+        scan_tree(options)
 
 
 def test_truncated_elf_recorded_not_fatal(sysroot):
@@ -265,7 +275,8 @@ def test_walk_links(sysroot, links, nodes, errors):
 
 def random_tree(sysroot, seed):
     """A small tree dense in symlinks: loops, dangling and absolute links,
-    '.' and '..' targets, links to links and hard links."""
+    '.' and '..' targets, links to links and hard links; some seeds add a
+    chain of file links or of directory links around the 40-link limit."""
     rng = random.Random(seed)
     dirs = ["/", "/usr/lib"]
     for i in range(rng.randint(1, 5)):
@@ -290,27 +301,108 @@ def random_tree(sysroot, seed):
             "nowhere", "/no/such/lib.so"])
         links.append(posixpath.join(where, f"s{i}"))
         sysroot.symlink(links[-1], target)
+    if rng.random() < 0.25:  # c0 -> c1 -> ... -> a file
+        where, length = rng.choice(dirs), rng.randint(36, 44)
+        for k in range(length):
+            links.append(posixpath.join(where, f"c{k}"))
+            sysroot.symlink(links[-1], f"c{k + 1}" if k + 1 < length
+                            else posixpath.relpath(rng.choice(files), where))
+    if rng.random() < 0.25:  # /chain/dK/l -> ../dK+1, a file at the end
+        length = rng.randint(36, 44)
+        sysroot.elf(f"/chain/d{length}/libchain.so", ElfSpec(soname="libchain.so"))
+        for k in range(length):
+            links.append(f"/chain/d{k}/l")
+            sysroot.symlink(links[-1], f"../d{k + 1}")
     return links
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_walk_aliases_land_on_their_node(sysroot, seed):
     links = random_tree(sysroot, seed)
-    config = SearchConfig(sysroot.root)
-    result = scan_tree(ScanOptions(config))
+    result = scan_tree(options_for(sysroot))
 
     def inode_at(path):
-        st = os.stat(sysroot.root + canonicalize_in_sysroot(path, config))
+        canonical = canonical_reference(sysroot.root, path)
+        assert canonical is not None
+        st = os.stat(sysroot.root + canonical)
         assert stat.S_ISREG(st.st_mode)
         return st.st_dev, st.st_ino
 
     for node in result.nodes:
-        assert canonicalize_in_sysroot(node.canonical_path, config) == node.canonical_path
+        assert canonical_reference(sysroot.root, node.canonical_path) == node.canonical_path
         inode = inode_at(node.canonical_path)
         assert all(inode_at(alias) == inode for alias in node.alias_paths)
     recorded = {path for path, message in result.error_records if message == "symlink loop"}
     for link in links:
-        try:
-            canonicalize_in_sysroot(link, config)
-        except SymlinkLoop:
+        if canonical_reference(sysroot.root, link) is None:
             assert link in recorded
+    assert all(canonical_reference(sysroot.root, path) is None for path in recorded)
+
+
+def random_spelling(rng, names):
+    parts = [rng.choice([*names, ".", "..", "nowhere"]) for _ in range(rng.randint(0, 6))]
+    return "/" + "/".join(parts) + rng.choice(["", "/"])
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_canonicalize_matches_reference(sysroot, seed):
+    links = random_tree(sysroot, seed)
+    config = SearchConfig(sysroot.root)
+    names = sorted({part for path in links for part in path.split("/") if part}
+                   | {"usr", "lib", "chain"})
+    shared = Resolver(config)  # one memo across all spellings, as in a scan
+    rng = random.Random(seed)
+    for _ in range(300):
+        spelling = random_spelling(rng, names)
+        expected = canonical_reference(sysroot.root, spelling)
+        hit = shared.canonical(spelling)
+        assert (hit and hit[0]) == expected, spelling
+        if expected is None:
+            with pytest.raises(SymlinkLoop):
+                canonicalize_in_sysroot(spelling, config)
+        else:
+            assert canonicalize_in_sysroot(spelling, config) == expected
+
+
+def test_link_chain_past_the_limit_matches_the_kernel(tmp_path):
+    # relative links only, so the host's own lookup is the oracle
+    sysroot = SysrootBuilder(os.path.realpath(tmp_path) + "/sysroot")
+    last = 46
+    sysroot.elf(f"/d{last}/libchain.so", ElfSpec(soname="libchain.so"))
+    sysroot.symlink(f"/d{last}/libalias.so", "libchain.so")
+    for k in range(last):
+        sysroot.symlink(f"/d{k}/l", f"../d{k + 1}")
+    sysroot.elf("/bin/app40", ElfSpec(e_type=2, needed=["libchain.so", "libalias.so"],
+                                      runpath="/d6" + "/l" * 40))
+    sysroot.elf("/bin/app41", ElfSpec(e_type=2, needed=["libchain.so"],
+                                      runpath="/d5" + "/l" * 41))
+    result = scan_tree(options_for(sysroot))
+
+    def kernel(spelling):  # the host's stat of the spelling, or its errno
+        try:
+            return os.stat(sysroot.root + spelling)
+        except OSError as exc:
+            return exc.errno
+
+    def opens(spelling):
+        return not isinstance(kernel(spelling), int)
+
+    spellings = [f"/d{j}" + "/l" * k for j in range(last + 1) for k in range(last + 1 - j)]
+    spellings += [posixpath.join(s, name) for s in spellings
+                  for name in ("libchain.so", "libalias.so")]
+    # the walk meets exactly the spellings whose directory the kernel opens
+    met = [s for s in spellings if opens(posixpath.dirname(s))]
+    opened = {s for s in met if opens(s) and stat.S_ISREG(kernel(s).st_mode)}
+    looping = {s for s in met if kernel(s) == errno.ELOOP}
+    assert len(looping) == 7  # six 41-link directories, one 41-link libalias.so
+    canonical = f"/d{last}/libchain.so"
+    assert node_aliases(result) == [("/bin/app40", []), ("/bin/app41", []),
+                                    (canonical, sorted(opened - {canonical}))]
+    assert sorted(result.error_records) == sorted((s, "symlink loop") for s in looping)
+
+    assert opens("/d6" + "/l" * 40 + "/libchain.so")
+    assert kernel("/d6" + "/l" * 40 + "/libalias.so") == errno.ELOOP
+    assert kernel("/d5" + "/l" * 41 + "/libchain.so") == errno.ELOOP
+    assert edge_tuples(result) == [("/bin/app40", "libchain.so", canonical),
+                                   ("/bin/app40", "libalias.so", None),
+                                   ("/bin/app41", "libchain.so", None)]
