@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from depex.elf import ElfSummary, FileKind, parse_elf, classify_kind
+from depex.elf import ElfSummary, FileKind, parse_elf, classify_kind, read_symbols
 
 __all__ = [
     "__version__",
@@ -10,4 +10,5 @@ __all__ = [
     "FileKind",
     "parse_elf",
     "classify_kind",
+    "read_symbols",
 ]

@@ -4,13 +4,20 @@ Everything is resolved through the ELF header, program headers and the
 dynamic segment. Section headers are deliberately ignored: stripped
 binaries may not have them, and the dynamic loader does not need them
 either.
+
+parse_elf reads the link facts a dependency graph is built from: type,
+interpreter, DT_NEEDED, DT_SONAME, DT_RPATH and DT_RUNPATH. It does not
+walk the dynamic symbol table, which costs far more than the rest of a
+parse; read_symbols does, and an ElfSummary calls it on first access to
+its symbol sets.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum, IntEnum
+from functools import cached_property
 
 ELF_MAGIC = b"\x7fELF"
 
@@ -90,6 +97,12 @@ class ElfSummary:
 
     String values are byte-faithful to the file's string tables
     (decoded with surrogateescape, so arbitrary bytes round-trip).
+
+    The three symbol sets are not read by parse_elf. The first access to
+    any of them reads all three from `image`, the bytes the summary was
+    parsed from (see read_symbols), and caches them. `image` is a
+    reference to those bytes, not a copy, and takes no part in ==, hash
+    or repr; a caller that keeps many summaries also keeps their bytes.
     """
 
     word_size: WordSize
@@ -101,10 +114,24 @@ class ElfSummary:
     needed: tuple[str, ...] = ()
     rpath: str | None = None
     runpath: str | None = None
-    undefined_symbols: frozenset[str] = frozenset()
-    exported_symbols: frozenset[str] = frozenset()
-    # subset of undefined_symbols whose absence the loader tolerates
-    weak_undefined_symbols: frozenset[str] = frozenset()
+    image: bytes = field(kw_only=True, repr=False, compare=False)
+
+    @cached_property
+    def _symbols(self) -> tuple[frozenset[str], frozenset[str], frozenset[str]]:
+        return read_symbols(self.image)
+
+    @property
+    def undefined_symbols(self) -> frozenset[str]:
+        return self._symbols[0]
+
+    @property
+    def exported_symbols(self) -> frozenset[str]:
+        return self._symbols[1]
+
+    @property
+    def weak_undefined_symbols(self) -> frozenset[str]:
+        """The subset of undefined_symbols whose absence the loader tolerates."""
+        return self._symbols[2]
 
 
 _OBJECT_TYPES = {
@@ -137,7 +164,12 @@ def _decode(raw: bytes) -> str:
 
 
 class _Reader:
-    """One parse pass over an in-memory ELF image."""
+    """One parse pass over an in-memory ELF image.
+
+    Construction reads the ELF header, the program headers and the
+    dynamic segment; summary() and _read_symbols() read the tables those
+    point at.
+    """
 
     def __init__(self, data: bytes):
         if len(data) < 4 or data[:4] != ELF_MAGIC:
@@ -164,16 +196,15 @@ class _Reader:
         self._addr = _u64 if self.bits == WordSize.BITS64 else _u32
         self.loads: list[tuple[int, int, int]] = []  # (vaddr, filesz, offset)
 
-    def parse(self) -> ElfSummary:
-        data, en = self.data, self.en
+        en = self.en
         is64 = self.bits == WordSize.BITS64
-        e_type = _u16(data, 16, en)
+        self.e_type = _u16(data, 16, en)
         e_phoff = self._addr(data, 32 if is64 else 28, en)
         e_phentsize = _u16(data, 54 if is64 else 42, en)
         e_phnum = _u16(data, 56 if is64 else 44, en)
 
         dynamic_span = None
-        has_interp = False
+        self.has_interp = False
         if e_phnum:
             min_phent = 56 if is64 else 32
             if e_phentsize < min_phent:
@@ -200,21 +231,16 @@ class _Reader:
                         raise Truncated("PT_DYNAMIC past end of file")
                     dynamic_span = (p_offset, p_filesz)
                 elif p_type == PT_INTERP:
-                    has_interp = True
+                    self.has_interp = True
 
-        object_type = _OBJECT_TYPES.get(e_type, ObjectType.OTHER)
-        summary = dict(
-            word_size=self.bits,
-            byte_order=self.order,
-            object_type=object_type,
-            object_type_code=e_type,
-            has_interpreter=has_interp,
-        )
-        if dynamic_span is None:
-            return ElfSummary(**summary)
+        self.tags: dict[int, list[int]] = {}
+        self.strtab: tuple[int, int] | None = None
+        if dynamic_span is not None:
+            self.tags = self._read_dynamic(*dynamic_span)
+            self.strtab = self._strtab_view(self.tags)
 
-        tags = self._read_dynamic(*dynamic_span)
-        strtab = self._strtab_view(tags)
+    def summary(self) -> ElfSummary:
+        tags, strtab = self.tags, self.strtab
         needed = []
         for idx in tags.get(DT_NEEDED, ()):
             name = self._string(strtab, idx)
@@ -227,17 +253,20 @@ class _Reader:
             rpath = self._string(strtab, tags[DT_RPATH][0])
         if DT_RUNPATH in tags:
             runpath = self._string(strtab, tags[DT_RUNPATH][0])
-
-        undefined, exported, weak_und = self._read_symbols(tags, strtab)
+        # a symbol table the loader could not use makes the file malformed,
+        # even though its entries are read only on demand
+        self._symbol_table()
         return ElfSummary(
+            word_size=self.bits,
+            byte_order=self.order,
+            object_type=_OBJECT_TYPES.get(self.e_type, ObjectType.OTHER),
+            object_type_code=self.e_type,
+            has_interpreter=self.has_interp,
             soname=soname,
             needed=tuple(needed),
             rpath=rpath,
             runpath=runpath,
-            undefined_symbols=frozenset(undefined),
-            exported_symbols=frozenset(exported),
-            weak_undefined_symbols=frozenset(weak_und),
-            **summary,
+            image=self.data,
         )
 
     def _read_dynamic(self, offset: int, filesz: int) -> dict[int, list[int]]:
@@ -278,8 +307,9 @@ class _Reader:
             raise Malformed("unterminated string in string table")
         return _decode(self.data[off + idx : end])
 
-    def _symbol_count(self, tags: dict[int, list[int]], sym_off: int, syment: int) -> int:
+    def _symbol_count(self, sym_off: int, syment: int) -> int:
         """Number of dynamic symbol entries, bounded by what the file can hold."""
+        tags = self.tags
         cap = (len(self.data) - sym_off) // syment
         count = 0
         if DT_HASH in tags:
@@ -326,21 +356,27 @@ class _Reader:
                 return idx + 1
             idx += 1
 
-    def _read_symbols(
-        self, tags: dict[int, list[int]], strtab: tuple[int, int] | None
-    ) -> tuple[set[str], set[str], set[str]]:
+    def _symbol_table(self) -> tuple[int, int] | None:
+        """(file offset, entry size) of the dynamic symbol table, or None."""
+        if DT_SYMTAB not in self.tags or self.strtab is None:
+            return None
+        sym_off = self._vaddr_to_offset(self.tags[DT_SYMTAB][0])
+        default_ent = 24 if self.bits == WordSize.BITS64 else 16
+        syment = self.tags.get(DT_SYMENT, [default_ent])[0]
+        if syment < default_ent:
+            raise Malformed(f"DT_SYMENT {syment} smaller than symbol entry")
+        return sym_off, syment
+
+    def _read_symbols(self) -> tuple[frozenset[str], frozenset[str], frozenset[str]]:
+        table = self._symbol_table()
+        if table is None:
+            return frozenset(), frozenset(), frozenset()
+        sym_off, syment = table
+        is64 = self.bits == WordSize.BITS64
         undefined: set[str] = set()
         exported: set[str] = set()
         weak_und: set[str] = set()
-        if DT_SYMTAB not in tags or strtab is None:
-            return undefined, exported, weak_und
-        sym_off = self._vaddr_to_offset(tags[DT_SYMTAB][0])
-        is64 = self.bits == WordSize.BITS64
-        default_ent = 24 if is64 else 16
-        syment = tags.get(DT_SYMENT, [default_ent])[0]
-        if syment < default_ent:
-            raise Malformed(f"DT_SYMENT {syment} smaller than symbol entry")
-        count = self._symbol_count(tags, sym_off, syment)
+        count = self._symbol_count(sym_off, syment)
         for i in range(1, count):  # entry 0 is the reserved null symbol
             off = sym_off + i * syment
             name_idx = _u32(self.data, off, self.en)
@@ -353,7 +389,7 @@ class _Reader:
             if name_idx == 0:
                 continue
             try:
-                name = self._string(strtab, name_idx)
+                name = self._string(self.strtab, name_idx)
             except Malformed:
                 continue  # garbage entry; keep scanning
             name = name.split("@", 1)[0]  # version decoration is out of scope
@@ -370,12 +406,26 @@ class _Reader:
         # a name both defined and referenced in one file is satisfied locally
         undefined -= exported
         weak_und &= undefined
-        return undefined, exported, weak_und
+        return frozenset(undefined), frozenset(exported), frozenset(weak_und)
 
 
 def parse_elf(data: bytes) -> ElfSummary:
-    """Parse the full content of a file; raises NotElf/Truncated/Malformed."""
-    return _Reader(data).parse()
+    """Link facts of a file's full content; raises NotElf/Truncated/Malformed.
+
+    The summary's symbol sets are read from `data` on first access.
+    """
+    return _Reader(data).summary()
+
+
+def read_symbols(data: bytes) -> tuple[frozenset[str], frozenset[str], frozenset[str]]:
+    """(undefined, exported, weak undefined) dynamic symbols of a file.
+
+    Names lose their version decoration; a name a file both defines and
+    references is satisfied locally and is not undefined. Raises what
+    parse_elf raises for the headers, the dynamic segment and the symbol
+    table's placement.
+    """
+    return _Reader(data)._read_symbols()
 
 
 def classify_kind(summary: ElfSummary, path: str = "") -> FileKind:

@@ -76,6 +76,8 @@ def coverage(graph: DependencyGraph,
              summaries: dict[str, ElfSummary]) -> CoverageReport:
     """Symbol-level reliance per resolved edge.
 
+    summaries maps canonical paths to parse_elf's summaries; each one reads
+    its symbol sets from its image the first time they are used here.
     A symbol exported by several of the file's libraries counts toward each
     of them; the loader's first-wins choice is deliberately not modeled.
     """

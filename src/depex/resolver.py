@@ -17,8 +17,7 @@ import posixpath
 import stat as stat_module
 from dataclasses import dataclass, field
 from enum import Enum
-
-from depex.elf import ElfSummary
+from typing import Protocol
 
 log = logging.getLogger(__name__)
 
@@ -41,6 +40,17 @@ class Origin(Enum):
     DEFAULT_DIR = "default-dir"
     # needed names containing '/' bypass the directory search entirely
     DIRECT = "direct"
+
+
+class SearchPaths(Protocol):
+    """What the search reads of the dependent file: an ElfSummary, or the
+    scanner's record of one."""
+
+    @property
+    def rpath(self) -> str | None: ...
+
+    @property
+    def runpath(self) -> str | None: ...
 
 
 @dataclass(frozen=True)
@@ -96,7 +106,7 @@ def _split_search_value(raw: str, dependent_dir: str) -> list[str]:
     ]
 
 
-def build_search_stages(summary: ElfSummary, dependent_dir: str,
+def build_search_stages(summary: SearchPaths, dependent_dir: str,
                         config: SearchConfig, ldso_dirs: list[str],
                         multiarch_dirs: list[str]) -> list[tuple[Origin, str]]:
     """(stage, directory) pairs in loader precedence order.
@@ -276,7 +286,7 @@ class Resolver:
             return canonical
         return None
 
-    def resolve(self, needed_name: str, summary: ElfSummary,
+    def resolve(self, needed_name: str, summary: SearchPaths,
                 dependent_path: str) -> Resolution:
         dependent_dir = posixpath.dirname(dependent_path) or "/"
         key = (needed_name, summary.rpath, summary.runpath, dependent_dir)
@@ -299,7 +309,7 @@ class Resolver:
         return result
 
 
-def resolve_needed(needed_name: str, summary: ElfSummary, dependent_path: str,
+def resolve_needed(needed_name: str, summary: SearchPaths, dependent_path: str,
                    config: SearchConfig) -> Resolution:
     """Find the file a DT_NEEDED entry lands on, or report it missing."""
     return Resolver(config).resolve(needed_name, summary, dependent_path)

@@ -5,9 +5,13 @@ as it goes, through the resolver's one canonicaliser: its canonical path
 inside the sysroot, its inode and every symlinked or hard-linked spelling,
 so each file becomes one node with its aliases. Extraction runs on a
 process pool sized by parallelism_hint, capped at the CPU count. A file
-that starts with the ELF magic is parsed; any other file is counted in
-files_seen and skipped. Results are assembled into a deterministic,
-path-sorted node list regardless of worker completion order.
+that starts with the ELF magic is parsed for its link facts (no symbol
+sets) and classified where it is read; any other file is counted in
+files_seen and skipped. Each file's extraction is a flat record of plain
+values (kind, soname, needed names, RPATH, RUNPATH or the error), so a
+worker sends back no parsed image. Records are assembled into a
+deterministic, path-sorted node list regardless of worker completion
+order.
 """
 
 from __future__ import annotations
@@ -19,9 +23,9 @@ import time
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from depex.elf import (ELF_MAGIC, ElfError, ElfSummary, FileKind, classify_kind,
-                       parse_elf)
+from depex.elf import ELF_MAGIC, ElfError, FileKind, classify_kind, parse_elf
 from depex.resolver import Resolver, SearchConfig
 from depex.store import DependencyEdge, FileNode
 
@@ -112,12 +116,18 @@ def _walk_regular_files(options: ScanOptions, resolver: Resolver,
         stack.extend(reversed(subdirs))
 
 
-@dataclass
-class _Extracted:
+class _Extracted(NamedTuple):
+    """What extraction learns of one file, in plain values only, so a pool
+    worker pickles back a few strings and never the file's image."""
+
     canonical: str
     size_bytes: int
-    summary: ElfSummary | None = None  # None: not an ELF file, or an error
+    kind: str | None = None  # FileKind value; None: not an ELF file, or an error
     error: str | None = None
+    soname: str | None = None
+    needed: tuple[str, ...] = ()
+    rpath: str | None = None
+    runpath: str | None = None
 
 
 def _extract_one(canonical: str, size: int, options: ScanOptions) -> _Extracted:
@@ -131,12 +141,15 @@ def _extract_one(canonical: str, size: int, options: ScanOptions) -> _Extracted:
     except OSError as exc:
         return _Extracted(canonical, 0, error=str(exc))
     try:
-        return _Extracted(canonical, size, parse_elf(data))
+        summary = parse_elf(data)
     except ElfError as exc:
         return _Extracted(canonical, size, error=f"{type(exc).__name__}: {exc}")
     except Exception as exc:  # a parser crash must not kill the scan
         return _Extracted(canonical, size,
                           error=f"parser crashed: {type(exc).__name__}: {exc}")
+    return _Extracted(canonical, size, classify_kind(summary, canonical).value,
+                      soname=summary.soname, needed=summary.needed,
+                      rpath=summary.rpath, runpath=summary.runpath)
 
 
 _worker_state: dict = {}
@@ -199,29 +212,29 @@ def scan_tree(options: ScanOptions) -> ScanResult:
         counts.files_seen += 1
         if item.error is not None:
             errors.append((item.canonical, item.error))
-        elif item.summary is not None:
+        elif item.kind is not None:
             parsed.append(item)
 
     parsed.sort(key=lambda it: it.canonical)
     node_ids = {item.canonical: idx for idx, item in enumerate(parsed)}
     nodes: list[FileNode] = []
     for idx, item in enumerate(parsed):
-        kind = classify_kind(item.summary, item.canonical)
+        kind = FileKind(item.kind)
         if kind is FileKind.EXECUTABLE_BINARY:
             counts.executables += 1
         elif kind is FileKind.SHARED_LIBRARY:
             counts.libraries += 1
         nodes.append(FileNode(idx, None, item.canonical,
                               sorted(aliases.get(item.canonical, ())), kind,
-                              item.summary.soname, item.size_bytes))
+                              item.soname, item.size_bytes))
     counts.elf_parsed = len(nodes)
 
     edges: list[DependencyEdge] = []
     for item in parsed:
         from_id = node_ids[item.canonical]
         # a repeated DT_NEEDED of the same name is one requirement
-        for name in dict.fromkeys(item.summary.needed):
-            resolution = resolver.resolve(name, item.summary, item.canonical)
+        for name in dict.fromkeys(item.needed):
+            resolution = resolver.resolve(name, item, item.canonical)
             # a hit on a hard-linked spelling lands on its primary's node; a
             # hit that is no node at all (non-ELF or excluded) would fail in
             # the loader too, so it stays an unmet requirement

@@ -194,3 +194,23 @@ def minimal_executable(needed: list[str] | None = None, **kw) -> bytes:
 
 def minimal_library(soname: str | None = None, needed: list[str] | None = None, **kw) -> bytes:
     return build_elf(ElfSpec(e_type=3, soname=soname, needed=list(needed or []), **kw))
+
+
+def with_dynamic_entry(data: bytes, tag: int, value: int) -> bytes:
+    """A 64-bit little-endian image with the value of its first dynamic
+    entry of `tag` replaced; ValueError if it has no such entry."""
+    img = bytearray(data)
+    phoff, = struct.unpack_from("<Q", img, 32)
+    phentsize, phnum = struct.unpack_from("<HH", img, 54)
+    dynamic = [struct.unpack_from("<Q", img, phoff + i * phentsize + 8)[0]
+               for i in range(phnum)
+               if struct.unpack_from("<I", img, phoff + i * phentsize)[0] == PT_DYNAMIC]
+    off = dynamic[0]
+    while True:
+        d_tag, _ = struct.unpack_from("<qQ", img, off)
+        if d_tag == tag:
+            struct.pack_into("<qQ", img, off, tag, value)
+            return bytes(img)
+        if d_tag == DT_NULL:
+            raise ValueError(f"no dynamic entry with tag {tag}")
+        off += 16

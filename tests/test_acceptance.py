@@ -18,7 +18,7 @@ import pytest
 
 from conftest import SysrootBuilder, make_demo_sysroot
 from depex.dot import emit_dot
-from depex.elf import ElfError, parse_elf
+from depex.elf import ElfError, parse_elf, read_symbols
 from depex.evolution import diff_snapshots, longevity, trend_report
 from depex.metrics import health, popularity, recursive_coupling
 from depex.queries import get_all_deps
@@ -115,6 +115,17 @@ def test_criterion_1_parser_oracle_equivalence(tmp_path):
     assert elapsed < 5.0, f"parser oracle run took {elapsed:.1f}s"
     ok(1, f"parser oracle equivalence, {len(specs)} fixtures, "
           f"oracle={'readelf' if READELF else 'declared'}, {elapsed:.2f}s")
+
+
+def test_read_symbols_matches_summary_on_parser_fixtures():
+    # criterion 1 checks the summary's symbol sets against readelf; both
+    # ways of reading them must agree, as parse_elf no longer reads them
+    for name, spec in parser_fixture_specs():
+        data = build_elf(spec)
+        summary = parse_elf(data)
+        assert read_symbols(data) == (summary.undefined_symbols,
+                                      summary.exported_symbols,
+                                      summary.weak_undefined_symbols), name
 
 
 # --- 2. resolver conformance -------------------------------------------------
@@ -564,10 +575,15 @@ def test_criterion_9_fuzz_robustness():
             else:  # append garbage
                 data = data + bytes(rng.randrange(256) for _ in range(64))
             try:
-                parse_elf(bytes(data))
+                # symbol sets are read on first access; the fuzz covers them
+                parse_elf(bytes(data)).undefined_symbols
                 outcomes += 1
             except ElfError:
                 outcomes += 1
+            try:
+                read_symbols(bytes(data))
+            except ElfError:
+                pass
     elapsed = time.monotonic() - start
     assert cases == outcomes == 10000
     assert elapsed < 60.0, f"fuzz run took {elapsed:.1f}s; possible hang"

@@ -5,10 +5,11 @@ import struct
 
 import pytest
 
-from depex.elf import (ByteOrder, ElfError, FileKind, Malformed, NotElf,
-                       ObjectType, Truncated, WordSize, classify_kind,
-                       parse_elf)
-from elfbuild import GLOBAL, LOCAL, WEAK, ElfSpec, build_elf
+import depex.elf
+from depex.elf import (DT_SYMENT, DT_SYMTAB, ByteOrder, ElfError, FileKind,
+                       Malformed, NotElf, ObjectType, Truncated, WordSize,
+                       classify_kind, parse_elf, read_symbols)
+from elfbuild import GLOBAL, LOCAL, WEAK, ElfSpec, build_elf, with_dynamic_entry
 
 
 def test_64le_needed_and_runpath():
@@ -131,12 +132,65 @@ def test_unmapped_strtab_is_malformed():
         parse_elf(bytes(data))
 
 
+# DT_SYMTAB outside every PT_LOAD, and a DT_SYMENT below the entry size:
+# the loader could use neither table, so parse_elf rejects the file even
+# though it reads no symbol
+BAD_SYMBOL_TABLES = [
+    (DT_SYMTAB, 0xDEAD0000, "address 0xdead0000 maps into no PT_LOAD segment"),
+    (DT_SYMENT, 6, "DT_SYMENT 6 smaller than symbol entry"),
+]
+
+
+@pytest.mark.parametrize("tag,value,message", BAD_SYMBOL_TABLES,
+                         ids=["symtab-unmapped", "syment-6"])
+def test_bad_symbol_table_is_malformed(tag, value, message):
+    data = with_dynamic_entry(build_elf(ElfSpec(bits=64, needed=["libc.so.6"],
+                                                defined=[("f", GLOBAL)])), tag, value)
+    with pytest.raises(Malformed) as parse_error:
+        parse_elf(data)
+    with pytest.raises(Malformed) as symbols_error:
+        read_symbols(data)
+    assert str(parse_error.value) == str(symbols_error.value) == message
+
+
+def test_symbols_read_once_on_first_access(monkeypatch):
+    data = build_elf(ElfSpec(defined=[("f", GLOBAL)], undefined=[("g", WEAK)]))
+    reads = []
+
+    def counting_read_symbols(image):
+        reads.append(image)
+        return read_symbols(image)
+
+    monkeypatch.setattr(depex.elf, "read_symbols", counting_read_symbols)
+    s = parse_elf(data)
+    assert reads == []
+    for _ in range(2):
+        assert s.exported_symbols == {"f"}
+        assert s.undefined_symbols == s.weak_undefined_symbols == {"g"}
+    assert len(reads) == 1 and reads[0] is data
+    assert s.image is data
+
+
+def test_image_outside_eq_hash_and_repr():
+    kw = dict(needed=["libc.so.6"], defined=[("f", GLOBAL)])
+    with_sections = parse_elf(build_elf(ElfSpec(**kw, with_sections=True)))
+    without = parse_elf(build_elf(ElfSpec(**kw, with_sections=False)))
+    assert with_sections.image != without.image
+    assert with_sections == without and hash(with_sections) == hash(without)
+    assert "image" not in repr(with_sections)
+    assert "\\x7fELF" not in repr(with_sections)
+
+
 def test_truncation_never_crashes():
     base = build_elf(ElfSpec(bits=64, needed=["libc.so.6"], soname="libx.so",
                              defined=[("f", GLOBAL)], undefined=[("g", GLOBAL)]))
     for cut in range(0, len(base), 7):
         try:
-            parse_elf(base[:cut])
+            parse_elf(base[:cut]).undefined_symbols
+        except ElfError:
+            pass
+        try:
+            read_symbols(base[:cut])
         except ElfError:
             pass
 
@@ -152,7 +206,11 @@ def test_random_mutations_never_crash():
         for _ in range(rng.randint(1, 8)):
             mutated[rng.randrange(len(mutated))] = rng.randrange(256)
         try:
-            parse_elf(bytes(mutated))
+            parse_elf(bytes(mutated)).undefined_symbols
+        except ElfError:
+            pass
+        try:
+            read_symbols(bytes(mutated))
         except ElfError:
             pass
 
@@ -161,6 +219,8 @@ def test_parse_is_deterministic():
     data = build_elf(ElfSpec(needed=["libc.so.6"], soname="libx.so",
                              defined=[("a", GLOBAL)], undefined=[("b", GLOBAL)]))
     assert parse_elf(data) == parse_elf(data)
+    # symbol sets take no part in ElfSummary equality: compare them directly
+    assert read_symbols(data) == read_symbols(data) == ({"b"}, {"a"}, frozenset())
 
 
 @pytest.mark.parametrize("e_type,interp,expected", [

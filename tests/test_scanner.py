@@ -10,11 +10,13 @@ from collections import Counter
 
 import pytest
 
+import depex.elf
 import depex.scanner
+from depex.elf import DT_SYMENT, DT_SYMTAB
 from depex.resolver import Resolver, SearchConfig, SymlinkLoop, canonicalize_in_sysroot
 from depex.scanner import RelativeExclude, ScanOptions, SysrootUnreadable, scan_tree
 from conftest import SysrootBuilder
-from elfbuild import ElfSpec, build_elf
+from elfbuild import ElfSpec, build_elf, with_dynamic_entry
 from oracles import canonical_reference
 
 
@@ -177,6 +179,50 @@ def test_parser_crash_recorded_as_error(demo_sysroot, monkeypatch):
     assert path == "/usr/lib/libcrash.so" and "boom" in message
     assert len(result.nodes) == 10 and "/usr/lib/libcrash.so" not in node_paths(result)
     assert result.counts.libraries == 7 and result.counts.files_seen == 13
+
+
+def test_bad_symbol_table_is_an_error_record(sysroot):
+    sysroot.elf("/usr/lib/libok.so", ElfSpec(soname="libok.so"))
+    lib = build_elf(ElfSpec(soname="libbad.so", defined=[("f", 1)]))
+    sysroot.write("/usr/lib/libsymtab.so", with_dynamic_entry(lib, DT_SYMTAB, 0xDEAD0000))
+    sysroot.write("/usr/lib/libsyment.so", with_dynamic_entry(lib, DT_SYMENT, 6))
+    result = scan_tree(options_for(sysroot))
+    assert node_paths(result) == ["/usr/lib/libok.so"]
+    assert sorted(result.error_records) == [
+        ("/usr/lib/libsyment.so", "Malformed: DT_SYMENT 6 smaller than symbol entry"),
+        ("/usr/lib/libsymtab.so",
+         "Malformed: address 0xdead0000 maps into no PT_LOAD segment"),
+    ]
+
+
+def test_scan_builds_no_symbol_sets(demo_sysroot, monkeypatch):
+    def no_symbols(*args):
+        raise AssertionError("a scan read symbols")
+
+    monkeypatch.setattr(depex.elf, "read_symbols", no_symbols)
+    monkeypatch.setattr(depex.elf._Reader, "_read_symbols", no_symbols)
+    result = scan_tree(options_for(demo_sysroot))
+    assert len(result.nodes) == 10 and result.error_records == []
+
+
+def test_extraction_record_holds_plain_values(demo_sysroot):
+    demo_sysroot.write("/usr/lib/libbad.so", build_elf(ElfSpec(soname="libbad.so"))[:60])
+    options = options_for(demo_sysroot)
+
+    def plain(value):
+        if isinstance(value, tuple):
+            return all(plain(v) for v in value)
+        return value is None or type(value) in (str, int)
+
+    records = []
+    for dirpath, _, names in os.walk(demo_sysroot.root):
+        for name in names:
+            canonical = os.path.join(dirpath, name)[len(demo_sysroot.root):]
+            records.append(depex.scanner._extract_one(canonical, 0, options))
+    assert len(records) == 14  # 10 ELF files, 2 ld.so.conf files, a link, libbad
+    assert {record.kind for record in records} == {"executable", "library", None}
+    assert [record.canonical for record in records if record.error] == ["/usr/lib/libbad.so"]
+    assert all(plain(record) for record in records)
 
 
 def test_resolved_target_outside_graph_downgraded_to_missing(sysroot):
