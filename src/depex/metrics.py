@@ -3,6 +3,13 @@
 Direct coupling is what a developer sees in the import table; recursive
 coupling is the whole iceberg underneath it. Everything here is read-only
 over an immutable graph and safe to call concurrently.
+
+Recursive coupling of one node is one DFS, O(V + E). For a whole snapshot,
+closure_sizes condenses the graph into strongly connected components
+(Tarjan 1972) and propagates reachability bitsets over the condensation in
+reverse topological order (Purdom 1970; Nuutila 1995), so stats_summary
+costs O(V + E) plus one OR of at most V bits per edge between components,
+not one DFS per node.
 """
 
 from __future__ import annotations
@@ -22,8 +29,87 @@ def recursive_coupling(graph: DependencyGraph, node_id: int) -> int:
     """Distinct files reachable through resolved edges, excluding the file itself.
 
     Cycles are fine: each node counts once and the start node never counts.
+    This is the single-node query, one linear DFS; closure_sizes gives the
+    same count for every node at once.
     """
     return len(graph.reachable_from(node_id))
+
+
+def closure_sizes(graph: DependencyGraph) -> dict[int, int]:
+    """recursive_coupling of every node, in one pass over the graph.
+
+    Tarjan's SCC, iterative so deep chains cannot hit the recursion limit,
+    emits each component after every component it reaches. Its members get
+    contiguous bits; its reach is an int bitset of those bits OR the reach
+    of each component it has an edge into, and a member's closure size is
+    that popcount minus one. A reach is dropped once the last edge into its
+    component has been read.
+    """
+    ids = list(graph.nodes)
+    position = {node_id: i for i, node_id in enumerate(ids)}
+    succ = [[position[e.to_node] for e in graph.adjacency[node_id] if e.to_node is not None]
+            for node_id in ids]
+    index = [-1] * len(ids)      # discovery order; -1 until visited
+    low = [0] * len(ids)
+    component = [-1] * len(ids)  # visited and still -1: on the Tarjan stack
+    stack: list[int] = []
+    unread: list[int] = []       # per component: edges into it not yet read
+    reach: dict[int, int] = {}   # per component with unread edges
+    sizes: dict[int, int] = {}
+    discovered = 0
+    next_bit = 0
+    for root in range(len(ids)):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = discovered
+        discovered += 1
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, targets = work[-1]
+            for w in targets:
+                if index[w] < 0:
+                    index[w] = low[w] = discovered
+                    discovered += 1
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if component[w] < 0 and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] != index[v]:
+                    continue
+                c = len(unread)
+                members = []
+                while True:
+                    w = stack.pop()
+                    component[w] = c
+                    members.append(w)
+                    if w == v:
+                        break
+                into = sum(len(graph.reverse_adjacency[ids[m]]) for m in members)
+                reached = 0  # all outside the component: the condensation is acyclic
+                for m in members:
+                    for w in succ[m]:
+                        d = component[w]
+                        if d == c:
+                            into -= 1
+                            continue
+                        reached |= reach[d]
+                        unread[d] -= 1
+                        if not unread[d]:
+                            del reach[d]
+                unread.append(into)
+                if into:
+                    reach[c] = reached | ((1 << len(members)) - 1) << next_bit
+                next_bit += len(members)
+                size = reached.bit_count() + len(members) - 1
+                for m in members:
+                    sizes[ids[m]] = size
+    return sizes
 
 
 def popularity(graph: DependencyGraph) -> dict[int, int]:
@@ -127,7 +213,12 @@ class StatsSummary:
 
 
 def stats_summary(graph: DependencyGraph) -> StatsSummary:
-    """Snapshot-level aggregate; averages span executables and libraries."""
+    """Snapshot-level aggregate; averages span executables and libraries.
+
+    Recursive coupling comes from closure_sizes, one SCC pass costing
+    O(V + E) plus one OR of at most V bits per edge between components,
+    not a DFS per node at O(V * (V + E)).
+    """
     population = [
         node_id for node_id, node in graph.nodes.items()
         if node.kind in (FileKind.EXECUTABLE_BINARY, FileKind.SHARED_LIBRARY)
@@ -139,7 +230,8 @@ def stats_summary(graph: DependencyGraph) -> StatsSummary:
     dependencies = sum(len(graph.out_edges(n)) for n in graph.nodes)
     report = health(graph)
     directs = [direct_coupling(graph, n) for n in population]
-    recursives = [recursive_coupling(graph, n) for n in population]
+    closure = closure_sizes(graph)
+    recursives = [closure[n] for n in population]
     count = len(population)
     return StatsSummary(
         executables=executables,

@@ -67,10 +67,6 @@ class ScanResult:
     error_records: list[tuple[str, str]]
 
 
-def _excluded(path: str, prefixes: list[str]) -> bool:
-    return any(path == p or path.startswith(p.rstrip("/") + "/") for p in prefixes)
-
-
 def _walk_regular_files(options: ScanOptions, resolver: Resolver,
                         errors: list[tuple[str, str]]
                         ) -> Iterator[tuple[str, str, tuple[int, int], int]]:
@@ -84,6 +80,9 @@ def _walk_regular_files(options: ScanOptions, resolver: Resolver,
     ancestor chain, not globally: a directory reachable two independent
     ways must be walked twice for its aliases to surface.
     """
+    # a prefix excludes itself and everything under it
+    excluded_names = frozenset(options.excluded_prefixes)
+    excluded_dirs = tuple(p.rstrip("/") + "/" for p in options.excluded_prefixes)
     sysroot = options.config.sysroot.rstrip("/")
     root = os.stat(sysroot + "/")
     stack = [("/", frozenset({(root.st_dev, root.st_ino)}))]
@@ -98,7 +97,7 @@ def _walk_regular_files(options: ScanOptions, resolver: Resolver,
         subdirs = []
         for entry in entries:
             child = posixpath.join(rel, entry.name)
-            if _excluded(child, options.excluded_prefixes) or (
+            if child in excluded_names or child.startswith(excluded_dirs) or (
                     not options.follow_symlinks and entry.is_symlink()):
                 continue
             canonical, st = resolver.canonical_file_stat(child)

@@ -101,6 +101,9 @@ def test_trend_single_row_equals_stats(corpus):
     assert row.dependencies == stats.dependencies
     assert row.avg_direct == stats.avg_direct
     assert row.max_recursive == stats.max_recursive
+    assert row.avg_recursive == stats.avg_recursive
+    assert row.missing == stats.missing
+    assert row.unused == stats.unused
     assert row.unused_fraction == round(stats.unused / stats.libraries, 4)
 
 

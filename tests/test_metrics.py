@@ -5,9 +5,10 @@ import random
 import pytest
 
 from depex.elf import parse_elf
-from depex.metrics import (coverage, direct_coupling, health, popularity,
+from depex.metrics import (StatsSummary, closure_sizes, coverage,
+                           direct_coupling, health, popularity,
                            recursive_coupling, stats_summary)
-from depex.store import UnknownNode
+from depex.store import DependencyGraph, UnknownNode
 from elfbuild import ElfSpec, build_elf
 from graphbuild import EXE, LIB, build_graph, random_graph
 from oracles import closure_sets
@@ -210,13 +211,16 @@ def test_stats_empty_graph():
     assert stats.max_direct == 0 and stats.max_recursive == 0
 
 
-def test_stats_hand_computed_seven_nodes():
-    g = build_graph(
+def seven_nodes():
+    return build_graph(
         [("/e1", EXE), ("/e2", EXE), ("/l1.so", LIB), ("/l2.so", LIB),
          ("/l3.so", LIB), ("/l4.so", LIB), ("/l5.so", LIB)],
         [(0, "l1", 2), (0, "l2", 3), (1, "l1", 2), (2, "l3", 4),
          (3, "l3", 4), (1, "ghost", None)])
-    stats = stats_summary(g)
+
+
+def test_stats_hand_computed_seven_nodes():
+    stats = stats_summary(seven_nodes())
     assert stats.executables == 2
     assert stats.libraries == 5
     assert stats.dependencies == 6
@@ -237,6 +241,51 @@ def test_recursive_matches_matrix_oracle():
         expect = closure_sets(n, pairs)
         for node in range(n):
             assert recursive_coupling(graph, node) == len(expect[node])
+
+
+def with_self_loops(rng, graph, n, pairs):
+    """The same graph with a self-loop added on about a tenth of the nodes."""
+    loops = {(v, v) for v in range(n) if rng.random() < 0.1}
+    nodes = [(node.canonical_path, node.kind) for node in graph.nodes.values()]
+    edges = [(e.from_node, e.needed_name, e.to_node) for e in graph.edges()]
+    edges += [(v, f"lib{v}.so", v) for v, _ in sorted(loops)]
+    return build_graph(nodes, edges), n, pairs | loops
+
+
+def test_closure_sizes_match_dfs_and_matrix_oracle():
+    rng = random.Random(2718)
+    for _ in range(200):
+        graph, n, pairs = with_self_loops(rng, *random_graph(rng))
+        sizes = closure_sizes(graph)
+        assert sizes == {v: len(graph.reachable_from(v)) for v in range(n)}
+        expect = closure_sets(n, pairs)
+        population = [v for v, node in graph.nodes.items() if node.kind in (EXE, LIB)]
+        recursives = [len(expect[v]) for v in population]
+        stats = stats_summary(graph)
+        assert stats.avg_recursive == round(sum(recursives) / len(recursives), 2)
+        assert stats.max_recursive == max(recursives)
+
+
+def test_stats_runs_no_per_node_dfs(monkeypatch):
+    def no_dfs(self, node_id):
+        raise AssertionError("stats_summary ran a per-node DFS")
+
+    monkeypatch.setattr(DependencyGraph, "reachable_from", no_dfs)
+    assert stats_summary(seven_nodes()) == StatsSummary(
+        executables=2, libraries=5, dependencies=6, missing=1, unused=2,
+        avg_direct=round(6 / 7, 2), avg_recursive=1.0, max_direct=2,
+        max_recursive=3)
+
+
+@pytest.mark.parametrize("ring", [False, True], ids=["chain", "ring"])
+def test_stats_long_chain_and_ring(ring):
+    # quadratic with a DFS per node, and past any recursion limit
+    n = 50_000
+    nodes = [(f"/lib/l{i}.so", LIB) for i in range(n)]
+    edges = [(i, f"l{i + 1}.so", i + 1) for i in range(n - 1)]
+    if ring:
+        edges.append((n - 1, "l0.so", 0))
+    assert stats_summary(build_graph(nodes, edges)).max_recursive == n - 1
 
 
 def test_popularity_sum_equals_resolved_edges():
