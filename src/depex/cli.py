@@ -43,6 +43,17 @@ class _CliError(Exception):
         self.code = code
 
 
+def _int_at_least(minimum: int):
+    """argparse type: an integer no smaller than `minimum`."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value: ..."
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(prog="depex",
                              description="OS-tree binary dependency analysis")
@@ -72,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--default-dirs", metavar="DIR:DIR:...",
                    help=f"override the default search dirs ({':'.join(DEFAULT_DIRS)})")
     p.add_argument("--no-follow-symlinks", action="store_true")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_int_at_least(1), default=1)
 
     add("stats", "snapshot-level statistics", snapshot=True, as_json=True)
     add("snapshots", "list stored snapshots", as_json=True)
@@ -92,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", metavar="NAME-OR-PATH")
 
     p = add("dot", "emit the dependency graph as DOT", snapshot=True)
-    p.add_argument("--hide-top", type=int, default=0, metavar="K",
+    p.add_argument("--hide-top", type=_int_at_least(0), default=0, metavar="K",
                    help="hide the K most popular nodes")
     p.add_argument("--hide-name", action="append", default=[], metavar="S",
                    help="hide nodes whose path contains S")

@@ -3,7 +3,9 @@
 Everything is resolved through the ELF header, program headers and the
 dynamic segment. Section headers are deliberately ignored: stripped
 binaries may not have them, and the dynamic loader does not need them
-either.
+either. The System V gABI record layouts (ELF header, program header,
+dynamic entry, symbol) live in one table, _LAYOUTS, keyed by ELF class
+and byte order; each record is unpacked whole through its struct.Struct.
 
 parse_elf reads the link facts a dependency graph is built from: type,
 interpreter, DT_NEEDED, DT_SONAME, DT_RPATH and DT_RUNPATH. It does not
@@ -18,6 +20,7 @@ import struct
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from functools import cached_property
+from typing import NamedTuple
 
 ELF_MAGIC = b"\x7fELF"
 
@@ -141,22 +144,39 @@ _OBJECT_TYPES = {
 }
 
 
-def _u16(data: bytes, off: int, en: str) -> int:
-    if off + 2 > len(data):
-        raise Truncated(f"u16 at {off} past end of file")
-    return struct.unpack_from(en + "H", data, off)[0]
+class _Layout(NamedTuple):
+    """Record layouts of one ELF class and byte order."""
+
+    bits: WordSize
+    order: ByteOrder
+    header: struct.Struct  # e_type, e_phoff, e_phentsize, e_phnum
+    phdr: struct.Struct    # p_type, p_offset, p_vaddr, p_filesz
+    dyn: struct.Struct     # d_tag, d_val
+    sym: struct.Struct     # st_name, st_info, st_shndx
+    word: struct.Struct    # one hash-table word, 32 bits in either class
 
 
-def _u32(data: bytes, off: int, en: str) -> int:
-    if off + 4 > len(data):
-        raise Truncated(f"u32 at {off} past end of file")
-    return struct.unpack_from(en + "I", data, off)[0]
+# System V gABI record layouts, without the byte-order prefix. A layout
+# unpacks the fields above and skips ("x") the rest; the ELF header record
+# ends at e_phnum, the other records span a whole entry.
+_CLASSES = {
+    #            word size        ELF header       program header  dynamic symbol
+    ELFCLASS64: (WordSize.BITS64, "16xH14xQ14xHH", "I4xQQ8xQ16x", "qQ", "IBxH16x"),
+    ELFCLASS32: (WordSize.BITS32, "16xH10xI10xHH", "III4xI12x", "iI", "I8xBxH"),
+}
+_ORDERS = {ELFDATA2LSB: (ByteOrder.LITTLE, "<"), ELFDATA2MSB: (ByteOrder.BIG, ">")}
+_LAYOUTS = {
+    (ei_class, ei_data): _Layout(bits, order,
+                                 *(struct.Struct(en + f) for f in (*formats, "I")))
+    for ei_class, (bits, *formats) in _CLASSES.items()
+    for ei_data, (order, en) in _ORDERS.items()
+}
 
 
-def _u64(data: bytes, off: int, en: str) -> int:
-    if off + 8 > len(data):
-        raise Truncated(f"u64 at {off} past end of file")
-    return struct.unpack_from(en + "Q", data, off)[0]
+def _unpack(record: struct.Struct, data: bytes, off: int) -> tuple:
+    if off + record.size > len(data):
+        raise Truncated(f"{record.size}-byte record at {off} past end of file")
+    return record.unpack_from(data, off)
 
 
 def _decode(raw: bytes) -> str:
@@ -166,9 +186,11 @@ def _decode(raw: bytes) -> str:
 class _Reader:
     """One parse pass over an in-memory ELF image.
 
-    Construction reads the ELF header, the program headers and the
-    dynamic segment; summary() and _read_symbols() read the tables those
-    point at.
+    EI_CLASS and EI_DATA pick the image's record layouts from _LAYOUTS,
+    the one table of them; every header, program header, dynamic entry
+    and symbol is then unpacked as a whole record. Construction reads the
+    ELF header, the program headers and the dynamic segment; summary()
+    and _read_symbols() read the tables those point at.
     """
 
     def __init__(self, data: bytes):
@@ -179,49 +201,24 @@ class _Reader:
         self.data = data
         ei_class = data[EI_CLASS]
         ei_data = data[EI_DATA]
-        if ei_class == ELFCLASS32:
-            self.bits = WordSize.BITS32
-        elif ei_class == ELFCLASS64:
-            self.bits = WordSize.BITS64
-        else:
+        if ei_class not in _CLASSES:
             raise Malformed(f"unknown EI_CLASS {ei_class}")
-        if ei_data == ELFDATA2LSB:
-            self.order = ByteOrder.LITTLE
-            self.en = "<"
-        elif ei_data == ELFDATA2MSB:
-            self.order = ByteOrder.BIG
-            self.en = ">"
-        else:
+        if ei_data not in _ORDERS:
             raise Malformed(f"unknown EI_DATA {ei_data}")
-        self._addr = _u64 if self.bits == WordSize.BITS64 else _u32
+        self.layout = layout = _LAYOUTS[ei_class, ei_data]
         self.loads: list[tuple[int, int, int]] = []  # (vaddr, filesz, offset)
 
-        en = self.en
-        is64 = self.bits == WordSize.BITS64
-        self.e_type = _u16(data, 16, en)
-        e_phoff = self._addr(data, 32 if is64 else 28, en)
-        e_phentsize = _u16(data, 54 if is64 else 42, en)
-        e_phnum = _u16(data, 56 if is64 else 44, en)
-
+        self.e_type, e_phoff, e_phentsize, e_phnum = _unpack(layout.header, data, 0)
         dynamic_span = None
         self.has_interp = False
         if e_phnum:
-            min_phent = 56 if is64 else 32
-            if e_phentsize < min_phent:
+            if e_phentsize < layout.phdr.size:
                 raise Malformed(f"e_phentsize {e_phentsize} too small")
             if e_phoff + e_phnum * e_phentsize > len(data):
                 raise Truncated("program header table past end of file")
             for i in range(e_phnum):
-                off = e_phoff + i * e_phentsize
-                p_type = _u32(data, off, en)
-                if is64:
-                    p_offset = _u64(data, off + 8, en)
-                    p_vaddr = _u64(data, off + 16, en)
-                    p_filesz = _u64(data, off + 32, en)
-                else:
-                    p_offset = _u32(data, off + 4, en)
-                    p_vaddr = _u32(data, off + 8, en)
-                    p_filesz = _u32(data, off + 16, en)
+                p_type, p_offset, p_vaddr, p_filesz = _unpack(
+                    layout.phdr, data, e_phoff + i * e_phentsize)
                 if p_type == PT_LOAD:
                     if p_offset + p_filesz > len(data):
                         raise Truncated("PT_LOAD data past end of file")
@@ -236,7 +233,12 @@ class _Reader:
         self.tags: dict[int, list[int]] = {}
         self.strtab: tuple[int, int] | None = None
         if dynamic_span is not None:
-            self.tags = self._read_dynamic(*dynamic_span)
+            offset, filesz = dynamic_span
+            end = offset + filesz - filesz % layout.dyn.size
+            for d_tag, d_val in layout.dyn.iter_unpack(memoryview(data)[offset:end]):
+                if d_tag == DT_NULL:
+                    break
+                self.tags.setdefault(d_tag, []).append(d_val)
             self.strtab = self._strtab_view(self.tags)
 
     def summary(self) -> ElfSummary:
@@ -257,8 +259,8 @@ class _Reader:
         # even though its entries are read only on demand
         self._symbol_table()
         return ElfSummary(
-            word_size=self.bits,
-            byte_order=self.order,
+            word_size=self.layout.bits,
+            byte_order=self.layout.order,
             object_type=_OBJECT_TYPES.get(self.e_type, ObjectType.OTHER),
             object_type_code=self.e_type,
             has_interpreter=self.has_interp,
@@ -268,17 +270,6 @@ class _Reader:
             runpath=runpath,
             image=self.data,
         )
-
-    def _read_dynamic(self, offset: int, filesz: int) -> dict[int, list[int]]:
-        entsize = 16 if self.bits == WordSize.BITS64 else 8
-        fmt = self.en + ("qQ" if self.bits == WordSize.BITS64 else "iI")
-        tags: dict[int, list[int]] = {}
-        for i in range(filesz // entsize):
-            d_tag, d_val = struct.unpack_from(fmt, self.data, offset + i * entsize)
-            if d_tag == DT_NULL:
-                break
-            tags.setdefault(d_tag, []).append(d_val)
-        return tags
 
     def _vaddr_to_offset(self, addr: int) -> int:
         for vaddr, filesz, offset in self.loads:
@@ -315,7 +306,7 @@ class _Reader:
         if DT_HASH in tags:
             try:
                 hash_off = self._vaddr_to_offset(tags[DT_HASH][0])
-                count = _u32(self.data, hash_off + 4, self.en)  # nchain
+                count, = _unpack(self.layout.word, self.data, hash_off + 4)  # nchain
             except ElfError:
                 count = 0
         if not count and DT_GNU_HASH in tags:
@@ -331,37 +322,29 @@ class _Reader:
         return min(count, cap)
 
     def _gnu_hash_count(self, off: int) -> int:
-        data, en = self.data, self.en
-        nbuckets = _u32(data, off, en)
-        symoffset = _u32(data, off + 4, en)
-        bloom_size = _u32(data, off + 8, en)
-        word = 8 if self.bits == WordSize.BITS64 else 4
-        buckets_off = off + 16 + bloom_size * word
+        data, word = self.data, self.layout.word
+        nbuckets, symoffset, bloom_size = (_unpack(word, data, off + i)[0] for i in (0, 4, 8))
+        buckets_off = off + 16 + bloom_size * (self.layout.bits // 8)  # address-sized words
         if nbuckets > (len(data) - buckets_off) // 4:
             return 0
         chains_off = buckets_off + nbuckets * 4
-        last = 0
-        for i in range(nbuckets):
-            b = _u32(data, buckets_off + i * 4, en)
-            last = max(last, b)
+        last = max((b for b, in word.iter_unpack(memoryview(data)[buckets_off:chains_off])),
+                   default=0)
         if last < symoffset:
             return symoffset  # all buckets empty
-        # walk the chain of the highest bucket to its terminator
+        # walk the chain of the highest bucket to its terminator; a chain
+        # that runs off the file raises Truncated, which the caller reads as 0
         idx = last
-        while True:
-            entry_off = chains_off + (idx - symoffset) * 4
-            if entry_off + 4 > len(data):
-                return 0
-            if _u32(data, entry_off, en) & 1:
-                return idx + 1
+        while not _unpack(word, data, chains_off + (idx - symoffset) * 4)[0] & 1:
             idx += 1
+        return idx + 1
 
     def _symbol_table(self) -> tuple[int, int] | None:
         """(file offset, entry size) of the dynamic symbol table, or None."""
         if DT_SYMTAB not in self.tags or self.strtab is None:
             return None
         sym_off = self._vaddr_to_offset(self.tags[DT_SYMTAB][0])
-        default_ent = 24 if self.bits == WordSize.BITS64 else 16
+        default_ent = self.layout.sym.size
         syment = self.tags.get(DT_SYMENT, [default_ent])[0]
         if syment < default_ent:
             raise Malformed(f"DT_SYMENT {syment} smaller than symbol entry")
@@ -372,20 +355,12 @@ class _Reader:
         if table is None:
             return frozenset(), frozenset(), frozenset()
         sym_off, syment = table
-        is64 = self.bits == WordSize.BITS64
         undefined: set[str] = set()
         exported: set[str] = set()
         weak_und: set[str] = set()
         count = self._symbol_count(sym_off, syment)
         for i in range(1, count):  # entry 0 is the reserved null symbol
-            off = sym_off + i * syment
-            name_idx = _u32(self.data, off, self.en)
-            if is64:
-                info = self.data[off + 4]
-                shndx = _u16(self.data, off + 6, self.en)
-            else:
-                info = self.data[off + 12]
-                shndx = _u16(self.data, off + 14, self.en)
+            name_idx, info, shndx = _unpack(self.layout.sym, self.data, sym_off + i * syment)
             if name_idx == 0:
                 continue
             try:
@@ -428,8 +403,8 @@ def read_symbols(data: bytes) -> tuple[frozenset[str], frozenset[str], frozenset
     return _Reader(data)._read_symbols()
 
 
-def classify_kind(summary: ElfSummary, path: str = "") -> FileKind:
-    """Map parsed facts to a file kind. The path is informational only."""
+def classify_kind(summary: ElfSummary) -> FileKind:
+    """Map parsed facts to a file kind."""
     if summary.object_type is ObjectType.EXECUTABLE:
         return FileKind.EXECUTABLE_BINARY
     if summary.object_type is ObjectType.SHARED_OBJECT:

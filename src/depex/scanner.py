@@ -146,7 +146,7 @@ def _extract_one(canonical: str, size: int, options: ScanOptions) -> _Extracted:
     except Exception as exc:  # a parser crash must not kill the scan
         return _Extracted(canonical, size,
                           error=f"parser crashed: {type(exc).__name__}: {exc}")
-    return _Extracted(canonical, size, classify_kind(summary, canonical).value,
+    return _Extracted(canonical, size, classify_kind(summary).value,
                       soname=summary.soname, needed=summary.needed,
                       rpath=summary.rpath, runpath=summary.runpath)
 

@@ -235,6 +235,28 @@ def test_scan_rejects_relative_exclude(capsys, demo_sysroot, tmp_path):
     assert not os.path.exists(db)
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_scan_rejects_workers_below_one(capsys, demo_sysroot, tmp_path, workers):
+    db = str(tmp_path / "x.db")
+    code, _, err = run(capsys, "scan", "--sysroot", demo_sysroot.root,
+                       "--label", "v1", "--db", db, "--workers", workers)
+    assert code == 1
+    assert "--workers" in err and "must be at least 1" in err
+    assert not os.path.exists(db)
+
+
+def test_dot_rejects_negative_hide_top(capsys, demo_db):
+    before = db_hash(demo_db)
+    code, out, err = run(capsys, "dot", "--db", demo_db, "--hide-top", "-1")
+    assert code == 1
+    assert out == ""
+    assert "--hide-top" in err and "must be at least 0" in err
+    assert db_hash(demo_db) == before
+    code, _, err = run(capsys, "dot", "--db", demo_db, "--hide-top", "x")
+    assert code == 1
+    assert "invalid int value: 'x'" in err
+
+
 def test_scan_survives_looping_ldso_conf_include(capsys, demo_sysroot, tmp_path):
     demo_sysroot.symlink("/etc/ld.so.conf.d/a.conf", "a.conf")
     db = str(tmp_path / "x.db")

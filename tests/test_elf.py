@@ -234,7 +234,7 @@ def test_parse_is_deterministic():
 def test_classification_matrix(e_type, interp, expected):
     s = parse_elf(build_elf(ElfSpec(e_type=e_type, interpreter=interp,
                                     with_dynamic=False, with_sections=False)))
-    assert classify_kind(s, "/some/path") is expected
+    assert classify_kind(s) is expected
 
 
 def test_classification_reports_object_type_code():
@@ -244,6 +244,57 @@ def test_classification_reports_object_type_code():
 
 
 def test_header_truncated_raises_truncated():
-    whole = build_elf(ElfSpec())
-    with pytest.raises((Truncated, NotElf)):
-        parse_elf(whole[:20])
+    # ElfSpec() puts PT_LOAD and PT_DYNAMIC right after the ELF header
+    header_and_phdrs = {64: 64 + 2 * 56, 32: 52 + 2 * 32}
+    for bits in (32, 64):
+        for little in (True, False):
+            whole = build_elf(ElfSpec(bits=bits, little=little))
+            for cut in range(4):
+                with pytest.raises(NotElf):
+                    parse_elf(whole[:cut])
+            for cut in range(4, header_and_phdrs[bits]):
+                with pytest.raises(Truncated):
+                    parse_elf(whole[:cut])
+
+
+NAME_CHARS = "abcxyz019._-+/$\u00e9\udcff"
+
+
+def random_name(rng: random.Random) -> str:
+    return "".join(rng.choice(NAME_CHARS) for _ in range(rng.randint(1, 12)))
+
+
+def random_spec(rng: random.Random) -> ElfSpec:
+    symbols = list({random_name(rng) for _ in range(rng.randint(0, 12))})
+    rng.shuffle(symbols)
+    cut = rng.randint(0, len(symbols))
+    return ElfSpec(
+        bits=rng.choice((32, 64)), little=rng.random() < 0.5,
+        e_type=rng.choice((2, 3)),
+        interpreter=rng.choice((None, "/lib/ld.so", "/lib64/ld-linux-x86-64.so.2")),
+        needed=[random_name(rng) for _ in range(rng.randint(0, 5))],
+        soname=rng.choice((None, random_name(rng))),
+        rpath=rng.choice((None, random_name(rng))),
+        runpath=rng.choice((None, random_name(rng))),
+        defined=[(n, rng.choice((GLOBAL, WEAK, LOCAL))) for n in symbols[:cut]],
+        undefined=[(n, rng.choice((GLOBAL, WEAK, LOCAL))) for n in symbols[cut:]],
+        with_sections=rng.random() < 0.5)
+
+
+def test_random_specs_parse_to_their_declared_contents():
+    rng = random.Random(0x5EED_E1F)
+    for _ in range(400):
+        spec = random_spec(rng)
+        data = build_elf(spec)
+        s = parse_elf(data)
+        assert s.word_size == spec.bits
+        assert s.byte_order is (ByteOrder.LITTLE if spec.little else ByteOrder.BIG)
+        assert s.object_type_code == spec.e_type
+        assert s.has_interpreter is (spec.interpreter is not None)
+        assert s.needed == tuple(spec.needed)
+        assert (s.soname, s.rpath, s.runpath) == (spec.soname, spec.rpath, spec.runpath)
+        expected = (spec.expect_undefined, spec.expect_exported,
+                    spec.expect_weak_undefined)
+        assert read_symbols(data) == expected
+        assert (s.undefined_symbols, s.exported_symbols,
+                s.weak_undefined_symbols) == expected
