@@ -54,6 +54,16 @@ def _int_at_least(minimum: int):
     return parse
 
 
+def _labels(text: str) -> list[str]:
+    """argparse type: a comma-separated list of snapshot labels, none empty."""
+    if not text:
+        raise argparse.ArgumentTypeError("needs at least one snapshot label")
+    labels = text.split(",")
+    if not all(labels):
+        raise argparse.ArgumentTypeError(f"empty snapshot label in {text!r}")
+    return labels
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(prog="depex",
                              description="OS-tree binary dependency analysis")
@@ -111,7 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="restrict to the forward closure of PATH")
 
     p = add("evolve", "trend report across snapshots")
-    p.add_argument("--snapshots", metavar="L1,L2,...",
+    p.add_argument("--snapshots", type=_labels, metavar="L1,L2,...",
                    help="ordered labels (default: all, natural order)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -269,8 +279,7 @@ def _cmd_dot(args) -> int:
 
 def _cmd_evolve(args) -> int:
     db = _require_db(args)
-    labels = args.snapshots.split(",") if args.snapshots else None
-    report = trend_report(db, labels)
+    report = trend_report(db, args.snapshots)
     rows = [asdict(r) for r in report.rows]
     if args.format == "csv":
         import csv

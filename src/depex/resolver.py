@@ -30,6 +30,10 @@ class SymlinkLoop(Exception):
     """More than MAX_LINK_TRAVERSALS symlink hops while canonicalizing."""
 
 
+class NoSuchPath(Exception):
+    """A ".." follows a missing or non-directory component."""
+
+
 class Origin(Enum):
     """Which search stage produced a resolution."""
 
@@ -81,10 +85,13 @@ def substitute_origin(raw_path_element: str, dependent_file_dir: str) -> str:
 
 
 def canonicalize_in_sysroot(path: str, config: SearchConfig) -> str:
-    """Resolver.canonical with a fresh Resolver; SymlinkLoop on a loop."""
+    """Resolver.canonical with a fresh Resolver; SymlinkLoop on a loop,
+    NoSuchPath when there is no such path."""
     hit = Resolver(config).canonical(path)
     if hit is None:
         raise SymlinkLoop(path)
+    if hit[0] is None:
+        raise NoSuchPath(path)
     return hit[0]
 
 
@@ -144,19 +151,26 @@ class Resolver:
         self._multiarch: list[str] | None = None
         self._resolution_cache: dict[tuple[str, str | None, str | None, str],
                                      Resolution] = {}
-        # normalised spelling -> (canonical path, links it follows); None: loop
-        self._memo: dict[str, tuple[str, int] | None] = {"/": ("/", 0)}
+        # normalised spelling -> canonical's answer for it
+        self._memo: dict[str, tuple[str | None, int, bool] | None] = {
+            "/": ("/", 0, True)}
 
-    def canonical(self, path: str, spent: int = 0) -> tuple[str, int] | None:
-        """(canonical spelling of path, links it follows); None for a loop.
+    def canonical(self, path: str, spent: int = 0
+                  ) -> tuple[str | None, int, bool] | None:
+        """(canonical spelling of path, links it follows, whether a directory
+        is there); None for a loop, and a canonical spelling of None when
+        there is no such path.
 
         Link targets are resolved against the canonical parent; absolute
-        ones are re-rooted under the sysroot, and ".." clamps at it.
-        Nonexistent components pass through lexically. As in the kernel
-        (path_resolution(7)), a lookup that follows more than
-        MAX_LINK_TRAVERSALS links, counted over the whole path, is a loop;
-        spent is what an enclosing lookup has followed already. Only
-        following a link recurses, so the depth is bounded by the limit.
+        ones are re-rooted under the sysroot, and ".." clamps at it. A
+        missing or non-directory component passes through lexically while
+        only names follow it, since nothing exists below it; a ".." after it
+        makes no such path, where the kernel fails with ENOENT or ENOTDIR
+        (path_resolution(7)) instead of cancelling the component. As in the
+        kernel, a lookup that follows more than MAX_LINK_TRAVERSALS links,
+        counted over the whole path, is a loop; spent is what an enclosing
+        lookup has followed already. Only following a link recurses, so the
+        depth is bounded by the limit.
         """
         memo = self._memo
         key, parts = path, []
@@ -170,18 +184,26 @@ class Resolver:
         hit = memo[key]
         if hit is None or spent + hit[1] > MAX_LINK_TRAVERSALS:
             return None
-        canonical, links = hit
+        canonical, links, is_dir = hit
+        if canonical is None:
+            return hit
         for name in parts:
             key = posixpath.join(key, name)
             if name == "..":
+                if not is_dir:
+                    memo[key] = hit = (None, links, False)
+                    return hit
                 canonical = posixpath.dirname(canonical)
             else:
                 parent, canonical = canonical, posixpath.join(canonical, name)
                 try:
-                    target = os.readlink(self._host + canonical)
-                except (OSError, ValueError):  # not a link, or nothing there
-                    pass
-                else:
+                    st = os.lstat(self._host + canonical)
+                    is_dir = stat_module.S_ISDIR(st.st_mode)
+                    target = (os.readlink(self._host + canonical)
+                              if stat_module.S_ISLNK(st.st_mode) else None)
+                except (OSError, ValueError):  # nothing there; ValueError: a NUL byte
+                    is_dir, target = False, None
+                if target is not None:
                     memo[key] = None  # met again while following it: a loop
                     hit = (self.canonical(posixpath.join(parent, target), spent + links + 1)
                            if spent + links < MAX_LINK_TRAVERSALS else None)
@@ -189,19 +211,25 @@ class Resolver:
                         if spent:  # the enclosing lookup's budget may be what ran out
                             del memo[key]
                         return None
-                    canonical, links = hit[0], links + 1 + hit[1]
-            memo[key] = (canonical, links)
-        return canonical, links
+                    canonical, links, is_dir = hit[0], links + 1 + hit[1], hit[2]
+                    if canonical is None:
+                        memo[key] = hit = (None, links, False)
+                        return hit
+            memo[key] = (canonical, links, is_dir)
+        return canonical, links, is_dir
 
     def canonical_file_stat(self, path: str) -> tuple[str | None, os.stat_result | None]:
         """(canonical path, stat): the memo for the directory, then one lstat
         unless the name is a link. canonical None means a symlink loop;
-        stat None, nothing at the canonical path."""
+        stat None, nothing at the canonical path, which is path itself when
+        there is no such path."""
         directory, name = posixpath.split(path)
         if name not in ("", ".", ".."):
             hit = self.canonical(directory)
             if hit is None:
                 return None, None
+            if hit[0] is None:
+                return path, None
             canonical = posixpath.join(hit[0], name)
             try:
                 st = os.lstat(self._host + canonical)
@@ -212,6 +240,8 @@ class Resolver:
         hit = self.canonical(path)
         if hit is None:
             return None, None
+        if hit[0] is None:
+            return path, None
         try:
             return hit[0], os.stat(self._host + hit[0])
         except (OSError, ValueError):
@@ -221,7 +251,7 @@ class Resolver:
         """Sorted names in the directory path spells, listed inside the sysroot."""
         hit = self.canonical(path)
         try:
-            return sorted(os.listdir(self._host + hit[0])) if hit else []
+            return sorted(os.listdir(self._host + hit[0])) if hit and hit[2] else []
         except (OSError, ValueError):
             return []
 
@@ -237,6 +267,8 @@ class Resolver:
             # a diamond include is legal and re-processed; only a true cycle stops
             log.warning("cyclic include or symlink loop at %s in ld.so.conf; "
                         "continuing with directories gathered so far", conf_path)
+            return
+        if hit[0] is None:  # no such path: nothing to read, as for a missing file
             return
         chain = chain + (hit[0],)
         try:

@@ -4,6 +4,15 @@ One database holds any number of snapshots so cross-snapshot queries and
 evolution reports work without juggling files. The write path is a single
 exclusive transaction: a crash mid-save leaves the database exactly as it
 was. Reads open the file read-only, so they never create or alter it.
+
+Besides the primary keys and the indexes behind the UNIQUE constraints
+(snapshots.label, read by the label lookup; files(snapshot_id,
+canonical_path), read by no query), two indexes exist, each read by
+load_graph: idx_files_snapshot_kind by the files query and the alias
+query's subselect, idx_deps_snapshot by the deps query. A database
+written before idx_deps_snapshot existed loads the same answers by a full
+scan of deps; the next save into it creates the index and drops
+idx_deps_from and idx_deps_to, which no query read.
 """
 
 from __future__ import annotations
@@ -57,7 +66,7 @@ class Snapshot:
     tool_version: str
 
 
-@dataclass
+@dataclass(slots=True)
 class FileNode:
     id: int
     snapshot_id: int | None
@@ -68,7 +77,7 @@ class FileNode:
     size_bytes: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class DependencyEdge:
     id: int
     snapshot_id: int | None
@@ -83,11 +92,12 @@ class DependencyEdge:
 
 
 class DependencyGraph:
-    """One snapshot's nodes and edges with the transpose precomputed.
+    """One snapshot's nodes and edges, indexed both ways.
 
-    Forward queries are cheap straight off the file bytes; reverse queries
-    are the expensive direction, so the reverse adjacency is built once at
-    load time.
+    The constructor builds the forward adjacency (out-edges per node), the
+    reverse adjacency (in-edges over resolved edges) and the set of missing
+    (node, name) pairs in one pass over the edges, so queries in either
+    direction are dictionary lookups.
     """
 
     def __init__(self, snapshot: Snapshot, nodes: Iterable[FileNode],
@@ -183,8 +193,9 @@ CREATE TABLE IF NOT EXISTS deps(
     to_file INTEGER,
     origin TEXT
 );
-CREATE INDEX IF NOT EXISTS idx_deps_from ON deps(from_file);
-CREATE INDEX IF NOT EXISTS idx_deps_to ON deps(to_file);
+DROP INDEX IF EXISTS idx_deps_from;
+DROP INDEX IF EXISTS idx_deps_to;
+CREATE INDEX IF NOT EXISTS idx_deps_snapshot ON deps(snapshot_id);
 CREATE INDEX IF NOT EXISTS idx_files_snapshot_kind ON files(snapshot_id, kind);
 """
 
@@ -313,27 +324,43 @@ def _snapshot_row(con: sqlite3.Connection, label: str) -> Snapshot:
     return Snapshot(*row)
 
 
+class _Decoder(dict):
+    """Stored value -> enum member for one column; a value depex does not
+    know makes the database unreadable rather than misread."""
+
+    def __init__(self, column: str, members: dict):
+        super().__init__(members)
+        self.column = column
+
+    def __missing__(self, value):
+        raise UnreadableDatabase(f"column {self.column} holds {value!r}, "
+                                 "which this version of depex does not know")
+
+
+_KINDS = _Decoder("files.kind", {k.value: k for k in FileKind})
+_ORIGINS = _Decoder("deps.origin", {None: None, **{o.value: o for o in Origin}})
+
+
 def load_graph(label: str, db_path: str) -> DependencyGraph:
-    """Load one snapshot back as an in-memory graph."""
+    """Load one snapshot back as an in-memory graph, in one pass per table:
+    kinds and origins come from the lookup tables above, and edges stream
+    from the cursor straight into the graph."""
     with _read_only(db_path) as con:
         snap = _snapshot_row(con, label)
-        nodes: dict[int, FileNode] = {}
-        for fid, path, kind, soname, size in con.execute(
-                "SELECT id, canonical_path, kind, soname, size_bytes FROM files"
-                " WHERE snapshot_id = ? ORDER BY id", (snap.id,)):
-            nodes[fid] = FileNode(fid, snap.id, path, [], FileKind(kind), soname, size)
+        sid, kinds, origins = snap.id, _KINDS, _ORIGINS
+        nodes = {fid: FileNode(fid, sid, path, [], kinds[kind], soname, size)
+                 for fid, path, kind, soname, size in con.execute(
+                     "SELECT id, canonical_path, kind, soname, size_bytes FROM files"
+                     " WHERE snapshot_id = ? ORDER BY id", (sid,))}
         for fid, alias in con.execute(
                 "SELECT file_id, alias_path FROM file_aliases WHERE file_id IN"
                 " (SELECT id FROM files WHERE snapshot_id = ?) ORDER BY rowid",
-                (snap.id,)):
+                (sid,)):
             nodes[fid].alias_paths.append(alias)
-        edges = [
-            DependencyEdge(eid, snap.id, from_file, name, to_file,
-                           None if origin is None else Origin(origin))
-            for eid, from_file, name, to_file, origin in con.execute(
-                "SELECT id, from_file, needed_name, to_file, origin FROM deps"
-                " WHERE snapshot_id = ? ORDER BY id", (snap.id,))
-        ]
+        edges = (DependencyEdge(eid, sid, from_file, name, to_file, origins[origin])
+                 for eid, from_file, name, to_file, origin in con.execute(
+                     "SELECT id, from_file, needed_name, to_file, origin FROM deps"
+                     " WHERE snapshot_id = ? ORDER BY id", (sid,)))
         return DependencyGraph(snap, nodes.values(), edges)
 
 

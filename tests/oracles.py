@@ -38,14 +38,19 @@ def readelf_dynamic(path: str) -> dict:
     return info
 
 
+NO_SUCH_PATH = "no such path"  # never a canonical spelling: not absolute
+
+
 def canonical_reference(sysroot: str, path: str) -> str | None:
-    """path's canonical spelling inside sysroot, or None for a symlink loop.
+    """path's canonical spelling inside sysroot, None for a symlink loop, or
+    NO_SUCH_PATH.
 
     Root to leaf, one islink per component: a link's target components
     are spliced in front of the pending ones, an absolute target restarts
     at the root and ".." clamps there. Nonexistent components pass through
-    lexically. More than 40 links in the whole lookup is a loop, as in
-    Linux path_resolution(7).
+    lexically, but a ".." after a component that is no directory is
+    NO_SUCH_PATH (ENOENT or ENOTDIR in the kernel). More than 40 links in
+    the whole lookup is a loop, as in Linux path_resolution(7).
     """
     pending = deque(p for p in path.split("/") if p and p != ".")
     resolved: list[str] = []
@@ -53,6 +58,8 @@ def canonical_reference(sysroot: str, path: str) -> str | None:
     while pending:
         comp = pending.popleft()
         if comp == "..":
+            if not os.path.isdir(os.path.join(sysroot, *resolved)):
+                return NO_SUCH_PATH
             if resolved:
                 resolved.pop()
             continue

@@ -170,6 +170,7 @@ def test_criterion_2_resolver_conformance(tmp_path):
     # $ORIGIN expansion
     b = fresh("origin")
     b.write("/opt/app/lib/liby.so", lib)
+    b.write("/opt/app/bin/x", lib)  # $ORIGIN/.. needs the directory
     r = resolve_needed("liby.so", summary_of(runpath="$ORIGIN/../lib"),
                        "/opt/app/bin/x", SearchConfig(b.root))
     assert (r.path, r.origin) == ("/opt/app/lib/liby.so", Origin.RUNPATH)

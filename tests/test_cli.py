@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sqlite3
 from importlib import resources
 
 import jsonschema
@@ -295,3 +296,37 @@ def test_snapshot_defaults_to_latest(capsys, demo_sysroot, tmp_path):
     assert code == 0  # picked 23.04, the natural-order latest
     code2, out2, _ = run(capsys, "stats", "--db", db, "--snapshot", "23.04", "--json")
     assert out == out2
+
+
+@pytest.mark.parametrize("column", ["files.kind", "deps.origin"])
+def test_unknown_stored_value_is_unreadable(capsys, demo_db, column):
+    table, name = column.split(".")
+    con = sqlite3.connect(demo_db)
+    with con:  # one row of the column, the last one stored
+        con.execute(f"UPDATE {table} SET {name} = 'bogus' WHERE id ="
+                    f" (SELECT max(id) FROM {table} WHERE {name} IS NOT NULL)")
+    con.close()
+    before = db_hash(demo_db)
+    for argv in (["stats"], ["evolve"], ["dot"], ["get-deps", "/usr/bin/tool"]):
+        code, out, err = run(capsys, *argv, "--db", demo_db)
+        assert code == 1, argv
+        assert out == ""
+        assert column in err and "'bogus'" in err
+        assert "Traceback" not in err
+    assert db_hash(demo_db) == before
+
+
+@pytest.mark.parametrize("labels, message", [
+    ("", "needs at least one snapshot label"),
+    ("demo,,demo", "empty snapshot label in 'demo,,demo'"),
+    ("demo,", "empty snapshot label in 'demo,'"),
+], ids=["empty list", "empty label inside", "trailing comma"])
+def test_evolve_rejects_empty_snapshot_labels(capsys, demo_db, labels, message):
+    code, out, err = run(capsys, "evolve", "--db", demo_db, "--snapshots", labels)
+    assert code == 1
+    assert out == ""
+    assert "--snapshots" in err and message in err
+    code, out, _ = run(capsys, "evolve", "--db", demo_db, "--snapshots", "demo,demo",
+                       "--format", "csv")
+    assert code == 0 and [line.split(",")[0] for line in out.splitlines()[1:]] == \
+        ["demo", "demo"]

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import errno
+import itertools
 import os
 
 import pytest
 
 from depex.elf import parse_elf
-from depex.resolver import (Origin, Resolver, SearchConfig, SymlinkLoop,
+from depex.resolver import (NoSuchPath, Origin, Resolver, SearchConfig, SymlinkLoop,
                             build_search_stages, canonicalize_in_sysroot,
                             discover_multiarch_dirs, parse_ldso_conf,
                             resolve_needed, substitute_origin)
@@ -176,6 +178,103 @@ def test_nonexistent_path_passes_through(sysroot):
     assert canonicalize_in_sysroot("/no/such/dir/lib.so", cfg) == "/no/such/dir/lib.so"
 
 
+def test_dotdot_after_missing_component_is_no_such_path(sysroot):
+    sysroot.write("/opt/lib/libx.so", b"x")
+    cfg = config_for(sysroot)
+    for spelling in ("/nope/../opt/lib", "/opt/lib/libx.so/../libx.so",
+                     "/opt/nope/deeper/../../lib", "/opt/nope/../lib/libx.so"):
+        with pytest.raises(NoSuchPath):
+            canonicalize_in_sysroot(spelling, cfg)
+    # nothing exists below a missing component, so names after it pass through
+    assert canonicalize_in_sysroot("/opt/nope/deeper", cfg) == "/opt/nope/deeper"
+    assert canonicalize_in_sysroot("/opt/lib/../lib/libx.so", cfg) == "/opt/lib/libx.so"
+
+
+# a relative-only tree: links to a directory, to a file, to nothing, through
+# a missing component, through a file, and to themselves
+DOTDOT_TREE = {"/opt/dlink": "lib", "/opt/flink": "lib/libx.so", "/opt/dangle": "nope",
+               "/opt/via-nope": "nope/../lib", "/opt/via-file": "lib/libx.so/../lib",
+               "/opt/loop": "loop"}
+
+
+def kernel_spellings(names, longest):
+    """Every spelling of up to `longest` components that never climbs above
+    the root, so that the host's own lookup can judge it."""
+    for length in range(1, longest + 1):
+        for parts in itertools.product(names, repeat=length):
+            depth = 0
+            for part in parts:
+                depth += -1 if part == ".." else 1
+                if depth < 0:
+                    break
+            else:
+                yield "/" + "/".join(parts)
+
+
+def test_lookups_past_missing_components_and_files_match_the_kernel(sysroot):
+    # no link climbs, so the host's stat of the spelling is the oracle
+    sysroot.write("/opt/lib/libx.so", b"x")
+    for path, target in DOTDOT_TREE.items():
+        sysroot.symlink(path, target)
+    shared = Resolver(config_for(sysroot))
+    names = ["opt", "lib", "libx.so", "nope", ".."] + [
+        p.rsplit("/", 1)[1] for p in DOTDOT_TREE]
+    outcomes = set()
+    for i, spelling in enumerate(kernel_spellings(names, 4)):
+        try:
+            kernel = os.stat(sysroot.root + spelling)
+        except OSError as exc:
+            kernel = exc.errno
+        # one memo across all spellings, as in a scan, and a fresh one now and then
+        for resolver in (shared, Resolver(config_for(sysroot))) if i % 17 == 0 else (shared,):
+            canonical, st = resolver.canonical_file_stat(spelling)
+            if isinstance(kernel, int):
+                outcomes.add(kernel)
+                assert st is None, spelling
+                assert (canonical is None) == (kernel == errno.ELOOP), spelling
+            else:
+                outcomes.add("found")
+                assert (st.st_dev, st.st_ino) == (kernel.st_dev, kernel.st_ino), spelling
+    assert outcomes == {"found", errno.ENOENT, errno.ENOTDIR, errno.ELOOP}
+
+
+def test_no_such_path_is_memoised_and_not_a_loop(sysroot, monkeypatch):
+    sysroot.write("/opt/lib/libx.so", elf_bytes())
+    sysroot.symlink("/opt/flink", "lib/libx.so")
+    resolver = Resolver(config_for(sysroot))
+    for spelling in ("/nope/../opt/lib", "/opt/lib/libx.so/../lib", "/opt/flink/.."):
+        canonical, links, is_dir = resolver.canonical(spelling)
+        assert canonical is None and not is_dir
+        assert resolver.canonical_file_stat(spelling + "/libx.so") == (
+            spelling + "/libx.so", None)
+
+    def no_syscall(*args):
+        raise AssertionError("lookup not memoised")
+
+    monkeypatch.setattr(os, "lstat", no_syscall)
+    monkeypatch.setattr(os, "readlink", no_syscall)
+    assert resolver.canonical("/nope/../opt/lib")[0] is None
+    assert resolver.canonical("/opt/flink/../lib/libx.so")[0] is None
+
+
+def test_runpath_through_missing_component_finds_nothing(sysroot):
+    # the kernel fails /nope/../opt/lib/libx.so with ENOENT, so the loader
+    # does not find the library in that RUNPATH element
+    sysroot.write("/opt/lib/libx.so", elf_bytes())
+    sysroot.write("/bin/app", elf_bytes())
+    cfg = config_for(sysroot, default_dirs=[])
+    for runpath in ("/nope/../opt/lib", "/opt/lib/libx.so/../../lib", "/bin/app/../../opt/lib"):
+        r = resolve_needed("libx.so", summary_with(sysroot, runpath=runpath), "/bin/app", cfg)
+        assert not r.resolved, runpath
+    r = resolve_needed("libx.so", summary_with(sysroot, runpath="/bin/../opt/lib"),
+                       "/bin/app", cfg)
+    assert (r.path, r.origin) == ("/opt/lib/libx.so", Origin.RUNPATH)
+    # a dependent in a directory that does not exist has no $ORIGIN/.. either
+    r = resolve_needed("libx.so", summary_with(sysroot, runpath="$ORIGIN/../opt/lib"),
+                       "/gone/app", cfg)
+    assert not r.resolved
+
+
 # --- build_search_stages ----------------------------------------------------
 
 def stages_for(summary, dependent_dir, cfg):
@@ -280,6 +379,7 @@ def test_default_dir_hit(sysroot):
 
 def test_runpath_origin_hit(sysroot):
     sysroot.write("/opt/app/lib/liby.so", elf_bytes())
+    sysroot.write("/opt/app/bin/x", elf_bytes())  # $ORIGIN/.. needs the directory
     cfg = config_for(sysroot)
     s = summary_with(sysroot, runpath="$ORIGIN/../lib")
     r = resolve_needed("liby.so", s, "/opt/app/bin/x", cfg)

@@ -13,11 +13,12 @@ import pytest
 import depex.elf
 import depex.scanner
 from depex.elf import DT_SYMENT, DT_SYMTAB
-from depex.resolver import Resolver, SearchConfig, SymlinkLoop, canonicalize_in_sysroot
+from depex.resolver import (NoSuchPath, Resolver, SearchConfig, SymlinkLoop,
+                            canonicalize_in_sysroot)
 from depex.scanner import RelativeExclude, ScanOptions, SysrootUnreadable, scan_tree
 from conftest import SysrootBuilder
 from elfbuild import ElfSpec, build_elf, with_dynamic_entry
-from oracles import canonical_reference
+from oracles import NO_SUCH_PATH, canonical_reference
 
 
 def options_for(sysroot, **kw) -> ScanOptions:
@@ -402,9 +403,12 @@ def test_canonicalize_matches_reference(sysroot, seed):
         spelling = random_spelling(rng, names)
         expected = canonical_reference(sysroot.root, spelling)
         hit = shared.canonical(spelling)
-        assert (hit and hit[0]) == expected, spelling
+        assert (hit and (NO_SUCH_PATH if hit[0] is None else hit[0])) == expected, spelling
         if expected is None:
             with pytest.raises(SymlinkLoop):
+                canonicalize_in_sysroot(spelling, config)
+        elif expected == NO_SUCH_PATH:
+            with pytest.raises(NoSuchPath):
                 canonicalize_in_sysroot(spelling, config)
         else:
             assert canonicalize_in_sysroot(spelling, config) == expected

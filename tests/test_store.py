@@ -254,3 +254,180 @@ def test_reverse_adjacency_is_exact_transpose():
     transposed = {(e.from_node, e.to_node)
                   for edges in graph.reverse_adjacency.values() for e in edges}
     assert forward == transposed
+
+
+STORABLE_KINDS = [k for k in FileKind if k is not FileKind.NOT_ELF]
+
+
+def release(k: int) -> FakeResult:
+    """Snapshot k of three: every storable kind, every origin, aliases, a
+    missing name and a two-node cycle, with paths and sizes that differ
+    from release to release."""
+    nodes = [FileNode(0, None, f"/bin/app{k}", [f"/usr/bin/app{k}", f"/sbin/app{k}"],
+                      FileKind.EXECUTABLE_BINARY, None, 100 + k)]
+    for i, kind in enumerate(STORABLE_KINDS * 2, start=1):
+        soname = f"lib{i}.so.{k}" if kind is FileKind.SHARED_LIBRARY else None
+        aliases = [f"/lib/lib{i}.so.{k}"] if i % 2 else []
+        nodes.append(FileNode(i, None, f"/usr/lib/r{k}/lib{i}.so", aliases, kind,
+                              soname, 1000 * k + i))
+    edges = [DependencyEdge(j, None, 0, f"lib{j + 1}.so.{k}", j + 1, origin)
+             for j, origin in enumerate(Origin)]
+    last = len(nodes) - 1
+    edges += [
+        DependencyEdge(len(edges), None, 0, f"libghost.so.{k}"),
+        DependencyEdge(len(edges) + 1, None, 1, "cycle-b", last, Origin.RUNPATH),
+        DependencyEdge(len(edges) + 2, None, last, "cycle-a", 1, Origin.DEFAULT_DIR),
+    ]
+    return FakeResult(nodes, edges, root=f"/srv/r{k}")
+
+
+def saved_rows(result):
+    nodes = sorted((n.canonical_path, sorted(n.alias_paths), n.kind, n.soname, n.size_bytes)
+                   for n in result.nodes)
+    path = {n.id: n.canonical_path for n in result.nodes}
+    edges = sorted((path[e.from_node], e.needed_name,
+                    None if e.to_node is None else path[e.to_node], e.origin)
+                   for e in result.edges)
+    return nodes, edges
+
+
+def loaded_rows(graph):
+    return saved_rows(FakeResult(list(graph.nodes.values()), list(graph.edges())))
+
+
+def test_three_snapshots_roundtrip_apart(tmp_path):
+    db = db_file(tmp_path)
+    releases = {f"r{k}": release(k) for k in (1, 2, 3)}
+    for label, result in releases.items():
+        save_snapshot(result, label, db)
+    seen_ids: set[int] = set()
+    for k in (1, 2, 3):
+        label, result = f"r{k}", releases[f"r{k}"]
+        graph = load_graph(label, db)
+        assert graph.snapshot.label == label and graph.snapshot.root_path == result.root
+        assert loaded_rows(graph) == saved_rows(result)
+        sid = graph.snapshot.id
+        assert {n.snapshot_id for n in graph.nodes.values()} == {sid}
+        assert {e.snapshot_id for e in graph.edges()} == {sid}
+        assert all(e.from_node in graph and (e.to_node is None or e.to_node in graph)
+                   for e in graph.edges())
+        assert not seen_ids & graph.nodes.keys()
+        seen_ids |= graph.nodes.keys()
+        assert {e.origin for e in graph.edges()} == set(Origin) | {None}
+        assert {n.kind for n in graph.nodes.values()} == set(STORABLE_KINDS)
+        ids = {n.canonical_path: n.id for n in graph.nodes.values()}
+        a, b = ids[f"/usr/lib/r{k}/lib1.so"], ids[f"/usr/lib/r{k}/lib{len(ids) - 1}.so"]
+        assert a in graph.reachable_from(b) and b in graph.reachable_from(a)
+        assert graph.missing_names == {(ids[f"/bin/app{k}"], f"libghost.so.{k}")}
+
+
+def connect_plain(db: str) -> sqlite3.Connection:
+    return sqlite3.connect(f"file:{db}?mode=ro", uri=True)
+
+
+def traced_statements(monkeypatch) -> list[str]:
+    """Every SQL statement the store runs from now on, values filled in."""
+    statements: list[str] = []
+    connect = sqlite3.connect
+
+    def tracing(*args, **kwargs):
+        con = connect(*args, **kwargs)
+        con.set_trace_callback(statements.append)
+        return con
+
+    monkeypatch.setattr(sqlite3, "connect", tracing)
+    return statements
+
+
+def test_deps_load_reads_through_the_snapshot_index(tmp_path, monkeypatch):
+    db = db_file(tmp_path)
+    for k in (1, 2, 3):
+        save_snapshot(release(k), f"r{k}", db)
+    statements = traced_statements(monkeypatch)
+    load_graph("r2", db)
+    deps_queries = [s for s in statements if " FROM deps" in s]
+    assert len(deps_queries) == 1
+    con = connect_plain(db)
+    plan = [row[3] for row in con.execute("EXPLAIN QUERY PLAN " + deps_queries[0])]
+    con.close()
+    assert plan == ["SEARCH deps USING INDEX idx_deps_snapshot (snapshot_id=?)"]
+
+
+# _SCHEMA as written before idx_deps_snapshot replaced the two deps indexes
+OLD_SCHEMA = """
+CREATE TABLE IF NOT EXISTS snapshots(
+    id INTEGER PRIMARY KEY,
+    label TEXT NOT NULL UNIQUE,
+    root_path TEXT NOT NULL,
+    scanned_at TEXT NOT NULL,
+    tool_version TEXT NOT NULL
+);
+CREATE TABLE IF NOT EXISTS files(
+    id INTEGER PRIMARY KEY,
+    snapshot_id INTEGER NOT NULL REFERENCES snapshots(id),
+    canonical_path TEXT NOT NULL,
+    kind TEXT NOT NULL,
+    soname TEXT,
+    size_bytes INTEGER NOT NULL DEFAULT 0,
+    UNIQUE(snapshot_id, canonical_path)
+);
+CREATE TABLE IF NOT EXISTS file_aliases(
+    file_id INTEGER NOT NULL REFERENCES files(id),
+    alias_path TEXT NOT NULL
+);
+CREATE TABLE IF NOT EXISTS deps(
+    id INTEGER PRIMARY KEY,
+    snapshot_id INTEGER NOT NULL REFERENCES snapshots(id),
+    from_file INTEGER NOT NULL REFERENCES files(id),
+    needed_name TEXT NOT NULL,
+    to_file INTEGER,
+    origin TEXT
+);
+CREATE INDEX IF NOT EXISTS idx_deps_from ON deps(from_file);
+CREATE INDEX IF NOT EXISTS idx_deps_to ON deps(to_file);
+CREATE INDEX IF NOT EXISTS idx_files_snapshot_kind ON files(snapshot_id, kind);
+"""
+
+
+def index_names(db: str) -> set[str]:
+    con = connect_plain(db)
+    names = {row[0] for row in con.execute(
+        "SELECT name FROM sqlite_master WHERE type = 'index' AND sql IS NOT NULL")}
+    con.close()
+    return names
+
+
+def graph_dump(graph) -> tuple:
+    return (graph.snapshot,
+            [(n.id, n.canonical_path, n.alias_paths, n.kind, n.soname, n.size_bytes)
+             for n in graph.nodes.values()],
+            [(e.id, e.from_node, e.needed_name, e.to_node, e.origin) for e in graph.edges()])
+
+
+def test_old_schema_database_loads_the_same_and_migrates_on_save(tmp_path):
+    new_db, old_db = str(tmp_path / "new.db"), str(tmp_path / "old.db")
+    for k in (1, 2):
+        save_snapshot(release(k), f"r{k}", new_db)
+    con = sqlite3.connect(old_db, isolation_level=None)
+    con.executescript(OLD_SCHEMA)
+    con.execute("ATTACH DATABASE ? AS new", (new_db,))
+    for table in ("snapshots", "files", "file_aliases", "deps"):
+        con.execute(f"INSERT INTO main.{table} SELECT * FROM new.{table} ORDER BY rowid")
+    con.execute("DETACH DATABASE new")
+    con.close()
+    old_indexes = {"idx_deps_from", "idx_deps_to", "idx_files_snapshot_kind"}
+    assert index_names(old_db) == old_indexes
+
+    before = file_hash(old_db)
+    loaded = {label: graph_dump(load_graph(label, old_db)) for label in ("r1", "r2")}
+    for label, dump in loaded.items():
+        assert dump == graph_dump(load_graph(label, new_db))
+    assert [s.label for s in list_snapshots(old_db)] == ["r1", "r2"]
+    assert file_hash(old_db) == before
+    assert index_names(old_db) == old_indexes
+
+    save_snapshot(release(3), "r3", old_db)
+    assert index_names(old_db) == {"idx_deps_snapshot", "idx_files_snapshot_kind"}
+    for label, dump in loaded.items():
+        assert graph_dump(load_graph(label, old_db)) == dump
+    assert loaded_rows(load_graph("r3", old_db)) == saved_rows(release(3))
