@@ -54,14 +54,30 @@ def _int_at_least(minimum: int):
     return parse
 
 
+def _stored_label(text: str) -> str:
+    """argparse type: the label of a stored snapshot, never empty. A label
+    with "," stays nameable here: older versions stored such labels."""
+    if not text:
+        raise argparse.ArgumentTypeError("empty snapshot label")
+    return text
+
+
+def _label(text: str) -> str:
+    """argparse type: a new snapshot label, one every command can name: not
+    empty, and without the "," that separates evolve's --snapshots."""
+    if "," in _stored_label(text):
+        raise argparse.ArgumentTypeError(f"snapshot label {text!r} contains ','")
+    return text
+
+
 def _labels(text: str) -> list[str]:
     """argparse type: a comma-separated list of snapshot labels, none empty."""
     if not text:
         raise argparse.ArgumentTypeError("needs at least one snapshot label")
-    labels = text.split(",")
-    if not all(labels):
-        raise argparse.ArgumentTypeError(f"empty snapshot label in {text!r}")
-    return labels
+    try:
+        return [_label(label) for label in text.split(",")]
+    except argparse.ArgumentTypeError as exc:
+        raise argparse.ArgumentTypeError(f"{exc} in {text!r}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -78,14 +94,15 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--db", default=os.environ.get("DEPEX_DB"),
                            help="database file (or DEPEX_DB)")
         if snapshot:
-            p.add_argument("--snapshot", help="snapshot label (default: latest)")
+            p.add_argument("--snapshot", type=_stored_label,
+                           help="snapshot label (default: latest)")
         if as_json:
             p.add_argument("--json", action="store_true", dest="as_json")
         return p
 
     p = add("scan", "scan a sysroot into a new snapshot")
     p.add_argument("--sysroot", required=True)
-    p.add_argument("--label", required=True)
+    p.add_argument("--label", type=_label, required=True)
     p.add_argument("--exclude", action="append", default=[],
                    metavar="PREFIX", help="extra absolute path prefix to skip")
     p.add_argument("--env-library-path", action="append", default=[],
@@ -93,7 +110,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--default-dirs", metavar="DIR:DIR:...",
                    help=f"override the default search dirs ({':'.join(DEFAULT_DIRS)})")
     p.add_argument("--no-follow-symlinks", action="store_true")
-    p.add_argument("--workers", type=_int_at_least(1), default=1)
+    p.add_argument("--workers", type=_int_at_least(1), default=1, metavar="N",
+                   help="accepted and ignored: the scan runs in one process")
 
     add("stats", "snapshot-level statistics", snapshot=True, as_json=True)
     add("snapshots", "list stored snapshots", as_json=True)
@@ -164,8 +182,7 @@ def _cmd_scan(args) -> int:
         default_dirs=(args.default_dirs.split(":") if args.default_dirs
                       else list(DEFAULT_DIRS)),
     )
-    options = ScanOptions(config, follow_symlinks=not args.no_follow_symlinks,
-                          parallelism_hint=args.workers)
+    options = ScanOptions(config, follow_symlinks=not args.no_follow_symlinks)
     options.excluded_prefixes.extend(args.exclude)
     result = scan_tree(options)
     snapshot = save_snapshot(result, args.label, db)

@@ -7,18 +7,11 @@ path basename: paths drift across OS eras while sonames stay put.
 from __future__ import annotations
 
 import posixpath
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from depex.elf import FileKind
 from depex.metrics import stats_summary
 from depex.store import DependencyGraph, FileNode, list_snapshots, load_graph
-
-TREND_COLUMNS = (
-    "label", "executables", "libraries", "files_total", "dependencies",
-    "missing", "unused", "unused_fraction", "avg_direct", "avg_recursive",
-    "max_direct", "max_recursive",
-)
-
 
 @dataclass
 class TrendRow:
@@ -34,6 +27,9 @@ class TrendRow:
     avg_recursive: float
     max_direct: int
     max_recursive: int
+
+
+TREND_COLUMNS = tuple(f.name for f in fields(TrendRow))
 
 
 @dataclass
@@ -69,20 +65,9 @@ def _labels_or_all(db_path: str, labels: list[str] | None) -> list[str]:
 
 def _trend_row(label: str, graph: DependencyGraph) -> TrendRow:
     stats = stats_summary(graph)
-    return TrendRow(
-        label=label,
-        executables=stats.executables,
-        libraries=stats.libraries,
-        files_total=len(graph.nodes),
-        dependencies=stats.dependencies,
-        missing=stats.missing,
-        unused=stats.unused,
-        unused_fraction=round(stats.unused / stats.libraries, 4) if stats.libraries else 0.0,
-        avg_direct=stats.avg_direct,
-        avg_recursive=stats.avg_recursive,
-        max_direct=stats.max_direct,
-        max_recursive=stats.max_recursive,
-    )
+    return TrendRow(label=label, files_total=len(graph.nodes),
+                    unused_fraction=round(stats.unused / stats.libraries, 4)
+                    if stats.libraries else 0.0, **asdict(stats))
 
 
 def trend_report(db_path: str, labels: list[str] | None = None) -> TrendReport:

@@ -3,15 +3,13 @@
 The walk itself is serial (it is cheap) and works out each file's identity
 as it goes, through the resolver's one canonicaliser: its canonical path
 inside the sysroot, its inode and every symlinked or hard-linked spelling,
-so each file becomes one node with its aliases. Extraction runs on a
-process pool sized by parallelism_hint, capped at the CPU count. A file
-that starts with the ELF magic is parsed for its link facts (no symbol
-sets) and classified where it is read; any other file is counted in
-files_seen and skipped. Each file's extraction is a flat record of plain
-values (kind, soname, needed names, RPATH, RUNPATH or the error), so a
-worker sends back no parsed image. Records are assembled into a
-deterministic, path-sorted node list regardless of worker completion
-order.
+so each file becomes one node with its aliases. Extraction then reads
+each canonical file once, in the calling process: a file that starts with
+the ELF magic is parsed for its link facts (no symbol sets) and
+classified; any other file is counted in files_seen and skipped. Each
+file's extraction is a flat record of plain values (kind, soname, needed
+names, RPATH, RUNPATH or the error), so no parsed image outlives its
+file. Records are assembled into a deterministic, path-sorted node list.
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ import posixpath
 import stat as stat_module
 import time
 from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -45,7 +42,6 @@ class ScanOptions:
     config: SearchConfig
     follow_symlinks: bool = True
     excluded_prefixes: list[str] = field(default_factory=lambda: list(DEFAULT_EXCLUDES))
-    parallelism_hint: int = 1
 
 
 @dataclass
@@ -116,8 +112,12 @@ def _walk_regular_files(options: ScanOptions, resolver: Resolver,
 
 
 class _Extracted(NamedTuple):
-    """What extraction learns of one file, in plain values only, so a pool
-    worker pickles back a few strings and never the file's image."""
+    """What extraction learns of one file, in plain values only.
+
+    The scan holds one record per file until assembly. An ElfSummary would
+    keep its whole file alive through `image`, so holding summaries instead
+    would keep every parsed file in memory at once.
+    """
 
     canonical: str
     size_bytes: int
@@ -151,32 +151,12 @@ def _extract_one(canonical: str, size: int, options: ScanOptions) -> _Extracted:
                       rpath=summary.rpath, runpath=summary.runpath)
 
 
-_worker_state: dict = {}
-
-
-def _pool_init(options: ScanOptions) -> None:
-    _worker_state["options"] = options
-
-
-def _pool_extract(item: tuple[str, int]) -> _Extracted:
-    return _extract_one(item[0], item[1], _worker_state["options"])
-
-
-def _run_extraction(canonical_files: list[tuple[str, int]],
-                    options: ScanOptions) -> list[_Extracted]:
-    # the fork start method launches every worker at the first submit, and
-    # workers beyond the CPU count add processes, not throughput
-    workers = min(max(1, options.parallelism_hint), os.cpu_count() or 1)
-    if workers > 1 and len(canonical_files) >= 2 * workers:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init,
-                                 initargs=(options,)) as pool:
-            chunk = max(16, len(canonical_files) // (workers * 8))
-            return list(pool.map(_pool_extract, canonical_files, chunksize=chunk))
-    return [_extract_one(c, size, options) for c, size in canonical_files]
-
-
 def scan_tree(options: ScanOptions) -> ScanResult:
-    """Walk the sysroot and build the node/edge sets for one snapshot."""
+    """Walk the sysroot and build the node/edge sets for one snapshot.
+
+    Every step runs in the calling process: the walk, one extraction per
+    canonical file, then assembly and resolution.
+    """
     start = time.monotonic()
     for prefix in options.excluded_prefixes:
         if not prefix.startswith("/"):
@@ -203,12 +183,10 @@ def scan_tree(options: ScanOptions) -> ScanResult:
             if alias != primary:
                 aliases.setdefault(primary, set()).add(alias)
 
-    extracted = _run_extraction(canonical_files, options)
-
-    counts = ScanCounts()
+    counts = ScanCounts(files_seen=len(canonical_files))
     parsed: list[_Extracted] = []
-    for item in extracted:
-        counts.files_seen += 1
+    for canonical, size in canonical_files:
+        item = _extract_one(canonical, size, options)
         if item.error is not None:
             errors.append((item.canonical, item.error))
         elif item.kind is not None:

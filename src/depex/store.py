@@ -8,11 +8,13 @@ was. Reads open the file read-only, so they never create or alter it.
 Besides the primary keys and the indexes behind the UNIQUE constraints
 (snapshots.label, read by the label lookup; files(snapshot_id,
 canonical_path), read by no query), two indexes exist, each read by
-load_graph: idx_files_snapshot_kind by the files query and the alias
-query's subselect, idx_deps_snapshot by the deps query. A database
-written before idx_deps_snapshot existed loads the same answers by a full
-scan of deps; the next save into it creates the index and drops
-idx_deps_from and idx_deps_to, which no query read.
+load_graph: idx_files_snapshot by the files query (in id order, so with
+no sort) and the alias query's subselect, idx_deps_snapshot by the deps
+query. An older database loads the same answers without them: files
+through idx_files_snapshot_kind plus a sort, deps by a full scan where
+idx_deps_snapshot is missing. The next save into it creates both and
+drops idx_files_snapshot_kind, idx_deps_from and idx_deps_to, which no
+query needs.
 """
 
 from __future__ import annotations
@@ -195,8 +197,9 @@ CREATE TABLE IF NOT EXISTS deps(
 );
 DROP INDEX IF EXISTS idx_deps_from;
 DROP INDEX IF EXISTS idx_deps_to;
+DROP INDEX IF EXISTS idx_files_snapshot_kind;
 CREATE INDEX IF NOT EXISTS idx_deps_snapshot ON deps(snapshot_id);
-CREATE INDEX IF NOT EXISTS idx_files_snapshot_kind ON files(snapshot_id, kind);
+CREATE INDEX IF NOT EXISTS idx_files_snapshot ON files(snapshot_id);
 """
 
 

@@ -523,22 +523,13 @@ def test_criterion_8_scan_performance(tmp_path):
         for i in range(100):
             (sub / f"libfill{i:02d}.so").write_bytes(template)
 
-    options = ScanOptions(SearchConfig(str(root)), parallelism_hint=1)
+    options = ScanOptions(SearchConfig(str(root)))
     t0 = time.monotonic()
     result = scan_tree(options)
-    serial = time.monotonic() - t0
+    elapsed = time.monotonic() - t0
     assert result.counts.elf_parsed == 10001
-    assert serial < 60.0, f"single-worker scan took {serial:.1f}s"
-
-    options4 = ScanOptions(SearchConfig(str(root)), parallelism_hint=4)
-    t0 = time.monotonic()
-    scan_tree(options4)
-    parallel = time.monotonic() - t0
-    speedup = serial / parallel if parallel else float("inf")
-    note = f"serial {serial:.1f}s, 4 workers {parallel:.1f}s, speedup {speedup:.2f}x"
-    if speedup < 2.0:
-        print(f"ACCEPTANCE 8 speedup below 2x (non-strict sanity bound): {note}")
-    ok(8, f"scan performance, 10001 files, {note}")
+    assert elapsed < 60.0, f"scan took {elapsed:.1f}s"
+    ok(8, f"scan performance, 10001 files, {elapsed:.1f}s")
 
 
 # --- 9. mutation-fuzz robustness ------------------------------------------------------

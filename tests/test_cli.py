@@ -9,10 +9,12 @@ from importlib import resources
 import jsonschema
 import pytest
 
+import depex.cli
 from depex.cli import run_cli
 from depex.resolver import SearchConfig
 from depex.scanner import ScanOptions, scan_tree
-from depex.store import open_db, save_snapshot
+from depex.store import load_graph, open_db, save_snapshot
+from elfbuild import ElfSpec, build_elf
 
 
 @pytest.fixture
@@ -246,6 +248,50 @@ def test_scan_rejects_workers_below_one(capsys, demo_sysroot, tmp_path, workers)
     assert not os.path.exists(db)
 
 
+@pytest.mark.parametrize("label", ["", "a,b"], ids=["empty", "comma"])
+def test_scan_rejects_labels_no_command_can_name(capsys, demo_sysroot, tmp_path, label):
+    db = str(tmp_path / "x.db")
+    code, out, err = run(capsys, "scan", "--sysroot", demo_sysroot.root,
+                         "--label", label, "--db", db)
+    assert code == 1
+    assert out == ""
+    assert "--label" in err
+    assert not os.path.exists(db)
+    if label:  # stored before scan refused it, it stays readable
+        save_snapshot(scan_tree(ScanOptions(SearchConfig(demo_sysroot.root))), label, db)
+        code, out, _ = run(capsys, "stats", "--db", db, "--snapshot", label, "--json")
+        assert code == 0 and json.loads(out)["libraries"] == 7
+
+
+def test_scan_runs_in_one_process(capsys, demo_sysroot, tmp_path, monkeypatch):
+    demo_sysroot.write("/usr/lib/libbad.so", build_elf(ElfSpec(soname="libbad.so"))[:60])
+    results = []
+
+    def recording_scan(options):
+        results.append(scan_tree(options))
+        return results[-1]
+
+    def no_fork():
+        raise OSError("fork refused")
+
+    monkeypatch.setattr(depex.cli, "scan_tree", recording_scan)
+    monkeypatch.setattr(os, "fork", no_fork)
+    dumps = []
+    for workers in ("1", "2"):
+        db = str(tmp_path / f"w{workers}.db")
+        code, _, err = run(capsys, "scan", "--sysroot", demo_sysroot.root,
+                           "--label", "v1", "--db", db, "--workers", workers)
+        assert code == 0, err
+        graph = load_graph("v1", db)
+        dumps.append(([(n.id, n.canonical_path, n.alias_paths, n.kind, n.soname,
+                        n.size_bytes) for n in graph.nodes.values()],
+                      [(e.id, e.from_node, e.needed_name, e.to_node, e.origin)
+                       for e in graph.edges()]))
+    assert dumps[0] == dumps[1] and len(dumps[0][0]) == 10
+    assert results[0].error_records == results[1].error_records
+    assert [path for path, _ in results[1].error_records] == ["/usr/lib/libbad.so"]
+
+
 def test_dot_rejects_negative_hide_top(capsys, demo_db):
     before = db_hash(demo_db)
     code, out, err = run(capsys, "dot", "--db", demo_db, "--hide-top", "-1")
@@ -330,3 +376,15 @@ def test_evolve_rejects_empty_snapshot_labels(capsys, demo_db, labels, message):
                        "--format", "csv")
     assert code == 0 and [line.split(",")[0] for line in out.splitlines()[1:]] == \
         ["demo", "demo"]
+
+
+def test_empty_snapshot_label_is_a_user_error(capsys, demo_db):
+    before = db_hash(demo_db)
+    for argv in READ_COMMANDS:
+        if argv[0] in ("snapshots", "evolve"):
+            continue  # they take no --snapshot
+        code, out, err = run(capsys, *argv, "--db", demo_db, "--snapshot", "")
+        assert code == 1, argv
+        assert out == ""
+        assert "--snapshot" in err and "empty snapshot label" in err
+    assert db_hash(demo_db) == before

@@ -137,17 +137,6 @@ def test_scan_determinism(demo_sysroot):
     assert edge_tuples(first) == edge_tuples(second)
 
 
-def test_parallel_scan_matches_serial(demo_sysroot):
-    demo_sysroot.write("/usr/lib/libbad.so", build_elf(ElfSpec(soname="libbad.so"))[:60])
-    serial = scan_tree(options_for(demo_sysroot, parallelism_hint=1))
-    parallel = scan_tree(options_for(demo_sysroot, parallelism_hint=4))
-    assert node_paths(serial) == node_paths(parallel) and len(serial.nodes) == 10
-    assert edge_tuples(serial) == edge_tuples(parallel)
-    assert [n.alias_paths for n in serial.nodes] == [n.alias_paths for n in parallel.nodes]
-    assert serial.error_records == parallel.error_records
-    assert [path for path, _ in parallel.error_records] == ["/usr/lib/libbad.so"]
-
-
 def test_no_file_fully_read_twice(demo_sysroot, monkeypatch):
     full_reads = Counter()
     real_open = builtins.open
@@ -243,35 +232,6 @@ def test_repeated_needed_name_yields_one_edge(sysroot):
     result = scan_tree(options_for(sysroot))
     names = [e.needed_name for e in result.edges]
     assert names == ["libc.so.6"]
-
-
-def test_workers_capped_at_cpu_count(demo_sysroot, monkeypatch):
-    seen_workers = []
-
-    class SerialPool:
-        def __init__(self, max_workers, initializer, initargs):
-            seen_workers.append(max_workers)
-            initializer(*initargs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize):
-            return map(fn, items)
-
-    serial = scan_tree(options_for(demo_sysroot))
-    monkeypatch.setattr(depex.scanner, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(depex.scanner, "_worker_state", {})
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    capped = scan_tree(options_for(demo_sysroot, parallelism_hint=10_000))
-    assert seen_workers == [3]
-    assert node_paths(capped) == node_paths(serial)
-    assert edge_tuples(capped) == edge_tuples(serial)
-    assert [n.alias_paths for n in capped.nodes] == [n.alias_paths for n in serial.nodes]
-    assert capped.error_records == serial.error_records
 
 
 # --- the walk: symlinked and hard-linked spellings ---------------------------

@@ -353,6 +353,21 @@ def test_deps_load_reads_through_the_snapshot_index(tmp_path, monkeypatch):
     assert plan == ["SEARCH deps USING INDEX idx_deps_snapshot (snapshot_id=?)"]
 
 
+def test_files_load_reads_through_the_snapshot_index_unsorted(tmp_path, monkeypatch):
+    db = db_file(tmp_path)
+    for k in (1, 2, 3):
+        save_snapshot(release(k), f"r{k}", db)
+    statements = traced_statements(monkeypatch)
+    load_graph("r2", db)
+    files_queries = [s for s in statements
+                     if s.lstrip().startswith("SELECT id, canonical_path")]
+    assert len(files_queries) == 1
+    con = connect_plain(db)
+    plan = [row[3] for row in con.execute("EXPLAIN QUERY PLAN " + files_queries[0])]
+    con.close()
+    assert plan == ["SEARCH files USING INDEX idx_files_snapshot (snapshot_id=?)"]
+
+
 # _SCHEMA as written before idx_deps_snapshot replaced the two deps indexes
 OLD_SCHEMA = """
 CREATE TABLE IF NOT EXISTS snapshots(
@@ -427,7 +442,7 @@ def test_old_schema_database_loads_the_same_and_migrates_on_save(tmp_path):
     assert index_names(old_db) == old_indexes
 
     save_snapshot(release(3), "r3", old_db)
-    assert index_names(old_db) == {"idx_deps_snapshot", "idx_files_snapshot_kind"}
+    assert index_names(old_db) == {"idx_deps_snapshot", "idx_files_snapshot"}
     for label, dump in loaded.items():
         assert graph_dump(load_graph(label, old_db)) == dump
     assert loaded_rows(load_graph("r3", old_db)) == saved_rows(release(3))
