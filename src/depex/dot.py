@@ -34,53 +34,51 @@ def _node_attrs(kind: FileKind) -> str:
 
 def emit_dot(graph: DependencyGraph, options: DotOptions | None = None) -> str:
     options = options or DotOptions()
+    paths, pos = graph.paths, graph.pos
 
-    visible = set(graph.nodes)
+    visible = set(range(len(paths)))  # node positions
     if options.roots is not None:
         keep: set[int] = set()
         for root in options.roots:
-            graph.require(root)
-            keep.add(root)
-            keep |= graph.reachable_from(root)
+            keep.add(graph.require(root))
+            keep.update(map(pos.__getitem__, graph.reachable_from(root)))
         visible &= keep
 
     if options.hide_top_k > 0:
         pop = popularity(graph)
-        ranked = sorted(
-            graph.nodes,
-            key=lambda n: (-pop[n], graph.nodes[n].canonical_path),
-        )
+        ranked = sorted(range(len(paths)),
+                        key=lambda p: (-pop[graph.ids[p]], paths[p]))
         visible -= set(ranked[: options.hide_top_k])
 
     if options.hide_names:
         visible = {
-            n for n in visible
-            if not any(s in graph.nodes[n].canonical_path for s in options.hide_names)
+            p for p in visible
+            if not any(s in paths[p] for s in options.hide_names)
         }
 
+    order = sorted(visible, key=paths.__getitem__)
+    quoted = {p: _quote(paths[p]) for p in order}  # each visible path, quoted once
     lines = ["digraph dependencies {"]
-    for node_id in sorted(visible, key=lambda n: graph.nodes[n].canonical_path):
-        node = graph.nodes[node_id]
-        lines.append(f"    {_quote(node.canonical_path)} [{_node_attrs(node.kind)}];")
+    for p in order:
+        lines.append(f"    {quoted[p]} [{_node_attrs(graph.kinds[p])}];")
 
     # one synthetic node per distinct unresolved name keeps breakage visible
     missing_shown = sorted({
-        name for from_id, name in graph.missing_names if from_id in visible
+        name for s, name, d in zip(graph.src, graph.names, graph.dst)
+        if d < 0 and s in visible
     })
     for name in missing_shown:
         lines.append(
             f"    {_quote('missing:' + name)} "
             f"[label={_quote(name)}, shape=ellipse, style=dashed, color=red];")
 
-    for node_id in sorted(visible, key=lambda n: graph.nodes[n].canonical_path):
-        src = _quote(graph.nodes[node_id].canonical_path)
-        for edge in graph.out_edges(node_id):
-            if edge.resolved:
-                if edge.to_node not in visible:
-                    continue
-                dst = _quote(graph.nodes[edge.to_node].canonical_path)
-            else:
-                dst = _quote("missing:" + edge.needed_name)
-            lines.append(f"    {src} -> {dst};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    start, dst, names = graph.out_start, graph.dst, graph.names
+    for p in order:
+        for e in range(start[p], start[p + 1]):
+            d = dst[e]
+            if d < 0:
+                lines.append(f"    {quoted[p]} -> {_quote('missing:' + names[e])};")
+            elif d in quoted:
+                lines.append(f"    {quoted[p]} -> {quoted[d]};")
+    lines.append("}\n")  # the last newline rides along: no second copy of the output
+    return "\n".join(lines)

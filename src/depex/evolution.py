@@ -54,7 +54,11 @@ class PresenceSpan:
 
 
 def identity_key(node: FileNode) -> str:
-    return node.soname if node.soname else posixpath.basename(node.canonical_path)
+    return _key(node.soname, node.canonical_path)
+
+
+def _key(soname: str | None, path: str) -> str:
+    return soname if soname else posixpath.basename(path)
 
 
 def _labels_or_all(db_path: str, labels: list[str] | None) -> list[str]:
@@ -65,7 +69,7 @@ def _labels_or_all(db_path: str, labels: list[str] | None) -> list[str]:
 
 def _trend_row(label: str, graph: DependencyGraph) -> TrendRow:
     stats = stats_summary(graph)
-    return TrendRow(label=label, files_total=len(graph.nodes),
+    return TrendRow(label=label, files_total=len(graph.ids),
                     unused_fraction=round(stats.unused / stats.libraries, 4)
                     if stats.libraries else 0.0, **asdict(stats))
 
@@ -79,7 +83,8 @@ def trend_report(db_path: str, labels: list[str] | None = None) -> TrendReport:
 
 
 def _keys_by_kind(graph: DependencyGraph, kind: FileKind) -> set[str]:
-    return {identity_key(n) for n in graph.nodes.values() if n.kind is kind}
+    return {_key(soname, path) for soname, path, k in
+            zip(graph.sonames, graph.paths, graph.kinds) if k is kind}
 
 
 def diff_snapshots(db_path: str, label_a: str, label_b: str) -> SnapshotDelta:

@@ -22,7 +22,8 @@ from depex.store import DependencyGraph
 
 def direct_coupling(graph: DependencyGraph, node_id: int) -> int:
     """Number of libraries the file names explicitly, resolved or not."""
-    return len(graph.out_edges(node_id))
+    p = graph.require(node_id)
+    return graph.out_start[p + 1] - graph.out_start[p]
 
 
 def recursive_coupling(graph: DependencyGraph, node_id: int) -> int:
@@ -45,20 +46,18 @@ def closure_sizes(graph: DependencyGraph) -> dict[int, int]:
     that popcount minus one. A reach is dropped once the last edge into its
     component has been read.
     """
-    ids = list(graph.nodes)
-    position = {node_id: i for i, node_id in enumerate(ids)}
-    succ = [[position[e.to_node] for e in graph.adjacency[node_id] if e.to_node is not None]
-            for node_id in ids]
-    index = [-1] * len(ids)      # discovery order; -1 until visited
-    low = [0] * len(ids)
-    component = [-1] * len(ids)  # visited and still -1: on the Tarjan stack
+    n, start, dst, in_start = len(graph.ids), graph.out_start, graph.dst, graph.in_start
+    succ = [[d for d in dst[start[p]:start[p + 1]] if d >= 0] for p in range(n)]
+    index = [-1] * n      # discovery order; -1 until visited
+    low = [0] * n
+    component = [-1] * n  # visited and still -1: on the Tarjan stack
     stack: list[int] = []
     unread: list[int] = []       # per component: edges into it not yet read
     reach: dict[int, int] = {}   # per component with unread edges
-    sizes: dict[int, int] = {}
+    sizes = [0] * n
     discovered = 0
     next_bit = 0
-    for root in range(len(ids)):
+    for root in range(n):
         if index[root] >= 0:
             continue
         index[root] = low[root] = discovered
@@ -90,7 +89,7 @@ def closure_sizes(graph: DependencyGraph) -> dict[int, int]:
                     members.append(w)
                     if w == v:
                         break
-                into = sum(len(graph.reverse_adjacency[ids[m]]) for m in members)
+                into = sum(in_start[m + 1] - in_start[m] for m in members)
                 reached = 0  # all outside the component: the condensation is acyclic
                 for m in members:
                     for w in succ[m]:
@@ -108,16 +107,15 @@ def closure_sizes(graph: DependencyGraph) -> dict[int, int]:
                 next_bit += len(members)
                 size = reached.bit_count() + len(members) - 1
                 for m in members:
-                    sizes[ids[m]] = size
-    return sizes
+                    sizes[m] = size
+    return dict(zip(graph.ids, sizes))
 
 
 def popularity(graph: DependencyGraph) -> dict[int, int]:
     """Per node: how many distinct files import it directly."""
-    return {
-        node_id: len({e.from_node for e in graph.in_edges(node_id)})
-        for node_id in graph.nodes
-    }
+    start, sources = graph.in_start, graph.in_src
+    return {node_id: len(set(sources[start[p]:start[p + 1]]))
+            for p, node_id in enumerate(graph.ids)}
 
 
 @dataclass
@@ -128,15 +126,15 @@ class HealthReport:
 
 
 def health(graph: DependencyGraph) -> HealthReport:
-    resolved_names = {e.needed_name for e in graph.edges() if e.resolved}
-    missing_names = {name for _, name in graph.missing_names
-                     if name not in resolved_names}
-    directly_impacted = {node_id for node_id, _ in graph.missing_names}
+    resolved_names = {name for name, d in zip(graph.names, graph.dst) if d >= 0}
+    missing = graph.missing_names
+    start = graph.in_start
     unused = {
-        node_id for node_id, node in graph.nodes.items()
-        if node.kind is FileKind.SHARED_LIBRARY and not graph.in_edges(node_id)
+        node_id for p, (node_id, kind) in enumerate(zip(graph.ids, graph.kinds))
+        if kind is FileKind.SHARED_LIBRARY and start[p] == start[p + 1]
     }
-    return HealthReport(missing_names, directly_impacted, unused)
+    return HealthReport({name for _, name in missing if name not in resolved_names},
+                        {node_id for node_id, _ in missing}, unused)
 
 
 @dataclass
@@ -168,23 +166,21 @@ def coverage(graph: DependencyGraph,
     of them; the loader's first-wins choice is deliberately not modeled.
     """
     report = CoverageReport()
-    for node_id, node in graph.nodes.items():
-        summary = summaries.get(node.canonical_path)
+    ids, paths, start, dst = graph.ids, graph.paths, graph.out_start, graph.dst
+    for p, node_id in enumerate(ids):
+        summary = summaries.get(paths[p])
         if summary is None or not summary.undefined_symbols:
             continue
         imports = summary.undefined_symbols
         satisfied_anywhere: set[str] = set()
-        for edge in graph.out_edges(node_id):
-            if not edge.resolved:
-                continue
-            target = graph.nodes[edge.to_node]
-            target_summary = summaries.get(target.canonical_path)
+        for d in dst[start[p]:start[p + 1]]:
+            target_summary = summaries.get(paths[d]) if d >= 0 else None
             if target_summary is None:
                 continue
             exports = target_summary.exported_symbols
             satisfied = set(imports & exports)
             satisfied_anywhere |= satisfied
-            report.rows[(node_id, edge.to_node)] = CoverageRow(
+            report.rows[(node_id, ids[d])] = CoverageRow(
                 satisfied=satisfied,
                 satisfied_count=len(satisfied),
                 library_export_count=len(exports),
@@ -219,19 +215,16 @@ def stats_summary(graph: DependencyGraph) -> StatsSummary:
     O(V + E) plus one OR of at most V bits per edge between components,
     not a DFS per node at O(V * (V + E)).
     """
-    population = [
-        node_id for node_id, node in graph.nodes.items()
-        if node.kind in (FileKind.EXECUTABLE_BINARY, FileKind.SHARED_LIBRARY)
-    ]
-    executables = sum(
-        1 for n in population
-        if graph.nodes[n].kind is FileKind.EXECUTABLE_BINARY)
+    kinds, ids, start = graph.kinds, graph.ids, graph.out_start
+    population = [p for p, kind in enumerate(kinds)
+                  if kind in (FileKind.EXECUTABLE_BINARY, FileKind.SHARED_LIBRARY)]
+    executables = sum(1 for p in population if kinds[p] is FileKind.EXECUTABLE_BINARY)
     libraries = len(population) - executables
-    dependencies = sum(len(graph.out_edges(n)) for n in graph.nodes)
+    dependencies = len(graph.src)
     report = health(graph)
-    directs = [direct_coupling(graph, n) for n in population]
+    directs = [start[p + 1] - start[p] for p in population]
     closure = closure_sizes(graph)
-    recursives = [closure[n] for n in population]
+    recursives = [closure[ids[p]] for p in population]
     count = len(population)
     return StatsSummary(
         executables=executables,

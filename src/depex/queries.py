@@ -20,14 +20,12 @@ class AmbiguousName(Exception):
 
 def get_deps(graph: DependencyGraph, node_id: int) -> list[tuple[str, Resolution]]:
     """Direct dependencies in import-table order."""
+    p = graph.require(node_id)
     out = []
-    for edge in graph.out_edges(node_id):
-        if edge.resolved:
-            target = graph.nodes[edge.to_node]
-            res = Resolution(edge.needed_name, target.canonical_path, edge.origin)
-        else:
-            res = Resolution(edge.needed_name)
-        out.append((edge.needed_name, res))
+    for e in range(graph.out_start[p], graph.out_start[p + 1]):
+        name, d = graph.names[e], graph.dst[e]
+        res = Resolution(name) if d < 0 else Resolution(name, graph.paths[d], graph.origins[e])
+        out.append((name, res))
     return out
 
 
@@ -40,7 +38,8 @@ def who_uses(graph: DependencyGraph, node_id: int, transitive: bool = False) -> 
     """Files that depend on this one, directly or through any chain."""
     if transitive:
         return graph.reverse_reachable(node_id)
-    return {e.from_node for e in graph.in_edges(node_id)}
+    p, ids = graph.require(node_id), graph.ids
+    return {ids[s] for s in graph.in_src[graph.in_start[p]:graph.in_start[p + 1]]}
 
 
 @dataclass
@@ -56,7 +55,7 @@ def update_impact(graph: DependencyGraph, node_id: int) -> UpdateImpact:
     transitive = who_uses(graph, node_id, transitive=True)
     executables = {
         n for n in transitive
-        if graph.nodes[n].kind is FileKind.EXECUTABLE_BINARY
+        if graph.kinds[graph.pos[n]] is FileKind.EXECUTABLE_BINARY
     }
     return UpdateImpact(direct, transitive, executables)
 
@@ -68,20 +67,16 @@ def find_node(graph: DependencyGraph, ref: str) -> int:
     path suffix on a component boundary. More than one hit is an error
     that lists the candidates.
     """
-    by_soname = [n.id for n in graph.nodes.values() if n.soname == ref]
+    by_soname = [p for p, soname in enumerate(graph.sonames) if soname == ref]
     if len(by_soname) == 1:
-        return by_soname[0]
+        return graph.ids[by_soname[0]]
     if len(by_soname) > 1:
-        raise AmbiguousName(
-            ref, sorted(graph.nodes[n].canonical_path for n in by_soname))
+        raise AmbiguousName(ref, sorted(graph.paths[p] for p in by_soname))
     suffix = "/" + ref.lstrip("/")
-    by_path = [
-        n.id for n in graph.nodes.values()
-        if n.canonical_path == ref or n.canonical_path.endswith(suffix)
-    ]
+    by_path = [p for p, path in enumerate(graph.paths)
+               if path == ref or path.endswith(suffix)]
     if len(by_path) == 1:
-        return by_path[0]
+        return graph.ids[by_path[0]]
     if len(by_path) > 1:
-        raise AmbiguousName(
-            ref, sorted(graph.nodes[n].canonical_path for n in by_path))
+        raise AmbiguousName(ref, sorted(graph.paths[p] for p in by_path))
     raise UnknownNode(ref)

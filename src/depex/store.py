@@ -5,16 +5,15 @@ evolution reports work without juggling files. The write path is a single
 exclusive transaction: a crash mid-save leaves the database exactly as it
 was. Reads open the file read-only, so they never create or alter it.
 
-Besides the primary keys and the indexes behind the UNIQUE constraints
-(snapshots.label, read by the label lookup; files(snapshot_id,
-canonical_path), read by no query), two indexes exist, each read by
-load_graph: idx_files_snapshot by the files query (in id order, so with
-no sort) and the alias query's subselect, idx_deps_snapshot by the deps
-query. An older database loads the same answers without them: files
-through idx_files_snapshot_kind plus a sort, deps by a full scan where
-idx_deps_snapshot is missing. The next save into it creates both and
-drops idx_files_snapshot_kind, idx_deps_from and idx_deps_to, which no
-query needs.
+A loaded graph is columns, not records: nodes sit at dense positions in
+stored-id order, edges are grouped by source position in import-table
+order, adjacency is CSR (compressed sparse row) offsets over them, and
+`nodes` and `adjacency` are views that build a record only when one is
+read; see DependencyGraph. load_graph reads idx_files_snapshot (files in
+id order, no sort; the alias subselect) and idx_deps_snapshot. An older
+database loads the same answers without them, through
+idx_files_snapshot_kind plus a sort and a full deps scan; the next save
+into it creates both and drops the indexes no query reads.
 """
 
 from __future__ import annotations
@@ -22,9 +21,13 @@ from __future__ import annotations
 import os
 import re
 import sqlite3
+from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import cached_property
+from itertools import accumulate, islice
+from operator import gt
 from typing import TYPE_CHECKING, Iterable, Iterator
 from urllib.parse import quote
 
@@ -93,77 +96,159 @@ class DependencyEdge:
         return self.to_node is not None
 
 
-class DependencyGraph:
-    """One snapshot's nodes and edges, indexed both ways.
+def _columns(rows: Iterator[tuple], width: int) -> list[list]:
+    """Rows as `width` columns, split 1024 rows at a time: all rows at once
+    would sit in memory next to their columns."""
+    columns: list[list] = [[] for _ in range(width)]
+    while chunk := list(islice(rows, 1024)):
+        for i, column in enumerate(columns):
+            column.extend([row[i] for row in chunk])
+    return columns
 
-    The constructor builds the forward adjacency (out-edges per node), the
-    reverse adjacency (in-edges over resolved edges) and the set of missing
-    (node, name) pairs in one pass over the edges, so queries in either
-    direction are dictionary lookups.
+
+def _offsets(keys: list[int], n: int) -> list[int]:
+    """CSR offsets over positions 0..n-1: entry p counts the keys below p.
+    A key of -1 (no target) is counted in count[n], which no offset reads."""
+    count = [0] * (n + 1)
+    for k in keys:
+        count[k] += 1
+    return [0, *accumulate(count[:n])]
+
+
+class _View(Mapping):
+    """Read-only node id -> record mapping; a record is built when read."""
+
+    def __init__(self, graph: DependencyGraph, record):
+        self._graph, self._record = graph, record
+
+    def __getitem__(self, node_id: int):
+        return self._record(self._graph.pos[node_id])
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._graph.ids)
+
+    def __len__(self) -> int:
+        return len(self._graph.ids)
+
+
+class DependencyGraph:
+    """One snapshot's nodes and edges as columns, with CSR adjacency.
+
+    Per node position: ids, paths, kinds, sonames, sizes, and sparse
+    aliases; pos maps a stored id to its position. Per edge: edge_ids, src
+    and dst positions (dst -1: unresolved), names and origins, grouped by
+    source in import-table order, so position p's out-edges are numbers
+    out_start[p] to out_start[p + 1] - 1. The reverse CSR over resolved
+    edges (in_start, in_src) is built on first use. `nodes` and `adjacency`
+    are read-only id -> record views that build a record when it is read.
     """
 
     def __init__(self, snapshot: Snapshot, nodes: Iterable[FileNode],
                  edges: Iterable[DependencyEdge]):
+        nodes = list(nodes)
+        self._fill(snapshot, _columns(((n.id, n.canonical_path, n.kind, n.soname,
+                                        n.size_bytes) for n in nodes), 5),
+                   [(n.id, alias) for n in nodes for alias in n.alias_paths],
+                   _columns(((e.id, e.from_node, e.needed_name, e.to_node, e.origin)
+                             for e in edges), 5))
+
+    def _fill(self, snapshot, node_columns, alias_rows, edge_columns) -> None:
+        """Node columns in record field order, alias rows (id, alias), edge
+        columns with stored ids; KeyError for an edge id outside the nodes."""
         self.snapshot = snapshot
-        self.nodes: dict[int, FileNode] = {n.id: n for n in nodes}
-        self.adjacency: dict[int, list[DependencyEdge]] = {n: [] for n in self.nodes}
-        self.reverse_adjacency: dict[int, list[DependencyEdge]] = {n: [] for n in self.nodes}
-        self.missing_names: set[tuple[int, str]] = set()
-        for edge in edges:
-            self.adjacency[edge.from_node].append(edge)
-            if edge.to_node is not None:
-                self.reverse_adjacency[edge.to_node].append(edge)
-            else:
-                self.missing_names.add((edge.from_node, edge.needed_name))
+        self.ids, self.paths, self.kinds, self.sonames, self.sizes = node_columns
+        self.pos = pos = dict(zip(self.ids, range(len(self.ids))))
+        self.aliases: dict[int, list[str]] = {}
+        for node_id, alias in alias_rows:
+            self.aliases.setdefault(pos[node_id], []).append(alias)
+        edge_ids, froms, names, tos, origins = edge_columns
+        src = list(map(pos.__getitem__, froms))
+        dst = list(map({**pos, None: -1}.__getitem__, tos))
+        columns = (edge_ids, src, names, dst, origins)
+        if any(map(gt, src, src[1:])):  # not grouped by source: a stable sort
+            order = sorted(range(len(src)), key=src.__getitem__)
+            columns = [[column[e] for e in order] for column in columns]
+        self.edge_ids, self.src, self.names, self.dst, self.origins = columns
+        self.out_start = _offsets(self.src, len(self.ids))
+
+    @cached_property
+    def in_start(self) -> list[int]:
+        """Reverse CSR offsets: the sources of the resolved edges into
+        position p are in_src[in_start[p]:in_start[p + 1]]."""
+        return _offsets(self.dst, len(self.ids))
+
+    @cached_property
+    def in_src(self) -> list[int]:
+        """Source positions of the resolved edges, grouped by target by the
+        second pass of a counting sort over in_start."""
+        fill = self.in_start[:-1]
+        sources = [0] * self.in_start[-1]
+        for s, d in zip(self.src, self.dst):
+            if d >= 0:
+                sources[fill[d]] = s
+                fill[d] += 1
+        return sources
+
+    @property
+    def nodes(self) -> Mapping[int, FileNode]:
+        return _View(self, self._node)
+
+    @property
+    def adjacency(self) -> Mapping[int, list[DependencyEdge]]:
+        sid, ids, start, dst = self.snapshot.id, self.ids, self.out_start, self.dst
+        return _View(self, lambda p: [
+            DependencyEdge(self.edge_ids[e], sid, ids[p], self.names[e],
+                           None if dst[e] < 0 else ids[dst[e]], self.origins[e])
+            for e in range(start[p], start[p + 1])])
+
+    def _node(self, p: int) -> FileNode:
+        return FileNode(self.ids[p], self.snapshot.id, self.paths[p],
+                        list(self.aliases.get(p, ())), self.kinds[p], self.sonames[p],
+                        self.sizes[p])
+
+    @property
+    def missing_names(self) -> set[tuple[int, str]]:
+        """(node id, needed name) of every unresolved edge."""
+        ids = self.ids
+        return {(ids[s], name) for s, name, d in zip(self.src, self.names, self.dst)
+                if d < 0}
 
     def __contains__(self, node_id: int) -> bool:
-        return node_id in self.nodes
+        return node_id in self.pos
 
-    def require(self, node_id: int) -> FileNode:
+    def require(self, node_id: int) -> int:
+        """The position of a node id; UnknownNode if the graph has none."""
         try:
-            return self.nodes[node_id]
+            return self.pos[node_id]
         except KeyError:
             raise UnknownNode(node_id) from None
 
-    def edges(self) -> Iterable[DependencyEdge]:
+    def edges(self) -> Iterator[DependencyEdge]:
+        """Every edge as a new record, by source position in import-table order."""
         for out in self.adjacency.values():
             yield from out
 
-    def out_edges(self, node_id: int) -> list[DependencyEdge]:
-        self.require(node_id)
-        return self.adjacency[node_id]
-
-    def in_edges(self, node_id: int) -> list[DependencyEdge]:
-        self.require(node_id)
-        return self.reverse_adjacency[node_id]
-
     def reachable_from(self, node_id: int) -> set[int]:
         """Forward closure over resolved edges, excluding the start node."""
-        self.require(node_id)
-        visited = {node_id}
-        stack = [node_id]
-        while stack:
-            for edge in self.adjacency[stack.pop()]:
-                t = edge.to_node
-                if t is not None and t not in visited:
-                    visited.add(t)
-                    stack.append(t)
-        visited.discard(node_id)
-        return visited
+        return self._reach(node_id, self.out_start, self.dst)
 
     def reverse_reachable(self, node_id: int) -> set[int]:
         """Reverse closure over resolved edges, excluding the start node."""
-        self.require(node_id)
-        visited = {node_id}
-        stack = [node_id]
+        return self._reach(node_id, self.in_start, self.in_src)
+
+    def _reach(self, node_id: int, start: list[int], targets: list[int]) -> set[int]:
+        first = self.require(node_id)
+        seen = {first}
+        stack = [first]
         while stack:
-            for edge in self.reverse_adjacency[stack.pop()]:
-                f = edge.from_node
-                if f not in visited:
-                    visited.add(f)
-                    stack.append(f)
-        visited.discard(node_id)
-        return visited
+            p = stack.pop()
+            for q in targets[start[p]:start[p + 1]]:
+                if q >= 0 and q not in seen:
+                    seen.add(q)
+                    stack.append(q)
+        seen.discard(first)
+        ids = self.ids
+        return {ids[q] for q in seen}
 
 
 _SCHEMA = """
@@ -345,26 +430,32 @@ _ORIGINS = _Decoder("deps.origin", {None: None, **{o.value: o for o in Origin}})
 
 
 def load_graph(label: str, db_path: str) -> DependencyGraph:
-    """Load one snapshot back as an in-memory graph, in one pass per table:
-    kinds and origins come from the lookup tables above, and edges stream
-    from the cursor straight into the graph."""
+    """Load one snapshot back as a columnar graph: one query per table,
+    rows split into columns, kinds and origins decoded through the lookup
+    tables above, and no record built."""
     with _read_only(db_path) as con:
         snap = _snapshot_row(con, label)
-        sid, kinds, origins = snap.id, _KINDS, _ORIGINS
-        nodes = {fid: FileNode(fid, sid, path, [], kinds[kind], soname, size)
-                 for fid, path, kind, soname, size in con.execute(
-                     "SELECT id, canonical_path, kind, soname, size_bytes FROM files"
-                     " WHERE snapshot_id = ? ORDER BY id", (sid,))}
-        for fid, alias in con.execute(
-                "SELECT file_id, alias_path FROM file_aliases WHERE file_id IN"
-                " (SELECT id FROM files WHERE snapshot_id = ?) ORDER BY rowid",
-                (sid,)):
-            nodes[fid].alias_paths.append(alias)
-        edges = (DependencyEdge(eid, sid, from_file, name, to_file, origins[origin])
-                 for eid, from_file, name, to_file, origin in con.execute(
-                     "SELECT id, from_file, needed_name, to_file, origin FROM deps"
-                     " WHERE snapshot_id = ? ORDER BY id", (sid,)))
-        return DependencyGraph(snap, nodes.values(), edges)
+        ids, paths, kinds, sonames, sizes = _columns(con.execute(
+            "SELECT id, canonical_path, kind, soname, size_bytes FROM files"
+            " WHERE snapshot_id = ? ORDER BY id", (snap.id,)), 5)
+        aliases = con.execute(
+            "SELECT file_id, alias_path FROM file_aliases WHERE file_id IN"
+            " (SELECT id FROM files WHERE snapshot_id = ?) ORDER BY rowid",
+            (snap.id,)).fetchall()
+        edge_ids, froms, names, tos, origins = _columns(con.execute(
+            "SELECT id, from_file, needed_name, to_file, origin FROM deps"
+            " WHERE snapshot_id = ? ORDER BY id", (snap.id,)), 5)
+    kinds, origins = list(map(_KINDS.__getitem__, kinds)), list(map(_ORIGINS.__getitem__, origins))
+    graph = DependencyGraph.__new__(DependencyGraph)
+    try:
+        graph._fill(snap, (ids, paths, kinds, sonames, sizes), aliases,
+                    (edge_ids, froms, names, tos, origins))
+    except KeyError as exc:  # only a from_file or to_file id can be missing
+        row = next(e for e, f, t in zip(edge_ids, froms, tos) if exc.args[0] in (f, t))
+        raise UnreadableDatabase(
+            f"deps row {row} of snapshot {label!r} names file {exc.args[0]},"
+            " which is not in that snapshot") from None
+    return graph
 
 
 def _natural_key(label: str) -> list[tuple[int, object]]:

@@ -11,9 +11,10 @@ import pytest
 
 import depex.cli
 from depex.cli import run_cli
+from depex.elf import FileKind
 from depex.resolver import SearchConfig
 from depex.scanner import ScanOptions, scan_tree
-from depex.store import load_graph, open_db, save_snapshot
+from depex.store import FileNode, load_graph, open_db, save_snapshot
 from elfbuild import ElfSpec, build_elf
 
 
@@ -360,6 +361,70 @@ def test_unknown_stored_value_is_unreadable(capsys, demo_db, column):
         assert column in err and "'bogus'" in err
         assert "Traceback" not in err
     assert db_hash(demo_db) == before
+
+
+class FakeResult:
+    """Duck-typed stand-in for a ScanResult when no tree is needed."""
+
+    def __init__(self, nodes, edges):
+        self.nodes, self.edges, self.root = nodes, edges, "/img"
+
+
+@pytest.mark.parametrize("column", ["from_file", "to_file"])
+def test_dependency_on_a_file_outside_its_snapshot_is_unreadable(capsys, demo_db, column):
+    con = sqlite3.connect(demo_db)
+    with con:  # the first resolved dependency names a file no snapshot has
+        row = con.execute("SELECT min(id) FROM deps WHERE to_file IS NOT NULL").fetchone()[0]
+        con.execute(f"UPDATE deps SET {column} = 999 WHERE id = ?", (row,))
+    con.close()
+    before = db_hash(demo_db)
+    for argv in (["stats"], ["who-uses", "libc.so.6"], ["evolve"], ["dot"]):
+        code, out, err = run(capsys, *argv, "--db", demo_db)
+        assert code == 1, argv
+        assert out == ""
+        assert f"deps row {row} " in err and "names file 999" in err
+        assert "Traceback" not in err
+    assert db_hash(demo_db) == before
+
+
+EMPTY_ROW = dict.fromkeys(["executables", "libraries", "dependencies", "missing", "unused",
+                           "avg_direct", "avg_recursive", "max_direct", "max_recursive"], 0)
+EDGE_FREE_ROW = {**EMPTY_ROW, "executables": 1, "libraries": 1, "unused": 1}
+CSV_HEADER = ("label,executables,libraries,files_total,dependencies,missing,unused,"
+              "unused_fraction,avg_direct,avg_recursive,max_direct,max_recursive\r\n")
+
+
+@pytest.mark.parametrize("nodes, stats, dot, csv_row", [
+    ([], EMPTY_ROW, "", "0,0,0,0,0,0,0.0,0.0,0.0,0,0"),
+    ([FileNode(0, None, "/bin/app", [], FileKind.EXECUTABLE_BINARY),
+      FileNode(1, None, "/lib/liba.so", [], FileKind.SHARED_LIBRARY, "liba.so")],
+     EDGE_FREE_ROW, '    "/bin/app" [shape=box];\n    "/lib/liba.so" [shape=ellipse];\n',
+     "1,1,2,0,0,1,1.0,0.0,0.0,0,0"),
+], ids=["no-files", "no-deps"])
+def test_read_commands_on_snapshots_without_files_or_deps(capsys, tmp_path, nodes, stats,
+                                                           dot, csv_row):
+    db = str(tmp_path / "sparse.db")
+    save_snapshot(FakeResult(nodes, []), "s1", db)
+    code, out, _ = run(capsys, "stats", "--json", "--db", db)
+    assert (code, json.loads(out)) == (0, stats)
+    assert run(capsys, "dot", "--db", db) == (0, f"digraph dependencies {{\n{dot}}}\n", "")
+    row = {"label": "s1", **stats, "files_total": len(nodes),
+           "unused_fraction": float(stats["unused"])}
+    code, out, _ = run(capsys, "evolve", "--db", db)
+    assert (code, json.loads(out)) == (0, {"rows": [row]})
+    assert run(capsys, "evolve", "--format", "csv", "--db", db) == \
+        (0, f"{CSV_HEADER}s1,{csv_row}\r\n", "")
+    queries = (["who-uses", "liba.so"], ["who-uses", "liba.so", "--transitive"],
+               ["get-deps", "/bin/app"], ["get-all-deps", "/bin/app"], ["impact", "liba.so"])
+    for argv in queries:
+        code, out, err = run(capsys, *argv, "--db", db)
+        if nodes:
+            expected = "direct:\ntransitive:\nexecutables_affected:\n" \
+                if argv[0] == "impact" else ""
+            assert (code, out, err) == (0, expected, ""), argv
+        else:
+            assert (code, out) == (1, ""), argv
+            assert err == f"depex: unknown file or library {argv[1]}\n"
 
 
 @pytest.mark.parametrize("labels, message", [

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import random
 import sqlite3
 import subprocess
 import sys
@@ -9,14 +10,17 @@ import textwrap
 
 import pytest
 
+from depex.dot import DotOptions, emit_dot
 from depex.elf import FileKind
+from depex.metrics import closure_sizes, health, popularity, stats_summary
+from depex.queries import get_all_deps, get_deps, update_impact, who_uses
 from depex.resolver import Origin, SearchConfig
 from depex.scanner import ScanOptions, scan_tree
 from depex.store import (DependencyEdge, DependencyGraph, DuplicateLabel,
                          FileNode, StorageFailure, UnknownLabel, UnknownNode,
                          UnreadableDatabase, list_snapshots, load_graph,
                          open_db, save_snapshot)
-from graphbuild import EXE, LIB, build_graph
+from graphbuild import EXE, LIB, build_graph, random_graph
 
 
 class FakeResult:
@@ -61,7 +65,7 @@ def test_roundtrip(tmp_path):
     assert app.alias_paths == ["/alias/app"]
     assert app.kind is FileKind.EXECUTABLE_BINARY
     assert app.size_bytes == 100
-    out = graph.out_edges(app.id)
+    out = graph.adjacency[app.id]
     assert [(e.needed_name, e.resolved) for e in out] == \
         [("liba.so", True), ("libmissing.so", False)]
     assert out[0].origin is Origin.DEFAULT_DIR
@@ -251,8 +255,8 @@ def test_reverse_adjacency_is_exact_transpose():
         [("/a", EXE), ("/b", LIB), ("/c", LIB)],
         [(0, "b", 1), (0, "c", 2), (1, "c", 2), (2, "ghost", None)])
     forward = {(e.from_node, e.to_node) for e in graph.edges() if e.resolved}
-    transposed = {(e.from_node, e.to_node)
-                  for edges in graph.reverse_adjacency.values() for e in edges}
+    transposed = {(graph.ids[s], target) for p, target in enumerate(graph.ids)
+                  for s in graph.in_src[graph.in_start[p]:graph.in_start[p + 1]]}
     assert forward == transposed
 
 
@@ -446,3 +450,60 @@ def test_old_schema_database_loads_the_same_and_migrates_on_save(tmp_path):
     for label, dump in loaded.items():
         assert graph_dump(load_graph(label, old_db)) == dump
     assert loaded_rows(load_graph("r3", old_db)) == saved_rows(release(3))
+
+
+def equivalence_case(rng: random.Random) -> tuple[list, list]:
+    """A random graph's node specs and edges: cycles, missing names, a name
+    missing from one node and resolved from another, two names from one
+    node resolving to the same target, and edges in no source order."""
+    graph, n, pairs = random_graph(rng, max_nodes=30)
+    nodes = [(node.canonical_path, node.kind) for node in graph.nodes.values()]
+    edges = [(e.from_node, e.needed_name, e.to_node) for e in graph.edges()]
+    edges += [(src, f"alt{dst}.so", dst) for src, dst in sorted(pairs) if rng.random() < 0.2]
+    edges += [(src, f"lib{dst}.so", None) for src in range(n) for dst in [rng.randrange(n)]
+              if (src, dst) not in pairs and rng.random() < 0.2]
+    rng.shuffle(edges)
+    return nodes, edges
+
+
+def answers(graph) -> dict:
+    """Every read answer of one graph, with node ids spelled as paths."""
+    path = {node_id: node.canonical_path for node_id, node in graph.nodes.items()}
+    ids = {p: node_id for node_id, p in path.items()}
+
+    def paths(node_ids):
+        return sorted(path[n] for n in node_ids)
+
+    report = health(graph)
+    roots = [ids[p] for p in sorted(ids)[:2]]
+    out = {
+        "stats": stats_summary(graph),
+        "closure": {path[n]: size for n, size in closure_sizes(graph).items()},
+        "health": (report.missing_names, paths(report.directly_impacted),
+                   paths(report.unused_libraries)),
+        "popularity": {path[n]: count for n, count in popularity(graph).items()},
+        "dot": [emit_dot(graph), emit_dot(graph, DotOptions(hide_top_k=3)),
+                emit_dot(graph, DotOptions(roots=roots))],
+    }
+    for p, n in sorted(ids.items()):
+        impact = update_impact(graph, n)
+        out[p] = (get_deps(graph, n), paths(get_all_deps(graph, n)),
+                  paths(who_uses(graph, n)), paths(who_uses(graph, n, transitive=True)),
+                  paths(impact.direct), paths(impact.transitive),
+                  paths(impact.executables_affected))
+    return out
+
+
+def test_loaded_graph_answers_like_the_record_built_one(tmp_path):
+    db = db_file(tmp_path)
+    for seed in range(60):
+        nodes, edges = equivalence_case(random.Random(seed))
+        built = build_graph(nodes, edges)
+        # stored grouped by source, import-table order kept: the two graphs
+        # get their edges in different orders
+        stored = sorted(edges, key=lambda edge: edge[0])
+        save_snapshot(FakeResult(
+            [FileNode(i, None, path, [], kind) for i, (path, kind) in enumerate(nodes)],
+            [DependencyEdge(i, None, src, name, dst, None if dst is None else Origin.DEFAULT_DIR)
+             for i, (src, name, dst) in enumerate(stored)]), f"s{seed}", db)
+        assert answers(load_graph(f"s{seed}", db)) == answers(built), seed
