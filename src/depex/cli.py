@@ -21,7 +21,7 @@ from depex.metrics import stats_summary
 from depex.queries import (AmbiguousName, find_node, get_all_deps, get_deps,
                            update_impact, who_uses)
 from depex.resolver import DEFAULT_DIRS, SearchConfig
-from depex.scanner import (RelativeExclude, ScanOptions, SysrootUnreadable,
+from depex.scanner import (RelativePath, ScanOptions, SysrootUnreadable,
                            scan_tree)
 from depex.store import (DependencyGraph, DuplicateLabel, StorageFailure,
                          UnknownLabel, UnknownNode, UnreadableDatabase,
@@ -106,9 +106,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exclude", action="append", default=[],
                    metavar="PREFIX", help="extra absolute path prefix to skip")
     p.add_argument("--env-library-path", action="append", default=[],
-                   metavar="DIR", help="directory searched like LD_LIBRARY_PATH")
+                   metavar="DIR", help="absolute directory searched like LD_LIBRARY_PATH")
     p.add_argument("--default-dirs", metavar="DIR:DIR:...",
-                   help=f"override the default search dirs ({':'.join(DEFAULT_DIRS)})")
+                   help=f"absolute dirs to search instead of {':'.join(DEFAULT_DIRS)}")
     p.add_argument("--no-follow-symlinks", action="store_true")
     p.add_argument("--workers", type=_int_at_least(1), default=1, metavar="N",
                    help="accepted and ignored: the scan runs in one process")
@@ -179,8 +179,8 @@ def _cmd_scan(args) -> int:
     config = SearchConfig(
         sysroot=args.sysroot,
         env_library_path=list(args.env_library_path),
-        default_dirs=(args.default_dirs.split(":") if args.default_dirs
-                      else list(DEFAULT_DIRS)),
+        default_dirs=(list(DEFAULT_DIRS) if args.default_dirs is None
+                      else args.default_dirs.split(":")),
     )
     options = ScanOptions(config, follow_symlinks=not args.no_follow_symlinks)
     options.excluded_prefixes.extend(args.exclude)
@@ -348,8 +348,8 @@ def run_cli(argv: list[str] | None = None) -> int:
     except DuplicateLabel as exc:
         print(f"depex: snapshot label already exists: {exc}", file=sys.stderr)
         return USER_ERROR
-    except RelativeExclude as exc:
-        print(f"depex: --exclude takes an absolute path prefix, got {exc.args[0]!r}",
+    except RelativePath as exc:
+        print(f"depex: {exc.args[0]} takes absolute paths, got {exc.args[1]!r}",
               file=sys.stderr)
         return USER_ERROR
     except SysrootUnreadable as exc:

@@ -90,7 +90,6 @@ class ObjectType(Enum):
 class FileKind(Enum):
     EXECUTABLE_BINARY = "executable"
     SHARED_LIBRARY = "library"
-    NOT_ELF = "not-elf"
     ELF_OTHER = "elf-other"
 
 

@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 from depex.elf import FileKind
 from depex.metrics import stats_summary
-from depex.store import DependencyGraph, FileNode, list_snapshots, load_graph
+from depex.store import DependencyGraph, list_snapshots, load_graph
 
 @dataclass
 class TrendRow:
@@ -53,11 +53,7 @@ class PresenceSpan:
     present_count: int
 
 
-def identity_key(node: FileNode) -> str:
-    return _key(node.soname, node.canonical_path)
-
-
-def _key(soname: str | None, path: str) -> str:
+def identity_key(soname: str | None, path: str) -> str:
     return soname if soname else posixpath.basename(path)
 
 
@@ -83,7 +79,7 @@ def trend_report(db_path: str, labels: list[str] | None = None) -> TrendReport:
 
 
 def _keys_by_kind(graph: DependencyGraph, kind: FileKind) -> set[str]:
-    return {_key(soname, path) for soname, path, k in
+    return {identity_key(soname, path) for soname, path, k in
             zip(graph.sonames, graph.paths, graph.kinds) if k is kind}
 
 

@@ -5,7 +5,7 @@ the sysroot; nothing is read outside it (chroot emulation, including
 re-rooting of absolute symlink targets). Resolver.canonical is the one
 canonicaliser: the scanner's walk, the search probes, ld.so.conf includes
 and multiarch listings all go through it. Resolver.resolve is the one
-implementation of the loader's search.
+implementation of the loader's search. A Resolver is the only way in.
 """
 
 from __future__ import annotations
@@ -24,14 +24,6 @@ log = logging.getLogger(__name__)
 DEFAULT_DIRS = ("/lib", "/usr/lib", "/lib64", "/usr/lib64")
 LDSO_CONF_PATH = "/etc/ld.so.conf"
 MAX_LINK_TRAVERSALS = 40  # mirrors the kernel/loader loop limit
-
-
-class SymlinkLoop(Exception):
-    """More than MAX_LINK_TRAVERSALS symlink hops while canonicalizing."""
-
-
-class NoSuchPath(Exception):
-    """A ".." follows a missing or non-directory component."""
 
 
 class Origin(Enum):
@@ -84,27 +76,6 @@ def substitute_origin(raw_path_element: str, dependent_file_dir: str) -> str:
     )
 
 
-def canonicalize_in_sysroot(path: str, config: SearchConfig) -> str:
-    """Resolver.canonical with a fresh Resolver; SymlinkLoop on a loop,
-    NoSuchPath when there is no such path."""
-    hit = Resolver(config).canonical(path)
-    if hit is None:
-        raise SymlinkLoop(path)
-    if hit[0] is None:
-        raise NoSuchPath(path)
-    return hit[0]
-
-
-def parse_ldso_conf(config: SearchConfig) -> list[str]:
-    """Directories listed by ld.so.conf inside the sysroot, includes expanded."""
-    return Resolver(config).ldso_dirs()
-
-
-def discover_multiarch_dirs(config: SearchConfig) -> list[str]:
-    """Triplet subdirectories of /lib and /usr/lib that hold shared objects."""
-    return Resolver(config).multiarch_dirs()
-
-
 def _split_search_value(raw: str, dependent_dir: str) -> list[str]:
     return [
         substitute_origin(elem, dependent_dir)
@@ -120,8 +91,7 @@ def build_search_stages(summary: SearchPaths, dependent_dir: str,
 
     DT_RPATH only applies when DT_RUNPATH is absent; that flip is the
     whole reason the two tags exist side by side. ldso_dirs and
-    multiarch_dirs are parse_ldso_conf's and discover_multiarch_dirs'
-    answers for the tree, read once per Resolver.
+    multiarch_dirs are the Resolver's answers for the tree, read once.
     """
     stages: list[tuple[Origin, str]] = []
     if summary.rpath is not None and summary.runpath is None:
@@ -142,7 +112,7 @@ class Resolver:
     for walk spellings, search candidates, includes and multiarch listings.
 
     The memo and caches assume the tree does not change while an instance
-    is in use. A scan keeps one; the module functions use a fresh one."""
+    is in use. A scan keeps one; a fresh look at the tree takes a new one."""
 
     def __init__(self, config: SearchConfig):
         self.config = config
@@ -256,6 +226,7 @@ class Resolver:
             return []
 
     def ldso_dirs(self) -> list[str]:
+        """Directories listed by ld.so.conf inside the sysroot, includes expanded."""
         if self._ldso_dirs is None:
             self._ldso_dirs = []
             self._read_ldso_conf(LDSO_CONF_PATH, ())
@@ -304,6 +275,7 @@ class Resolver:
         return sorted(matches)
 
     def multiarch_dirs(self) -> list[str]:
+        """Triplet subdirectories of /lib and /usr/lib that hold shared objects."""
         if self._multiarch is None:
             self._multiarch = [
                 subdir for parent in ("/lib", "/usr/lib")
@@ -311,12 +283,6 @@ class Resolver:
                 if any(name.startswith("lib") and ".so" in name
                        for name in self._listdir(subdir))]
         return self._multiarch
-
-    def _probe(self, directory: str, name: str) -> str | None:
-        canonical, st = self.canonical_file_stat(posixpath.join(directory, name))
-        if canonical is not None and st is not None and stat_module.S_ISREG(st.st_mode):
-            return canonical
-        return None
 
     def resolve(self, needed_name: str, summary: SearchPaths,
                 dependent_path: str) -> Resolution:
@@ -333,15 +299,11 @@ class Resolver:
                                          self.ldso_dirs(), self.multiarch_dirs())
         result = Resolution(needed_name)
         for origin, directory in stages:
-            found = self._probe(directory, needed_name)
-            if found is not None:
+            # only a regular file ends the search: a directory, a FIFO or a
+            # dangling or looping link named like the library is skipped
+            found, st = self.canonical_file_stat(posixpath.join(directory, needed_name))
+            if st is not None and stat_module.S_ISREG(st.st_mode):
                 result = Resolution(needed_name, found, origin)
                 break
         self._resolution_cache[key] = result
         return result
-
-
-def resolve_needed(needed_name: str, summary: SearchPaths, dependent_path: str,
-                   config: SearchConfig) -> Resolution:
-    """Find the file a DT_NEEDED entry lands on, or report it missing."""
-    return Resolver(config).resolve(needed_name, summary, dependent_path)

@@ -33,8 +33,10 @@ class SysrootUnreadable(Exception):
     pass
 
 
-class RelativeExclude(ValueError):
-    """An excluded prefix that is not absolute: it could match no spelling."""
+class RelativePath(ValueError):
+    """(option, element): a path option element that is not absolute. An
+    excluded prefix could match no spelling, and a search directory would
+    be read from the sysroot's root."""
 
 
 @dataclass
@@ -88,7 +90,7 @@ def _walk_regular_files(options: ScanOptions, resolver: Resolver,
             with os.scandir(sysroot + resolver.canonical(rel)[0]) as it:
                 entries = sorted(it, key=lambda e: e.name)
         except OSError as exc:
-            errors.append((rel, f"listing failed: {exc}"))
+            errors.append((rel, f"listing failed: {exc.strerror}"))
             continue
         subdirs = []
         for entry in entries:
@@ -137,8 +139,8 @@ def _extract_one(canonical: str, size: int, options: ScanOptions) -> _Extracted:
                 return _Extracted(canonical, size)
             f.seek(0)
             data = f.read()
-    except OSError as exc:
-        return _Extracted(canonical, 0, error=str(exc))
+    except OSError as exc:  # strerror: the text without the host path
+        return _Extracted(canonical, 0, error=f"read failed: {exc.strerror}")
     try:
         summary = parse_elf(data)
     except ElfError as exc:
@@ -158,13 +160,17 @@ def scan_tree(options: ScanOptions) -> ScanResult:
     canonical file, then assembly and resolution.
     """
     start = time.monotonic()
-    for prefix in options.excluded_prefixes:
-        if not prefix.startswith("/"):
-            raise RelativeExclude(prefix)
-    sysroot = options.config.sysroot
+    config = options.config
+    for option, elements in (("--exclude", options.excluded_prefixes),
+                             ("--env-library-path", config.env_library_path),
+                             ("--default-dirs", config.default_dirs)):
+        for element in elements:
+            if not element.startswith("/"):
+                raise RelativePath(option, element)
+    sysroot = config.sysroot
     if not os.path.isdir(sysroot):
         raise SysrootUnreadable(sysroot)
-    resolver = Resolver(options.config)
+    resolver = Resolver(config)
 
     # collapse symlink aliases and hard links onto one canonical node each
     errors: list[tuple[str, str]] = []

@@ -356,9 +356,6 @@ def save_snapshot(result: "ScanResult", label: str, db_path: str,
         snapshot_id = cur.lastrowid
         id_map: dict[int, int] = {}
         for node in result.nodes:
-            if node.kind is FileKind.NOT_ELF:
-                raise StorageFailure(
-                    f"node {node.canonical_path!r} has no storable kind")
             cur = con.execute(
                 "INSERT INTO files(snapshot_id, canonical_path, kind, soname, size_bytes)"
                 " VALUES (?, ?, ?, ?, ?)",

@@ -22,8 +22,7 @@ from depex.elf import ElfError, parse_elf, read_symbols
 from depex.evolution import diff_snapshots, longevity, trend_report
 from depex.metrics import health, popularity, recursive_coupling
 from depex.queries import get_all_deps
-from depex.resolver import (Origin, Resolver, SearchConfig,
-                            canonicalize_in_sysroot, resolve_needed)
+from depex.resolver import Origin, Resolver, SearchConfig
 from depex.scanner import ScanOptions, scan_tree
 from depex.store import load_graph, save_snapshot
 from elfbuild import GLOBAL, WEAK, ElfSpec, build_elf
@@ -145,16 +144,14 @@ def test_criterion_2_resolver_conformance(tmp_path):
     b = fresh("rpath-only")
     b.write("/rp/libx.so", lib)
     b.write("/usr/lib/libx.so", lib)
-    r = resolve_needed("libx.so", summary_of(rpath="/rp"), "/bin/a",
-                       SearchConfig(b.root))
+    r = Resolver(SearchConfig(b.root)).resolve("libx.so", summary_of(rpath="/rp"), "/bin/a")
     assert (r.path, r.origin) == ("/rp/libx.so", Origin.RPATH)
     cases_checked += 1
 
     # RUNPATH-only
     b = fresh("runpath-only")
     b.write("/rn/libx.so", lib)
-    r = resolve_needed("libx.so", summary_of(runpath="/rn"), "/bin/a",
-                       SearchConfig(b.root))
+    r = Resolver(SearchConfig(b.root)).resolve("libx.so", summary_of(runpath="/rn"), "/bin/a")
     assert (r.path, r.origin) == ("/rn/libx.so", Origin.RUNPATH)
     cases_checked += 1
 
@@ -162,8 +159,8 @@ def test_criterion_2_resolver_conformance(tmp_path):
     b = fresh("both")
     b.write("/rp/libx.so", lib)
     b.write("/rn/libx.so", lib)
-    r = resolve_needed("libx.so", summary_of(rpath="/rp", runpath="/rn"),
-                       "/bin/a", SearchConfig(b.root))
+    r = Resolver(SearchConfig(b.root)).resolve(
+        "libx.so", summary_of(rpath="/rp", runpath="/rn"), "/bin/a")
     assert (r.path, r.origin) == ("/rn/libx.so", Origin.RUNPATH)
     cases_checked += 1
 
@@ -171,8 +168,8 @@ def test_criterion_2_resolver_conformance(tmp_path):
     b = fresh("origin")
     b.write("/opt/app/lib/liby.so", lib)
     b.write("/opt/app/bin/x", lib)  # $ORIGIN/.. needs the directory
-    r = resolve_needed("liby.so", summary_of(runpath="$ORIGIN/../lib"),
-                       "/opt/app/bin/x", SearchConfig(b.root))
+    r = Resolver(SearchConfig(b.root)).resolve(
+        "liby.so", summary_of(runpath="$ORIGIN/../lib"), "/opt/app/bin/x")
     assert (r.path, r.origin) == ("/opt/app/lib/liby.so", Origin.RUNPATH)
     cases_checked += 1
 
@@ -181,14 +178,14 @@ def test_criterion_2_resolver_conformance(tmp_path):
     b.write("/etc/ld.so.conf", b"include /etc/ld.so.conf.d/*.conf\n")
     b.write("/etc/ld.so.conf.d/extra.conf", b"/srv/libs\n")
     b.write("/srv/libs/libz.so", lib)
-    r = resolve_needed("libz.so", summary_of(), "/bin/a", SearchConfig(b.root))
+    r = Resolver(SearchConfig(b.root)).resolve("libz.so", summary_of(), "/bin/a")
     assert (r.path, r.origin) == ("/srv/libs/libz.so", Origin.LDSO_CONF)
     cases_checked += 1
 
     # default-dir fallback
     b = fresh("default")
     b.write("/usr/lib/libm.so.6", lib)
-    r = resolve_needed("libm.so.6", summary_of(), "/bin/a", SearchConfig(b.root))
+    r = Resolver(SearchConfig(b.root)).resolve("libm.so.6", summary_of(), "/bin/a")
     assert (r.path, r.origin) == ("/usr/lib/libm.so.6", Origin.DEFAULT_DIR)
     cases_checked += 1
 
@@ -196,11 +193,9 @@ def test_criterion_2_resolver_conformance(tmp_path):
     b = fresh("slash")
     b.write("/opt/app/plugins/mod.so", lib)
     b.write("/abs/libabs.so", lib)
-    r = resolve_needed("plugins/mod.so", summary_of(), "/opt/app/host",
-                       SearchConfig(b.root))
+    r = Resolver(SearchConfig(b.root)).resolve("plugins/mod.so", summary_of(), "/opt/app/host")
     assert (r.path, r.origin) == ("/opt/app/plugins/mod.so", Origin.DIRECT)
-    r = resolve_needed("/abs/libabs.so", summary_of(), "/bin/a",
-                       SearchConfig(b.root))
+    r = Resolver(SearchConfig(b.root)).resolve("/abs/libabs.so", summary_of(), "/bin/a")
     assert (r.path, r.origin) == ("/abs/libabs.so", Origin.DIRECT)
     cases_checked += 2
 
@@ -208,10 +203,10 @@ def test_criterion_2_resolver_conformance(tmp_path):
     b = fresh("reroot")
     b.write("/usr/lib/libq.so", lib)
     b.symlink("/lib64", "/usr/lib")
-    r = resolve_needed("libq.so", summary_of(), "/bin/a",
-                       SearchConfig(b.root, default_dirs=["/lib64"]))
+    r = Resolver(SearchConfig(b.root, default_dirs=["/lib64"])).resolve(
+        "libq.so", summary_of(), "/bin/a")
     assert r.path == "/usr/lib/libq.so"
-    canon = canonicalize_in_sysroot("/lib64/libq.so", SearchConfig(b.root))
+    canon = Resolver(SearchConfig(b.root)).canonical("/lib64/libq.so")[0]
     assert canon == "/usr/lib/libq.so"
     cases_checked += 1
 
@@ -219,8 +214,8 @@ def test_criterion_2_resolver_conformance(tmp_path):
     b = fresh("loop")
     b.symlink("/lib/libq.so", "/lib/libq.so")
     b.write("/usr/lib/libq.so", lib)
-    r = resolve_needed("libq.so", summary_of(), "/bin/a",
-                       SearchConfig(b.root, default_dirs=["/lib", "/usr/lib"]))
+    r = Resolver(SearchConfig(b.root, default_dirs=["/lib", "/usr/lib"])).resolve(
+        "libq.so", summary_of(), "/bin/a")
     assert r.path == "/usr/lib/libq.so"
     cases_checked += 1
 
@@ -230,8 +225,8 @@ def test_criterion_2_resolver_conformance(tmp_path):
     b.write("/s2/libw.so", lib)
     for dirs, expect in ((["/s1", "/s2"], "/s1/libw.so"),
                          (["/s2", "/s1"], "/s2/libw.so")):
-        r = resolve_needed("libw.so", summary_of(), "/bin/a",
-                           SearchConfig(b.root, default_dirs=dirs))
+        r = Resolver(SearchConfig(b.root, default_dirs=dirs)).resolve(
+            "libw.so", summary_of(), "/bin/a")
         assert r.path == expect
     cases_checked += 2
 
@@ -269,7 +264,7 @@ def _live_loader_crosscheck(tmp_path) -> None:
         if "liblive.so" in line and "=>" in line:
             loader_path = line.split("=>", 1)[1].split("(", 1)[0].strip()
     summary = parse_elf((tree / "bin" / "live").read_bytes())
-    r = resolve_needed("liblive.so", summary, "/bin/live", SearchConfig(str(tree)))
+    r = Resolver(SearchConfig(str(tree))).resolve("liblive.so", summary, "/bin/live")
     ours = str(tree) + r.path if r.resolved else None
     agree = (loader_path is not None and ours is not None
              and os.path.realpath(loader_path) == os.path.realpath(ours))

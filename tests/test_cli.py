@@ -239,6 +239,25 @@ def test_scan_rejects_relative_exclude(capsys, demo_sysroot, tmp_path):
     assert not os.path.exists(db)
 
 
+@pytest.mark.parametrize("option, value, element", [
+    ("--default-dirs", "/usr/lib::/lib", ""),
+    ("--default-dirs", "usr/../", "usr/../"),
+    ("--default-dirs", "", ""),
+    ("--env-library-path", "", ""),
+    ("--env-library-path", "opt/lib", "opt/lib"),
+])
+def test_scan_rejects_relative_search_dir(capsys, demo_sysroot, tmp_path,
+                                          option, value, element):
+    # each of these used to be searched from the sysroot's root, or ("")
+    # to mean the default directories
+    db = str(tmp_path / "x.db")
+    code, _, err = run(capsys, "scan", "--sysroot", demo_sysroot.root,
+                       "--label", "v1", "--db", db, option, value)
+    assert code == 1
+    assert f"{option} takes absolute paths, got {element!r}" in err
+    assert not os.path.exists(db)
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_scan_rejects_workers_below_one(capsys, demo_sysroot, tmp_path, workers):
     db = str(tmp_path / "x.db")

@@ -78,8 +78,8 @@ def corpus(tmp_path):
 
 
 def test_identity_key_prefers_soname():
-    assert identity_key(node(0, "/lib/x.so", LIB, "libx.so.5")) == "libx.so.5"
-    assert identity_key(node(0, "/bin/tool", EXE)) == "tool"
+    assert identity_key("libx.so.5", "/lib/x.so") == "libx.so.5"
+    assert identity_key(None, "/bin/tool") == "tool"
 
 
 def test_trend_report_hand_computed(corpus):

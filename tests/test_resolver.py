@@ -7,10 +7,8 @@ import os
 import pytest
 
 from depex.elf import parse_elf
-from depex.resolver import (NoSuchPath, Origin, Resolver, SearchConfig, SymlinkLoop,
-                            build_search_stages, canonicalize_in_sysroot,
-                            discover_multiarch_dirs, parse_ldso_conf,
-                            resolve_needed, substitute_origin)
+from depex.resolver import (Origin, Resolver, SearchConfig, build_search_stages,
+                            substitute_origin)
 from elfbuild import ElfSpec, build_elf
 
 
@@ -36,41 +34,41 @@ def test_origin_absent():
     assert substitute_origin("/usr/lib", "/opt/app/bin") == "/usr/lib"
 
 
-# --- parse_ldso_conf --------------------------------------------------------
+# --- Resolver.ldso_dirs and multiarch_dirs ----------------------------------
 
 def test_ldso_conf_include_chain(sysroot):
     sysroot.write("/etc/ld.so.conf", b"include /etc/ld.so.conf.d/*.conf\n")
     sysroot.write("/etc/ld.so.conf.d/x86.conf", b"/usr/lib/x86_64-linux-gnu\n")
-    assert parse_ldso_conf(config_for(sysroot)) == ["/usr/lib/x86_64-linux-gnu"]
+    assert Resolver(config_for(sysroot)).ldso_dirs() == ["/usr/lib/x86_64-linux-gnu"]
 
 
 def test_ldso_conf_absent(sysroot):
-    assert parse_ldso_conf(config_for(sysroot)) == []
+    assert Resolver(config_for(sysroot)).ldso_dirs() == []
 
 
 def test_ldso_conf_comments_only(sysroot):
     sysroot.write("/etc/ld.so.conf", b"# nothing here\n\n   # still nothing\n")
-    assert parse_ldso_conf(config_for(sysroot)) == []
+    assert Resolver(config_for(sysroot)).ldso_dirs() == []
 
 
 def test_ldso_conf_order_preserved(sysroot):
     sysroot.write("/etc/ld.so.conf",
                   b"/first\ninclude /etc/extra.conf\n/last\n")
     sysroot.write("/etc/extra.conf", b"/middle\n")
-    assert parse_ldso_conf(config_for(sysroot)) == ["/first", "/middle", "/last"]
+    assert Resolver(config_for(sysroot)).ldso_dirs() == ["/first", "/middle", "/last"]
 
 
 def test_ldso_conf_relative_include(sysroot):
     sysroot.write("/etc/ld.so.conf", b"include sub/*.conf\n")
     sysroot.write("/etc/sub/a.conf", b"/from-sub\n")
-    assert parse_ldso_conf(config_for(sysroot)) == ["/from-sub"]
+    assert Resolver(config_for(sysroot)).ldso_dirs() == ["/from-sub"]
 
 
 def test_ldso_conf_cyclic_include_terminates(sysroot, caplog):
     sysroot.write("/etc/ld.so.conf", b"/one\ninclude /etc/other.conf\n")
     sysroot.write("/etc/other.conf", b"/two\ninclude /etc/ld.so.conf\n")
     with caplog.at_level("WARNING"):
-        dirs = parse_ldso_conf(config_for(sysroot))
+        dirs = Resolver(config_for(sysroot)).ldso_dirs()
     assert dirs == ["/one", "/two"]
     assert any("cyclic" in r.message for r in caplog.records)
 
@@ -82,7 +80,7 @@ def test_ldso_conf_diamond_include_is_not_a_cycle(sysroot, caplog):
     sysroot.write("/etc/b.conf", b"include /etc/shared.conf\n")
     sysroot.write("/etc/shared.conf", b"/common\n")
     with caplog.at_level("WARNING"):
-        dirs = parse_ldso_conf(config_for(sysroot))
+        dirs = Resolver(config_for(sysroot)).ldso_dirs()
     assert dirs == ["/common", "/common"]  # duplicates kept, first hit wins later
     assert not any("cyclic" in r.message for r in caplog.records)
 
@@ -93,7 +91,7 @@ def test_ldso_conf_looping_include_skipped(sysroot, caplog):
     sysroot.symlink("/etc/ld.so.conf.d/a.conf", "a.conf")
     sysroot.write("/etc/ld.so.conf.d/b.conf", b"/from-b\n")
     with caplog.at_level("WARNING"):
-        dirs = parse_ldso_conf(config_for(sysroot))
+        dirs = Resolver(config_for(sysroot)).ldso_dirs()
     assert dirs == ["/first", "/from-b", "/last"]
     assert any("symlink loop" in r.message for r in caplog.records)
 
@@ -103,9 +101,9 @@ def test_nul_byte_in_ldso_conf_is_no_crash(sysroot):
                   b"/usr/\0lib\ninclude /etc/a\0.conf\ninclude /etc/\0d/*.conf\n")
     sysroot.write("/usr/lib/libm.so.6", elf_bytes())
     cfg = config_for(sysroot, default_dirs=[])
-    assert parse_ldso_conf(cfg) == ["/usr/\0lib"]
-    assert not resolve_needed("libm.so.6", summary_with(sysroot), "/bin/x", cfg).resolved
-    assert not resolve_needed("", summary_with(sysroot), "/bin/x", cfg).resolved
+    assert Resolver(cfg).ldso_dirs() == ["/usr/\0lib"]
+    assert not Resolver(cfg).resolve("libm.so.6", summary_with(sysroot), "/bin/x").resolved
+    assert not Resolver(cfg).resolve("", summary_with(sysroot), "/bin/x").resolved
 
 
 def test_ldso_conf_include_stays_inside_sysroot(sysroot, tmp_path):
@@ -118,7 +116,7 @@ def test_ldso_conf_include_stays_inside_sysroot(sysroot, tmp_path):
     sysroot.write(outside + "/inside.conf", b"/from-sysroot\n")
     sysroot.write("/etc/ld.so.conf", b"include /etc/ld.so.conf.d/*.conf\n")
     sysroot.symlink("/etc/ld.so.conf.d", outside)
-    assert parse_ldso_conf(config_for(sysroot)) == ["/from-sysroot"]
+    assert Resolver(config_for(sysroot)).ldso_dirs() == ["/from-sysroot"]
 
 
 def test_multiarch_listing_stays_inside_sysroot(sysroot, tmp_path):
@@ -128,54 +126,53 @@ def test_multiarch_listing_stays_inside_sysroot(sysroot, tmp_path):
     sysroot.write(outside + "/inside-gnu/libinside.so.1", b"x")
     sysroot.write("/usr/lib/x86_64-linux-gnu/libc.so.6", b"x")
     sysroot.symlink("/lib", outside)
-    assert discover_multiarch_dirs(config_for(sysroot)) == \
+    assert Resolver(config_for(sysroot)).multiarch_dirs() == \
         ["/lib/inside-gnu", "/usr/lib/x86_64-linux-gnu"]
 
 
-# --- canonicalize_in_sysroot ------------------------------------------------
+# --- Resolver.canonical -----------------------------------------------------
 
 def test_absolute_symlink_rerooted(sysroot):
     sysroot.write("/usr/bin/ls", b"x")
     sysroot.symlink("/bin", "/usr/bin")  # absolute target
-    assert canonicalize_in_sysroot("/bin/ls", config_for(sysroot)) == "/usr/bin/ls"
+    assert Resolver(config_for(sysroot)).canonical("/bin/ls")[0] == "/usr/bin/ls"
 
 
 def test_identity_when_no_links(sysroot):
     sysroot.write("/usr/lib/libz.so.1", b"x")
     cfg = config_for(sysroot)
-    assert canonicalize_in_sysroot("/usr/lib/libz.so.1", cfg) == "/usr/lib/libz.so.1"
+    assert Resolver(cfg).canonical("/usr/lib/libz.so.1")[0] == "/usr/lib/libz.so.1"
 
 
-def test_two_cycle_raises(sysroot):
+def test_two_cycle_is_a_loop(sysroot):
     sysroot.symlink("/a", "/b")
     sysroot.symlink("/b", "/a")
-    with pytest.raises(SymlinkLoop):
-        canonicalize_in_sysroot("/a", config_for(sysroot))
+    assert Resolver(config_for(sysroot)).canonical("/a") is None
 
 
 def test_relative_symlink(sysroot):
     sysroot.write("/usr/lib/libz.so.1.2.13", b"x")
     sysroot.symlink("/usr/lib/libz.so.1", "libz.so.1.2.13")
     cfg = config_for(sysroot)
-    assert canonicalize_in_sysroot("/usr/lib/libz.so.1", cfg) == "/usr/lib/libz.so.1.2.13"
+    assert Resolver(cfg).canonical("/usr/lib/libz.so.1")[0] == "/usr/lib/libz.so.1.2.13"
 
 
 def test_dotdot_clamped_at_sysroot(sysroot):
     sysroot.write("/etc/passwd", b"inside")
     cfg = config_for(sysroot)
-    assert canonicalize_in_sysroot("/../../../etc/passwd", cfg) == "/etc/passwd"
+    assert Resolver(cfg).canonical("/../../../etc/passwd")[0] == "/etc/passwd"
 
 
 def test_adversarial_absolute_link_cannot_escape(sysroot):
     sysroot.symlink("/escape", "/../../etc")
     cfg = config_for(sysroot)
-    got = canonicalize_in_sysroot("/escape/passwd", cfg)
+    got = Resolver(cfg).canonical("/escape/passwd")[0]
     assert got == "/etc/passwd"  # the sysroot's /etc, not the host's
 
 
 def test_nonexistent_path_passes_through(sysroot):
     cfg = config_for(sysroot)
-    assert canonicalize_in_sysroot("/no/such/dir/lib.so", cfg) == "/no/such/dir/lib.so"
+    assert Resolver(cfg).canonical("/no/such/dir/lib.so")[0] == "/no/such/dir/lib.so"
 
 
 def test_dotdot_after_missing_component_is_no_such_path(sysroot):
@@ -183,11 +180,10 @@ def test_dotdot_after_missing_component_is_no_such_path(sysroot):
     cfg = config_for(sysroot)
     for spelling in ("/nope/../opt/lib", "/opt/lib/libx.so/../libx.so",
                      "/opt/nope/deeper/../../lib", "/opt/nope/../lib/libx.so"):
-        with pytest.raises(NoSuchPath):
-            canonicalize_in_sysroot(spelling, cfg)
+        assert Resolver(cfg).canonical(spelling)[0] is None, spelling
     # nothing exists below a missing component, so names after it pass through
-    assert canonicalize_in_sysroot("/opt/nope/deeper", cfg) == "/opt/nope/deeper"
-    assert canonicalize_in_sysroot("/opt/lib/../lib/libx.so", cfg) == "/opt/lib/libx.so"
+    assert Resolver(cfg).canonical("/opt/nope/deeper")[0] == "/opt/nope/deeper"
+    assert Resolver(cfg).canonical("/opt/lib/../lib/libx.so")[0] == "/opt/lib/libx.so"
 
 
 # a relative-only tree: links to a directory, to a file, to nothing, through
@@ -264,22 +260,23 @@ def test_runpath_through_missing_component_finds_nothing(sysroot):
     sysroot.write("/bin/app", elf_bytes())
     cfg = config_for(sysroot, default_dirs=[])
     for runpath in ("/nope/../opt/lib", "/opt/lib/libx.so/../../lib", "/bin/app/../../opt/lib"):
-        r = resolve_needed("libx.so", summary_with(sysroot, runpath=runpath), "/bin/app", cfg)
+        r = Resolver(cfg).resolve("libx.so", summary_with(sysroot, runpath=runpath), "/bin/app")
         assert not r.resolved, runpath
-    r = resolve_needed("libx.so", summary_with(sysroot, runpath="/bin/../opt/lib"),
-                       "/bin/app", cfg)
+    r = Resolver(cfg).resolve("libx.so", summary_with(sysroot, runpath="/bin/../opt/lib"),
+                              "/bin/app")
     assert (r.path, r.origin) == ("/opt/lib/libx.so", Origin.RUNPATH)
     # a dependent in a directory that does not exist has no $ORIGIN/.. either
-    r = resolve_needed("libx.so", summary_with(sysroot, runpath="$ORIGIN/../opt/lib"),
-                       "/gone/app", cfg)
+    r = Resolver(cfg).resolve("libx.so", summary_with(sysroot, runpath="$ORIGIN/../opt/lib"),
+                              "/gone/app")
     assert not r.resolved
 
 
 # --- build_search_stages ----------------------------------------------------
 
 def stages_for(summary, dependent_dir, cfg):
-    return build_search_stages(summary, dependent_dir, cfg, parse_ldso_conf(cfg),
-                               discover_multiarch_dirs(cfg))
+    resolver = Resolver(cfg)
+    return build_search_stages(summary, dependent_dir, cfg, resolver.ldso_dirs(),
+                               resolver.multiarch_dirs())
 
 
 RPATH, ENV, RUNPATH, DEFAULT = (Origin.RPATH, Origin.ENV_PATH, Origin.RUNPATH,
@@ -331,7 +328,7 @@ def test_multiarch_discovered_after_defaults(sysroot):
     sysroot.write("/usr/lib/x86_64-linux-gnu/libc.so.6", b"x")
     sysroot.write("/usr/lib/nothing-here/readme.txt", b"x")
     cfg = config_for(sysroot, default_dirs=["/lib"])
-    assert discover_multiarch_dirs(cfg) == ["/usr/lib/x86_64-linux-gnu"]
+    assert Resolver(cfg).multiarch_dirs() == ["/usr/lib/x86_64-linux-gnu"]
     s = summary_with(sysroot)
     assert stages_for(s, "/bin", cfg) == \
         [(DEFAULT, "/lib"), (DEFAULT, "/usr/lib/x86_64-linux-gnu")]
@@ -351,7 +348,7 @@ def test_canonical_file_stat_follows_links_and_reports_absence(sysroot):
     assert resolver.canonical_file_stat("/lib/libloop.so") == (None, None)
 
 
-# --- resolve_needed ---------------------------------------------------------
+# --- Resolver.resolve -------------------------------------------------------
 
 def test_runpath_of_2000_components_is_missing(sysroot):
     # every component follows a link, so the lookup loops after 40; the
@@ -359,10 +356,11 @@ def test_runpath_of_2000_components_is_missing(sysroot):
     sysroot.write("/libdeep.so", elf_bytes())
     sysroot.symlink("/l", ".")
     s = summary_with(sysroot, runpath="/l" * 2000)
-    r = resolve_needed("libdeep.so", s, "/bin/x", config_for(sysroot, default_dirs=[]))
+    cfg = config_for(sysroot, default_dirs=[])
+    r = Resolver(cfg).resolve("libdeep.so", s, "/bin/x")
     assert not r.resolved
-    assert resolve_needed("libdeep.so", summary_with(sysroot, runpath="/l" * 40), "/bin/x",
-                          config_for(sysroot, default_dirs=[])).path == "/libdeep.so"
+    assert Resolver(cfg).resolve("libdeep.so", summary_with(sysroot, runpath="/l" * 40),
+                                 "/bin/x").path == "/libdeep.so"
 
 def elf_bytes():
     return build_elf(ElfSpec(soname="libtarget.so"))
@@ -372,7 +370,7 @@ def test_default_dir_hit(sysroot):
     sysroot.write("/usr/lib/libm.so.6", elf_bytes())
     cfg = config_for(sysroot, default_dirs=["/lib", "/usr/lib"])
     s = summary_with(sysroot)
-    r = resolve_needed("libm.so.6", s, "/usr/bin/tool", cfg)
+    r = Resolver(cfg).resolve("libm.so.6", s, "/usr/bin/tool")
     assert r.resolved and r.path == "/usr/lib/libm.so.6"
     assert r.origin is Origin.DEFAULT_DIR
 
@@ -382,14 +380,14 @@ def test_runpath_origin_hit(sysroot):
     sysroot.write("/opt/app/bin/x", elf_bytes())  # $ORIGIN/.. needs the directory
     cfg = config_for(sysroot)
     s = summary_with(sysroot, runpath="$ORIGIN/../lib")
-    r = resolve_needed("liby.so", s, "/opt/app/bin/x", cfg)
+    r = Resolver(cfg).resolve("liby.so", s, "/opt/app/bin/x")
     assert r.resolved and r.path == "/opt/app/lib/liby.so"
     assert r.origin is Origin.RUNPATH
 
 
 def test_missing(sysroot):
     cfg = config_for(sysroot)
-    r = resolve_needed("libghost.so.9", summary_with(sysroot), "/usr/bin/x", cfg)
+    r = Resolver(cfg).resolve("libghost.so.9", summary_with(sysroot), "/usr/bin/x")
     assert not r.resolved
     assert r.path is None and r.origin is None
 
@@ -398,10 +396,10 @@ def test_first_match_wins(sysroot):
     sysroot.write("/lib/libdup.so", elf_bytes())
     sysroot.write("/usr/lib/libdup.so", elf_bytes())
     cfg = config_for(sysroot, default_dirs=["/lib", "/usr/lib"])
-    r = resolve_needed("libdup.so", summary_with(sysroot), "/bin/x", cfg)
+    r = Resolver(cfg).resolve("libdup.so", summary_with(sysroot), "/bin/x")
     assert r.path == "/lib/libdup.so"
     cfg2 = config_for(sysroot, default_dirs=["/usr/lib", "/lib"])
-    r2 = resolve_needed("libdup.so", summary_with(sysroot), "/bin/x", cfg2)
+    r2 = Resolver(cfg2).resolve("libdup.so", summary_with(sysroot), "/bin/x")
     assert r2.path == "/usr/lib/libdup.so"
 
 
@@ -411,14 +409,14 @@ def test_rpath_beats_every_later_stage(sysroot):
     sysroot.write("/etc/ld.so.conf", b"/usr/lib\n")
     cfg = config_for(sysroot, default_dirs=["/usr/lib"])
     s = summary_with(sysroot, rpath="/rp")
-    r = resolve_needed("libdup.so", s, "/bin/x", cfg)
+    r = Resolver(cfg).resolve("libdup.so", s, "/bin/x")
     assert r.path == "/rp/libdup.so" and r.origin is Origin.RPATH
 
 
 def test_slash_name_relative(sysroot):
     sysroot.write("/opt/app/plugins/mod.so", elf_bytes())
     cfg = config_for(sysroot)
-    r = resolve_needed("plugins/mod.so", summary_with(sysroot), "/opt/app/host", cfg)
+    r = Resolver(cfg).resolve("plugins/mod.so", summary_with(sysroot), "/opt/app/host")
     assert r.resolved and r.path == "/opt/app/plugins/mod.so"
     assert r.origin is Origin.DIRECT
 
@@ -426,7 +424,7 @@ def test_slash_name_relative(sysroot):
 def test_slash_name_absolute(sysroot):
     sysroot.write("/opt/libs/libabs.so", elf_bytes())
     cfg = config_for(sysroot)
-    r = resolve_needed("/opt/libs/libabs.so", summary_with(sysroot), "/usr/bin/x", cfg)
+    r = Resolver(cfg).resolve("/opt/libs/libabs.so", summary_with(sysroot), "/usr/bin/x")
     assert r.resolved and r.path == "/opt/libs/libabs.so"
     assert r.origin is Origin.DIRECT
 
@@ -435,7 +433,7 @@ def test_resolution_follows_symlinked_library(sysroot):
     sysroot.write("/usr/lib/libz.so.1.2.13", elf_bytes())
     sysroot.symlink("/usr/lib/libz.so.1", "libz.so.1.2.13")
     cfg = config_for(sysroot, default_dirs=["/usr/lib"])
-    r = resolve_needed("libz.so.1", summary_with(sysroot), "/bin/x", cfg)
+    r = Resolver(cfg).resolve("libz.so.1", summary_with(sysroot), "/bin/x")
     assert r.path == "/usr/lib/libz.so.1.2.13"
 
 
@@ -443,7 +441,7 @@ def test_symlink_loop_in_search_dir_is_skipped(sysroot):
     sysroot.symlink("/lib/libloop.so", "/lib/libloop.so")
     sysroot.write("/usr/lib/libloop.so", elf_bytes())
     cfg = config_for(sysroot, default_dirs=["/lib", "/usr/lib"])
-    r = resolve_needed("libloop.so", summary_with(sysroot), "/bin/x", cfg)
+    r = Resolver(cfg).resolve("libloop.so", summary_with(sysroot), "/bin/x")
     assert r.path == "/usr/lib/libloop.so"
 
 
@@ -451,15 +449,34 @@ def test_resolution_never_escapes_sysroot(sysroot):
     # the host certainly has /etc/passwd; the sysroot link points there
     sysroot.symlink("/lib/passwd", "/../../../../etc/passwd")
     cfg = config_for(sysroot, default_dirs=["/lib"])
-    r = resolve_needed("passwd", summary_with(sysroot), "/bin/x", cfg)
+    r = Resolver(cfg).resolve("passwd", summary_with(sysroot), "/bin/x")
     assert not r.resolved  # sysroot has no /etc/passwd
 
 
 def test_directory_is_not_a_resolution(sysroot):
     sysroot.mkdir("/usr/lib/libdir.so")
     cfg = config_for(sysroot, default_dirs=["/usr/lib"])
-    r = resolve_needed("libdir.so", summary_with(sysroot), "/bin/x", cfg)
+    r = Resolver(cfg).resolve("libdir.so", summary_with(sysroot), "/bin/x")
     assert not r.resolved
+
+
+NOT_A_FILE = {
+    "directory": lambda b, path: b.mkdir(path),
+    "fifo": lambda b, path: os.mkfifo(b.mkdir(os.path.dirname(path)) + "/libx.so"),
+    "dangling-link": lambda b, path: b.symlink(path, "libnone.so"),
+    "looping-link": lambda b, path: b.symlink(path, "libx.so"),
+}
+
+
+@pytest.mark.parametrize("kind", NOT_A_FILE)
+def test_search_skips_what_is_no_regular_file(sysroot, kind):
+    # only a regular file ends the search; anything else named like the
+    # library leaves it to the later stages
+    NOT_A_FILE[kind](sysroot, "/opt/early/libx.so")
+    sysroot.write("/usr/lib/libx.so", elf_bytes())
+    cfg = config_for(sysroot, default_dirs=["/usr/lib"])
+    r = Resolver(cfg).resolve("libx.so", summary_with(sysroot, runpath="/opt/early"), "/bin/x")
+    assert (r.path, r.origin) == ("/usr/lib/libx.so", Origin.DEFAULT_DIR)
 
 
 def test_resolver_cache_agrees_with_pure_function(sysroot):
@@ -469,5 +486,5 @@ def test_resolver_cache_agrees_with_pure_function(sysroot):
     resolver = Resolver(cfg)
     once = resolver.resolve("libm.so.6", s, "/usr/bin/tool")
     twice = resolver.resolve("libm.so.6", s, "/usr/bin/tool")
-    pure = resolve_needed("libm.so.6", s, "/usr/bin/tool", cfg)
+    pure = Resolver(cfg).resolve("libm.so.6", s, "/usr/bin/tool")
     assert once == twice == pure

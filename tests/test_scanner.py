@@ -13,10 +13,9 @@ import pytest
 import depex.elf
 import depex.scanner
 from depex.elf import DT_SYMENT, DT_SYMTAB
-from depex.resolver import (NoSuchPath, Resolver, SearchConfig, SymlinkLoop,
-                            canonicalize_in_sysroot)
-from depex.scanner import RelativeExclude, ScanOptions, SysrootUnreadable, scan_tree
-from conftest import SysrootBuilder
+from depex.resolver import Resolver, SearchConfig
+from depex.scanner import RelativePath, ScanOptions, SysrootUnreadable, scan_tree
+from conftest import SysrootBuilder, make_demo_sysroot
 from elfbuild import ElfSpec, build_elf, with_dynamic_entry
 from oracles import NO_SUCH_PATH, canonical_reference
 
@@ -116,8 +115,39 @@ def test_excluded_prefixes(sysroot):
 def test_relative_excluded_prefix_rejected(demo_sysroot):
     options = options_for(demo_sysroot)
     options.excluded_prefixes.append("usr/lib")
-    with pytest.raises(RelativeExclude, match="usr/lib"):
+    with pytest.raises(RelativePath, match="usr/lib"):
         scan_tree(options)
+
+
+def test_error_records_name_no_host_path(tmp_path, monkeypatch):
+    real_scandir, real_open = os.scandir, builtins.open
+
+    def denied(path):
+        return PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+    def scandir(path):
+        if path.endswith("/usr/share"):
+            raise denied(path)
+        return real_scandir(path)
+
+    def open_(file, *a, **kw):
+        if isinstance(file, str) and file.endswith("/usr/lib/libx.so"):
+            raise denied(file)
+        return real_open(file, *a, **kw)
+
+    records = []
+    for where in ("a", "other/b"):
+        tree = make_demo_sysroot(SysrootBuilder(str(tmp_path / where / "sysroot")))
+        tree.write("/usr/share/doc/readme", b"text")
+        tree.elf("/usr/lib/libx.so", ElfSpec(soname="libx.so"))
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "scandir", scandir)
+            patch.setattr(builtins, "open", open_)
+            records.append(scan_tree(options_for(tree)).error_records)
+    assert records[0] == records[1] == [
+        ("/usr/share", "listing failed: Permission denied"),
+        ("/usr/lib/libx.so", "read failed: Permission denied"),
+    ]
 
 
 def test_truncated_elf_recorded_not_fatal(sysroot):
@@ -217,10 +247,12 @@ def test_extraction_record_holds_plain_values(demo_sysroot):
 
 def test_resolved_target_outside_graph_downgraded_to_missing(sysroot):
     # the needed name lands on a non-ELF file: a loader would choke on it,
-    # so the edge records an unmet requirement rather than a bogus target
+    # so the edge records an unmet requirement rather than a bogus target;
+    # a regular file ends the search, so the library in /usr/lib is not reached
     sysroot.elf("/usr/bin/tool", ElfSpec(
         e_type=2, interpreter="/lib/ld.so", needed=["libtext.so"]))
-    sysroot.write("/usr/lib/libtext.so", b"just text, not a library\n")
+    sysroot.write("/lib/libtext.so", b"just text, not a library\n")
+    sysroot.elf("/usr/lib/libtext.so", ElfSpec(soname="libtext.so"))
     result = scan_tree(options_for(sysroot))
     assert edge_tuples(result) == [("/usr/bin/tool", "libtext.so", None)]
 
@@ -362,16 +394,8 @@ def test_canonicalize_matches_reference(sysroot, seed):
     for _ in range(300):
         spelling = random_spelling(rng, names)
         expected = canonical_reference(sysroot.root, spelling)
-        hit = shared.canonical(spelling)
-        assert (hit and (NO_SUCH_PATH if hit[0] is None else hit[0])) == expected, spelling
-        if expected is None:
-            with pytest.raises(SymlinkLoop):
-                canonicalize_in_sysroot(spelling, config)
-        elif expected == NO_SUCH_PATH:
-            with pytest.raises(NoSuchPath):
-                canonicalize_in_sysroot(spelling, config)
-        else:
-            assert canonicalize_in_sysroot(spelling, config) == expected
+        for hit in (shared.canonical(spelling), Resolver(config).canonical(spelling)):
+            assert (hit and (NO_SUCH_PATH if hit[0] is None else hit[0])) == expected, spelling
 
 
 def test_link_chain_past_the_limit_matches_the_kernel(tmp_path):

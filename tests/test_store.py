@@ -153,12 +153,6 @@ def test_duplicate_needed_name_rejected(tmp_path):
         save_snapshot(FakeResult(nodes, edges), "dup", db_file(tmp_path))
 
 
-def test_not_elf_kind_rejected(tmp_path):
-    nodes = [FileNode(0, None, "/etc/motd", [], FileKind.NOT_ELF)]
-    with pytest.raises(StorageFailure):
-        save_snapshot(FakeResult(nodes, []), "bad", db_file(tmp_path))
-
-
 def kill_writer_mid_transaction(db: str, rows: int, cache_pages: int = 2000) -> None:
     script = textwrap.dedent(f"""
         import os, sqlite3
@@ -260,7 +254,7 @@ def test_reverse_adjacency_is_exact_transpose():
     assert forward == transposed
 
 
-STORABLE_KINDS = [k for k in FileKind if k is not FileKind.NOT_ELF]
+STORABLE_KINDS = list(FileKind)
 
 
 def release(k: int) -> FakeResult:

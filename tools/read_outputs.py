@@ -1,7 +1,9 @@
-"""Print what depex's read commands write for one benchmark database.
+"""Print what depex's read commands, and its scans, answer on fixed inputs.
 
     python3 tools/read_outputs.py build corpus-read WHERE
     python3 tools/read_outputs.py dump SRC WHERE > out.txt
+    python3 tools/read_outputs.py build-trees WHERE
+    python3 tools/read_outputs.py scans SRC WHERE > out.txt
 
 `build` generates a perfbench workload's seed-1 inputs under WHERE through
 `perfbench/workload.py` (scan-distro is scanned into a database first) and
@@ -11,6 +13,13 @@ imports depex from the source directory SRC, runs `stats --json`, `dot`,
 queries in-process against that database, and prints each command line,
 its exit code and its output. Dumps made with the `src/` of two commits
 differ in a byte exactly when a read answer does.
+
+`build-trees` writes the test suite's demo tree and perfbench's seed-1
+scan-distro tree under WHERE. `scans` imports depex from SRC, scans each
+tree with symlink following on and off, and prints the counts, every node
+(path, kind, soname, size, aliases), every edge (with its target and
+origin) and every error record. Scan dumps likewise differ in a byte
+exactly when a scan answer does.
 """
 
 from __future__ import annotations
@@ -45,6 +54,43 @@ def build(workload: str, where: str) -> None:
                    "queries": [argv for argv, _ in prepared.queries]}, f)
 
 
+def build_trees(where: str) -> None:
+    sys.path[:0] = [os.path.join(ROOT, d) for d in ("perfbench", "src", "tests")]
+    from conftest import make_demo_sysroot
+    from gen import GENERATORS
+    from model import TreeWriter
+
+    demo = make_demo_sysroot(TreeWriter(os.path.join(where, "demo"))).root
+    distro = GENERATORS["scan-distro"](os.path.join(where, "scan-distro"), 1).tree.root
+    with open(os.path.join(where, "trees.json"), "w") as f:
+        json.dump({"demo": os.path.abspath(demo),
+                   "scan-distro": os.path.abspath(distro)}, f)
+
+
+def scans(src: str, where: str) -> None:
+    sys.path.insert(0, os.path.abspath(src))
+    from depex.resolver import SearchConfig
+    from depex.scanner import ScanOptions, scan_tree
+
+    with open(os.path.join(where, "trees.json")) as f:
+        trees = json.load(f)
+    out = sys.stdout
+    for name, root in trees.items():
+        for follow in (True, False):
+            r = scan_tree(ScanOptions(SearchConfig(root), follow_symlinks=follow))
+            out.write(f"$ scan {name} follow_symlinks={follow}\n{r.counts}\n")
+            paths = [n.canonical_path for n in r.nodes]
+            for n in r.nodes:
+                out.write(f"node {n.canonical_path} {n.kind.value} {n.soname} "
+                          f"{n.size_bytes} {' '.join(n.alias_paths)}\n")
+            for e in r.edges:
+                target = None if e.to_node is None else paths[e.to_node]
+                origin = e.origin and e.origin.value
+                out.write(f"edge {paths[e.from_node]} {e.needed_name} {target} {origin}\n")
+            for path, message in r.error_records:
+                out.write(f"error {path} {message}\n")
+
+
 def dump(src: str, where: str) -> None:
     sys.path.insert(0, os.path.abspath(src))
     import depex.cli
@@ -60,7 +106,8 @@ def dump(src: str, where: str) -> None:
 
 
 if __name__ == "__main__":
-    commands = {"build": build, "dump": dump}
-    if len(sys.argv) != 4 or sys.argv[1] not in commands:
+    commands = {"build": build, "dump": dump, "build-trees": build_trees, "scans": scans}
+    command = commands.get(sys.argv[1] if len(sys.argv) > 1 else "")
+    if command is None or len(sys.argv) - 2 != command.__code__.co_argcount:
         sys.exit(__doc__.split("\n\n")[1])
-    commands[sys.argv[1]](sys.argv[2], sys.argv[3])
+    command(*sys.argv[2:])
