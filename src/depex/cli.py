@@ -167,7 +167,7 @@ def _load(args) -> DependencyGraph:
 
 
 def _paths(graph: DependencyGraph, ids) -> list[str]:
-    return sorted(graph.paths[graph.pos[n]] for n in ids)
+    return sorted(graph.paths[n] for n in ids)
 
 
 def _print_json(obj) -> None:
@@ -222,7 +222,7 @@ def _cmd_who_uses(args) -> int:
     node = find_node(graph, args.name)
     users = _paths(graph, who_uses(graph, node, transitive=args.transitive))
     if args.as_json:
-        _print_json({"library": graph.paths[graph.pos[node]],
+        _print_json({"library": graph.paths[node],
                      "transitive": args.transitive, "dependents": users})
     else:
         for path in users:
@@ -236,7 +236,7 @@ def _cmd_get_deps(args) -> int:
     deps = get_deps(graph, node)
     if args.as_json:
         _print_json({
-            "file": graph.paths[graph.pos[node]],
+            "file": graph.paths[node],
             "dependencies": [
                 {"needed_name": name,
                  "status": "resolved" if res.resolved else "missing",
@@ -257,7 +257,7 @@ def _cmd_get_all_deps(args) -> int:
     node = find_node(graph, args.name)
     closure = _paths(graph, get_all_deps(graph, node))
     if args.as_json:
-        _print_json({"file": graph.paths[graph.pos[node]],
+        _print_json({"file": graph.paths[node],
                      "dependencies": closure})
     else:
         for path in closure:
@@ -270,7 +270,7 @@ def _cmd_impact(args) -> int:
     node = find_node(graph, args.name)
     impact = update_impact(graph, node)
     payload = {
-        "library": graph.paths[graph.pos[node]],
+        "library": graph.paths[node],
         "direct": _paths(graph, impact.direct),
         "transitive": _paths(graph, impact.transitive),
         "executables_affected": _paths(graph, impact.executables_affected),

@@ -34,20 +34,19 @@ def _node_attrs(kind: FileKind) -> str:
 
 def emit_dot(graph: DependencyGraph, options: DotOptions | None = None) -> str:
     options = options or DotOptions()
-    paths, pos = graph.paths, graph.pos
+    paths = graph.paths
 
-    visible = set(range(len(paths)))  # node positions
+    visible = set(range(len(paths)))  # node ids
     if options.roots is not None:
         keep: set[int] = set()
         for root in options.roots:
             keep.add(graph.require(root))
-            keep.update(map(pos.__getitem__, graph.reachable_from(root)))
+            keep.update(graph.reachable_from(root))
         visible &= keep
 
     if options.hide_top_k > 0:
         pop = popularity(graph)
-        ranked = sorted(range(len(paths)),
-                        key=lambda p: (-pop[graph.ids[p]], paths[p]))
+        ranked = sorted(range(len(paths)), key=lambda p: (-pop[p], paths[p]))
         visible -= set(ranked[: options.hide_top_k])
 
     if options.hide_names:

@@ -65,7 +65,7 @@ def _labels_or_all(db_path: str, labels: list[str] | None) -> list[str]:
 
 def _trend_row(label: str, graph: DependencyGraph) -> TrendRow:
     stats = stats_summary(graph)
-    return TrendRow(label=label, files_total=len(graph.ids),
+    return TrendRow(label=label, files_total=len(graph.paths),
                     unused_fraction=round(stats.unused / stats.libraries, 4)
                     if stats.libraries else 0.0, **asdict(stats))
 

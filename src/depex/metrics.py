@@ -46,7 +46,7 @@ def closure_sizes(graph: DependencyGraph) -> dict[int, int]:
     that popcount minus one. A reach is dropped once the last edge into its
     component has been read.
     """
-    n, start, dst, in_start = len(graph.ids), graph.out_start, graph.dst, graph.in_start
+    n, start, dst, in_start = len(graph.paths), graph.out_start, graph.dst, graph.in_start
     succ = [[d for d in dst[start[p]:start[p + 1]] if d >= 0] for p in range(n)]
     index = [-1] * n      # discovery order; -1 until visited
     low = [0] * n
@@ -108,14 +108,13 @@ def closure_sizes(graph: DependencyGraph) -> dict[int, int]:
                 size = reached.bit_count() + len(members) - 1
                 for m in members:
                     sizes[m] = size
-    return dict(zip(graph.ids, sizes))
+    return dict(enumerate(sizes))
 
 
 def popularity(graph: DependencyGraph) -> dict[int, int]:
     """Per node: how many distinct files import it directly."""
     start, sources = graph.in_start, graph.in_src
-    return {node_id: len(set(sources[start[p]:start[p + 1]]))
-            for p, node_id in enumerate(graph.ids)}
+    return {p: len(set(sources[start[p]:start[p + 1]])) for p in range(len(graph.paths))}
 
 
 @dataclass
@@ -129,10 +128,8 @@ def health(graph: DependencyGraph) -> HealthReport:
     resolved_names = {name for name, d in zip(graph.names, graph.dst) if d >= 0}
     missing = graph.missing_names
     start = graph.in_start
-    unused = {
-        node_id for p, (node_id, kind) in enumerate(zip(graph.ids, graph.kinds))
-        if kind is FileKind.SHARED_LIBRARY and start[p] == start[p + 1]
-    }
+    unused = {p for p, kind in enumerate(graph.kinds)
+              if kind is FileKind.SHARED_LIBRARY and start[p] == start[p + 1]}
     return HealthReport({name for _, name in missing if name not in resolved_names},
                         {node_id for node_id, _ in missing}, unused)
 
@@ -166,9 +163,9 @@ def coverage(graph: DependencyGraph,
     of them; the loader's first-wins choice is deliberately not modeled.
     """
     report = CoverageReport()
-    ids, paths, start, dst = graph.ids, graph.paths, graph.out_start, graph.dst
-    for p, node_id in enumerate(ids):
-        summary = summaries.get(paths[p])
+    paths, start, dst = graph.paths, graph.out_start, graph.dst
+    for p, path in enumerate(paths):
+        summary = summaries.get(path)
         if summary is None or not summary.undefined_symbols:
             continue
         imports = summary.undefined_symbols
@@ -180,7 +177,7 @@ def coverage(graph: DependencyGraph,
             exports = target_summary.exported_symbols
             satisfied = set(imports & exports)
             satisfied_anywhere |= satisfied
-            report.rows[(node_id, ids[d])] = CoverageRow(
+            report.rows[(p, d)] = CoverageRow(
                 satisfied=satisfied,
                 satisfied_count=len(satisfied),
                 library_export_count=len(exports),
@@ -188,10 +185,10 @@ def coverage(graph: DependencyGraph,
             )
         unsatisfied = set(imports - satisfied_anywhere)
         if unsatisfied:
-            report.unsatisfied_symbols[node_id] = unsatisfied
+            report.unsatisfied_symbols[p] = unsatisfied
             optional = unsatisfied & summary.weak_undefined_symbols
             if optional:
-                report.unsatisfied_optional[node_id] = optional
+                report.unsatisfied_optional[p] = optional
     return report
 
 
@@ -215,7 +212,7 @@ def stats_summary(graph: DependencyGraph) -> StatsSummary:
     O(V + E) plus one OR of at most V bits per edge between components,
     not a DFS per node at O(V * (V + E)).
     """
-    kinds, ids, start = graph.kinds, graph.ids, graph.out_start
+    kinds, start = graph.kinds, graph.out_start
     population = [p for p, kind in enumerate(kinds)
                   if kind in (FileKind.EXECUTABLE_BINARY, FileKind.SHARED_LIBRARY)]
     executables = sum(1 for p in population if kinds[p] is FileKind.EXECUTABLE_BINARY)
@@ -224,7 +221,7 @@ def stats_summary(graph: DependencyGraph) -> StatsSummary:
     report = health(graph)
     directs = [start[p + 1] - start[p] for p in population]
     closure = closure_sizes(graph)
-    recursives = [closure[ids[p]] for p in population]
+    recursives = [closure[p] for p in population]
     count = len(population)
     return StatsSummary(
         executables=executables,

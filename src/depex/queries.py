@@ -38,8 +38,8 @@ def who_uses(graph: DependencyGraph, node_id: int, transitive: bool = False) -> 
     """Files that depend on this one, directly or through any chain."""
     if transitive:
         return graph.reverse_reachable(node_id)
-    p, ids = graph.require(node_id), graph.ids
-    return {ids[s] for s in graph.in_src[graph.in_start[p]:graph.in_start[p + 1]]}
+    p = graph.require(node_id)
+    return set(graph.in_src[graph.in_start[p]:graph.in_start[p + 1]])
 
 
 @dataclass
@@ -53,10 +53,7 @@ def update_impact(graph: DependencyGraph, node_id: int) -> UpdateImpact:
     """Everything that would feel an update of this library."""
     direct = who_uses(graph, node_id, transitive=False)
     transitive = who_uses(graph, node_id, transitive=True)
-    executables = {
-        n for n in transitive
-        if graph.kinds[graph.pos[n]] is FileKind.EXECUTABLE_BINARY
-    }
+    executables = {n for n in transitive if graph.kinds[n] is FileKind.EXECUTABLE_BINARY}
     return UpdateImpact(direct, transitive, executables)
 
 
@@ -69,14 +66,14 @@ def find_node(graph: DependencyGraph, ref: str) -> int:
     """
     by_soname = [p for p, soname in enumerate(graph.sonames) if soname == ref]
     if len(by_soname) == 1:
-        return graph.ids[by_soname[0]]
+        return by_soname[0]
     if len(by_soname) > 1:
         raise AmbiguousName(ref, sorted(graph.paths[p] for p in by_soname))
     suffix = "/" + ref.lstrip("/")
     by_path = [p for p, path in enumerate(graph.paths)
                if path == ref or path.endswith(suffix)]
     if len(by_path) == 1:
-        return graph.ids[by_path[0]]
+        return by_path[0]
     if len(by_path) > 1:
         raise AmbiguousName(ref, sorted(graph.paths[p] for p in by_path))
     raise UnknownNode(ref)

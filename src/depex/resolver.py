@@ -77,11 +77,11 @@ def substitute_origin(raw_path_element: str, dependent_file_dir: str) -> str:
 
 
 def _split_search_value(raw: str, dependent_dir: str) -> list[str]:
-    return [
-        substitute_origin(elem, dependent_dir)
-        for elem in raw.split(":")
-        if elem
-    ]
+    """The absolute directories of an RPATH or RUNPATH value. The loader
+    reads an element that is still relative after $ORIGIN against the
+    process's working directory, which a scan cannot know: it is dropped."""
+    return [d for d in (substitute_origin(elem, dependent_dir)
+                        for elem in raw.split(":")) if d.startswith("/")]
 
 
 def build_search_stages(summary: SearchPaths, dependent_dir: str,
@@ -258,7 +258,7 @@ class Resolver:
                     pattern = posixpath.join(posixpath.dirname(conf_path), pattern)
                 for match in self._glob(pattern):
                     self._read_ldso_conf(match, chain)
-            else:
+            elif line.startswith("/"):  # a relative line names no fixed directory
                 self._ldso_dirs.append(line)
 
     def _glob(self, pattern: str) -> list[str]:

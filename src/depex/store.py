@@ -5,15 +5,14 @@ evolution reports work without juggling files. The write path is a single
 exclusive transaction: a crash mid-save leaves the database exactly as it
 was. Reads open the file read-only, so they never create or alter it.
 
-A loaded graph is columns, not records: nodes sit at dense positions in
-stored-id order, edges are grouped by source position in import-table
-order, adjacency is CSR (compressed sparse row) offsets over them, and
-`nodes` and `adjacency` are views that build a record only when one is
-read; see DependencyGraph. load_graph reads idx_files_snapshot (files in
-id order, no sort; the alias subselect) and idx_deps_snapshot. An older
-database loads the same answers without them, through
-idx_files_snapshot_kind plus a sort and a full deps scan; the next save
-into it creates both and drops the indexes no query reads.
+A loaded graph is columns, not records, with CSR (compressed sparse row)
+adjacency; see DependencyGraph. Node and edge ids are positions in it:
+the row ids of files and deps never leave this module, and a scan's ids
+come back from save_snapshot and load_graph unchanged. load_graph reads
+idx_files_snapshot (files in id order, no sort; the alias subselect) and
+idx_deps_snapshot. An older database loads the same answers without
+them, through idx_files_snapshot_kind plus a sort and a full deps scan;
+the next save into it creates both and drops the indexes no query reads.
 """
 
 from __future__ import annotations
@@ -122,22 +121,24 @@ class _View(Mapping):
         self._graph, self._record = graph, record
 
     def __getitem__(self, node_id: int):
-        return self._record(self._graph.pos[node_id])
+        if node_id not in self._graph:
+            raise KeyError(node_id)
+        return self._record(node_id)
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self._graph.ids)
+        return iter(range(len(self)))
 
     def __len__(self) -> int:
-        return len(self._graph.ids)
+        return len(self._graph.paths)
 
 
 class DependencyGraph:
     """One snapshot's nodes and edges as columns, with CSR adjacency.
 
-    Per node position: ids, paths, kinds, sonames, sizes, and sparse
-    aliases; pos maps a stored id to its position. Per edge: edge_ids, src
-    and dst positions (dst -1: unresolved), names and origins, grouped by
-    source in import-table order, so position p's out-edges are numbers
+    A node's id is its position in the order given: paths, kinds, sonames,
+    sizes and sparse aliases are indexed by it. An edge's id is its position
+    once grouped by source in import-table order: src and dst node ids (dst
+    -1: unresolved), names and origins, so node p's out-edges are numbers
     out_start[p] to out_start[p + 1] - 1. The reverse CSR over resolved
     edges (in_start, in_src) is built on first use. `nodes` and `adjacency`
     are read-only id -> record views that build a record when it is read.
@@ -149,37 +150,39 @@ class DependencyGraph:
         self._fill(snapshot, _columns(((n.id, n.canonical_path, n.kind, n.soname,
                                         n.size_bytes) for n in nodes), 5),
                    [(n.id, alias) for n in nodes for alias in n.alias_paths],
-                   _columns(((e.id, e.from_node, e.needed_name, e.to_node, e.origin)
-                             for e in edges), 5))
+                   _columns(((e.from_node, e.needed_name, e.to_node, e.origin)
+                             for e in edges), 4))
 
     def _fill(self, snapshot, node_columns, alias_rows, edge_columns) -> None:
         """Node columns in record field order, alias rows (id, alias), edge
-        columns with stored ids; KeyError for an edge id outside the nodes."""
+        columns (from, name, to, origin); the given node ids only place the
+        aliases and the edge ends. KeyError for an edge end outside the nodes."""
         self.snapshot = snapshot
-        self.ids, self.paths, self.kinds, self.sonames, self.sizes = node_columns
-        self.pos = pos = dict(zip(self.ids, range(len(self.ids))))
+        ids, self.paths, self.kinds, self.sonames, self.sizes = node_columns
+        pos = dict(zip(ids, range(len(ids))))
         self.aliases: dict[int, list[str]] = {}
         for node_id, alias in alias_rows:
             self.aliases.setdefault(pos[node_id], []).append(alias)
-        edge_ids, froms, names, tos, origins = edge_columns
+        froms, names, tos, origins = edge_columns
         src = list(map(pos.__getitem__, froms))
-        dst = list(map({**pos, None: -1}.__getitem__, tos))
-        columns = (edge_ids, src, names, dst, origins)
+        pos[None] = -1
+        dst = list(map(pos.__getitem__, tos))
+        columns = (src, names, dst, origins)
         if any(map(gt, src, src[1:])):  # not grouped by source: a stable sort
             order = sorted(range(len(src)), key=src.__getitem__)
             columns = [[column[e] for e in order] for column in columns]
-        self.edge_ids, self.src, self.names, self.dst, self.origins = columns
-        self.out_start = _offsets(self.src, len(self.ids))
+        self.src, self.names, self.dst, self.origins = columns
+        self.out_start = _offsets(self.src, len(ids))
 
     @cached_property
     def in_start(self) -> list[int]:
         """Reverse CSR offsets: the sources of the resolved edges into
-        position p are in_src[in_start[p]:in_start[p + 1]]."""
-        return _offsets(self.dst, len(self.ids))
+        node p are in_src[in_start[p]:in_start[p + 1]]."""
+        return _offsets(self.dst, len(self.paths))
 
     @cached_property
     def in_src(self) -> list[int]:
-        """Source positions of the resolved edges, grouped by target by the
+        """Source ids of the resolved edges, grouped by target by the
         second pass of a counting sort over in_start."""
         fill = self.in_start[:-1]
         sources = [0] * self.in_start[-1]
@@ -195,36 +198,32 @@ class DependencyGraph:
 
     @property
     def adjacency(self) -> Mapping[int, list[DependencyEdge]]:
-        sid, ids, start, dst = self.snapshot.id, self.ids, self.out_start, self.dst
+        sid, start, dst = self.snapshot.id, self.out_start, self.dst
         return _View(self, lambda p: [
-            DependencyEdge(self.edge_ids[e], sid, ids[p], self.names[e],
-                           None if dst[e] < 0 else ids[dst[e]], self.origins[e])
+            DependencyEdge(e, sid, p, self.names[e], None if dst[e] < 0 else dst[e],
+                           self.origins[e])
             for e in range(start[p], start[p + 1])])
 
     def _node(self, p: int) -> FileNode:
-        return FileNode(self.ids[p], self.snapshot.id, self.paths[p],
-                        list(self.aliases.get(p, ())), self.kinds[p], self.sonames[p],
-                        self.sizes[p])
+        return FileNode(p, self.snapshot.id, self.paths[p], list(self.aliases.get(p, ())),
+                        self.kinds[p], self.sonames[p], self.sizes[p])
 
     @property
     def missing_names(self) -> set[tuple[int, str]]:
         """(node id, needed name) of every unresolved edge."""
-        ids = self.ids
-        return {(ids[s], name) for s, name, d in zip(self.src, self.names, self.dst)
-                if d < 0}
+        return {(s, name) for s, name, d in zip(self.src, self.names, self.dst) if d < 0}
 
     def __contains__(self, node_id: int) -> bool:
-        return node_id in self.pos
+        return node_id in range(len(self.paths))  # no wrap-around: -1 is no node
 
     def require(self, node_id: int) -> int:
-        """The position of a node id; UnknownNode if the graph has none."""
-        try:
-            return self.pos[node_id]
-        except KeyError:
-            raise UnknownNode(node_id) from None
+        """node_id, once it is checked; UnknownNode if the graph has none."""
+        if node_id not in self:
+            raise UnknownNode(node_id)
+        return node_id
 
     def edges(self) -> Iterator[DependencyEdge]:
-        """Every edge as a new record, by source position in import-table order."""
+        """Every edge as a new record, by source in import-table order."""
         for out in self.adjacency.values():
             yield from out
 
@@ -247,8 +246,7 @@ class DependencyGraph:
                     seen.add(q)
                     stack.append(q)
         seen.discard(first)
-        ids = self.ids
-        return {ids[q] for q in seen}
+        return seen
 
 
 _SCHEMA = """
@@ -439,19 +437,22 @@ def load_graph(label: str, db_path: str) -> DependencyGraph:
             "SELECT file_id, alias_path FROM file_aliases WHERE file_id IN"
             " (SELECT id FROM files WHERE snapshot_id = ?) ORDER BY rowid",
             (snap.id,)).fetchall()
-        edge_ids, froms, names, tos, origins = _columns(con.execute(
-            "SELECT id, from_file, needed_name, to_file, origin FROM deps"
-            " WHERE snapshot_id = ? ORDER BY id", (snap.id,)), 5)
-    kinds, origins = list(map(_KINDS.__getitem__, kinds)), list(map(_ORIGINS.__getitem__, origins))
-    graph = DependencyGraph.__new__(DependencyGraph)
-    try:
-        graph._fill(snap, (ids, paths, kinds, sonames, sizes), aliases,
-                    (edge_ids, froms, names, tos, origins))
-    except KeyError as exc:  # only a from_file or to_file id can be missing
-        row = next(e for e, f, t in zip(edge_ids, froms, tos) if exc.args[0] in (f, t))
-        raise UnreadableDatabase(
-            f"deps row {row} of snapshot {label!r} names file {exc.args[0]},"
-            " which is not in that snapshot") from None
+        froms, names, tos, origins = _columns(con.execute(
+            "SELECT from_file, needed_name, to_file, origin FROM deps"
+            " WHERE snapshot_id = ? ORDER BY id", (snap.id,)), 4)
+        kinds = list(map(_KINDS.__getitem__, kinds))
+        origins = list(map(_ORIGINS.__getitem__, origins))
+        graph = DependencyGraph.__new__(DependencyGraph)
+        try:
+            graph._fill(snap, (ids, paths, kinds, sonames, sizes), aliases,
+                        (froms, names, tos, origins))
+        except KeyError as exc:  # only a from_file or to_file id can be missing
+            row, = con.execute("SELECT min(id) FROM deps WHERE snapshot_id = ?"
+                               " AND ? IN (from_file, to_file)",
+                               (snap.id, exc.args[0])).fetchone()
+            raise UnreadableDatabase(
+                f"deps row {row} of snapshot {label!r} names file {exc.args[0]},"
+                " which is not in that snapshot") from None
     return graph
 
 

@@ -271,6 +271,30 @@ def test_runpath_through_missing_component_finds_nothing(sysroot):
     assert not r.resolved
 
 
+def test_relative_search_elements_are_dropped(sysroot):
+    # ld.so reads a relative element against the process's working
+    # directory, which a scan cannot know: it is never searched, not even
+    # from the sysroot's root
+    sysroot.write("/lib/libx.so", elf_bytes())
+    sysroot.write("/opt/app/a", elf_bytes())
+    cfg = config_for(sysroot, default_dirs=[])
+    for s in (summary_with(sysroot, runpath="lib"), summary_with(sysroot, rpath="lib")):
+        assert not Resolver(cfg).resolve("libx.so", s, "/opt/app/a").resolved
+    r = Resolver(cfg).resolve("libx.so", summary_with(sysroot, runpath="lib:/lib"),
+                              "/opt/app/a")
+    assert (r.path, r.origin) == ("/lib/libx.so", Origin.RUNPATH)
+    # $ORIGIN makes an element absolute, so $ORIGIN/../lib is still searched
+    sysroot.write("/opt/lib/libx.so", elf_bytes())
+    r = Resolver(cfg).resolve("libx.so", summary_with(sysroot, runpath="$ORIGIN/../lib"),
+                              "/opt/app/a")
+    assert (r.path, r.origin) == ("/opt/lib/libx.so", Origin.RUNPATH)
+    sysroot.write("/etc/ld.so.conf", b"lib\n/opt/lib\n")
+    resolver = Resolver(cfg)
+    assert resolver.ldso_dirs() == ["/opt/lib"]
+    r = resolver.resolve("libx.so", summary_with(sysroot), "/opt/app/a")
+    assert (r.path, r.origin) == ("/opt/lib/libx.so", Origin.LDSO_CONF)
+
+
 # --- build_search_stages ----------------------------------------------------
 
 def stages_for(summary, dependent_dir, cfg):

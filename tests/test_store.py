@@ -72,6 +72,20 @@ def test_roundtrip(tmp_path):
     assert graph.missing_names == {(app.id, "libmissing.so")}
 
 
+def test_scan_ids_survive_save_and_load(demo_sysroot, tmp_path):
+    # node and edge ids are positions: the second snapshot of a database
+    # loads with the scan's ids, not with its row ids
+    db = db_file(tmp_path)
+    result = scan_tree(ScanOptions(SearchConfig(demo_sysroot.root)))
+    save_snapshot(result, "first", db)
+    save_snapshot(result, "second", db)
+    graph = load_graph("second", db)
+    assert [(n.id, n.canonical_path) for n in graph.nodes.values()] == \
+        [(n.id, n.canonical_path) for n in result.nodes]
+    assert [(e.id, e.from_node, e.needed_name, e.to_node, e.origin) for e in graph.edges()] == \
+        [(e.id, e.from_node, e.needed_name, e.to_node, e.origin) for e in result.edges]
+
+
 def test_scan_roundtrip_preserves_graph(demo_sysroot, tmp_path):
     db = db_file(tmp_path)
     result = scan_tree(ScanOptions(SearchConfig(demo_sysroot.root)))
@@ -240,8 +254,15 @@ def test_list_snapshots_empty(tmp_path):
 
 def test_unknown_node_raises():
     graph = build_graph([("/a", EXE)], [])
-    with pytest.raises(UnknownNode):
-        graph.require(42)
+    # a node id is a position, so -1 must not wrap around to the last node
+    for node_id in (42, -1, len(graph.nodes)):
+        with pytest.raises(UnknownNode):
+            graph.require(node_id)
+        with pytest.raises(UnknownNode):
+            who_uses(graph, node_id)
+        assert node_id not in graph
+        assert graph.nodes.get(node_id) is None and graph.adjacency.get(node_id) is None
+    assert list(graph.nodes) == [0] and 0 in graph
 
 
 def test_reverse_adjacency_is_exact_transpose():
@@ -249,8 +270,8 @@ def test_reverse_adjacency_is_exact_transpose():
         [("/a", EXE), ("/b", LIB), ("/c", LIB)],
         [(0, "b", 1), (0, "c", 2), (1, "c", 2), (2, "ghost", None)])
     forward = {(e.from_node, e.to_node) for e in graph.edges() if e.resolved}
-    transposed = {(graph.ids[s], target) for p, target in enumerate(graph.ids)
-                  for s in graph.in_src[graph.in_start[p]:graph.in_start[p + 1]]}
+    transposed = {(s, target) for target in range(len(graph.nodes))
+                  for s in graph.in_src[graph.in_start[target]:graph.in_start[target + 1]]}
     assert forward == transposed
 
 
@@ -298,7 +319,6 @@ def test_three_snapshots_roundtrip_apart(tmp_path):
     releases = {f"r{k}": release(k) for k in (1, 2, 3)}
     for label, result in releases.items():
         save_snapshot(result, label, db)
-    seen_ids: set[int] = set()
     for k in (1, 2, 3):
         label, result = f"r{k}", releases[f"r{k}"]
         graph = load_graph(label, db)
@@ -309,8 +329,6 @@ def test_three_snapshots_roundtrip_apart(tmp_path):
         assert {e.snapshot_id for e in graph.edges()} == {sid}
         assert all(e.from_node in graph and (e.to_node is None or e.to_node in graph)
                    for e in graph.edges())
-        assert not seen_ids & graph.nodes.keys()
-        seen_ids |= graph.nodes.keys()
         assert {e.origin for e in graph.edges()} == set(Origin) | {None}
         assert {n.kind for n in graph.nodes.values()} == set(STORABLE_KINDS)
         ids = {n.canonical_path: n.id for n in graph.nodes.values()}
@@ -501,3 +519,24 @@ def test_loaded_graph_answers_like_the_record_built_one(tmp_path):
             [DependencyEdge(i, None, src, name, dst, None if dst is None else Origin.DEFAULT_DIR)
              for i, (src, name, dst) in enumerate(stored)]), f"s{seed}", db)
         assert answers(load_graph(f"s{seed}", db)) == answers(built), seed
+
+
+def test_record_ids_only_place_nodes_and_edges():
+    nodes = [("/bin/app", EXE), ("/lib/liba.so", LIB, "liba.so"), ("/lib/libb.so", LIB)]
+    edges = [(0, "liba.so", 1), (0, "libghost.so", None), (1, "libb.so", 2), (2, "liba.so", 1)]
+    positional = build_graph(nodes, edges)
+    ids = [10, 20, 30]
+    records = DependencyGraph(positional.snapshot, [
+        FileNode(ids[i], 1, spec[0], [], spec[1], (spec[2:] or [None])[0])
+        for i, spec in enumerate(nodes)], [
+        DependencyEdge(99 - i, 1, ids[src], name, None if dst is None else ids[dst],
+                       None if dst is None else Origin.DEFAULT_DIR)
+        # sources last to first, each source's edges in import-table order
+        for i, (src, name, dst) in sorted(enumerate(edges), key=lambda e: -e[1][0])])
+    assert list(records.nodes) == list(records.adjacency) == [0, 1, 2]
+    assert [n.id for n in records.nodes.values()] == [0, 1, 2]
+    assert [(e.id, e.from_node, e.needed_name, e.to_node) for e in records.edges()] == \
+        [(0, 0, "liba.so", 1), (1, 0, "libghost.so", None), (2, 1, "libb.so", 2),
+         (3, 2, "liba.so", 1)]
+    assert 10 not in records
+    assert answers(records) == answers(positional)
