@@ -190,7 +190,7 @@ def _cmd_scan(args) -> int:
     print(f"snapshot {snapshot.label!r}: {c.files_seen} files seen, "
           f"{c.elf_parsed} parsed, {c.executables} executables, "
           f"{c.libraries} libraries, {len(result.edges)} dependencies, "
-          f"{c.errors} errors in {result.duration:.2f}s")
+          f"{c.errors} errors in {sum(result.phase_seconds.values()):.2f}s")
     return 0
 
 

@@ -6,6 +6,13 @@ re-rooting of absolute symlink targets). Resolver.canonical is the one
 canonicaliser: the scanner's walk, the search probes, ld.so.conf includes
 and multiarch listings all go through it. Resolver.resolve is the one
 implementation of the loader's search. A Resolver is the only way in.
+
+Lookups read directory listings, not one lstat per name: a Resolver keeps
+each listed directory's names with their d_type (Resolver.scandir, which
+the scanner's walk calls); on DT_UNKNOWN, os.DirEntry makes the lstat. A
+directory not listed, or not searchable, is probed by name, one lstat each,
+as the loader needs only search permission. The gap: for a file
+bind-mounted over a name, readdir reports the type and inode it covers.
 """
 
 from __future__ import annotations
@@ -122,14 +129,17 @@ class Resolver:
         self._resolution_cache: dict[tuple[str, str | None, str | None, str],
                                      Resolution] = {}
         # normalised spelling -> canonical's answer for it
-        self._memo: dict[str, tuple[str | None, int, bool] | None] = {
-            "/": ("/", 0, True)}
+        self._memo: dict[str, tuple[str | None, int, int] | None] = {
+            "/": ("/", 0, stat_module.S_IFDIR)}
+        # canonical directory -> {name: S_IFLNK, S_IFDIR, S_IFREG or 0 for
+        # any other type}; None for one that is not searchable
+        self._listings: dict[str, dict[str, int] | None] = {}
 
     def canonical(self, path: str, spent: int = 0
-                  ) -> tuple[str | None, int, bool] | None:
-        """(canonical spelling of path, links it follows, whether a directory
-        is there); None for a loop, and a canonical spelling of None when
-        there is no such path.
+                  ) -> tuple[str | None, int, int] | None:
+        """(canonical spelling of path, links it follows, the st_mode type
+        of what is there, 0 for nothing); None for a loop, and a canonical
+        spelling of None when there is no such path.
 
         Link targets are resolved against the canonical parent; absolute
         ones are re-rooted under the sysroot, and ".." clamps at it. A
@@ -140,7 +150,8 @@ class Resolver:
         kernel, a lookup that follows more than MAX_LINK_TRAVERSALS links,
         counted over the whole path, is a loop; spent is what an enclosing
         lookup has followed already. Only following a link recurses, so the
-        depth is bounded by the limit.
+        depth is bounded by the limit. A name in a directory that
+        Resolver.scandir has listed is looked up in that listing, not lstat.
         """
         memo = self._memo
         key, parts = path, []
@@ -154,25 +165,27 @@ class Resolver:
         hit = memo[key]
         if hit is None or spent + hit[1] > MAX_LINK_TRAVERSALS:
             return None
-        canonical, links, is_dir = hit
+        canonical, links, mode = hit
         if canonical is None:
             return hit
         for name in parts:
             key = posixpath.join(key, name)
             if name == "..":
-                if not is_dir:
-                    memo[key] = hit = (None, links, False)
+                if not stat_module.S_ISDIR(mode):
+                    memo[key] = hit = (None, links, 0)
                     return hit
                 canonical = posixpath.dirname(canonical)
             else:
                 parent, canonical = canonical, posixpath.join(canonical, name)
+                # nothing is below a missing component or a non-directory
+                listing = self._listings.get(parent) if stat_module.S_ISDIR(mode) else {}
                 try:
-                    st = os.lstat(self._host + canonical)
-                    is_dir = stat_module.S_ISDIR(st.st_mode)
+                    mode = (os.lstat(self._host + canonical).st_mode if listing is None
+                            else listing.get(name, 0))
                     target = (os.readlink(self._host + canonical)
-                              if stat_module.S_ISLNK(st.st_mode) else None)
+                              if stat_module.S_ISLNK(mode) else None)
                 except (OSError, ValueError):  # nothing there; ValueError: a NUL byte
-                    is_dir, target = False, None
+                    mode, target = 0, None
                 if target is not None:
                     memo[key] = None  # met again while following it: a loop
                     hit = (self.canonical(posixpath.join(parent, target), spent + links + 1)
@@ -181,32 +194,17 @@ class Resolver:
                         if spent:  # the enclosing lookup's budget may be what ran out
                             del memo[key]
                         return None
-                    canonical, links, is_dir = hit[0], links + 1 + hit[1], hit[2]
+                    canonical, links, mode = hit[0], links + 1 + hit[1], hit[2]
                     if canonical is None:
-                        memo[key] = hit = (None, links, False)
+                        memo[key] = hit = (None, links, 0)
                         return hit
-            memo[key] = (canonical, links, is_dir)
-        return canonical, links, is_dir
+            memo[key] = (canonical, links, mode)
+        return canonical, links, mode
 
     def canonical_file_stat(self, path: str) -> tuple[str | None, os.stat_result | None]:
-        """(canonical path, stat): the memo for the directory, then one lstat
-        unless the name is a link. canonical None means a symlink loop;
-        stat None, nothing at the canonical path, which is path itself when
-        there is no such path."""
-        directory, name = posixpath.split(path)
-        if name not in ("", ".", ".."):
-            hit = self.canonical(directory)
-            if hit is None:
-                return None, None
-            if hit[0] is None:
-                return path, None
-            canonical = posixpath.join(hit[0], name)
-            try:
-                st = os.lstat(self._host + canonical)
-            except (OSError, ValueError):  # ValueError: a NUL byte in the name
-                return canonical, None
-            if not stat_module.S_ISLNK(st.st_mode):
-                return canonical, st
+        """(canonical path, stat) of what path names, links followed.
+        canonical None means a symlink loop; stat None, nothing at the
+        canonical path, which is path itself when there is no such path."""
         hit = self.canonical(path)
         if hit is None:
             return None, None
@@ -217,11 +215,27 @@ class Resolver:
         except (OSError, ValueError):
             return hit[0], None
 
+    def scandir(self, directory: str) -> tuple[list[tuple[str, int, int]], bool]:
+        """(entries, searchable): each entry's (name, type, inode) from
+        readdir(3), sorted by name, the type S_IFLNK, S_IFDIR, S_IFREG or 0;
+        and whether names in it can be stat'd, kept for lookups only then.
+        OSError if the canonical directory cannot be listed."""
+        with os.scandir(self._host + directory) as it:
+            entries = sorted(
+                (e.name, stat_module.S_IFLNK if e.is_symlink()
+                 else stat_module.S_IFDIR if e.is_dir(follow_symlinks=False)
+                 else stat_module.S_IFREG if e.is_file(follow_symlinks=False)
+                 else 0, e.inode()) for e in it)
+        searchable = os.access(self._host + directory, os.X_OK)
+        self._listings[directory] = dict(e[:2] for e in entries) if searchable else None
+        return entries, searchable
+
     def _listdir(self, path: str) -> list[str]:
         """Sorted names in the directory path spells, listed inside the sysroot."""
         hit = self.canonical(path)
         try:
-            return sorted(os.listdir(self._host + hit[0])) if hit and hit[2] else []
+            return (sorted(os.listdir(self._host + hit[0]))
+                    if hit and stat_module.S_ISDIR(hit[2]) else [])
         except (OSError, ValueError):
             return []
 
@@ -286,11 +300,14 @@ class Resolver:
 
     def resolve(self, needed_name: str, summary: SearchPaths,
                 dependent_path: str) -> Resolution:
-        dependent_dir = posixpath.dirname(dependent_path) or "/"
-        key = (needed_name, summary.rpath, summary.runpath, dependent_dir)
+        # only $ORIGIN and a name with '/' read the dependent's directory
+        reads_dir = "/" in needed_name or "$" in f"{summary.rpath}{summary.runpath}"
+        key = (needed_name, summary.rpath, summary.runpath,
+               posixpath.dirname(dependent_path) if reads_dir else None)
         hit = self._resolution_cache.get(key)
         if hit is not None:
             return hit
+        dependent_dir = posixpath.dirname(dependent_path) or "/"
         if "/" in needed_name:
             # opened as given, relative to the dependent's directory
             stages = [(Origin.DIRECT, dependent_dir)]
@@ -301,9 +318,9 @@ class Resolver:
         for origin, directory in stages:
             # only a regular file ends the search: a directory, a FIFO or a
             # dangling or looping link named like the library is skipped
-            found, st = self.canonical_file_stat(posixpath.join(directory, needed_name))
-            if st is not None and stat_module.S_ISREG(st.st_mode):
-                result = Resolution(needed_name, found, origin)
+            hit = self.canonical(posixpath.join(directory, needed_name))
+            if hit is not None and stat_module.S_ISREG(hit[2]):
+                result = Resolution(needed_name, hit[0], origin)
                 break
         self._resolution_cache[key] = result
         return result

@@ -1,21 +1,21 @@
 """Sysroot walker: parses every ELF file under a sysroot, assembles the graph.
 
-The walk itself is serial (it is cheap) and works out each file's identity
-as it goes, through the resolver's one canonicaliser: its canonical path
-inside the sysroot, its inode and every symlinked or hard-linked spelling,
-so each file becomes one node with its aliases. Extraction then reads
-each canonical file once, in the calling process: a file that starts with
-the ELF magic is parsed for its link facts (no symbol sets) and
-classified; any other file is counted in files_seen and skipped. Each
-file's extraction is a flat record of plain values (kind, soname, needed
-names, RPATH, RUNPATH or the error), so no parsed image outlives its
-file. Records are assembled into a deterministic, path-sorted node list.
+The walk is serial (it is cheap) and works out each file's identity as it
+goes, from its directory's listing or, for a link, the resolver's one
+canonicaliser: its canonical path inside the sysroot, its inode and every
+symlinked or hard-linked spelling, so each file becomes one node with its
+aliases. Extraction then reads each canonical file once, in the calling
+process: a file that starts with the ELF magic is parsed for its link facts
+(no symbol sets) and classified; any other file is counted in files_seen
+and skipped. Each file's extraction is a flat record of plain values (kind,
+soname, needed names, RPATH, RUNPATH or the error), so no parsed image
+outlives its file. Records are assembled into a deterministic, path-sorted
+node list.
 """
 
 from __future__ import annotations
 
 import os
-import posixpath
 import stat as stat_module
 import time
 from collections.abc import Iterator
@@ -27,6 +27,7 @@ from depex.resolver import Resolver, SearchConfig
 from depex.store import DependencyEdge, FileNode
 
 DEFAULT_EXCLUDES = ("/proc", "/sys", "/dev", "/run")
+_FIRST_READ = 4096  # bytes: the st_blksize buffer a default open() fills
 
 
 class SysrootUnreadable(Exception):
@@ -59,7 +60,7 @@ class ScanCounts:
 class ScanResult:
     root: str
     counts: ScanCounts
-    duration: float
+    phase_seconds: dict[str, float]  # walk, extract, assemble, resolve
     nodes: list[FileNode]
     edges: list[DependencyEdge]
     error_records: list[tuple[str, str]]
@@ -67,49 +68,61 @@ class ScanResult:
 
 def _walk_regular_files(options: ScanOptions, resolver: Resolver,
                         errors: list[tuple[str, str]]
-                        ) -> Iterator[tuple[str, str, tuple[int, int], int]]:
+                        ) -> Iterator[tuple[str, str, tuple[int, int]]]:
     """Every regular file under the sysroot, in sorted traversal order.
 
-    Yields (spelling, canonical path, (st_dev, st_ino), size) and appends
-    what it cannot walk to errors. The stack holds spellings: each entry's
-    identity comes from the resolver's canonical_file_stat, and a directory
-    is listed at its canonical path, so links never lead out of the sysroot
-    and every alias spelling of a file is seen. Cycles are cut on the
-    ancestor chain, not globally: a directory reachable two independent
-    ways must be walked twice for its aliases to surface.
+    Yields (spelling, canonical path, (st_dev, st_ino)) and appends what it
+    cannot walk to errors. The stack holds spellings, and a directory is
+    listed at its canonical path, so links never lead out of the sysroot
+    and every alias spelling of a file is seen. Only a link goes through
+    canonical_file_stat, by its spelling, as the 40-link budget counts over
+    the whole spelling; a plain file's identity is its directory's st_dev
+    and its d_ino. Cycles are cut on the ancestor chain of the listed
+    directories' (st_dev, st_ino), one stat each (a mount point's d_ino is
+    the covered inode), not globally: a directory reachable two ways is
+    walked twice, so that its aliases surface.
     """
     # a prefix excludes itself and everything under it
     excluded_names = frozenset(options.excluded_prefixes)
     excluded_dirs = tuple(p.rstrip("/") + "/" for p in options.excluded_prefixes)
     sysroot = options.config.sysroot.rstrip("/")
-    root = os.stat(sysroot + "/")
-    stack = [("/", frozenset({(root.st_dev, root.st_ino)}))]
+    stack = [("/", frozenset())]
     while stack:
         rel, ancestors = stack.pop()
+        directory = resolver.canonical(rel)[0]
         try:
-            with os.scandir(sysroot + resolver.canonical(rel)[0]) as it:
-                entries = sorted(it, key=lambda e: e.name)
+            st = os.stat(sysroot + directory)
+            if (st.st_dev, st.st_ino) in ancestors:
+                continue
+            entries, searchable = resolver.scandir(directory)
         except OSError as exc:
             errors.append((rel, f"listing failed: {exc.strerror}"))
             continue
+        ancestors |= {(st.st_dev, st.st_ino)}
+        rel, directory = rel.rstrip("/"), directory.rstrip("/")
         subdirs = []
-        for entry in entries:
-            child = posixpath.join(rel, entry.name)
-            if child in excluded_names or child.startswith(excluded_dirs) or (
-                    not options.follow_symlinks and entry.is_symlink()):
+        for name, mode, inode in entries:
+            child = f"{rel}/{name}"
+            if child in excluded_names or child.startswith(excluded_dirs):
                 continue
-            canonical, st = resolver.canonical_file_stat(child)
-            if canonical is None:
-                errors.append((child, "symlink loop"))
-            elif st is None:  # dangling, or gone since the listing
-                if not entry.is_symlink():
-                    errors.append((child, "stat failed"))
-            elif stat_module.S_ISDIR(st.st_mode):
-                key = (st.st_dev, st.st_ino)
-                if key not in ancestors:
-                    subdirs.append((child, ancestors | {key}))
-            elif stat_module.S_ISREG(st.st_mode):
-                yield child, canonical, (st.st_dev, st.st_ino), st.st_size
+            if mode == stat_module.S_IFLNK:
+                if not options.follow_symlinks:
+                    continue
+                canonical, target = resolver.canonical_file_stat(child)
+                if canonical is None:
+                    errors.append((child, "symlink loop"))
+                if target is None:  # a loop, or dangling
+                    continue
+                mode, key = stat_module.S_IFMT(target.st_mode), (target.st_dev, target.st_ino)
+            elif not searchable:  # an lstat of the name is denied
+                errors.append((child, "stat failed"))
+                continue
+            else:
+                canonical, key = f"{directory}/{name}", (st.st_dev, inode)
+            if mode == stat_module.S_IFDIR:
+                subdirs.append((child, ancestors))
+            elif mode == stat_module.S_IFREG:
+                yield child, canonical, key
         stack.extend(reversed(subdirs))
 
 
@@ -131,24 +144,28 @@ class _Extracted(NamedTuple):
     runpath: str | None = None
 
 
-def _extract_one(canonical: str, size: int, options: ScanOptions) -> _Extracted:
+def _extract_one(canonical: str, options: ScanOptions) -> _Extracted:
+    """One unbuffered page read gets the magic, or a small file whole; an ELF
+    file that fills the page is read again whole, so no join copies it."""
     host = options.config.sysroot.rstrip("/") + canonical
     try:
-        with open(host, "rb") as f:
-            if f.read(len(ELF_MAGIC)) != ELF_MAGIC:
-                return _Extracted(canonical, size)
-            f.seek(0)
-            data = f.read()
+        with open(host, "rb", buffering=0) as f:
+            data = f.read(_FIRST_READ)
+            if not data.startswith(ELF_MAGIC):
+                return _Extracted(canonical, len(data))
+            if len(data) == _FIRST_READ:
+                f.seek(0)
+                data = f.readall()
     except OSError as exc:  # strerror: the text without the host path
         return _Extracted(canonical, 0, error=f"read failed: {exc.strerror}")
     try:
         summary = parse_elf(data)
     except ElfError as exc:
-        return _Extracted(canonical, size, error=f"{type(exc).__name__}: {exc}")
+        return _Extracted(canonical, len(data), error=f"{type(exc).__name__}: {exc}")
     except Exception as exc:  # a parser crash must not kill the scan
-        return _Extracted(canonical, size,
+        return _Extracted(canonical, len(data),
                           error=f"parser crashed: {type(exc).__name__}: {exc}")
-    return _Extracted(canonical, size, classify_kind(summary).value,
+    return _Extracted(canonical, len(data), classify_kind(summary).value,
                       soname=summary.soname, needed=summary.needed,
                       rpath=summary.rpath, runpath=summary.runpath)
 
@@ -159,7 +176,6 @@ def scan_tree(options: ScanOptions) -> ScanResult:
     Every step runs in the calling process: the walk, one extraction per
     canonical file, then assembly and resolution.
     """
-    start = time.monotonic()
     config = options.config
     for option, elements in (("--exclude", options.excluded_prefixes),
                              ("--env-library-path", config.env_library_path),
@@ -171,32 +187,35 @@ def scan_tree(options: ScanOptions) -> ScanResult:
     if not os.path.isdir(sysroot):
         raise SysrootUnreadable(sysroot)
     resolver = Resolver(config)
+    started = time.perf_counter()
 
     # collapse symlink aliases and hard links onto one canonical node each
     errors: list[tuple[str, str]] = []
     alias_of: dict[str, str] = {}        # canonical path -> primary
     aliases: dict[str, set[str]] = {}    # primary -> its other spellings
     by_inode: dict[tuple[int, int], str] = {}
-    canonical_files: list[tuple[str, int]] = []
-    for spelling, canonical, key, size in _walk_regular_files(options, resolver, errors):
+    canonical_files: list[str] = []
+    for spelling, canonical, key in _walk_regular_files(options, resolver, errors):
         primary = alias_of.get(canonical)
         if primary is None:
             # the first sighting of a file, or a hard link to one seen before
             primary = alias_of[canonical] = by_inode.setdefault(key, canonical)
             if primary == canonical:
-                canonical_files.append((canonical, size))
+                canonical_files.append(canonical)
         for alias in (spelling, canonical):
             if alias != primary:
                 aliases.setdefault(primary, set()).add(alias)
+    walked = time.perf_counter()
 
     counts = ScanCounts(files_seen=len(canonical_files))
     parsed: list[_Extracted] = []
-    for canonical, size in canonical_files:
-        item = _extract_one(canonical, size, options)
+    for canonical in canonical_files:
+        item = _extract_one(canonical, options)
         if item.error is not None:
             errors.append((item.canonical, item.error))
         elif item.kind is not None:
             parsed.append(item)
+    extracted = time.perf_counter()
 
     parsed.sort(key=lambda it: it.canonical)
     node_ids = {item.canonical: idx for idx, item in enumerate(parsed)}
@@ -211,6 +230,7 @@ def scan_tree(options: ScanOptions) -> ScanResult:
                               sorted(aliases.get(item.canonical, ())), kind,
                               item.soname, item.size_bytes))
     counts.elf_parsed = len(nodes)
+    assembled = time.perf_counter()
 
     edges: list[DependencyEdge] = []
     for item in parsed:
@@ -227,12 +247,14 @@ def scan_tree(options: ScanOptions) -> ScanResult:
             else:
                 edges.append(DependencyEdge(len(edges), None, from_id, name,
                                             target, resolution.origin))
+    resolved = time.perf_counter()
 
     counts.errors = len(errors)
     return ScanResult(
         root=sysroot,
         counts=counts,
-        duration=time.monotonic() - start,
+        phase_seconds={"walk": walked - started, "extract": extracted - walked,
+                       "assemble": assembled - extracted, "resolve": resolved - assembled},
         nodes=nodes,
         edges=edges,
         error_records=errors,

@@ -352,17 +352,9 @@ def save_snapshot(result: "ScanResult", label: str, db_path: str,
             " VALUES (?, ?, ?, ?)",
             (label, result.root, scanned_at, version))
         snapshot_id = cur.lastrowid
-        id_map: dict[int, int] = {}
-        for node in result.nodes:
-            cur = con.execute(
-                "INSERT INTO files(snapshot_id, canonical_path, kind, soname, size_bytes)"
-                " VALUES (?, ?, ?, ?, ?)",
-                (snapshot_id, node.canonical_path, node.kind.value, node.soname,
-                 node.size_bytes))
-            id_map[node.id] = cur.lastrowid
-            for alias in node.alias_paths:
-                con.execute("INSERT INTO file_aliases(file_id, alias_path) VALUES (?, ?)",
-                            (id_map[node.id], alias))
+        # the ids SQLite assigns one row at a time: this writer holds the lock
+        first_id, = con.execute("SELECT coalesce(max(id), 0) + 1 FROM files").fetchone()
+        id_map = {node.id: first_id + i for i, node in enumerate(result.nodes)}
         seen_pairs: set[tuple[int, str]] = set()
         for edge in result.edges:
             if edge.from_node not in id_map or (
@@ -375,12 +367,21 @@ def save_snapshot(result: "ScanResult", label: str, db_path: str,
                     f"duplicate dependency {edge.needed_name!r} from node "
                     f"{edge.from_node}")
             seen_pairs.add(pair)
-            con.execute(
-                "INSERT INTO deps(snapshot_id, from_file, needed_name, to_file, origin)"
-                " VALUES (?, ?, ?, ?, ?)",
-                (snapshot_id, id_map[edge.from_node], edge.needed_name,
-                 None if edge.to_node is None else id_map[edge.to_node],
-                 None if edge.origin is None else edge.origin.value))
+        con.executemany(
+            "INSERT INTO files(id, snapshot_id, canonical_path, kind, soname, size_bytes)"
+            " VALUES (?, ?, ?, ?, ?, ?)",
+            ((first_id + i, snapshot_id, node.canonical_path, node.kind.value, node.soname,
+              node.size_bytes) for i, node in enumerate(result.nodes)))
+        con.executemany(
+            "INSERT INTO file_aliases(file_id, alias_path) VALUES (?, ?)",
+            ((first_id + i, alias) for i, node in enumerate(result.nodes)
+             for alias in node.alias_paths))
+        con.executemany(
+            "INSERT INTO deps(snapshot_id, from_file, needed_name, to_file, origin)"
+            " VALUES (?, ?, ?, ?, ?)",
+            ((snapshot_id, id_map[edge.from_node], edge.needed_name,
+              None if edge.to_node is None else id_map[edge.to_node],
+              None if edge.origin is None else edge.origin.value) for edge in result.edges))
         con.execute("COMMIT")
         return Snapshot(snapshot_id, label, result.root, scanned_at, version)
     except DuplicateLabel:

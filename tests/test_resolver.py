@@ -368,6 +368,8 @@ def test_canonical_file_stat_follows_links_and_reports_absence(sysroot):
     resolver = Resolver(config_for(sysroot))
     canonical, st = resolver.canonical_file_stat("/lib/libz.so.1")
     assert canonical == "/usr/lib/libz.so.1.2.13" and st.st_size == 1
+    target = os.stat(sysroot.root + "/usr/lib/libz.so.1.2.13")
+    assert (st.st_dev, st.st_ino) == (target.st_dev, target.st_ino)
     assert resolver.canonical_file_stat("/lib/libnone.so") == ("/usr/lib/libnone.so", None)
     assert resolver.canonical_file_stat("/lib/libloop.so") == (None, None)
 
@@ -512,3 +514,83 @@ def test_resolver_cache_agrees_with_pure_function(sysroot):
     twice = resolver.resolve("libm.so.6", s, "/usr/bin/tool")
     pure = Resolver(cfg).resolve("libm.so.6", s, "/usr/bin/tool")
     assert once == twice == pure
+
+
+def test_answer_shared_across_directories_unless_origin_reads_them(sysroot):
+    # only $ORIGIN (and a name with '/') reads the dependent's directory,
+    # so without it two dependents in different directories share an answer
+    sysroot.write("/usr/lib/libm.so.6", elf_bytes())
+    sysroot.write("/opt/a/lib/liby.so", elf_bytes())
+    sysroot.write("/opt/b/lib/liby.so", elf_bytes())
+    for where in ("/opt/a/bin/x", "/opt/b/bin/x"):
+        sysroot.write(where, elf_bytes())
+    resolver = Resolver(config_for(sysroot, default_dirs=["/usr/lib"]))
+    plain = summary_with(sysroot, runpath="/opt/a/lib")
+    first = resolver.resolve("libm.so.6", plain, "/usr/bin/tool")
+    assert resolver.resolve("libm.so.6", plain, "/opt/b/bin/x") is first
+    assert first.path == "/usr/lib/libm.so.6"
+    origin = summary_with(sysroot, runpath="$ORIGIN/../lib")
+    a = resolver.resolve("liby.so", origin, "/opt/a/bin/x")
+    b = resolver.resolve("liby.so", origin, "/opt/b/bin/x")
+    assert (a.path, b.path) == ("/opt/a/lib/liby.so", "/opt/b/lib/liby.so")
+
+
+def test_probe_of_a_listed_directory_makes_no_lstat(sysroot, monkeypatch):
+    sysroot.write("/usr/lib/libm.so.6", elf_bytes())
+    sysroot.mkdir("/usr/lib/libdir.so")
+    resolver = Resolver(config_for(sysroot, default_dirs=["/usr/lib"]))
+    for directory in ("/", "/usr", "/usr/lib", "/usr/lib/libdir.so"):  # as a walk does
+        resolver.scandir(directory)
+    resolver.ldso_dirs(), resolver.multiarch_dirs()  # read once per tree
+    calls = []
+    with monkeypatch.context() as patch:
+        for name in ("lstat", "stat", "readlink", "scandir", "listdir"):
+            patch.setattr(os, name, lambda *a, name=name, **kw: calls.append(name))
+        s = summary_with(sysroot, runpath="/nope/lib:/usr/lib")
+        answers = [resolver.resolve(name, s, "/usr/bin/x").path
+                   for name in ("libm.so.6", "libnone.so", "libdir.so")]
+    assert calls == []
+    assert answers == ["/usr/lib/libm.so.6", None, None]
+
+
+@pytest.mark.parametrize("denied", ["read", "search"])
+def test_unlistable_search_directory_is_probed_by_name(sysroot, monkeypatch, denied):
+    # the loader needs only search permission on a directory, not read; and
+    # without search permission, a listing cannot say what a lookup finds
+    sysroot.write("/opt/lib/libx.so.1.0", elf_bytes())
+    sysroot.symlink("/opt/lib/libx.so", "libx.so.1.0")
+    sysroot.mkdir("/opt/lib/libdir.so")
+    real_scandir, real_access = os.scandir, os.access
+
+    def scandir(path):
+        if path.endswith("/opt/lib"):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+        return real_scandir(path)
+
+    def access(path, mode, **kw):
+        return not path.endswith("/opt/lib") and real_access(path, mode, **kw)
+
+    if denied == "read":
+        monkeypatch.setattr(os, "scandir", scandir)
+    else:
+        monkeypatch.setattr(os, "access", access)
+    real_lstat, probed = os.lstat, []
+
+    def lstat(path, **kw):
+        probed.append(path[len(sysroot.root):])
+        return real_lstat(path, **kw)
+
+    monkeypatch.setattr(os, "lstat", lstat)
+    resolver = Resolver(config_for(sysroot, default_dirs=[]))
+    for directory in ("/", "/opt", "/opt/lib"):  # as a walk does
+        try:
+            resolver.scandir(directory)
+        except PermissionError:
+            assert (denied, directory) == ("read", "/opt/lib")
+    s = summary_with(sysroot, runpath="/opt/lib")
+    assert resolver.resolve("libx.so.1.0", s, "/bin/x").path == "/opt/lib/libx.so.1.0"
+    assert resolver.resolve("libx.so", s, "/bin/x").path == "/opt/lib/libx.so.1.0"
+    assert not resolver.resolve("libdir.so", s, "/bin/x").resolved
+    assert not resolver.resolve("libnone.so", s, "/bin/x").resolved
+    for name in ("libx.so.1.0", "libx.so", "libdir.so", "libnone.so"):
+        assert f"/opt/lib/{name}" in probed

@@ -150,6 +150,96 @@ def test_error_records_name_no_host_path(tmp_path, monkeypatch):
     ]
 
 
+@pytest.mark.parametrize("follow", [True, False])
+@pytest.mark.parametrize("how", ["chmod", "patched"])
+def test_unsearchable_directory_entries_are_stat_failures(sysroot, monkeypatch, how, follow):
+    # a directory that may be read but not searched lists its names, yet no
+    # name in it can be stat'd: each non-link entry is a stat failure, a
+    # link is dangling, and nothing under it is walked or counted
+    sysroot.elf("/usr/lib/libok.so", ElfSpec(soname="libok.so"))
+    locked = sysroot.mkdir("/opt/locked")
+    sysroot.elf("/opt/locked/liba.so", ElfSpec(soname="liba.so"))
+    sysroot.write("/opt/locked/sub/b.txt", b"text")
+    sysroot.symlink("/opt/locked/link.so", "liba.so")
+    os.mkfifo(locked + "/fifo")
+    if how == "chmod":
+        if os.geteuid() == 0:
+            pytest.skip("root searches any directory")
+        os.chmod(locked, 0o644)
+    else:
+        real_access, real_lstat, real_stat = os.access, os.lstat, os.stat
+
+        def denied(real):
+            def call(path, *a, **kw):
+                if isinstance(path, str) and path.startswith(locked + "/"):
+                    raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+                return real(path, *a, **kw)
+            return call
+
+        monkeypatch.setattr(os, "access", lambda path, mode, **kw: (
+            path.rstrip("/") != locked and real_access(path, mode, **kw)))
+        monkeypatch.setattr(os, "lstat", denied(real_lstat))
+        monkeypatch.setattr(os, "stat", denied(real_stat))
+    try:
+        result = scan_tree(options_for(sysroot, follow_symlinks=follow))
+    finally:
+        os.chmod(locked, 0o755)
+    assert node_paths(result) == ["/usr/lib/libok.so"]
+    assert result.counts.files_seen == 1
+    assert result.error_records == [
+        (f"/opt/locked/{name}", "stat failed") for name in ("fifo", "liba.so", "sub")]
+
+
+def test_walk_stats_directories_not_files(sysroot, monkeypatch):
+    # a plain entry's type and inode come from the listing (d_type, d_ino):
+    # a link-free tree costs one stat per directory, however many files
+    dirs = ["/usr/lib", "/usr/lib/sub", "/opt/bin", "/empty"]
+    for d in dirs:
+        sysroot.mkdir(d)
+    for i in range(60):
+        sysroot.write(f"{dirs[i % 3]}/f{i}", b"data" * i)
+    calls = Counter()
+
+    def counted(name, real):
+        def call(*args, **kw):
+            calls[name] += 1
+            return real(*args, **kw)
+        return call
+
+    with monkeypatch.context() as patch:
+        for name in ("lstat", "stat"):
+            patch.setattr(os, name, counted(name, getattr(os, name)))
+        errors = []
+        walked = list(depex.scanner._walk_regular_files(
+            options_for(sysroot), Resolver(SearchConfig(sysroot.root)), errors))
+    directories = 1 + len({"/usr", "/opt", *dirs})
+    assert errors == [] and len(walked) == 60
+    assert sum(calls.values()) <= directories
+    for spelling, canonical, key in walked:
+        st = os.stat(sysroot.root + spelling)
+        assert spelling == canonical and key == (st.st_dev, st.st_ino)
+
+
+def test_phase_seconds(demo_sysroot):
+    phases = scan_tree(options_for(demo_sysroot)).phase_seconds
+    assert list(phases) == ["walk", "extract", "assemble", "resolve"]
+    assert all(seconds >= 0 for seconds in phases.values())
+
+
+@pytest.mark.parametrize("padding", [0, depex.scanner._FIRST_READ,
+                                     depex.scanner._FIRST_READ * 3 + 7])
+def test_file_past_the_first_read_is_read_whole(sysroot, padding):
+    # the first read takes a page; an ELF file that fills it is read on
+    data = build_elf(ElfSpec(soname="libbig.so"))
+    data += b"\0" * (padding and padding - len(data))
+    sysroot.write("/usr/lib/libbig.so", data)
+    sysroot.write("/usr/share/big.txt", b"x" * 200000)
+    result = scan_tree(options_for(sysroot))
+    assert [(n.canonical_path, n.soname, n.size_bytes) for n in result.nodes] == [
+        ("/usr/lib/libbig.so", "libbig.so", len(data))]
+    assert result.counts.files_seen == 2 and result.error_records == []
+
+
 def test_truncated_elf_recorded_not_fatal(sysroot):
     sysroot.elf("/usr/lib/libok.so", ElfSpec(soname="libok.so"))
     good = build_elf(ElfSpec(soname="libbad.so"))
@@ -238,7 +328,7 @@ def test_extraction_record_holds_plain_values(demo_sysroot):
     for dirpath, _, names in os.walk(demo_sysroot.root):
         for name in names:
             canonical = os.path.join(dirpath, name)[len(demo_sysroot.root):]
-            records.append(depex.scanner._extract_one(canonical, 0, options))
+            records.append(depex.scanner._extract_one(canonical, options))
     assert len(records) == 14  # 10 ELF files, 2 ld.so.conf files, a link, libbad
     assert {record.kind for record in records} == {"executable", "library", None}
     assert [record.canonical for record in records if record.error] == ["/usr/lib/libbad.so"]

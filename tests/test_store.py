@@ -101,6 +101,34 @@ def test_scan_roundtrip_preserves_graph(demo_sysroot, tmp_path):
     assert scan_edges == db_edges
 
 
+def test_save_takes_the_ids_sqlite_assigns_row_by_row(tmp_path):
+    # files ids continue from the largest one, not from the row count
+    db = db_file(tmp_path)
+    con = open_db(db)
+    con.execute("INSERT INTO snapshots VALUES (7, 'old', '/', 'now', '0')")
+    con.execute("INSERT INTO files(id, snapshot_id, canonical_path, kind)"
+                " VALUES (40, 7, '/old', 'library')")
+    con.close()
+    for label in ("a", "b"):
+        save_snapshot(small_result(), label, db)
+    con = sqlite3.connect(db)
+    try:
+        files = con.execute("SELECT id, snapshot_id, canonical_path FROM files"
+                            " ORDER BY id").fetchall()
+        aliases = con.execute("SELECT rowid, file_id, alias_path FROM file_aliases").fetchall()
+        deps = con.execute("SELECT id, snapshot_id, from_file, needed_name, to_file"
+                           " FROM deps").fetchall()
+    finally:
+        con.close()
+    paths = ["/bin/app", "/lib/liba.so", "/lib/libb.so"]
+    assert files == [(40, 7, "/old")] + [(41 + i, 8, p) for i, p in enumerate(paths)] + [
+        (44 + i, 9, p) for i, p in enumerate(paths)]
+    assert aliases == [(1, 41, "/alias/app"), (2, 44, "/alias/app")]
+    assert deps == [(1, 8, 41, "liba.so", 42), (2, 8, 41, "libmissing.so", None),
+                    (3, 8, 42, "libb.so", 43), (4, 9, 44, "liba.so", 45),
+                    (5, 9, 44, "libmissing.so", None), (6, 9, 45, "libb.so", 46)]
+
+
 def test_duplicate_label(tmp_path):
     db = db_file(tmp_path)
     save_snapshot(small_result(), "s1", db)

@@ -18,8 +18,11 @@ differ in a byte exactly when a read answer does.
 scan-distro tree under WHERE. `scans` imports depex from SRC, scans each
 tree with symlink following on and off, and prints the counts, every node
 (path, kind, soname, size, aliases), every edge (with its target and
-origin) and every error record. Scan dumps likewise differ in a byte
-exactly when a scan answer does.
+origin) and every error record. It then saves the scan through
+`save_snapshot`, all four into one fresh database, so later saves take ids
+after earlier ones, and prints the snapshot's `files`, `file_aliases` and
+`deps` rows with their row ids. Scan dumps likewise differ in a byte
+exactly when a scan answer or a saved row does.
 """
 
 from __future__ import annotations
@@ -28,9 +31,16 @@ import contextlib
 import io
 import json
 import os
+import sqlite3
 import sys
+import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SAVED_ROWS = (
+    ("files", "SELECT * FROM files WHERE snapshot_id = ? ORDER BY id"),
+    ("file_aliases", "SELECT rowid, * FROM file_aliases WHERE file_id IN"
+                     " (SELECT id FROM files WHERE snapshot_id = ?) ORDER BY rowid"),
+    ("deps", "SELECT * FROM deps WHERE snapshot_id = ? ORDER BY id"))
 READS = (["stats", "--json"], ["dot"], ["dot", "--hide-top", "12"], ["evolve"],
          ["evolve", "--format", "csv"])
 
@@ -71,24 +81,35 @@ def scans(src: str, where: str) -> None:
     sys.path.insert(0, os.path.abspath(src))
     from depex.resolver import SearchConfig
     from depex.scanner import ScanOptions, scan_tree
+    from depex.store import save_snapshot
 
     with open(os.path.join(where, "trees.json")) as f:
         trees = json.load(f)
     out = sys.stdout
-    for name, root in trees.items():
-        for follow in (True, False):
-            r = scan_tree(ScanOptions(SearchConfig(root), follow_symlinks=follow))
-            out.write(f"$ scan {name} follow_symlinks={follow}\n{r.counts}\n")
-            paths = [n.canonical_path for n in r.nodes]
-            for n in r.nodes:
-                out.write(f"node {n.canonical_path} {n.kind.value} {n.soname} "
-                          f"{n.size_bytes} {' '.join(n.alias_paths)}\n")
-            for e in r.edges:
-                target = None if e.to_node is None else paths[e.to_node]
-                origin = e.origin and e.origin.value
-                out.write(f"edge {paths[e.from_node]} {e.needed_name} {target} {origin}\n")
-            for path, message in r.error_records:
-                out.write(f"error {path} {message}\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        db = os.path.join(tmp, "scans.db")
+        for name, root in trees.items():
+            for follow in (True, False):
+                r = scan_tree(ScanOptions(SearchConfig(root), follow_symlinks=follow))
+                out.write(f"$ scan {name} follow_symlinks={follow}\n{r.counts}\n")
+                paths = [n.canonical_path for n in r.nodes]
+                for n in r.nodes:
+                    out.write(f"node {n.canonical_path} {n.kind.value} {n.soname} "
+                              f"{n.size_bytes} {' '.join(n.alias_paths)}\n")
+                for e in r.edges:
+                    target = None if e.to_node is None else paths[e.to_node]
+                    origin = e.origin and e.origin.value
+                    out.write(f"edge {paths[e.from_node]} {e.needed_name} {target} {origin}\n")
+                for path, message in r.error_records:
+                    out.write(f"error {path} {message}\n")
+                snapshot = save_snapshot(r, f"{name} {follow}", db, tool_version="0")
+                con = sqlite3.connect(db)
+                try:
+                    for table, query in SAVED_ROWS:
+                        for row in con.execute(query, (snapshot.id,)):
+                            out.write(f"{table} {row}\n")
+                finally:
+                    con.close()
 
 
 def dump(src: str, where: str) -> None:
