@@ -6,13 +6,17 @@ exclusive transaction: a crash mid-save leaves the database exactly as it
 was. Reads open the file read-only, so they never create or alter it.
 
 A loaded graph is columns, not records, with CSR (compressed sparse row)
-adjacency; see DependencyGraph. Node and edge ids are positions in it:
-the row ids of files and deps never leave this module, and a scan's ids
-come back from save_snapshot and load_graph unchanged. load_graph reads
-idx_files_snapshot (files in id order, no sort; the alias subselect) and
-idx_deps_snapshot. An older database loads the same answers without
-them, through idx_files_snapshot_kind plus a sort and a full deps scan;
-the next save into it creates both and drops the indexes no query reads.
+adjacency; see DependencyGraph. Node and edge ids are positions in it,
+and a scan's ids come back from save_snapshot and load_graph unchanged.
+
+Schema version 1 (PRAGMA user_version) stores a snapshot's graph as
+those columns: one `graphs` row of BLOBs (see _COLUMNS), keyed by the
+snapshot's id. A load reads that one row, checks every column and fills
+the graph from it. A version 0 database keeps a row per node, alias and
+dependency in `files`, `file_aliases` and `deps`; reads load it through
+those tables, unchanged, and the first save into it converts every
+snapshot to a `graphs` row and drops the three tables in that save's
+transaction.
 """
 
 from __future__ import annotations
@@ -20,12 +24,14 @@ from __future__ import annotations
 import os
 import re
 import sqlite3
+import sys
+from array import array
 from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import cached_property
-from itertools import accumulate, islice
+from itertools import accumulate, chain
 from operator import gt
 from typing import TYPE_CHECKING, Iterable, Iterator
 from urllib.parse import quote
@@ -54,7 +60,8 @@ class StorageFailure(StoreError):
 
 
 class UnreadableDatabase(StoreError):
-    """A read found no database, or one without depex's tables."""
+    """A read found no database, one without depex's tables or of a newer
+    schema version, or a stored snapshot that does not decode."""
 
 
 class UnknownNode(Exception):
@@ -93,16 +100,6 @@ class DependencyEdge:
     @property
     def resolved(self) -> bool:
         return self.to_node is not None
-
-
-def _columns(rows: Iterator[tuple], width: int) -> list[list]:
-    """Rows as `width` columns, split 1024 rows at a time: all rows at once
-    would sit in memory next to their columns."""
-    columns: list[list] = [[] for _ in range(width)]
-    while chunk := list(islice(rows, 1024)):
-        for i, column in enumerate(columns):
-            column.extend([row[i] for row in chunk])
-    return columns
 
 
 def _offsets(keys: list[int], n: int) -> list[int]:
@@ -144,35 +141,30 @@ class DependencyGraph:
     are read-only id -> record views that build a record when it is read.
     """
 
-    def __init__(self, snapshot: Snapshot, nodes: Iterable[FileNode],
+    def __init__(self, snapshot: Snapshot | None, nodes: Iterable[FileNode],
                  edges: Iterable[DependencyEdge]):
+        """The given node ids only place the edge ends; KeyError for an
+        edge end outside the nodes."""
         nodes = list(nodes)
-        self._fill(snapshot, _columns(((n.id, n.canonical_path, n.kind, n.soname,
-                                        n.size_bytes) for n in nodes), 5),
-                   [(n.id, alias) for n in nodes for alias in n.alias_paths],
-                   _columns(((e.from_node, e.needed_name, e.to_node, e.origin)
-                             for e in edges), 4))
+        pos = {node.id: p for p, node in enumerate(nodes)}
+        # a stable sort: each source's edges keep their import-table order
+        edges = sorted(edges, key=lambda e: pos[e.from_node])
+        self._fill(snapshot, [n.canonical_path for n in nodes], [n.kind for n in nodes],
+                   [n.soname for n in nodes], [n.size_bytes for n in nodes],
+                   {p: list(n.alias_paths) for p, n in enumerate(nodes) if n.alias_paths},
+                   [pos[e.from_node] for e in edges], [e.needed_name for e in edges],
+                   [-1 if e.to_node is None else pos[e.to_node] for e in edges],
+                   [e.origin for e in edges])
 
-    def _fill(self, snapshot, node_columns, alias_rows, edge_columns) -> None:
-        """Node columns in record field order, alias rows (id, alias), edge
-        columns (from, name, to, origin); the given node ids only place the
-        aliases and the edge ends. KeyError for an edge end outside the nodes."""
+    def _fill(self, snapshot, paths, kinds, sonames, sizes, aliases,
+              src, names, dst, origins) -> None:
+        """Node columns, the alias lists of the nodes that have any, and edge
+        columns already grouped by source."""
         self.snapshot = snapshot
-        ids, self.paths, self.kinds, self.sonames, self.sizes = node_columns
-        pos = dict(zip(ids, range(len(ids))))
-        self.aliases: dict[int, list[str]] = {}
-        for node_id, alias in alias_rows:
-            self.aliases.setdefault(pos[node_id], []).append(alias)
-        froms, names, tos, origins = edge_columns
-        src = list(map(pos.__getitem__, froms))
-        pos[None] = -1
-        dst = list(map(pos.__getitem__, tos))
-        columns = (src, names, dst, origins)
-        if any(map(gt, src, src[1:])):  # not grouped by source: a stable sort
-            order = sorted(range(len(src)), key=src.__getitem__)
-            columns = [[column[e] for e in order] for column in columns]
-        self.src, self.names, self.dst, self.origins = columns
-        self.out_start = _offsets(self.src, len(ids))
+        self.paths, self.kinds, self.sonames, self.sizes = paths, kinds, sonames, sizes
+        self.aliases: dict[int, list[str]] = aliases
+        self.src, self.names, self.dst, self.origins = src, names, dst, origins
+        self.out_start = _offsets(src, len(paths))
 
     @cached_property
     def in_start(self) -> list[int]:
@@ -249,60 +241,220 @@ class DependencyGraph:
         return seen
 
 
-_SCHEMA = """
-CREATE TABLE IF NOT EXISTS snapshots(
+# The BLOB columns of a graphs row, in table order, each a string list
+# ("s": UTF-8 with surrogateescape, so any path or ELF string round-trips,
+# each string ended by NUL, which no C string holds) or a little-endian
+# array of int32 ("i") or int64 ("q"). kinds, sonames, names and origins
+# index the snapshot's distinct strings (-1: None); src, dst (-1:
+# unresolved) and alias_nodes are node positions.
+_COLUMNS = (("strings", "s"), ("paths", "s"), ("kinds", "i"), ("sonames", "i"),
+            ("sizes", "q"), ("alias_nodes", "i"), ("aliases", "s"),
+            ("src", "i"), ("names", "i"), ("dst", "i"), ("origins", "i"))
+_NAMES = ", ".join(name for name, _ in _COLUMNS)
+_VERSION = 1
+_SCHEMA = ("""CREATE TABLE IF NOT EXISTS snapshots(
     id INTEGER PRIMARY KEY,
     label TEXT NOT NULL UNIQUE,
     root_path TEXT NOT NULL,
     scanned_at TEXT NOT NULL,
     tool_version TEXT NOT NULL
-);
-CREATE TABLE IF NOT EXISTS files(
-    id INTEGER PRIMARY KEY,
-    snapshot_id INTEGER NOT NULL REFERENCES snapshots(id),
-    canonical_path TEXT NOT NULL,
-    kind TEXT NOT NULL,
-    soname TEXT,
-    size_bytes INTEGER NOT NULL DEFAULT 0,
-    UNIQUE(snapshot_id, canonical_path)
-);
-CREATE TABLE IF NOT EXISTS file_aliases(
-    file_id INTEGER NOT NULL REFERENCES files(id),
-    alias_path TEXT NOT NULL
-);
-CREATE TABLE IF NOT EXISTS deps(
-    id INTEGER PRIMARY KEY,
-    snapshot_id INTEGER NOT NULL REFERENCES snapshots(id),
-    from_file INTEGER NOT NULL REFERENCES files(id),
-    needed_name TEXT NOT NULL,
-    to_file INTEGER,
-    origin TEXT
-);
-DROP INDEX IF EXISTS idx_deps_from;
-DROP INDEX IF EXISTS idx_deps_to;
-DROP INDEX IF EXISTS idx_files_snapshot_kind;
-CREATE INDEX IF NOT EXISTS idx_deps_snapshot ON deps(snapshot_id);
-CREATE INDEX IF NOT EXISTS idx_files_snapshot ON files(snapshot_id);
-"""
+)""", "CREATE TABLE IF NOT EXISTS graphs(snapshot_id INTEGER PRIMARY KEY"
+      " REFERENCES snapshots(id), "
+      + ", ".join(f"{name} BLOB NOT NULL" for name, _ in _COLUMNS) + ")")
+_INSERT_GRAPH = (f"INSERT INTO graphs(snapshot_id, {_NAMES})"
+                 f" VALUES (?{', ?' * len(_COLUMNS)})")
 
 
-def open_db(db_path: str) -> sqlite3.Connection:
-    """A writable connection with depex's tables, creating the file if absent."""
+def _pack_ints(code: str, values: Iterable[int]) -> bytes:
+    column = array(code, values)  # C int is 32 bits wherever CPython runs
+    if sys.byteorder == "big":
+        column.byteswap()
+    return column.tobytes()
+
+
+def _unpack_ints(code: str, blob: bytes) -> list[int]:
+    column = array(code)
+    column.frombytes(blob)  # ValueError unless whole items
+    if sys.byteorder == "big":
+        column.byteswap()
+    return column.tolist()
+
+
+def _pack_strings(values: list[str]) -> bytes:
+    blob = "\0".join([*values, ""]).encode("utf-8", "surrogateescape")
+    if blob.count(0) != len(values):
+        raise ValueError("a string to store holds NUL")
+    return blob
+
+
+def _unpack_strings(blob: bytes) -> list[str]:
+    *values, rest = blob.decode("utf-8", "surrogateescape").split("\0")
+    if rest:
+        raise ValueError("its last string is not NUL-terminated")
+    return values
+
+
+def _require_unique(values: Iterable, what: str) -> None:
+    seen = set()
+    for value in values:
+        if value in seen:
+            raise ValueError(f"{what} {value!r} occurs twice")
+        seen.add(value)
+
+
+def _pack(graph: DependencyGraph) -> list[bytes]:
+    """The graphs row of one graph, in _COLUMNS order; ValueError if the
+    graph cannot be stored as it is."""
+    _require_unique(graph.paths, "canonical path")
+    _require_unique(zip(graph.src, graph.names), "dependency (node, needed name)")
+    coded = ([k.value for k in graph.kinds], graph.sonames, graph.names,
+             [None if o is None else o.value for o in graph.origins])
+    strings = [s for s in dict.fromkeys(chain.from_iterable(coded)) if s is not None]
+    index = {None: -1, **{s: i for i, s in enumerate(strings)}}
+    kinds, sonames, names, origins = (_pack_ints("i", map(index.__getitem__, c))
+                                      for c in coded)
+    aliases = list(graph.aliases.items())
+    return [_pack_strings(strings), _pack_strings(graph.paths), kinds, sonames,
+            _pack_ints("q", graph.sizes),
+            _pack_ints("i", [p for p, group in aliases for _ in group]),
+            _pack_strings([a for _, group in aliases for a in group]),
+            _pack_ints("i", graph.src), names, _pack_ints("i", graph.dst), origins]
+
+
+def _unpack(snapshot: Snapshot, row: tuple) -> DependencyGraph:
+    """The graph in one graphs row; ValueError names the first column that
+    does not fit the others."""
+    columns = {}
+    for (name, code), blob in zip(_COLUMNS, row):
+        try:
+            if type(blob) is not bytes:
+                raise ValueError("it holds no BLOB")
+            columns[name] = _unpack_strings(blob) if code == "s" else _unpack_ints(code, blob)
+        except ValueError as exc:
+            raise ValueError(f"column {name}: {exc}") from None
+    n, m, k = len(columns["paths"]), len(columns["src"]), len(columns["strings"])
+    for name, length, low, high in (
+            ("kinds", n, 0, k), ("sonames", n, -1, k), ("sizes", n, 0, 1 << 63),
+            ("alias_nodes", len(columns["aliases"]), 0, n),
+            ("src", m, 0, n), ("names", m, 0, k), ("dst", m, -1, n), ("origins", m, -1, k)):
+        values = columns[name]
+        if len(values) != length:
+            raise ValueError(f"column {name} holds {len(values)} values, not {length}")
+        if values and not (low <= min(values) and max(values) < high):
+            raise ValueError(f"column {name} holds a value outside {low}..{high - 1}")
+    src = columns["src"]
+    if any(map(gt, src, src[1:])):
+        raise ValueError("column src is not grouped by source")
+    table = [*columns["strings"], None]  # index -1 is None
+    kind_of = {i: _KINDS[table[i]] for i in set(columns["kinds"])}
+    origin_of = {i: _ORIGINS[table[i]] for i in set(columns["origins"])}
+    aliases: dict[int, list[str]] = {}
+    for p, alias in zip(columns["alias_nodes"], columns["aliases"]):
+        aliases.setdefault(p, []).append(alias)
+    graph = DependencyGraph.__new__(DependencyGraph)
+    graph._fill(snapshot, columns["paths"], list(map(kind_of.__getitem__, columns["kinds"])),
+                list(map(table.__getitem__, columns["sonames"])), columns["sizes"], aliases,
+                src, list(map(table.__getitem__, columns["names"])), columns["dst"],
+                list(map(origin_of.__getitem__, columns["origins"])))
+    return graph
+
+
+def _load_v0(con: sqlite3.Connection, snap: Snapshot) -> DependencyGraph:
+    """One snapshot of a version 0 database, from its files, file_aliases
+    and deps rows; ValueError for a dependency on a file outside it."""
+    aliases: dict[int, list[str]] = {}
+    for file_id, alias in con.execute(
+            "SELECT file_id, alias_path FROM file_aliases WHERE file_id IN"
+            " (SELECT id FROM files WHERE snapshot_id = ?) ORDER BY rowid", (snap.id,)):
+        aliases.setdefault(file_id, []).append(alias)
+    nodes = [FileNode(file_id, snap.id, path, aliases.get(file_id, []), _KINDS[kind],
+                      soname, size)
+             for file_id, path, kind, soname, size in con.execute(
+                 "SELECT id, canonical_path, kind, soname, size_bytes FROM files"
+                 " WHERE snapshot_id = ? ORDER BY id", (snap.id,))]
+    edges = [DependencyEdge(row, snap.id, from_file, name, to_file, _ORIGINS[origin])
+             for row, from_file, name, to_file, origin in con.execute(
+                 "SELECT id, from_file, needed_name, to_file, origin FROM deps"
+                 " WHERE snapshot_id = ? ORDER BY id", (snap.id,))]
+    try:
+        return DependencyGraph(snap, nodes, edges)
+    except KeyError as exc:  # only a from_file or to_file id can be missing
+        file_id = exc.args[0]
+        row = next(e.id for e in edges if file_id in (e.from_node, e.to_node))
+        raise ValueError(f"deps row {row} names file {file_id},"
+                         " which is not in that snapshot") from None
+
+
+def _check_version(version: int, db_path: str) -> None:
+    if not 0 <= version <= _VERSION:
+        raise UnreadableDatabase(
+            f"database {db_path!r} has schema version {version}; this version of"
+            f" depex reads versions 0 to {_VERSION}")
+
+
+def _convert_v0(con: sqlite3.Connection) -> None:
+    """Store every snapshot of a version 0 database as a graphs row and
+    drop the tables that held it; nothing if the database has none."""
+    if con.execute("SELECT 1 FROM sqlite_master WHERE name = 'files'").fetchone() is None:
+        return
+    for row in con.execute("SELECT id, label, root_path, scanned_at, tool_version"
+                           " FROM snapshots ORDER BY id").fetchall():
+        snap = Snapshot(*row)
+        try:
+            packed = _pack(_load_v0(con, snap))
+        except ValueError as exc:
+            raise UnreadableDatabase(f"snapshot {snap.label!r} cannot be converted:"
+                                     f" {exc}") from None
+        con.execute(_INSERT_GRAPH, (snap.id, *packed))
+    for table in ("deps", "file_aliases", "files"):  # their indexes go with them
+        con.execute(f"DROP TABLE {table}")
+
+
+def _begin(db_path: str) -> sqlite3.Connection:
+    """A writable connection in a BEGIN IMMEDIATE transaction on a version 1
+    database: a new file gets the tables and a version 0 database is
+    converted, both inside the transaction, so a rollback undoes them.
+    UnreadableDatabase for a file that is no depex database, StorageFailure
+    if it cannot be written."""
     con = None
     try:
         con = sqlite3.connect(db_path, isolation_level=None)
-        con.execute("PRAGMA foreign_keys = ON")
-        con.executescript(_SCHEMA)
+        con.execute("PRAGMA schema_version")  # reads the header of an existing file
     except sqlite3.DatabaseError as exc:
         if con is not None:
             con.close()
         raise UnreadableDatabase(f"cannot open database {db_path!r}: {exc}") from None
+    try:
+        con.execute("PRAGMA foreign_keys = ON")
+        con.execute("BEGIN IMMEDIATE")
+        version, = con.execute("PRAGMA user_version").fetchone()
+        _check_version(version, db_path)
+        if version < _VERSION:
+            for statement in _SCHEMA:
+                con.execute(statement)
+            _convert_v0(con)
+            con.execute(f"PRAGMA user_version = {_VERSION}")
+    except sqlite3.DatabaseError as exc:
+        con.close()
+        raise StorageFailure(f"cannot write database {db_path!r}: {exc}") from None
+    except BaseException:
+        con.close()
+        raise
+    return con
+
+
+def open_db(db_path: str) -> sqlite3.Connection:
+    """A writable connection with depex's tables, creating the file if
+    absent and converting a version 0 database."""
+    con = _begin(db_path)
+    con.execute("COMMIT")
     return con
 
 
 @contextmanager
-def _read_only(db_path: str) -> Iterator[sqlite3.Connection]:
-    """A connection that can neither create the file nor change its content.
+def _read_only(db_path: str) -> Iterator[tuple[sqlite3.Connection, int]]:
+    """A connection that can neither create the file nor change its content,
+    and the database's schema version.
 
     A writer killed after spilling pages leaves a hot journal, which a
     read-only connection may not roll back. If the first read fails, one
@@ -326,7 +478,9 @@ def _read_only(db_path: str) -> Iterator[sqlite3.Connection]:
                 recovery.execute("PRAGMA schema_version")
             finally:
                 recovery.close()
-        yield con
+        version, = con.execute("PRAGMA user_version").fetchone()
+        _check_version(version, db_path)
+        yield con, version
     except sqlite3.DatabaseError as exc:
         raise UnreadableDatabase(f"cannot read database {db_path!r}: {exc}") from None
     finally:
@@ -335,68 +489,34 @@ def _read_only(db_path: str) -> Iterator[sqlite3.Connection]:
 
 def save_snapshot(result: "ScanResult", label: str, db_path: str,
                   tool_version: str | None = None) -> Snapshot:
-    """Write one scan as a snapshot; all-or-nothing."""
+    """Write one scan as a snapshot, one graphs row; all-or-nothing."""
     from depex import __version__
 
+    try:
+        row = _pack(DependencyGraph(None, result.nodes, result.edges))
+    except KeyError as exc:
+        raise StorageFailure(f"an edge names node {exc.args[0]},"
+                             " which is not in the snapshot") from None
+    except (ValueError, OverflowError) as exc:
+        raise StorageFailure(f"cannot store snapshot {label!r}: {exc}") from None
     scanned_at = datetime.now(timezone.utc).isoformat()
     version = tool_version if tool_version is not None else __version__
-    con = open_db(db_path)
+    con = _begin(db_path)
     try:
-        con.execute("BEGIN IMMEDIATE")
-        row = con.execute("SELECT 1 FROM snapshots WHERE label = ?", (label,)).fetchone()
-        if row is not None:
-            con.execute("ROLLBACK")
+        if con.execute("SELECT 1 FROM snapshots WHERE label = ?", (label,)).fetchone():
             raise DuplicateLabel(label)
-        cur = con.execute(
+        snapshot_id = con.execute(
             "INSERT INTO snapshots(label, root_path, scanned_at, tool_version)"
-            " VALUES (?, ?, ?, ?)",
-            (label, result.root, scanned_at, version))
-        snapshot_id = cur.lastrowid
-        # the ids SQLite assigns one row at a time: this writer holds the lock
-        first_id, = con.execute("SELECT coalesce(max(id), 0) + 1 FROM files").fetchone()
-        id_map = {node.id: first_id + i for i, node in enumerate(result.nodes)}
-        seen_pairs: set[tuple[int, str]] = set()
-        for edge in result.edges:
-            if edge.from_node not in id_map or (
-                    edge.to_node is not None and edge.to_node not in id_map):
-                raise StorageFailure(
-                    f"edge {edge.needed_name!r} references a node outside the snapshot")
-            pair = (edge.from_node, edge.needed_name)
-            if pair in seen_pairs:
-                raise StorageFailure(
-                    f"duplicate dependency {edge.needed_name!r} from node "
-                    f"{edge.from_node}")
-            seen_pairs.add(pair)
-        con.executemany(
-            "INSERT INTO files(id, snapshot_id, canonical_path, kind, soname, size_bytes)"
-            " VALUES (?, ?, ?, ?, ?, ?)",
-            ((first_id + i, snapshot_id, node.canonical_path, node.kind.value, node.soname,
-              node.size_bytes) for i, node in enumerate(result.nodes)))
-        con.executemany(
-            "INSERT INTO file_aliases(file_id, alias_path) VALUES (?, ?)",
-            ((first_id + i, alias) for i, node in enumerate(result.nodes)
-             for alias in node.alias_paths))
-        con.executemany(
-            "INSERT INTO deps(snapshot_id, from_file, needed_name, to_file, origin)"
-            " VALUES (?, ?, ?, ?, ?)",
-            ((snapshot_id, id_map[edge.from_node], edge.needed_name,
-              None if edge.to_node is None else id_map[edge.to_node],
-              None if edge.origin is None else edge.origin.value) for edge in result.edges))
+            " VALUES (?, ?, ?, ?)", (label, result.root, scanned_at, version)).lastrowid
+        con.execute(_INSERT_GRAPH, (snapshot_id, *row))
         con.execute("COMMIT")
-        return Snapshot(snapshot_id, label, result.root, scanned_at, version)
     except DuplicateLabel:
         raise
-    except StorageFailure:
-        con.execute("ROLLBACK")
-        raise
     except Exception as exc:
-        try:
-            con.execute("ROLLBACK")
-        except sqlite3.Error:
-            pass
         raise StorageFailure(str(exc)) from exc
     finally:
-        con.close()
+        con.close()  # which rolls back what was not committed
+    return Snapshot(snapshot_id, label, result.root, scanned_at, version)
 
 
 def _snapshot_row(con: sqlite3.Connection, label: str) -> Snapshot:
@@ -410,51 +530,38 @@ def _snapshot_row(con: sqlite3.Connection, label: str) -> Snapshot:
 
 class _Decoder(dict):
     """Stored value -> enum member for one column; a value depex does not
-    know makes the database unreadable rather than misread."""
+    know makes the snapshot unreadable rather than misread."""
 
     def __init__(self, column: str, members: dict):
         super().__init__(members)
         self.column = column
 
     def __missing__(self, value):
-        raise UnreadableDatabase(f"column {self.column} holds {value!r}, "
-                                 "which this version of depex does not know")
+        raise ValueError(f"it stores {self.column} {value!r}, which this version"
+                         " of depex does not know")
 
 
-_KINDS = _Decoder("files.kind", {k.value: k for k in FileKind})
-_ORIGINS = _Decoder("deps.origin", {None: None, **{o.value: o for o in Origin}})
+_KINDS = _Decoder("kind", {k.value: k for k in FileKind})
+_ORIGINS = _Decoder("origin", {None: None, **{o.value: o for o in Origin}})
 
 
 def load_graph(label: str, db_path: str) -> DependencyGraph:
-    """Load one snapshot back as a columnar graph: one query per table,
-    rows split into columns, kinds and origins decoded through the lookup
-    tables above, and no record built."""
-    with _read_only(db_path) as con:
+    """Load one snapshot back as a columnar graph: its graphs row, every
+    column checked, kinds and origins decoded through the lookup tables
+    above, and no record built."""
+    with _read_only(db_path) as (con, version):
         snap = _snapshot_row(con, label)
-        ids, paths, kinds, sonames, sizes = _columns(con.execute(
-            "SELECT id, canonical_path, kind, soname, size_bytes FROM files"
-            " WHERE snapshot_id = ? ORDER BY id", (snap.id,)), 5)
-        aliases = con.execute(
-            "SELECT file_id, alias_path FROM file_aliases WHERE file_id IN"
-            " (SELECT id FROM files WHERE snapshot_id = ?) ORDER BY rowid",
-            (snap.id,)).fetchall()
-        froms, names, tos, origins = _columns(con.execute(
-            "SELECT from_file, needed_name, to_file, origin FROM deps"
-            " WHERE snapshot_id = ? ORDER BY id", (snap.id,)), 4)
-        kinds = list(map(_KINDS.__getitem__, kinds))
-        origins = list(map(_ORIGINS.__getitem__, origins))
-        graph = DependencyGraph.__new__(DependencyGraph)
         try:
-            graph._fill(snap, (ids, paths, kinds, sonames, sizes), aliases,
-                        (froms, names, tos, origins))
-        except KeyError as exc:  # only a from_file or to_file id can be missing
-            row, = con.execute("SELECT min(id) FROM deps WHERE snapshot_id = ?"
-                               " AND ? IN (from_file, to_file)",
-                               (snap.id, exc.args[0])).fetchone()
+            if version == 0:
+                return _load_v0(con, snap)
+            row = con.execute(f"SELECT {_NAMES} FROM graphs WHERE snapshot_id = ?",
+                              (snap.id,)).fetchone()
+            if row is None:
+                raise ValueError("its graph is not stored")
+            return _unpack(snap, row)
+        except ValueError as exc:
             raise UnreadableDatabase(
-                f"deps row {row} of snapshot {label!r} names file {exc.args[0]},"
-                " which is not in that snapshot") from None
-    return graph
+                f"snapshot {label!r} in {db_path!r} cannot be read: {exc}") from None
 
 
 def _natural_key(label: str) -> list[tuple[int, object]]:
@@ -465,7 +572,7 @@ def _natural_key(label: str) -> list[tuple[int, object]]:
 
 def list_snapshots(db_path: str) -> list[Snapshot]:
     """All snapshots in natural version order, then scan time."""
-    with _read_only(db_path) as con:
+    with _read_only(db_path) as (con, _):
         rows = [Snapshot(*row) for row in con.execute(
             "SELECT id, label, root_path, scanned_at, tool_version FROM snapshots")]
     return sorted(rows, key=lambda s: (_natural_key(s.label), s.scanned_at, s.label))

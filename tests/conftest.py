@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import os
+import sqlite3
+from pathlib import Path
 
 import pytest
 
@@ -78,3 +80,16 @@ def make_demo_sysroot(builder: SysrootBuilder) -> SysrootBuilder:
 @pytest.fixture
 def demo_sysroot(sysroot) -> SysrootBuilder:
     return make_demo_sysroot(sysroot)
+
+
+@pytest.fixture
+def v0_db(tmp_path) -> str:
+    """A version 0 database (see tests/data/v0.sql): snapshots 'demo', '1'
+    and '2', of which 'demo' is the latest."""
+    db = str(tmp_path / "v0.db")
+    con = sqlite3.connect(db)
+    try:
+        con.executescript((Path(__file__).parent / "data" / "v0.sql").read_text())
+    finally:
+        con.close()
+    return db

@@ -11,7 +11,9 @@ import random
 import shutil
 import subprocess
 import sqlite3
+import sys
 import time
+from array import array
 from pathlib import Path
 
 import pytest
@@ -360,27 +362,38 @@ EXPECTED_DEPS = {
 
 
 def dump_db_rows(db: str, label: str):
+    """The snapshot's stored files, aliases and deps, decoded from its
+    graphs row by this test alone: NUL-terminated UTF-8 string columns and
+    little-endian int32 arrays, -1 standing for None."""
     con = sqlite3.connect(db)
-    sid = con.execute("SELECT id FROM snapshots WHERE label=?", (label,)).fetchone()[0]
-    files = set()
-    paths = {}
-    for fid, path, kind, soname in con.execute(
-            "SELECT id, canonical_path, kind, soname FROM files WHERE snapshot_id=?",
-            (sid,)):
-        files.add((path, kind, soname))
-        paths[fid] = path
-    aliases = {
-        (paths[fid], alias) for fid, alias in con.execute(
-            "SELECT file_id, alias_path FROM file_aliases WHERE file_id IN "
-            "(SELECT id FROM files WHERE snapshot_id=?)", (sid,))
-    }
-    deps = {
-        (paths[src], name, paths.get(dst), origin)
-        for src, name, dst, origin in con.execute(
-            "SELECT from_file, needed_name, to_file, origin FROM deps"
-            " WHERE snapshot_id=?", (sid,))
-    }
-    con.close()
+    try:
+        cur = con.execute("SELECT graphs.* FROM graphs JOIN snapshots"
+                          " ON snapshots.id = graphs.snapshot_id WHERE label = ?", (label,))
+        row = dict(zip([d[0] for d in cur.description], cur.fetchone()))
+    finally:
+        con.close()
+
+    def strings(name):
+        return row[name].decode("utf-8", "surrogateescape").split("\0")[:-1]
+
+    def ints(name):
+        column = array("i", row[name])
+        if sys.byteorder == "big":
+            column.byteswap()
+        return column.tolist()
+
+    table = strings("strings")
+    paths = strings("paths")
+
+    def text(i):
+        return None if i == -1 else table[i]
+
+    files = {(path, text(kind), text(soname))
+             for path, kind, soname in zip(paths, ints("kinds"), ints("sonames"))}
+    aliases = {(paths[p], alias) for p, alias in zip(ints("alias_nodes"), strings("aliases"))}
+    deps = {(paths[src], table[name], None if dst == -1 else paths[dst], text(origin))
+            for src, name, dst, origin in zip(ints("src"), ints("names"), ints("dst"),
+                                              ints("origins"))}
     return files, aliases, deps
 
 

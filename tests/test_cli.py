@@ -4,6 +4,8 @@ import hashlib
 import json
 import os
 import sqlite3
+import sys
+from array import array
 from importlib import resources
 
 import jsonschema
@@ -187,6 +189,14 @@ def test_read_commands_do_not_modify_db(capsys, demo_db):
     assert db_hash(demo_db) == before
 
 
+def test_read_commands_do_not_modify_a_v0_db(capsys, v0_db):
+    before = db_hash(v0_db)
+    for argv in READ_COMMANDS:
+        code, _, _ = run(capsys, *argv, "--db", v0_db)
+        assert code == 0, argv
+    assert db_hash(v0_db) == before
+
+
 def test_read_commands_create_no_database(capsys, tmp_path):
     db = str(tmp_path / "typo.db")
     for argv in READ_COMMANDS:
@@ -334,6 +344,25 @@ def test_scan_survives_looping_ldso_conf_include(capsys, demo_sysroot, tmp_path)
     assert code == 0 and [s["label"] for s in json.loads(out)] == ["v1"]
 
 
+def test_scan_stores_names_that_are_not_utf8(capsys, demo_sysroot, tmp_path):
+    # a file name or DT_NEEDED byte that is no UTF-8 decodes to a lone
+    # surrogate, as os.fsdecode gives it
+    demo_sysroot.elf("/usr/lib/libq\udcfd.so", ElfSpec(soname="libq\udcfd.so",
+                                                       defined=[("q", 1)]))
+    demo_sysroot.elf("/usr/bin/t\udcff", ElfSpec(
+        interpreter="/lib/ld.so", needed=["libq\udcfd.so", "lib\udcfe.so"]))
+    db = str(tmp_path / "x.db")
+    code, _, err = run(capsys, "scan", "--sysroot", demo_sysroot.root,
+                       "--label", "v1", "--db", db)
+    assert (code, err) == (0, "")
+    code, out, _ = run(capsys, "get-deps", "/usr/bin/t\udcff", "--db", db, "--json")
+    assert code == 0
+    assert json.loads(out) == {"file": "/usr/bin/t\udcff", "dependencies": [
+        {"needed_name": "libq\udcfd.so", "status": "resolved",
+         "path": "/usr/lib/libq\udcfd.so", "origin": "ldso-conf"},
+        {"needed_name": "lib\udcfe.so", "status": "missing", "path": None, "origin": None}]}
+
+
 def test_missing_db_argument(capsys, monkeypatch):
     monkeypatch.delenv("DEPEX_DB", raising=False)
     code, _, err = run(capsys, "snapshots")
@@ -365,21 +394,27 @@ def test_snapshot_defaults_to_latest(capsys, demo_sysroot, tmp_path):
 
 
 @pytest.mark.parametrize("column", ["files.kind", "deps.origin"])
-def test_unknown_stored_value_is_unreadable(capsys, demo_db, column):
+def test_unknown_stored_value_is_unreadable(capsys, v0_db, demo_sysroot, column):
     table, name = column.split(".")
-    con = sqlite3.connect(demo_db)
-    with con:  # one row of the column, the last one stored
+    con = sqlite3.connect(v0_db)
+    with con:  # one row of the column, the last one stored for the latest snapshot
         con.execute(f"UPDATE {table} SET {name} = 'bogus' WHERE id ="
-                    f" (SELECT max(id) FROM {table} WHERE {name} IS NOT NULL)")
+                    f" (SELECT max(id) FROM {table} WHERE {name} IS NOT NULL"
+                    " AND snapshot_id = (SELECT id FROM snapshots WHERE label = 'demo'))")
     con.close()
-    before = db_hash(demo_db)
+    before = db_hash(v0_db)
     for argv in (["stats"], ["evolve"], ["dot"], ["get-deps", "/usr/bin/tool"]):
-        code, out, err = run(capsys, *argv, "--db", demo_db)
+        code, out, err = run(capsys, *argv, "--db", v0_db)
         assert code == 1, argv
         assert out == ""
-        assert column in err and "'bogus'" in err
+        assert "snapshot 'demo'" in err and f"{name} 'bogus'" in err
         assert "Traceback" not in err
-    assert db_hash(demo_db) == before
+    # a save would convert the database, which needs every snapshot read
+    code, out, err = run(capsys, "scan", "--sysroot", demo_sysroot.root, "--label", "new",
+                         "--db", v0_db)
+    assert (code, out) == (1, "")
+    assert "snapshot 'demo' cannot be converted" in err and f"{name} 'bogus'" in err
+    assert db_hash(v0_db) == before
 
 
 class FakeResult:
@@ -390,18 +425,90 @@ class FakeResult:
 
 
 @pytest.mark.parametrize("column", ["from_file", "to_file"])
-def test_dependency_on_a_file_outside_its_snapshot_is_unreadable(capsys, demo_db, column):
-    con = sqlite3.connect(demo_db)
-    with con:  # the first resolved dependency names a file no snapshot has
-        row = con.execute("SELECT min(id) FROM deps WHERE to_file IS NOT NULL").fetchone()[0]
+def test_dependency_on_a_file_outside_its_snapshot_is_unreadable(capsys, v0_db, column):
+    con = sqlite3.connect(v0_db)
+    with con:  # the latest snapshot's first resolved dependency names a file no snapshot has
+        row = con.execute("SELECT min(id) FROM deps WHERE to_file IS NOT NULL AND snapshot_id ="
+                          " (SELECT id FROM snapshots WHERE label = 'demo')").fetchone()[0]
         con.execute(f"UPDATE deps SET {column} = 999 WHERE id = ?", (row,))
+    con.close()
+    before = db_hash(v0_db)
+    for argv in (["stats"], ["who-uses", "libc.so.6"], ["evolve"], ["dot"]):
+        code, out, err = run(capsys, *argv, "--db", v0_db)
+        assert code == 1, argv
+        assert out == ""
+        assert f"deps row {row} " in err and "names file 999" in err
+        assert "Traceback" not in err
+    assert db_hash(v0_db) == before
+
+
+def graphs_row(db: str, label: str) -> dict:
+    con = sqlite3.connect(db)
+    try:
+        cur = con.execute("SELECT graphs.* FROM graphs JOIN snapshots"
+                          " ON snapshots.id = graphs.snapshot_id WHERE label = ?", (label,))
+        return dict(zip([d[0] for d in cur.description], cur.fetchone()))
+    finally:
+        con.close()
+
+
+def int32s(blob: bytes) -> list[int]:
+    column = array("i", blob)
+    if sys.byteorder == "big":
+        column.byteswap()
+    return column.tolist()
+
+
+def as_blob(values: list[int]) -> bytes:
+    column = array("i", values)
+    if sys.byteorder == "big":
+        column.byteswap()
+    return column.tobytes()
+
+
+def swapped_sources(row: dict) -> dict:
+    src = int32s(row["src"])
+    src[0], src[-1] = src[-1], src[0]  # the demo tree's first and last sources differ
+    return {"src": as_blob(src)}
+
+
+def renamed(row: dict, name: str, new: str) -> dict:
+    strings = row["strings"].split(b"\0")
+    strings[strings.index(name.encode())] = new.encode()
+    return {"strings": b"\0".join(strings)}
+
+
+# (stored column changes, what the message says), on the demo tree's 10 nodes and edges
+CORRUPT_V1 = {
+    "dst outside the nodes": (lambda r: {"dst": as_blob(int32s(r["dst"])[:-1] + [10])},
+                              "column dst holds a value outside -1..9"),
+    "src outside the nodes": (lambda r: {"src": as_blob(int32s(r["src"])[:-1] + [10])},
+                              "column src holds a value outside 0..9"),
+    "a node kind too few": (lambda r: {"kinds": r["kinds"][:-4]},
+                            "column kinds holds 9 values, not 10"),
+    "names of part of an int": (lambda r: {"names": r["names"] + b"\0"},
+                                "column names: bytes length not a multiple of item size"),
+    "edges not grouped by source": (swapped_sources, "column src is not grouped by source"),
+    "unknown kind": (lambda r: renamed(r, "library", "bogus"), "kind 'bogus'"),
+    "unknown origin": (lambda r: renamed(r, "ldso-conf", "bogus"), "origin 'bogus'"),
+}
+
+
+@pytest.mark.parametrize("case", CORRUPT_V1)
+def test_corrupt_graphs_row_is_unreadable(capsys, demo_db, case):
+    change, message = CORRUPT_V1[case]
+    con = sqlite3.connect(demo_db)
+    with con:
+        columns = change(graphs_row(demo_db, "demo"))
+        con.execute(f"UPDATE graphs SET {', '.join(f'{c} = ?' for c in columns)}",
+                    list(columns.values()))
     con.close()
     before = db_hash(demo_db)
     for argv in (["stats"], ["who-uses", "libc.so.6"], ["evolve"], ["dot"]):
         code, out, err = run(capsys, *argv, "--db", demo_db)
         assert code == 1, argv
         assert out == ""
-        assert f"deps row {row} " in err and "names file 999" in err
+        assert err.startswith("depex: snapshot 'demo' in ") and message in err, err
         assert "Traceback" not in err
     assert db_hash(demo_db) == before
 

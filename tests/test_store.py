@@ -101,34 +101,6 @@ def test_scan_roundtrip_preserves_graph(demo_sysroot, tmp_path):
     assert scan_edges == db_edges
 
 
-def test_save_takes_the_ids_sqlite_assigns_row_by_row(tmp_path):
-    # files ids continue from the largest one, not from the row count
-    db = db_file(tmp_path)
-    con = open_db(db)
-    con.execute("INSERT INTO snapshots VALUES (7, 'old', '/', 'now', '0')")
-    con.execute("INSERT INTO files(id, snapshot_id, canonical_path, kind)"
-                " VALUES (40, 7, '/old', 'library')")
-    con.close()
-    for label in ("a", "b"):
-        save_snapshot(small_result(), label, db)
-    con = sqlite3.connect(db)
-    try:
-        files = con.execute("SELECT id, snapshot_id, canonical_path FROM files"
-                            " ORDER BY id").fetchall()
-        aliases = con.execute("SELECT rowid, file_id, alias_path FROM file_aliases").fetchall()
-        deps = con.execute("SELECT id, snapshot_id, from_file, needed_name, to_file"
-                           " FROM deps").fetchall()
-    finally:
-        con.close()
-    paths = ["/bin/app", "/lib/liba.so", "/lib/libb.so"]
-    assert files == [(40, 7, "/old")] + [(41 + i, 8, p) for i, p in enumerate(paths)] + [
-        (44 + i, 9, p) for i, p in enumerate(paths)]
-    assert aliases == [(1, 41, "/alias/app"), (2, 44, "/alias/app")]
-    assert deps == [(1, 8, 41, "liba.so", 42), (2, 8, 41, "libmissing.so", None),
-                    (3, 8, 42, "libb.so", 43), (4, 9, 44, "liba.so", 45),
-                    (5, 9, 44, "libmissing.so", None), (6, 9, 45, "libb.so", 46)]
-
-
 def test_duplicate_label(tmp_path):
     db = db_file(tmp_path)
     save_snapshot(small_result(), "s1", db)
@@ -195,20 +167,53 @@ def test_duplicate_needed_name_rejected(tmp_path):
         save_snapshot(FakeResult(nodes, edges), "dup", db_file(tmp_path))
 
 
+UNSTORABLE = {
+    "duplicate path": lambda r: setattr(r.nodes[2], "canonical_path", "/lib/liba.so"),
+    "NUL in a path": lambda r: setattr(r.nodes[1], "canonical_path", "/lib/li\0ba.so"),
+    "NUL in an alias": lambda r: r.nodes[0].alias_paths.append("/alias/\0app"),
+    "NUL in a soname": lambda r: setattr(r.nodes[1], "soname", "liba.so\0"),
+    "NUL in a needed name": lambda r: setattr(r.edges[1], "needed_name", "\0libmissing.so"),
+}
+
+
+@pytest.mark.parametrize("change", UNSTORABLE)
+def test_unstorable_snapshot_fails_and_leaves_db_unchanged(tmp_path, change):
+    # one path per node and no NUL, which ends each stored string
+    db = db_file(tmp_path)
+    save_snapshot(small_result(), "keep", db)
+    before = file_hash(db)
+    bad = small_result()
+    UNSTORABLE[change](bad)
+    with pytest.raises(StorageFailure):
+        save_snapshot(bad, "bad", db)
+    assert file_hash(db) == before
+    assert [s.label for s in list_snapshots(db)] == ["keep"]
+
+
+def test_newer_schema_version_is_unreadable(tmp_path):
+    db = db_file(tmp_path)
+    save_snapshot(small_result(), "s1", db)
+    con = sqlite3.connect(db)
+    con.execute("PRAGMA user_version = 2")
+    con.close()
+    before = file_hash(db)
+    for call in (lambda: list_snapshots(db), lambda: load_graph("s1", db),
+                 lambda: save_snapshot(small_result(), "s2", db)):
+        with pytest.raises(UnreadableDatabase, match="schema version 2"):
+            call()
+    assert file_hash(db) == before
+
+
 def kill_writer_mid_transaction(db: str, rows: int, cache_pages: int = 2000) -> None:
     script = textwrap.dedent(f"""
         import os, sqlite3
         con = sqlite3.connect({db!r}, isolation_level=None)
         con.execute("PRAGMA cache_size = {cache_pages}")
         con.execute("BEGIN IMMEDIATE")
-        cur = con.execute(
-            "INSERT INTO snapshots(label, root_path, scanned_at, tool_version)"
-            " VALUES ('doomed', '/', 'now', '0')")
-        sid = cur.lastrowid
         for i in range({rows}):
             con.execute(
-                "INSERT INTO files(snapshot_id, canonical_path, kind, size_bytes)"
-                " VALUES (?, ?, 'library', 0)", (sid, f'/lib/lib{{i}}.so'))
+                "INSERT INTO snapshots(label, root_path, scanned_at, tool_version)"
+                " VALUES (?, '/', 'now', '0')", (f'doomed{{i}}',))
         os._exit(1)
     """)
     proc = subprocess.run([sys.executable, "-c", script])
@@ -383,77 +388,53 @@ def traced_statements(monkeypatch) -> list[str]:
     return statements
 
 
-def test_deps_load_reads_through_the_snapshot_index(tmp_path, monkeypatch):
+def test_load_reads_one_graphs_row_by_its_key(tmp_path, monkeypatch):
     db = db_file(tmp_path)
     for k in (1, 2, 3):
         save_snapshot(release(k), f"r{k}", db)
     statements = traced_statements(monkeypatch)
     load_graph("r2", db)
+    queries = [s for s in statements if s.lstrip().startswith("SELECT")]
+    assert len(queries) == 2  # the snapshot by its label, then its graph
+    assert " FROM graphs WHERE snapshot_id = " in queries[1]
+    con = connect_plain(db)
+    plan = [row[3] for row in con.execute("EXPLAIN QUERY PLAN " + queries[1])]
+    con.close()
+    assert plan == ["SEARCH graphs USING INTEGER PRIMARY KEY (rowid=?)"]
+
+
+def test_deps_load_reads_through_the_snapshot_index(v0_db, monkeypatch):
+    # a version 0 database is read from its deps table until it is converted
+    statements = traced_statements(monkeypatch)
+    load_graph("1", v0_db)
     deps_queries = [s for s in statements if " FROM deps" in s]
     assert len(deps_queries) == 1
-    con = connect_plain(db)
+    con = connect_plain(v0_db)
     plan = [row[3] for row in con.execute("EXPLAIN QUERY PLAN " + deps_queries[0])]
     con.close()
     assert plan == ["SEARCH deps USING INDEX idx_deps_snapshot (snapshot_id=?)"]
 
 
-def test_files_load_reads_through_the_snapshot_index_unsorted(tmp_path, monkeypatch):
-    db = db_file(tmp_path)
-    for k in (1, 2, 3):
-        save_snapshot(release(k), f"r{k}", db)
+def test_files_load_reads_through_the_snapshot_index_unsorted(v0_db, monkeypatch):
     statements = traced_statements(monkeypatch)
-    load_graph("r2", db)
+    load_graph("1", v0_db)
     files_queries = [s for s in statements
                      if s.lstrip().startswith("SELECT id, canonical_path")]
     assert len(files_queries) == 1
-    con = connect_plain(db)
+    con = connect_plain(v0_db)
     plan = [row[3] for row in con.execute("EXPLAIN QUERY PLAN " + files_queries[0])]
     con.close()
     assert plan == ["SEARCH files USING INDEX idx_files_snapshot (snapshot_id=?)"]
 
 
-# _SCHEMA as written before idx_deps_snapshot replaced the two deps indexes
-OLD_SCHEMA = """
-CREATE TABLE IF NOT EXISTS snapshots(
-    id INTEGER PRIMARY KEY,
-    label TEXT NOT NULL UNIQUE,
-    root_path TEXT NOT NULL,
-    scanned_at TEXT NOT NULL,
-    tool_version TEXT NOT NULL
-);
-CREATE TABLE IF NOT EXISTS files(
-    id INTEGER PRIMARY KEY,
-    snapshot_id INTEGER NOT NULL REFERENCES snapshots(id),
-    canonical_path TEXT NOT NULL,
-    kind TEXT NOT NULL,
-    soname TEXT,
-    size_bytes INTEGER NOT NULL DEFAULT 0,
-    UNIQUE(snapshot_id, canonical_path)
-);
-CREATE TABLE IF NOT EXISTS file_aliases(
-    file_id INTEGER NOT NULL REFERENCES files(id),
-    alias_path TEXT NOT NULL
-);
-CREATE TABLE IF NOT EXISTS deps(
-    id INTEGER PRIMARY KEY,
-    snapshot_id INTEGER NOT NULL REFERENCES snapshots(id),
-    from_file INTEGER NOT NULL REFERENCES files(id),
-    needed_name TEXT NOT NULL,
-    to_file INTEGER,
-    origin TEXT
-);
-CREATE INDEX IF NOT EXISTS idx_deps_from ON deps(from_file);
-CREATE INDEX IF NOT EXISTS idx_deps_to ON deps(to_file);
-CREATE INDEX IF NOT EXISTS idx_files_snapshot_kind ON files(snapshot_id, kind);
-"""
-
-
-def index_names(db: str) -> set[str]:
+def schema(db: str) -> tuple[int, set[str]]:
+    """The user_version and the name of every table and index."""
     con = connect_plain(db)
-    names = {row[0] for row in con.execute(
-        "SELECT name FROM sqlite_master WHERE type = 'index' AND sql IS NOT NULL")}
-    con.close()
-    return names
+    try:
+        version, = con.execute("PRAGMA user_version").fetchone()
+        return version, {row[0] for row in con.execute("SELECT name FROM sqlite_master")}
+    finally:
+        con.close()
 
 
 def graph_dump(graph) -> tuple:
@@ -463,33 +444,43 @@ def graph_dump(graph) -> tuple:
             [(e.id, e.from_node, e.needed_name, e.to_node, e.origin) for e in graph.edges()])
 
 
-def test_old_schema_database_loads_the_same_and_migrates_on_save(tmp_path):
-    new_db, old_db = str(tmp_path / "new.db"), str(tmp_path / "old.db")
+V1_TABLES = {"snapshots", "sqlite_autoindex_snapshots_1", "graphs"}
+
+
+def test_old_schema_database_loads_the_same_and_migrates_on_save(v0_db, demo_sysroot,
+                                                                 tmp_path):
+    # the same scans saved by this version, in the same order
+    v1_db = str(tmp_path / "v1.db")
+    save_snapshot(scan_tree(ScanOptions(SearchConfig(demo_sysroot.root))), "demo", v1_db)
     for k in (1, 2):
-        save_snapshot(release(k), f"r{k}", new_db)
-    con = sqlite3.connect(old_db, isolation_level=None)
-    con.executescript(OLD_SCHEMA)
-    con.execute("ATTACH DATABASE ? AS new", (new_db,))
-    for table in ("snapshots", "files", "file_aliases", "deps"):
-        con.execute(f"INSERT INTO main.{table} SELECT * FROM new.{table} ORDER BY rowid")
-    con.execute("DETACH DATABASE new")
+        save_snapshot(release(k), str(k), v1_db)
+    assert schema(v1_db) == (1, V1_TABLES)
+    version, tables = schema(v0_db)
+    assert version == 0 and {"files", "file_aliases", "deps"} <= tables
+
+    before = file_hash(v0_db)
+    loaded = {}
+    for label in ("demo", "1", "2"):
+        old, new = load_graph(label, v0_db), load_graph(label, v1_db)
+        assert (old.snapshot.id, old.snapshot.label) == (new.snapshot.id, label)
+        assert graph_dump(old)[1:] == graph_dump(new)[1:]
+        assert answers(old) == answers(new)
+        loaded[label] = graph_dump(old)
+    assert [s.label for s in list_snapshots(v0_db)] == ["1", "2", "demo"]
+    assert file_hash(v0_db) == before
+    with pytest.raises(DuplicateLabel):
+        save_snapshot(release(3), "demo", v0_db)
+    assert file_hash(v0_db) == before
+
+    save_snapshot(release(3), "3", v0_db)
+    assert schema(v0_db) == (1, V1_TABLES)
+    con = connect_plain(v0_db)
+    assert con.execute("SELECT snapshot_id FROM graphs ORDER BY 1").fetchall() == \
+        [(1,), (2,), (3,), (4,)]
     con.close()
-    old_indexes = {"idx_deps_from", "idx_deps_to", "idx_files_snapshot_kind"}
-    assert index_names(old_db) == old_indexes
-
-    before = file_hash(old_db)
-    loaded = {label: graph_dump(load_graph(label, old_db)) for label in ("r1", "r2")}
     for label, dump in loaded.items():
-        assert dump == graph_dump(load_graph(label, new_db))
-    assert [s.label for s in list_snapshots(old_db)] == ["r1", "r2"]
-    assert file_hash(old_db) == before
-    assert index_names(old_db) == old_indexes
-
-    save_snapshot(release(3), "r3", old_db)
-    assert index_names(old_db) == {"idx_deps_snapshot", "idx_files_snapshot"}
-    for label, dump in loaded.items():
-        assert graph_dump(load_graph(label, old_db)) == dump
-    assert loaded_rows(load_graph("r3", old_db)) == saved_rows(release(3))
+        assert graph_dump(load_graph(label, v0_db)) == dump
+    assert loaded_rows(load_graph("3", v0_db)) == saved_rows(release(3))
 
 
 def equivalence_case(rng: random.Random) -> tuple[list, list]:

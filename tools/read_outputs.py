@@ -19,10 +19,12 @@ scan-distro tree under WHERE. `scans` imports depex from SRC, scans each
 tree with symlink following on and off, and prints the counts, every node
 (path, kind, soname, size, aliases), every edge (with its target and
 origin) and every error record. It then saves the scan through
-`save_snapshot`, all four into one fresh database, so later saves take ids
-after earlier ones, and prints the snapshot's `files`, `file_aliases` and
-`deps` rows with their row ids. Scan dumps likewise differ in a byte
-exactly when a scan answer or a saved row does.
+`save_snapshot`, all four into one fresh database, and prints what
+`load_graph` reads back: the snapshot's id, label and root, the node
+columns by position (path, kind, soname, size, aliases) and the edges by
+position (source, needed name, target, origin). Scan dumps likewise differ
+in a byte exactly when a scan answer or a saved snapshot does, whatever
+the storage format.
 """
 
 from __future__ import annotations
@@ -31,16 +33,10 @@ import contextlib
 import io
 import json
 import os
-import sqlite3
 import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SAVED_ROWS = (
-    ("files", "SELECT * FROM files WHERE snapshot_id = ? ORDER BY id"),
-    ("file_aliases", "SELECT rowid, * FROM file_aliases WHERE file_id IN"
-                     " (SELECT id FROM files WHERE snapshot_id = ?) ORDER BY rowid"),
-    ("deps", "SELECT * FROM deps WHERE snapshot_id = ? ORDER BY id"))
 READS = (["stats", "--json"], ["dot"], ["dot", "--hide-top", "12"], ["evolve"],
          ["evolve", "--format", "csv"])
 
@@ -81,7 +77,7 @@ def scans(src: str, where: str) -> None:
     sys.path.insert(0, os.path.abspath(src))
     from depex.resolver import SearchConfig
     from depex.scanner import ScanOptions, scan_tree
-    from depex.store import save_snapshot
+    from depex.store import load_graph, save_snapshot
 
     with open(os.path.join(where, "trees.json")) as f:
         trees = json.load(f)
@@ -103,13 +99,14 @@ def scans(src: str, where: str) -> None:
                 for path, message in r.error_records:
                     out.write(f"error {path} {message}\n")
                 snapshot = save_snapshot(r, f"{name} {follow}", db, tool_version="0")
-                con = sqlite3.connect(db)
-                try:
-                    for table, query in SAVED_ROWS:
-                        for row in con.execute(query, (snapshot.id,)):
-                            out.write(f"{table} {row}\n")
-                finally:
-                    con.close()
+                g = load_graph(snapshot.label, db)
+                out.write(f"saved {g.snapshot.id} {g.snapshot.label} {g.snapshot.root_path}\n")
+                for p, path in enumerate(g.paths):
+                    out.write(f"saved node {p} {path} {g.kinds[p].value} {g.sonames[p]} "
+                              f"{g.sizes[p]} {' '.join(g.aliases.get(p, ()))}\n")
+                for e, (src, needed, dst, origin) in enumerate(
+                        zip(g.src, g.names, g.dst, g.origins)):
+                    out.write(f"saved edge {e} {src} {needed} {dst} {origin and origin.value}\n")
 
 
 def dump(src: str, where: str) -> None:
