@@ -5,11 +5,11 @@ coupling is the whole iceberg underneath it. Everything here is read-only
 over an immutable graph and safe to call concurrently.
 
 Recursive coupling of one node is one DFS, O(V + E). For a whole snapshot,
-closure_sizes condenses the graph into strongly connected components
-(Tarjan 1972) and propagates reachability bitsets over the condensation in
-reverse topological order (Purdom 1970; Nuutila 1995), so stats_summary
-costs O(V + E) plus one OR of at most V bits per edge between components,
-not one DFS per node.
+closure_sizes condenses the imported core (the nodes something imports)
+into strongly connected components (Tarjan 1972) and propagates
+reachability bitsets over the condensation in reverse topological order
+(Purdom 1970; Nuutila 1995); only the core's nodes get bits. Each
+never-imported node then costs one OR per out-edge, not one DFS.
 """
 
 from __future__ import annotations
@@ -37,17 +37,21 @@ def recursive_coupling(graph: DependencyGraph, node_id: int) -> int:
 
 
 def closure_sizes(graph: DependencyGraph) -> dict[int, int]:
-    """recursive_coupling of every node, in one pass over the graph.
+    """recursive_coupling of every node, in two passes over the graph.
 
-    Tarjan's SCC, iterative so deep chains cannot hit the recursion limit,
-    emits each component after every component it reaches. Its members get
-    contiguous bits; its reach is an int bitset of those bits OR the reach
-    of each component it has an edge into, and a member's closure size is
-    that popcount minus one. A reach is dropped once the last edge into its
-    component has been read.
+    First the imported core, the nodes with a resolved in-edge, which holds
+    every edge target. There Tarjan's SCC, iterative so deep chains cannot
+    hit the recursion limit, emits each component after every component it
+    reaches. Its members get contiguous bits; its reach is an int bitset of
+    those bits OR the reach of each component it has an edge into, and a
+    member's closure size is that popcount minus one. A reach is dropped
+    once the last edge into its component has been read. Then each
+    never-imported node, with no bit and no Tarjan state, gets the popcount
+    of the OR of its targets' reaches, kept alive by its unread edges.
     """
     n, start, dst, in_start = len(graph.paths), graph.out_start, graph.dst, graph.in_start
-    succ = [[d for d in dst[start[p]:start[p + 1]] if d >= 0] for p in range(n)]
+    succ = [[d for d in dst[start[p]:start[p + 1]] if d >= 0]
+            if in_start[p] != in_start[p + 1] else None for p in range(n)]
     index = [-1] * n      # discovery order; -1 until visited
     low = [0] * n
     component = [-1] * n  # visited and still -1: on the Tarjan stack
@@ -58,7 +62,7 @@ def closure_sizes(graph: DependencyGraph) -> dict[int, int]:
     discovered = 0
     next_bit = 0
     for root in range(n):
-        if index[root] >= 0:
+        if index[root] >= 0 or in_start[root] == in_start[root + 1]:
             continue
         index[root] = low[root] = discovered
         discovered += 1
@@ -82,14 +86,14 @@ def closure_sizes(graph: DependencyGraph) -> dict[int, int]:
                 if low[v] != index[v]:
                     continue
                 c = len(unread)
-                members = []
+                members, into = [], 0
                 while True:
                     w = stack.pop()
                     component[w] = c
                     members.append(w)
+                    into += in_start[w + 1] - in_start[w]
                     if w == v:
                         break
-                into = sum(in_start[m + 1] - in_start[m] for m in members)
                 reached = 0  # all outside the component: the condensation is acyclic
                 for m in members:
                     for w in succ[m]:
@@ -108,6 +112,13 @@ def closure_sizes(graph: DependencyGraph) -> dict[int, int]:
                 size = reached.bit_count() + len(members) - 1
                 for m in members:
                     sizes[m] = size
+    for p in range(n):
+        if in_start[p] == in_start[p + 1]:
+            reached = 0
+            for d in dst[start[p]:start[p + 1]]:
+                if d >= 0:
+                    reached |= reach[component[d]]
+            sizes[p] = reached.bit_count()
     return dict(enumerate(sizes))
 
 
@@ -208,9 +219,8 @@ class StatsSummary:
 def stats_summary(graph: DependencyGraph) -> StatsSummary:
     """Snapshot-level aggregate; averages span executables and libraries.
 
-    Recursive coupling comes from closure_sizes, one SCC pass costing
-    O(V + E) plus one OR of at most V bits per edge between components,
-    not a DFS per node at O(V * (V + E)).
+    Recursive coupling comes from closure_sizes: O(V + E) plus one OR of
+    at most core-size bits per edge, not a DFS per node at O(V * (V + E)).
     """
     kinds, start = graph.kinds, graph.out_start
     population = [p for p, kind in enumerate(kinds)

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import cached_property
 from itertools import accumulate, chain
-from operator import gt
+from operator import gt, itemgetter
 from typing import TYPE_CHECKING, Iterable, Iterator
 from urllib.parse import quote
 
@@ -111,6 +111,19 @@ def _offsets(keys: list[int], n: int) -> list[int]:
     return [0, *accumulate(count[:n])]
 
 
+def _by_source(pos: dict[int, int], froms: list[int], names: list[str],
+               tos: list[int | None], origins: list) -> list[list]:
+    """Edge columns src, names, dst (None: -1) and origins with node ids made
+    positions and grouped by source in the order given; KeyError for an unknown id."""
+    src = list(map(pos.__getitem__, froms))
+    dst = [-1 if to is None else pos[to] for to in tos]
+    columns = [src, names, dst, origins]
+    if any(map(gt, src, src[1:])):  # not grouped yet: a stable sort
+        order = sorted(range(len(src)), key=src.__getitem__)
+        columns = [[column[e] for e in order] for column in columns]
+    return columns
+
+
 class _View(Mapping):
     """Read-only node id -> record mapping; a record is built when read."""
 
@@ -145,16 +158,13 @@ class DependencyGraph:
                  edges: Iterable[DependencyEdge]):
         """The given node ids only place the edge ends; KeyError for an
         edge end outside the nodes."""
-        nodes = list(nodes)
+        nodes, edges = list(nodes), list(edges)
         pos = {node.id: p for p, node in enumerate(nodes)}
-        # a stable sort: each source's edges keep their import-table order
-        edges = sorted(edges, key=lambda e: pos[e.from_node])
         self._fill(snapshot, [n.canonical_path for n in nodes], [n.kind for n in nodes],
                    [n.soname for n in nodes], [n.size_bytes for n in nodes],
                    {p: list(n.alias_paths) for p, n in enumerate(nodes) if n.alias_paths},
-                   [pos[e.from_node] for e in edges], [e.needed_name for e in edges],
-                   [-1 if e.to_node is None else pos[e.to_node] for e in edges],
-                   [e.origin for e in edges])
+                   *_by_source(pos, [e.from_node for e in edges], [e.needed_name for e in edges],
+                               [e.to_node for e in edges], [e.origin for e in edges]))
 
     def _fill(self, snapshot, paths, kinds, sonames, sizes, aliases,
               src, names, dst, origins) -> None:
@@ -359,30 +369,37 @@ def _unpack(snapshot: Snapshot, row: tuple) -> DependencyGraph:
     return graph
 
 
+def _columns(rows: list[tuple], width: int) -> list[list]:
+    return [list(map(itemgetter(i), rows)) for i in range(width)]
+
+
 def _load_v0(con: sqlite3.Connection, snap: Snapshot) -> DependencyGraph:
-    """One snapshot of a version 0 database, from its files, file_aliases
-    and deps rows; ValueError for a dependency on a file outside it."""
+    """One snapshot of a version 0 database, its columns filled straight
+    from its files, file_aliases and deps rows; ValueError for a dependency
+    on a file outside it."""
+    ids, paths, kinds, sonames, sizes = _columns(con.execute(
+        "SELECT id, canonical_path, kind, soname, size_bytes FROM files"
+        " WHERE snapshot_id = ? ORDER BY id", (snap.id,)).fetchall(), 5)
+    pos = dict(zip(ids, range(len(ids))))
     aliases: dict[int, list[str]] = {}
     for file_id, alias in con.execute(
             "SELECT file_id, alias_path FROM file_aliases WHERE file_id IN"
             " (SELECT id FROM files WHERE snapshot_id = ?) ORDER BY rowid", (snap.id,)):
-        aliases.setdefault(file_id, []).append(alias)
-    nodes = [FileNode(file_id, snap.id, path, aliases.get(file_id, []), _KINDS[kind],
-                      soname, size)
-             for file_id, path, kind, soname, size in con.execute(
-                 "SELECT id, canonical_path, kind, soname, size_bytes FROM files"
-                 " WHERE snapshot_id = ? ORDER BY id", (snap.id,))]
-    edges = [DependencyEdge(row, snap.id, from_file, name, to_file, _ORIGINS[origin])
-             for row, from_file, name, to_file, origin in con.execute(
-                 "SELECT id, from_file, needed_name, to_file, origin FROM deps"
-                 " WHERE snapshot_id = ? ORDER BY id", (snap.id,))]
+        aliases.setdefault(pos[file_id], []).append(alias)
+    froms, names, tos, origins = _columns(con.execute(
+        "SELECT from_file, needed_name, to_file, origin FROM deps"
+        " WHERE snapshot_id = ? ORDER BY id", (snap.id,)).fetchall(), 4)
     try:
-        return DependencyGraph(snap, nodes, edges)
+        edges = _by_source(pos, froms, names, tos, list(map(_ORIGINS.__getitem__, origins)))
     except KeyError as exc:  # only a from_file or to_file id can be missing
-        file_id = exc.args[0]
-        row = next(e.id for e in edges if file_id in (e.from_node, e.to_node))
-        raise ValueError(f"deps row {row} names file {file_id},"
+        row, = con.execute("SELECT min(id) FROM deps WHERE snapshot_id = ?"
+                           " AND ? IN (from_file, to_file)", (snap.id, exc.args[0])).fetchone()
+        raise ValueError(f"deps row {row} names file {exc.args[0]},"
                          " which is not in that snapshot") from None
+    graph = DependencyGraph.__new__(DependencyGraph)
+    graph._fill(snap, paths, list(map(_KINDS.__getitem__, kinds)), sonames, sizes, aliases,
+                *edges)
+    return graph
 
 
 def _check_version(version: int, db_path: str) -> None:

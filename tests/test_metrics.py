@@ -266,6 +266,65 @@ def test_closure_sizes_match_dfs_and_matrix_oracle():
         assert stats.max_recursive == max(recursives)
 
 
+def corpus_shaped_graph(rng):
+    """A core with cycles, self-loops and unresolved edges, and at least as
+    many nodes again that nothing imports, each importing into the core;
+    node ids are shuffled so the two kinds interleave."""
+    core = rng.randint(1, 30)
+    n = core + rng.randint(core, 40)
+    ids = list(range(n))
+    rng.shuffle(ids)
+    pairs = {(ids[a], ids[b]) for a in range(core) for b in range(core)
+             if rng.random() < 0.08}
+    pairs |= {(ids[a], ids[rng.randrange(core)])
+              for a in range(core, n) for _ in range(rng.randint(0, 6))}
+    nodes = [(f"/n/{i:03d}", LIB if rng.random() < 0.6 else EXE) for i in range(n)]
+    edges = [(a, f"lib{b}.so", b) for a, b in sorted(pairs)]
+    edges += [(a, f"ghost{a}.so", None) for a in range(n) if rng.random() < 0.2]
+    return build_graph(nodes, edges), n, pairs
+
+
+def test_closure_sizes_with_most_nodes_never_imported():
+    rng = random.Random(31337)
+    for _ in range(200):
+        graph, n, pairs = corpus_shaped_graph(rng)
+        assert 2 * list(popularity(graph).values()).count(0) >= n
+        sizes = closure_sizes(graph)
+        assert sizes == {v: len(graph.reachable_from(v)) for v in range(n)}
+        assert sizes == {v: len(reach) for v, reach in enumerate(closure_sets(n, pairs))}
+
+
+def test_closure_sizes_with_no_resolved_edge_are_zero():
+    g = build_graph([("/a", EXE), ("/b", LIB), ("/c", LIB)],
+                    [(0, "ghost", None), (1, "ghost", None)])
+    assert closure_sizes(g) == {0: 0, 1: 0, 2: 0}
+
+
+def test_closure_sizes_node_imported_only_by_its_own_self_loop():
+    # /a imports itself and /b, and nothing else imports /a
+    g = build_graph([("/a", LIB), ("/b", LIB)], [(0, "a", 0), (0, "b", 1)])
+    assert closure_sizes(g) == {0: 1, 1: 0}
+    # the same, with a never-imported /c importing /a
+    g = build_graph([("/a", LIB), ("/b", LIB), ("/c", EXE)],
+                    [(0, "a", 0), (0, "b", 1), (2, "a", 0)])
+    assert closure_sizes(g) == {0: 1, 1: 0, 2: 2}
+
+
+def test_closure_sizes_never_imported_node_counts_a_cycle_once():
+    # /x imports both members of the a <-> b cycle, which imports c
+    g = build_graph([("/a", LIB), ("/x", EXE), ("/b", LIB), ("/c", LIB)],
+                    [(0, "b", 2), (2, "a", 0), (2, "c", 3), (1, "a", 0), (1, "b", 2)])
+    assert closure_sizes(g) == {0: 2, 1: 3, 2: 2, 3: 0}
+
+
+def test_closure_sizes_all_imported_ring():
+    n = 7
+    g = build_graph([(f"/l{i}.so", LIB) for i in range(n)],
+                    [(i, f"l{(i + 1) % n}.so", (i + 1) % n) for i in range(n)])
+    assert all(popularity(g).values())
+    assert closure_sizes(g) == dict.fromkeys(range(n), n - 1)
+
+
 def test_stats_runs_no_per_node_dfs(monkeypatch):
     def no_dfs(self, node_id):
         raise AssertionError("stats_summary ran a per-node DFS")

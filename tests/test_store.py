@@ -483,6 +483,30 @@ def test_old_schema_database_loads_the_same_and_migrates_on_save(v0_db, demo_sys
     assert loaded_rows(load_graph("3", v0_db)) == saved_rows(release(3))
 
 
+def test_old_schema_dependencies_in_no_source_order_load_grouped_by_source(v0_db):
+    snapshot = "(SELECT id FROM snapshots WHERE label = '2')"
+    con = sqlite3.connect(v0_db)
+    with con:  # number the snapshot's dependencies last to first
+        ids = [row for row, in con.execute(
+            f"SELECT id FROM deps WHERE snapshot_id = {snapshot} ORDER BY id")]
+        con.executemany("UPDATE deps SET id = ? WHERE id = ?", [(-row, row) for row in ids])
+        con.executemany("UPDATE deps SET id = ? WHERE id = ?",
+                        [(new, -old) for new, old in zip(ids, reversed(ids))])
+    files = con.execute(f"SELECT id FROM files WHERE snapshot_id = {snapshot} ORDER BY id")
+    pos = {file_id: p for p, (file_id,) in enumerate(files)}
+    deps = con.execute("SELECT id, from_file, needed_name, to_file, origin FROM deps"
+                       f" WHERE snapshot_id = {snapshot} ORDER BY id").fetchall()
+    con.close()
+    froms = [from_file for _, from_file, *_ in deps]
+    assert froms != sorted(froms)
+    graph = load_graph("2", v0_db)
+    expect = sorted([(pos[from_file], name, -1 if to_file is None else pos[to_file],
+                      origin and Origin(origin)) for _, from_file, name, to_file, origin in deps],
+                    key=lambda edge: edge[0])  # stable: each source keeps its row order
+    assert list(zip(graph.src, graph.names, graph.dst, graph.origins)) == expect
+    assert graph.names[0] == "libghost.so.2"  # the first source's last import comes first
+
+
 def equivalence_case(rng: random.Random) -> tuple[list, list]:
     """A random graph's node specs and edges: cycles, missing names, a name
     missing from one node and resolved from another, two names from one

@@ -11,8 +11,10 @@ records the 64 pooled query command lines next to the database. `dump`
 imports depex from the source directory SRC, runs `stats --json`, `dot`,
 `dot --hide-top 12`, `evolve`, `evolve --format csv` and the pooled
 queries in-process against that database, and prints each command line,
-its exit code and its output. Dumps made with the `src/` of two commits
-differ in a byte exactly when a read answer does.
+its exit code and its output. It then prints, for each snapshot, every
+node's recursive coupling from `depex.metrics.closure_sizes` as
+`path<TAB>size` lines in path order. Dumps made with the `src/` of two
+commits differ in a byte exactly when a read answer does.
 
 `build-trees` writes the test suite's demo tree and perfbench's seed-1
 scan-distro tree under WHERE. `scans` imports depex from SRC, scans each
@@ -112,6 +114,8 @@ def scans(src: str, where: str) -> None:
 def dump(src: str, where: str) -> None:
     sys.path.insert(0, os.path.abspath(src))
     import depex.cli
+    from depex.metrics import closure_sizes
+    from depex.store import list_snapshots, load_graph
 
     with open(os.path.join(where, "reads.json")) as f:
         spec = json.load(f)
@@ -121,6 +125,12 @@ def dump(src: str, where: str) -> None:
             code = depex.cli.run_cli([*argv, "--db", spec["db"]])
         sys.stdout.write(f"$ depex {' '.join(argv)}\nexit {code}\n{out.getvalue()}"
                          f"{err.getvalue()}")
+    for snapshot in list_snapshots(spec["db"]):
+        graph = load_graph(snapshot.label, spec["db"])
+        sys.stdout.write(f"$ closure_sizes {snapshot.label}\n")
+        sizes = closure_sizes(graph)
+        for p in sorted(sizes, key=graph.paths.__getitem__):
+            sys.stdout.write(f"{graph.paths[p]}\t{sizes[p]}\n")
 
 
 if __name__ == "__main__":
