@@ -15,6 +15,8 @@ never-imported node then costs one OR per out-edge, not one DFS.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress, repeat
+from operator import is_, is_not, not_
 
 from depex.elf import ElfSummary, FileKind
 from depex.store import DependencyGraph
@@ -136,13 +138,13 @@ class HealthReport:
 
 
 def health(graph: DependencyGraph) -> HealthReport:
-    resolved_names = {name for name, d in zip(graph.names, graph.dst) if d >= 0}
-    missing = graph.missing_names
-    start = graph.in_start
-    unused = {p for p, kind in enumerate(graph.kinds)
-              if kind is FileKind.SHARED_LIBRARY and start[p] == start[p + 1]}
-    return HealthReport({name for _, name in missing if name not in resolved_names},
-                        {node_id for node_id, _ in missing}, unused)
+    names, kinds, start = graph.names, graph.kinds, graph.in_start
+    unresolved = [d < 0 for d in graph.dst]
+    resolved_names = set(compress(names, map(not_, unresolved)))
+    libraries = compress(range(len(kinds)), map(is_, kinds, repeat(FileKind.SHARED_LIBRARY)))
+    return HealthReport(set(compress(names, unresolved)) - resolved_names,
+                        set(compress(graph.src, unresolved)),
+                        {p for p in libraries if start[p] == start[p + 1]})
 
 
 @dataclass
@@ -223,24 +225,18 @@ def stats_summary(graph: DependencyGraph) -> StatsSummary:
     at most core-size bits per edge, not a DFS per node at O(V * (V + E)).
     """
     kinds, start = graph.kinds, graph.out_start
-    population = [p for p, kind in enumerate(kinds)
-                  if kind in (FileKind.EXECUTABLE_BINARY, FileKind.SHARED_LIBRARY)]
-    executables = sum(1 for p in population if kinds[p] is FileKind.EXECUTABLE_BINARY)
-    libraries = len(population) - executables
-    dependencies = len(graph.src)
+    population = list(compress(range(len(kinds)), map(is_not, kinds, repeat(FileKind.ELF_OTHER))))
     report = health(graph)
     directs = [start[p + 1] - start[p] for p in population]
-    closure = closure_sizes(graph)
-    recursives = [closure[p] for p in population]
-    count = len(population)
+    recursives = list(map(closure_sizes(graph).__getitem__, population))
     return StatsSummary(
-        executables=executables,
-        libraries=libraries,
-        dependencies=dependencies,
+        executables=kinds.count(FileKind.EXECUTABLE_BINARY),
+        libraries=kinds.count(FileKind.SHARED_LIBRARY),
+        dependencies=len(graph.src),
         missing=len(report.missing_names),
         unused=len(report.unused_libraries),
-        avg_direct=round(sum(directs) / count, 2) if count else 0.0,
-        avg_recursive=round(sum(recursives) / count, 2) if count else 0.0,
+        avg_direct=round(sum(directs) / len(population), 2) if population else 0.0,
+        avg_recursive=round(sum(recursives) / len(population), 2) if population else 0.0,
         max_direct=max(directs, default=0),
         max_recursive=max(recursives, default=0),
     )

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import eq
 
 from depex.elf import FileKind
 from depex.resolver import Resolution
@@ -39,7 +41,7 @@ def who_uses(graph: DependencyGraph, node_id: int, transitive: bool = False) -> 
     if transitive:
         return graph.reverse_reachable(node_id)
     p = graph.require(node_id)
-    return set(graph.in_src[graph.in_start[p]:graph.in_start[p + 1]])
+    return set(compress(graph.src, map(eq, graph.dst, repeat(p))))  # no reverse CSR
 
 
 @dataclass
@@ -51,8 +53,9 @@ class UpdateImpact:
 
 def update_impact(graph: DependencyGraph, node_id: int) -> UpdateImpact:
     """Everything that would feel an update of this library."""
-    direct = who_uses(graph, node_id, transitive=False)
     transitive = who_uses(graph, node_id, transitive=True)
+    start = graph.in_start  # built for the transitive set: the direct one is its slice
+    direct = set(graph.in_src[start[node_id]:start[node_id + 1]])
     executables = {n for n in transitive if graph.kinds[n] is FileKind.EXECUTABLE_BINARY}
     return UpdateImpact(direct, transitive, executables)
 
@@ -64,16 +67,17 @@ def find_node(graph: DependencyGraph, ref: str) -> int:
     path suffix on a component boundary. More than one hit is an error
     that lists the candidates.
     """
-    by_soname = [p for p, soname in enumerate(graph.sonames) if soname == ref]
-    if len(by_soname) == 1:
-        return by_soname[0]
-    if len(by_soname) > 1:
-        raise AmbiguousName(ref, sorted(graph.paths[p] for p in by_soname))
+    sonames, paths = graph.sonames, graph.paths
+    if sonames.count(ref) == 1:
+        return sonames.index(ref)
+    if ref in sonames:  # more than once
+        raise AmbiguousName(ref, sorted(compress(paths, map(eq, sonames, repeat(ref)))))
     suffix = "/" + ref.lstrip("/")
-    by_path = [p for p, path in enumerate(graph.paths)
-               if path == ref or path.endswith(suffix)]
+    by_path = list(compress(range(len(paths)), map(str.endswith, paths, repeat(suffix))))
+    if not ref.startswith("/") and ref in paths:  # a relative path matches only whole
+        by_path.append(paths.index(ref))
     if len(by_path) == 1:
         return by_path[0]
     if len(by_path) > 1:
-        raise AmbiguousName(ref, sorted(graph.paths[p] for p in by_path))
+        raise AmbiguousName(ref, sorted(paths[p] for p in by_path))
     raise UnknownNode(ref)

@@ -11,8 +11,8 @@ and a scan's ids come back from save_snapshot and load_graph unchanged.
 
 Schema version 1 (PRAGMA user_version) stores a snapshot's graph as
 those columns: one `graphs` row of BLOBs (see _COLUMNS), keyed by the
-snapshot's id. A load reads that one row, checks every column and fills
-the graph from it. A version 0 database keeps a row per node, alias and
+snapshot's id. A load reads that one row and checks and decodes each
+column in one pass. A version 0 database keeps a row per node, alias and
 dependency in `files`, `file_aliases` and `deps`; reads load it through
 those tables, unchanged, and the first save into it converts every
 snapshot to a `graphs` row and drops the three tables in that save's
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import cached_property
 from itertools import accumulate, chain
-from operator import gt, itemgetter
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Iterator
 from urllib.parse import quote
 
@@ -118,7 +118,7 @@ def _by_source(pos: dict[int, int], froms: list[int], names: list[str],
     src = list(map(pos.__getitem__, froms))
     dst = [-1 if to is None else pos[to] for to in tos]
     columns = [src, names, dst, origins]
-    if any(map(gt, src, src[1:])):  # not grouped yet: a stable sort
+    if src != sorted(src):  # not grouped yet: a stable sort
         order = sorted(range(len(src)), key=src.__getitem__)
         columns = [[column[e] for e in order] for column in columns]
     return columns
@@ -167,14 +167,15 @@ class DependencyGraph:
                                [e.to_node for e in edges], [e.origin for e in edges]))
 
     def _fill(self, snapshot, paths, kinds, sonames, sizes, aliases,
-              src, names, dst, origins) -> None:
-        """Node columns, the alias lists of the nodes that have any, and edge
-        columns already grouped by source."""
+              src, names, dst, origins) -> DependencyGraph:
+        """The graph of node columns, the alias lists of the nodes that have
+        any, and edge columns already grouped by source."""
         self.snapshot = snapshot
         self.paths, self.kinds, self.sonames, self.sizes = paths, kinds, sonames, sizes
         self.aliases: dict[int, list[str]] = aliases
         self.src, self.names, self.dst, self.origins = src, names, dst, origins
         self.out_start = _offsets(src, len(paths))
+        return self
 
     @cached_property
     def in_start(self) -> list[int]:
@@ -210,11 +211,6 @@ class DependencyGraph:
         return FileNode(p, self.snapshot.id, self.paths[p], list(self.aliases.get(p, ())),
                         self.kinds[p], self.sonames[p], self.sizes[p])
 
-    @property
-    def missing_names(self) -> set[tuple[int, str]]:
-        """(node id, needed name) of every unresolved edge."""
-        return {(s, name) for s, name, d in zip(self.src, self.names, self.dst) if d < 0}
-
     def __contains__(self, node_id: int) -> bool:
         return node_id in range(len(self.paths))  # no wrap-around: -1 is no node
 
@@ -226,8 +222,7 @@ class DependencyGraph:
 
     def edges(self) -> Iterator[DependencyEdge]:
         """Every edge as a new record, by source in import-table order."""
-        for out in self.adjacency.values():
-            yield from out
+        return chain.from_iterable(self.adjacency.values())
 
     def reachable_from(self, node_id: int) -> set[int]:
         """Forward closure over resolved edges, excluding the start node."""
@@ -282,12 +277,11 @@ def _pack_ints(code: str, values: Iterable[int]) -> bytes:
     return column.tobytes()
 
 
-def _unpack_ints(code: str, blob: bytes) -> list[int]:
-    column = array(code)
-    column.frombytes(blob)  # ValueError unless whole items
+def _unpack_ints(code: str, blob: bytes) -> array:
+    column = array(code, blob)  # ValueError unless whole items
     if sys.byteorder == "big":
         column.byteswap()
-    return column.tolist()
+    return column
 
 
 def _pack_strings(values: list[str]) -> bytes:
@@ -332,8 +326,8 @@ def _pack(graph: DependencyGraph) -> list[bytes]:
 
 
 def _unpack(snapshot: Snapshot, row: tuple) -> DependencyGraph:
-    """The graph in one graphs row; ValueError names the first column that
-    does not fit the others."""
+    """The graph in one graphs row, each column checked and decoded in one
+    pass; ValueError names the first column that does not fit the others."""
     columns = {}
     for (name, code), blob in zip(_COLUMNS, row):
         try:
@@ -342,31 +336,38 @@ def _unpack(snapshot: Snapshot, row: tuple) -> DependencyGraph:
             columns[name] = _unpack_strings(blob) if code == "s" else _unpack_ints(code, blob)
         except ValueError as exc:
             raise ValueError(f"column {name}: {exc}") from None
-    n, m, k = len(columns["paths"]), len(columns["src"]), len(columns["strings"])
-    for name, length, low, high in (
-            ("kinds", n, 0, k), ("sonames", n, -1, k), ("sizes", n, 0, 1 << 63),
-            ("alias_nodes", len(columns["aliases"]), 0, n),
-            ("src", m, 0, n), ("names", m, 0, k), ("dst", m, -1, n), ("origins", m, -1, k)):
-        values = columns[name]
-        if len(values) != length:
-            raise ValueError(f"column {name} holds {len(values)} values, not {length}")
+    n, m = len(columns["paths"]), len(columns["src"])
+    for name, length in (("kinds", n), ("sonames", n), ("sizes", n), ("names", m), ("dst", m),
+                         ("origins", m), ("alias_nodes", len(columns["aliases"]))):
+        if len(columns[name]) != length:
+            raise ValueError(f"column {name} holds {len(columns[name])} values, not {length}")
+    sizes, src, dst = (columns[name].tolist() for name in ("sizes", "src", "dst"))
+    grouped = src == sorted(src)  # sorted finds a grouped column one run
+    for name, values, low, high in (
+            ("sizes", sizes and [min(sizes)], 0, 1 << 63),  # an int64 is below 2**63
+            ("alias_nodes", columns["alias_nodes"], 0, n), ("dst", dst, -1, n),
+            ("src", src[:1] + src[-1:] if grouped else src, 0, n)):  # grouped: its ends bound it
         if values and not (low <= min(values) and max(values) < high):
             raise ValueError(f"column {name} holds a value outside {low}..{high - 1}")
-    src = columns["src"]
-    if any(map(gt, src, src[1:])):
+    if not grouped:
         raise ValueError("column src is not grouped by source")
-    table = [*columns["strings"], None]  # index -1 is None
-    kind_of = {i: _KINDS[table[i]] for i in set(columns["kinds"])}
-    origin_of = {i: _ORIGINS[table[i]] for i in set(columns["origins"])}
+    text = dict(enumerate(columns["strings"]))  # each lookup below checks and decodes
+    for name, known, low in (("kinds", _KINDS, 0), ("sonames", None, -1),
+                             ("names", None, 0), ("origins", _ORIGINS, -1)):
+        table = text if known is None else {i: known[s] for i, s in text.items() if s in known}
+        try:
+            columns[name] = list(map(({-1: None, **table} if low else table).__getitem__,
+                                     columns[name]))
+        except KeyError as exc:
+            if exc.args[0] in text:  # a gap only a decoder's table has
+                known[text[exc.args[0]]]  # raises: a kind or origin it does not know
+            raise ValueError(f"column {name} holds a value outside {low}..{len(text) - 1}")
     aliases: dict[int, list[str]] = {}
     for p, alias in zip(columns["alias_nodes"], columns["aliases"]):
         aliases.setdefault(p, []).append(alias)
-    graph = DependencyGraph.__new__(DependencyGraph)
-    graph._fill(snapshot, columns["paths"], list(map(kind_of.__getitem__, columns["kinds"])),
-                list(map(table.__getitem__, columns["sonames"])), columns["sizes"], aliases,
-                src, list(map(table.__getitem__, columns["names"])), columns["dst"],
-                list(map(origin_of.__getitem__, columns["origins"])))
-    return graph
+    return DependencyGraph.__new__(DependencyGraph)._fill(
+        snapshot, columns["paths"], columns["kinds"], columns["sonames"], sizes, aliases,
+        src, columns["names"], dst, columns["origins"])
 
 
 def _columns(rows: list[tuple], width: int) -> list[list]:
@@ -563,9 +564,8 @@ _ORIGINS = _Decoder("origin", {None: None, **{o.value: o for o in Origin}})
 
 
 def load_graph(label: str, db_path: str) -> DependencyGraph:
-    """Load one snapshot back as a columnar graph: its graphs row, every
-    column checked, kinds and origins decoded through the lookup tables
-    above, and no record built."""
+    """Load one snapshot back as a columnar graph from its graphs row, each
+    column checked and decoded in one pass; no record is built."""
     with _read_only(db_path) as (con, version):
         snap = _snapshot_row(con, label)
         try:

@@ -452,24 +452,30 @@ def graphs_row(db: str, label: str) -> dict:
         con.close()
 
 
-def int32s(blob: bytes) -> list[int]:
-    column = array("i", blob)
+def ints(blob: bytes, code: str = "i") -> list[int]:
+    column = array(code, blob)
     if sys.byteorder == "big":
         column.byteswap()
     return column.tolist()
 
 
-def as_blob(values: list[int]) -> bytes:
-    column = array("i", values)
+def as_blob(values: list[int], code: str = "i") -> bytes:
+    column = array(code, values)
     if sys.byteorder == "big":
         column.byteswap()
     return column.tobytes()
 
 
 def swapped_sources(row: dict) -> dict:
-    src = int32s(row["src"])
+    src = ints(row["src"])
     src[0], src[-1] = src[-1], src[0]  # the demo tree's first and last sources differ
     return {"src": as_blob(src)}
+
+
+def first_set(row: dict, column: str, value: int, code: str = "i") -> dict:
+    values = ints(row[column], code)
+    values[0] = value
+    return {column: as_blob(values, code)}
 
 
 def renamed(row: dict, name: str, new: str) -> dict:
@@ -478,11 +484,12 @@ def renamed(row: dict, name: str, new: str) -> dict:
     return {"strings": b"\0".join(strings)}
 
 
-# (stored column changes, what the message says), on the demo tree's 10 nodes and edges
+# (stored column changes, what the message says), on the demo tree's 10 nodes
+# and edges and 13 distinct strings
 CORRUPT_V1 = {
-    "dst outside the nodes": (lambda r: {"dst": as_blob(int32s(r["dst"])[:-1] + [10])},
+    "dst outside the nodes": (lambda r: {"dst": as_blob(ints(r["dst"])[:-1] + [10])},
                               "column dst holds a value outside -1..9"),
-    "src outside the nodes": (lambda r: {"src": as_blob(int32s(r["src"])[:-1] + [10])},
+    "src outside the nodes": (lambda r: {"src": as_blob(ints(r["src"])[:-1] + [10])},
                               "column src holds a value outside 0..9"),
     "a node kind too few": (lambda r: {"kinds": r["kinds"][:-4]},
                             "column kinds holds 9 values, not 10"),
@@ -491,6 +498,17 @@ CORRUPT_V1 = {
     "edges not grouped by source": (swapped_sources, "column src is not grouped by source"),
     "unknown kind": (lambda r: renamed(r, "library", "bogus"), "kind 'bogus'"),
     "unknown origin": (lambda r: renamed(r, "ldso-conf", "bogus"), "origin 'bogus'"),
+    # a lookup in a list would wrap -2 round to a string, and read 13 as None
+    "soname index -2": (lambda r: first_set(r, "sonames", -2),
+                        "column sonames holds a value outside -1..12"),
+    "origin index -2": (lambda r: first_set(r, "origins", -2),
+                        "column origins holds a value outside -1..12"),
+    "name index one past the strings": (lambda r: first_set(r, "names", 13),
+                                        "column names holds a value outside 0..12"),
+    "negative size": (lambda r: first_set(r, "sizes", -1, "q"),
+                      "column sizes holds a value outside 0..9223372036854775807"),
+    "grouped sources from -1": (lambda r: first_set(r, "src", -1),
+                                "column src holds a value outside 0..9"),
 }
 
 

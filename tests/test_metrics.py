@@ -4,10 +4,11 @@ import random
 
 import pytest
 
-from depex.elf import parse_elf
-from depex.metrics import (StatsSummary, closure_sizes, coverage,
+from depex.elf import FileKind, parse_elf
+from depex.metrics import (HealthReport, StatsSummary, closure_sizes, coverage,
                            direct_coupling, health, popularity,
                            recursive_coupling, stats_summary)
+from depex.queries import who_uses
 from depex.store import DependencyGraph, UnknownNode
 from elfbuild import ElfSpec, build_elf
 from graphbuild import EXE, LIB, build_graph, random_graph
@@ -383,3 +384,65 @@ def test_adding_edge_never_decreases_metrics():
         for v in range(n):
             assert recursive_coupling(bigger, v) >= before_rec[v]
             assert after_pop[v] >= before_pop[v]
+
+
+# health and stats_summary as one comprehension per set: the oracle for
+# the mask-and-compress passes they make.
+
+def health_oracle(graph):
+    resolved_names = {name for name, d in zip(graph.names, graph.dst) if d >= 0}
+    missing = {(s, name) for s, name, d in zip(graph.src, graph.names, graph.dst) if d < 0}
+    start = graph.in_start
+    unused = {p for p, kind in enumerate(graph.kinds)
+              if kind is LIB and start[p] == start[p + 1]}
+    return HealthReport({name for _, name in missing if name not in resolved_names},
+                        {node_id for node_id, _ in missing}, unused)
+
+
+def stats_oracle(graph):
+    kinds, start = graph.kinds, graph.out_start
+    population = [p for p, kind in enumerate(kinds) if kind in (EXE, LIB)]
+    executables = sum(1 for p in population if kinds[p] is EXE)
+    report = health_oracle(graph)
+    directs = [start[p + 1] - start[p] for p in population]
+    recursives = [len(graph.reachable_from(p)) for p in population]
+    count = len(population)
+    return StatsSummary(
+        executables, len(population) - executables, len(graph.src),
+        len(report.missing_names), len(report.unused_libraries),
+        round(sum(directs) / count, 2) if count else 0.0,
+        round(sum(recursives) / count, 2) if count else 0.0,
+        max(directs, default=0), max(recursives, default=0))
+
+
+def with_other_kinds(rng, graph):
+    """The same graph with about a quarter of its nodes made ELF_OTHER and,
+    on about a fifth, one more edge left unresolved under a name that
+    another edge resolves."""
+    nodes = [(node.canonical_path, FileKind.ELF_OTHER if rng.random() < 0.25 else node.kind)
+             for node in graph.nodes.values()]
+    edges = [(e.from_node, e.needed_name, e.to_node) for e in graph.edges()]
+    resolved = sorted({name for _, name, d in edges if d is not None})
+    edges += [(p, rng.choice(resolved), None)
+              for p in range(len(nodes)) if resolved and rng.random() < 0.2]
+    return build_graph(nodes, edges)
+
+
+def test_one_pass_forms_match_the_comprehension_oracle():
+    rng = random.Random(8128)
+    graphs = []
+    for _ in range(60):
+        graphs.append(random_graph(rng)[0])
+        graphs.append(corpus_shaped_graph(rng)[0])
+        graphs.append(with_other_kinds(rng, graphs[-1]))
+    assert any(FileKind.ELF_OTHER in graph.kinds for graph in graphs)
+    assert any({name for name, d in zip(graph.names, graph.dst) if d < 0}
+               & {name for name, d in zip(graph.names, graph.dst) if d >= 0} for graph in graphs)
+    for graph in graphs:
+        n = len(graph.paths)
+        users = [who_uses(graph, p) for p in range(n)]
+        assert "in_src" not in graph.__dict__  # no reverse CSR for a direct who-uses
+        start = graph.in_start
+        assert users == [set(graph.in_src[start[p]:start[p + 1]]) for p in range(n)]
+        assert health(graph) == health_oracle(graph)
+        assert stats_summary(graph) == stats_oracle(graph)

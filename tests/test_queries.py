@@ -161,3 +161,33 @@ def test_find_soname_wins_over_path():
          ("/usr/lib/libz.so.1.2.13", LIB, "libz.so.1")],
         [])
     assert find_node(g, "libz.so.1") == 1
+
+
+def find_node_oracle(graph, ref):
+    """find_node as a comprehension per match kind: a node id or the error."""
+    by_soname = [p for p, soname in enumerate(graph.sonames) if soname == ref]
+    suffix = "/" + ref.lstrip("/")
+    by_path = [p for p, path in enumerate(graph.paths) if path == ref or path.endswith(suffix)]
+    hits = by_soname or by_path
+    if len(hits) == 1:
+        return hits[0]
+    return ("ambiguous", sorted(graph.paths[p] for p in hits)) if hits else "unknown"
+
+
+def test_find_node_matches_the_comprehension_oracle():
+    g = build_graph(
+        [("/usr/lib/a.so", LIB, "liba.so"), ("a.so", LIB), ("/lib/a.so", LIB, "liba.so"),
+         ("/usr/bin/tool", EXE), ("//x/tool", EXE), ("/lib/b.so.1", LIB, "libb.so.1"),
+         ("b.so.1", LIB, "libc.so")],
+        [])
+    refs = ["liba.so", "libb.so.1", "libc.so", "a.so", "/a.so", "//a.so", "lib/a.so",
+            "b.so.1", "tool", "bin/tool", "x/tool", "//x/tool", "/usr/bin/tool", "nothing",
+            "", "/"]
+    for ref in refs:
+        try:
+            got = find_node(g, ref)
+        except AmbiguousName as exc:
+            got = ("ambiguous", exc.candidates)
+        except UnknownNode:
+            got = "unknown"
+        assert got == find_node_oracle(g, ref), ref

@@ -41,6 +41,11 @@ def file_hash(path: str) -> str:
         return hashlib.sha256(f.read()).hexdigest()
 
 
+def unresolved(graph) -> set[tuple[int, str]]:
+    """(node id, needed name) of every unresolved edge."""
+    return {(e.from_node, e.needed_name) for e in graph.edges() if not e.resolved}
+
+
 def small_result():
     nodes = [
         FileNode(0, None, "/bin/app", ["/alias/app"], FileKind.EXECUTABLE_BINARY, None, 100),
@@ -69,7 +74,7 @@ def test_roundtrip(tmp_path):
     assert [(e.needed_name, e.resolved) for e in out] == \
         [("liba.so", True), ("libmissing.so", False)]
     assert out[0].origin is Origin.DEFAULT_DIR
-    assert graph.missing_names == {(app.id, "libmissing.so")}
+    assert unresolved(graph) == {(app.id, "libmissing.so")}
 
 
 def test_scan_ids_survive_save_and_load(demo_sysroot, tmp_path):
@@ -367,7 +372,7 @@ def test_three_snapshots_roundtrip_apart(tmp_path):
         ids = {n.canonical_path: n.id for n in graph.nodes.values()}
         a, b = ids[f"/usr/lib/r{k}/lib1.so"], ids[f"/usr/lib/r{k}/lib{len(ids) - 1}.so"]
         assert a in graph.reachable_from(b) and b in graph.reachable_from(a)
-        assert graph.missing_names == {(ids[f"/bin/app{k}"], f"libghost.so.{k}")}
+        assert unresolved(graph) == {(ids[f"/bin/app{k}"], f"libghost.so.{k}")}
 
 
 def connect_plain(db: str) -> sqlite3.Connection:

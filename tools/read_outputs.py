@@ -13,8 +13,11 @@ imports depex from the source directory SRC, runs `stats --json`, `dot`,
 queries in-process against that database, and prints each command line,
 its exit code and its output. It then prints, for each snapshot, every
 node's recursive coupling from `depex.metrics.closure_sizes` as
-`path<TAB>size` lines in path order. Dumps made with the `src/` of two
-commits differ in a byte exactly when a read answer does.
+`path<TAB>size` lines in path order, and every node's direct users from
+`depex.queries.who_uses` as `path<TAB>count<TAB>digest` lines in path
+order, the digest a SHA-256 prefix of the users' sorted paths. Dumps made
+with the `src/` of two commits differ in a byte exactly when a read
+answer does.
 
 `build-trees` writes the test suite's demo tree and perfbench's seed-1
 scan-distro tree under WHERE. `scans` imports depex from SRC, scans each
@@ -32,6 +35,7 @@ the storage format.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -115,6 +119,7 @@ def dump(src: str, where: str) -> None:
     sys.path.insert(0, os.path.abspath(src))
     import depex.cli
     from depex.metrics import closure_sizes
+    from depex.queries import who_uses
     from depex.store import list_snapshots, load_graph
 
     with open(os.path.join(where, "reads.json")) as f:
@@ -129,8 +134,14 @@ def dump(src: str, where: str) -> None:
         graph = load_graph(snapshot.label, spec["db"])
         sys.stdout.write(f"$ closure_sizes {snapshot.label}\n")
         sizes = closure_sizes(graph)
-        for p in sorted(sizes, key=graph.paths.__getitem__):
+        in_order = sorted(range(len(graph.paths)), key=graph.paths.__getitem__)
+        for p in in_order:
             sys.stdout.write(f"{graph.paths[p]}\t{sizes[p]}\n")
+        sys.stdout.write(f"$ who_uses {snapshot.label}\n")
+        for p in in_order:
+            users = sorted(graph.paths[u] for u in who_uses(graph, p))
+            digest = hashlib.sha256("\n".join(users).encode("utf-8", "surrogateescape"))
+            sys.stdout.write(f"{graph.paths[p]}\t{len(users)}\t{digest.hexdigest()[:16]}\n")
 
 
 if __name__ == "__main__":
