@@ -144,9 +144,10 @@ class Resolver:
         Link targets are resolved against the canonical parent; absolute
         ones are re-rooted under the sysroot, and ".." clamps at it. A
         missing or non-directory component passes through lexically while
-        only names follow it, since nothing exists below it; a ".." after it
-        makes no such path, where the kernel fails with ENOENT or ENOTDIR
-        (path_resolution(7)) instead of cancelling the component. As in the
+        only names follow it, since nothing exists below it; a ".", a ".."
+        or a trailing "/" after it makes no such path, where the kernel
+        fails with ENOENT or ENOTDIR (path_resolution(7)) instead of
+        dropping or cancelling the component. As in the
         kernel, a lookup that follows more than MAX_LINK_TRAVERSALS links,
         counted over the whole path, is a loop; spent is what an enclosing
         lookup has followed already. Only following a link recurses, so the
@@ -156,7 +157,7 @@ class Resolver:
         memo = self._memo
         key, parts = path, []
         if key not in memo:  # normalise, then start from the longest known prefix
-            parts = [p for p in path.split("/") if p and p != "."]
+            parts = [p for p in path.split("/") if p] + ["."] * path.endswith("/")
             for done in range(len(parts), -1, -1):
                 key = "/" + "/".join(parts[:done])
                 if key in memo:
@@ -170,11 +171,12 @@ class Resolver:
             return hit
         for name in parts:
             key = posixpath.join(key, name)
-            if name == "..":
+            if name in (".", ".."):
                 if not stat_module.S_ISDIR(mode):
                     memo[key] = hit = (None, links, 0)
                     return hit
-                canonical = posixpath.dirname(canonical)
+                if name == "..":
+                    canonical = posixpath.dirname(canonical)
             else:
                 parent, canonical = canonical, posixpath.join(canonical, name)
                 # nothing is below a missing component or a non-directory

@@ -6,8 +6,10 @@ exclusive transaction: a crash mid-save leaves the database exactly as it
 was. Reads open the file read-only, so they never create or alter it.
 
 A loaded graph is columns, not records, with CSR (compressed sparse row)
-adjacency; see DependencyGraph. Node and edge ids are positions in it,
-and a scan's ids come back from save_snapshot and load_graph unchanged.
+adjacency, and is built from those columns only; see DependencyGraph.
+save_snapshot turns a scan's records into columns and packs them, with
+no graph built. Node and edge ids are positions, and a scan's ids come
+back from save_snapshot and load_graph unchanged.
 
 Schema version 1 (PRAGMA user_version) stores a snapshot's graph as
 those columns: one `graphs` row of BLOBs (see _COLUMNS), keyed by the
@@ -145,37 +147,24 @@ class _View(Mapping):
 class DependencyGraph:
     """One snapshot's nodes and edges as columns, with CSR adjacency.
 
-    A node's id is its position in the order given: paths, kinds, sonames,
-    sizes and sparse aliases are indexed by it. An edge's id is its position
-    once grouped by source in import-table order: src and dst node ids (dst
-    -1: unresolved), names and origins, so node p's out-edges are numbers
-    out_start[p] to out_start[p + 1] - 1. The reverse CSR over resolved
-    edges (in_start, in_src) is built on first use. `nodes` and `adjacency`
-    are read-only id -> record views that build a record when it is read.
+    It is built from its columns only. A node's id is its position: paths,
+    kinds, sonames, sizes and sparse aliases (the alias lists of the nodes
+    that have any) are indexed by it. An edge's id is its position in src
+    and dst node ids (dst -1: unresolved), names and origins, which come
+    grouped by source in import-table order, so node p's out-edges are
+    numbers out_start[p] to out_start[p + 1] - 1. The reverse CSR over
+    resolved edges (in_start, in_src) is built on first use. `nodes` and
+    `adjacency` are read-only id -> record views that build a record when
+    it is read.
     """
 
-    def __init__(self, snapshot: Snapshot | None, nodes: Iterable[FileNode],
-                 edges: Iterable[DependencyEdge]):
-        """The given node ids only place the edge ends; KeyError for an
-        edge end outside the nodes."""
-        nodes, edges = list(nodes), list(edges)
-        pos = {node.id: p for p, node in enumerate(nodes)}
-        self._fill(snapshot, [n.canonical_path for n in nodes], [n.kind for n in nodes],
-                   [n.soname for n in nodes], [n.size_bytes for n in nodes],
-                   {p: list(n.alias_paths) for p, n in enumerate(nodes) if n.alias_paths},
-                   *_by_source(pos, [e.from_node for e in edges], [e.needed_name for e in edges],
-                               [e.to_node for e in edges], [e.origin for e in edges]))
-
-    def _fill(self, snapshot, paths, kinds, sonames, sizes, aliases,
-              src, names, dst, origins) -> DependencyGraph:
-        """The graph of node columns, the alias lists of the nodes that have
-        any, and edge columns already grouped by source."""
+    def __init__(self, snapshot: Snapshot, paths, kinds, sonames, sizes, aliases,
+                 src, names, dst, origins):
         self.snapshot = snapshot
         self.paths, self.kinds, self.sonames, self.sizes = paths, kinds, sonames, sizes
         self.aliases: dict[int, list[str]] = aliases
         self.src, self.names, self.dst, self.origins = src, names, dst, origins
         self.out_start = _offsets(src, len(paths))
-        return self
 
     @cached_property
     def in_start(self) -> list[int]:
@@ -219,10 +208,6 @@ class DependencyGraph:
         if node_id not in self:
             raise UnknownNode(node_id)
         return node_id
-
-    def edges(self) -> Iterator[DependencyEdge]:
-        """Every edge as a new record, by source in import-table order."""
-        return chain.from_iterable(self.adjacency.values())
 
     def reachable_from(self, node_id: int) -> set[int]:
         """Forward closure over resolved edges, excluding the start node."""
@@ -306,23 +291,22 @@ def _require_unique(values: Iterable, what: str) -> None:
         seen.add(value)
 
 
-def _pack(graph: DependencyGraph) -> list[bytes]:
-    """The graphs row of one graph, in _COLUMNS order; ValueError if the
-    graph cannot be stored as it is."""
-    _require_unique(graph.paths, "canonical path")
-    _require_unique(zip(graph.src, graph.names), "dependency (node, needed name)")
-    coded = ([k.value for k in graph.kinds], graph.sonames, graph.names,
-             [None if o is None else o.value for o in graph.origins])
+def _pack(paths, kinds, sonames, sizes, aliases, src, names, dst, origins) -> list[bytes]:
+    """The graphs row of a graph's columns, as DependencyGraph takes them,
+    in _COLUMNS order; ValueError if they cannot be stored as they are."""
+    _require_unique(paths, "canonical path")
+    _require_unique(zip(src, names), "dependency (node, needed name)")
+    coded = ([k.value for k in kinds], sonames, names,
+             [None if o is None else o.value for o in origins])
     strings = [s for s in dict.fromkeys(chain.from_iterable(coded)) if s is not None]
     index = {None: -1, **{s: i for i, s in enumerate(strings)}}
     kinds, sonames, names, origins = (_pack_ints("i", map(index.__getitem__, c))
                                       for c in coded)
-    aliases = list(graph.aliases.items())
-    return [_pack_strings(strings), _pack_strings(graph.paths), kinds, sonames,
-            _pack_ints("q", graph.sizes),
+    aliases = list(aliases.items())
+    return [_pack_strings(strings), _pack_strings(paths), kinds, sonames, _pack_ints("q", sizes),
             _pack_ints("i", [p for p, group in aliases for _ in group]),
             _pack_strings([a for _, group in aliases for a in group]),
-            _pack_ints("i", graph.src), names, _pack_ints("i", graph.dst), origins]
+            _pack_ints("i", src), names, _pack_ints("i", dst), origins]
 
 
 def _unpack(snapshot: Snapshot, row: tuple) -> DependencyGraph:
@@ -365,19 +349,18 @@ def _unpack(snapshot: Snapshot, row: tuple) -> DependencyGraph:
     aliases: dict[int, list[str]] = {}
     for p, alias in zip(columns["alias_nodes"], columns["aliases"]):
         aliases.setdefault(p, []).append(alias)
-    return DependencyGraph.__new__(DependencyGraph)._fill(
-        snapshot, columns["paths"], columns["kinds"], columns["sonames"], sizes, aliases,
-        src, columns["names"], dst, columns["origins"])
+    return DependencyGraph(snapshot, columns["paths"], columns["kinds"], columns["sonames"],
+                           sizes, aliases, src, columns["names"], dst, columns["origins"])
 
 
 def _columns(rows: list[tuple], width: int) -> list[list]:
     return [list(map(itemgetter(i), rows)) for i in range(width)]
 
 
-def _load_v0(con: sqlite3.Connection, snap: Snapshot) -> DependencyGraph:
-    """One snapshot of a version 0 database, its columns filled straight
-    from its files, file_aliases and deps rows; ValueError for a dependency
-    on a file outside it."""
+def _load_v0(con: sqlite3.Connection, snap: Snapshot) -> list:
+    """The columns of one snapshot of a version 0 database, as DependencyGraph
+    takes them, read straight from its files, file_aliases and deps rows;
+    ValueError for a dependency on a file outside it."""
     ids, paths, kinds, sonames, sizes = _columns(con.execute(
         "SELECT id, canonical_path, kind, soname, size_bytes FROM files"
         " WHERE snapshot_id = ? ORDER BY id", (snap.id,)).fetchall(), 5)
@@ -391,16 +374,13 @@ def _load_v0(con: sqlite3.Connection, snap: Snapshot) -> DependencyGraph:
         "SELECT from_file, needed_name, to_file, origin FROM deps"
         " WHERE snapshot_id = ? ORDER BY id", (snap.id,)).fetchall(), 4)
     try:
-        edges = _by_source(pos, froms, names, tos, list(map(_ORIGINS.__getitem__, origins)))
+        return [paths, list(map(_KINDS.__getitem__, kinds)), sonames, sizes, aliases,
+                *_by_source(pos, froms, names, tos, list(map(_ORIGINS.__getitem__, origins)))]
     except KeyError as exc:  # only a from_file or to_file id can be missing
         row, = con.execute("SELECT min(id) FROM deps WHERE snapshot_id = ?"
                            " AND ? IN (from_file, to_file)", (snap.id, exc.args[0])).fetchone()
         raise ValueError(f"deps row {row} names file {exc.args[0]},"
                          " which is not in that snapshot") from None
-    graph = DependencyGraph.__new__(DependencyGraph)
-    graph._fill(snap, paths, list(map(_KINDS.__getitem__, kinds)), sonames, sizes, aliases,
-                *edges)
-    return graph
 
 
 def _check_version(version: int, db_path: str) -> None:
@@ -419,7 +399,7 @@ def _convert_v0(con: sqlite3.Connection) -> None:
                            " FROM snapshots ORDER BY id").fetchall():
         snap = Snapshot(*row)
         try:
-            packed = _pack(_load_v0(con, snap))
+            packed = _pack(*_load_v0(con, snap))
         except ValueError as exc:
             raise UnreadableDatabase(f"snapshot {snap.label!r} cannot be converted:"
                                      f" {exc}") from None
@@ -507,11 +487,18 @@ def _read_only(db_path: str) -> Iterator[tuple[sqlite3.Connection, int]]:
 
 def save_snapshot(result: "ScanResult", label: str, db_path: str,
                   tool_version: str | None = None) -> Snapshot:
-    """Write one scan as a snapshot, one graphs row; all-or-nothing."""
+    """Write one scan as a snapshot, one graphs row; all-or-nothing. The
+    scan's records become columns here, their ids only placing the edge ends."""
     from depex import __version__
 
+    nodes, edges = result.nodes, result.edges
     try:
-        row = _pack(DependencyGraph(None, result.nodes, result.edges))
+        row = _pack([n.canonical_path for n in nodes], [n.kind for n in nodes],
+                    [n.soname for n in nodes], [n.size_bytes for n in nodes],
+                    {p: n.alias_paths for p, n in enumerate(nodes) if n.alias_paths},
+                    *_by_source({n.id: p for p, n in enumerate(nodes)},
+                                [e.from_node for e in edges], [e.needed_name for e in edges],
+                                [e.to_node for e in edges], [e.origin for e in edges]))
     except KeyError as exc:
         raise StorageFailure(f"an edge names node {exc.args[0]},"
                              " which is not in the snapshot") from None
@@ -570,7 +557,7 @@ def load_graph(label: str, db_path: str) -> DependencyGraph:
         snap = _snapshot_row(con, label)
         try:
             if version == 0:
-                return _load_v0(con, snap)
+                return DependencyGraph(snap, *_load_v0(con, snap))
             row = con.execute(f"SELECT {_NAMES} FROM graphs WHERE snapshot_id = ?",
                               (snap.id,)).fetchone()
             if row is None:

@@ -6,7 +6,7 @@ import random
 
 from depex.elf import FileKind
 from depex.resolver import Origin
-from depex.store import DependencyEdge, DependencyGraph, FileNode, Snapshot
+from depex.store import DependencyEdge, DependencyGraph, Snapshot
 
 EXE = FileKind.EXECUTABLE_BINARY
 LIB = FileKind.SHARED_LIBRARY
@@ -17,19 +17,21 @@ _SNAP = Snapshot(1, "test", "/", "1970-01-01T00:00:00+00:00", "0")
 def build_graph(nodes, edges) -> DependencyGraph:
     """nodes: list of (path, kind) or (path, kind, soname), ids by position.
 
-    edges: (from_id, needed_name, to_id) with to_id None for a missing ref.
+    edges: (from_id, needed_name, to_id) with to_id None for a missing ref;
+    their ids are positions once grouped by source, each source's in order.
     """
-    file_nodes = []
-    for i, spec in enumerate(nodes):
-        path, kind = spec[0], spec[1]
-        soname = spec[2] if len(spec) > 2 else None
-        file_nodes.append(FileNode(i, 1, path, [], kind, soname))
-    dep_edges = [
-        DependencyEdge(i, 1, src, name, dst,
-                       Origin.DEFAULT_DIR if dst is not None else None)
-        for i, (src, name, dst) in enumerate(edges)
-    ]
-    return DependencyGraph(_SNAP, file_nodes, dep_edges)
+    edges = sorted(edges, key=lambda edge: edge[0])  # stable: import-table order kept
+    return DependencyGraph(
+        _SNAP, [spec[0] for spec in nodes], [spec[1] for spec in nodes],
+        [spec[2] if len(spec) > 2 else None for spec in nodes], [0] * len(nodes), {},
+        [src for src, _, _ in edges], [name for _, name, _ in edges],
+        [-1 if dst is None else dst for _, _, dst in edges],
+        [None if dst is None else Origin.DEFAULT_DIR for _, _, dst in edges])
+
+
+def edge_records(graph: DependencyGraph) -> list[DependencyEdge]:
+    """Every edge as a new record, by source in import-table order."""
+    return [edge for out in graph.adjacency.values() for edge in out]
 
 
 def random_graph(rng: random.Random, max_nodes: int = 50,

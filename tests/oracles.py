@@ -48,19 +48,20 @@ def canonical_reference(sysroot: str, path: str) -> str | None:
     Root to leaf, one islink per component: a link's target components
     are spliced in front of the pending ones, an absolute target restarts
     at the root and ".." clamps there. Nonexistent components pass through
-    lexically, but a ".." after a component that is no directory is
-    NO_SUCH_PATH (ENOENT or ENOTDIR in the kernel). More than 40 links in
-    the whole lookup is a loop, as in Linux path_resolution(7).
+    lexically, but a ".", a ".." or a trailing "/" (in the path or in a
+    link's target) after a component that is no directory is NO_SUCH_PATH
+    (ENOENT or ENOTDIR in the kernel). More than 40 links in the whole
+    lookup is a loop, as in Linux path_resolution(7).
     """
-    pending = deque(p for p in path.split("/") if p and p != ".")
+    pending = deque(_components(path))
     resolved: list[str] = []
     links = 0
     while pending:
         comp = pending.popleft()
-        if comp == "..":
+        if comp in (".", ".."):
             if not os.path.isdir(os.path.join(sysroot, *resolved)):
                 return NO_SUCH_PATH
-            if resolved:
+            if comp == ".." and resolved:
                 resolved.pop()
             continue
         host_path = os.path.join(sysroot, *resolved, comp)
@@ -73,8 +74,14 @@ def canonical_reference(sysroot: str, path: str) -> str | None:
         target = os.readlink(host_path)
         if target.startswith("/"):
             resolved = []
-        pending.extendleft(reversed([p for p in target.split("/") if p and p != "."]))
+        pending.extendleft(reversed(_components(target)))
     return "/" + "/".join(resolved)
+
+
+def _components(path: str) -> list[str]:
+    """path's components, a trailing "/" read as a last "." (it too needs
+    a directory before it)."""
+    return [p for p in path.split("/") if p] + ["."] * path.endswith("/")
 
 
 _SYM_LINE = re.compile(

@@ -28,7 +28,7 @@ from depex.resolver import Origin, Resolver, SearchConfig
 from depex.scanner import ScanOptions, scan_tree
 from depex.store import load_graph, save_snapshot
 from elfbuild import GLOBAL, WEAK, ElfSpec, build_elf
-from graphbuild import build_graph, random_graph
+from graphbuild import build_graph, edge_records, random_graph
 from oracles import READELF, closure_sets, readelf_dyn_syms, readelf_dynamic
 
 DATA = Path(__file__).parent / "data"
@@ -298,7 +298,7 @@ def test_criterion_4_health_identities():
     for _ in range(50):
         graph, _, _ = random_graph(rng)
         report = health(graph)
-        targets = {e.to_node for e in graph.edges() if e.resolved}
+        targets = {e.to_node for e in edge_records(graph) if e.resolved}
         assert not (report.unused_libraries & targets)
 
     from graphbuild import EXE, LIB

@@ -18,6 +18,7 @@ from depex.resolver import SearchConfig
 from depex.scanner import ScanOptions, scan_tree
 from depex.store import FileNode, load_graph, open_db, save_snapshot
 from elfbuild import ElfSpec, build_elf
+from graphbuild import edge_records
 
 
 @pytest.fixture
@@ -316,7 +317,7 @@ def test_scan_runs_in_one_process(capsys, demo_sysroot, tmp_path, monkeypatch):
         dumps.append(([(n.id, n.canonical_path, n.alias_paths, n.kind, n.soname,
                         n.size_bytes) for n in graph.nodes.values()],
                       [(e.id, e.from_node, e.needed_name, e.to_node, e.origin)
-                       for e in graph.edges()]))
+                       for e in edge_records(graph)]))
     assert dumps[0] == dumps[1] and len(dumps[0][0]) == 10
     assert results[0].error_records == results[1].error_records
     assert [path for path, _ in results[1].error_records] == ["/usr/lib/libbad.so"]

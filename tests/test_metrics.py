@@ -11,7 +11,7 @@ from depex.metrics import (HealthReport, StatsSummary, closure_sizes, coverage,
 from depex.queries import who_uses
 from depex.store import DependencyGraph, UnknownNode
 from elfbuild import ElfSpec, build_elf
-from graphbuild import EXE, LIB, build_graph, random_graph
+from graphbuild import EXE, LIB, build_graph, edge_records, random_graph
 from oracles import closure_sets
 
 
@@ -248,7 +248,7 @@ def with_self_loops(rng, graph, n, pairs):
     """The same graph with a self-loop added on about a tenth of the nodes."""
     loops = {(v, v) for v in range(n) if rng.random() < 0.1}
     nodes = [(node.canonical_path, node.kind) for node in graph.nodes.values()]
-    edges = [(e.from_node, e.needed_name, e.to_node) for e in graph.edges()]
+    edges = [(e.from_node, e.needed_name, e.to_node) for e in edge_records(graph)]
     edges += [(v, f"lib{v}.so", v) for v, _ in sorted(loops)]
     return build_graph(nodes, edges), n, pairs | loops
 
@@ -359,7 +359,7 @@ def test_unused_disjoint_from_edge_targets():
     rng = random.Random(99)
     for _ in range(30):
         graph, _, _ = random_graph(rng)
-        targets = {e.to_node for e in graph.edges() if e.resolved}
+        targets = {e.to_node for e in edge_records(graph) if e.resolved}
         assert not (health(graph).unused_libraries & targets)
 
 
@@ -421,7 +421,7 @@ def with_other_kinds(rng, graph):
     another edge resolves."""
     nodes = [(node.canonical_path, FileKind.ELF_OTHER if rng.random() < 0.25 else node.kind)
              for node in graph.nodes.values()]
-    edges = [(e.from_node, e.needed_name, e.to_node) for e in graph.edges()]
+    edges = [(e.from_node, e.needed_name, e.to_node) for e in edge_records(graph)]
     resolved = sorted({name for _, name, d in edges if d is not None})
     edges += [(p, rng.choice(resolved), None)
               for p in range(len(nodes)) if resolved and rng.random() < 0.2]

@@ -200,7 +200,7 @@ def kernel_spellings(names, longest):
         for parts in itertools.product(names, repeat=length):
             depth = 0
             for part in parts:
-                depth += -1 if part == ".." else 1
+                depth += {"..": -1, ".": 0}.get(part, 1)
                 if depth < 0:
                     break
             else:
@@ -213,10 +213,11 @@ def test_lookups_past_missing_components_and_files_match_the_kernel(sysroot):
     for path, target in DOTDOT_TREE.items():
         sysroot.symlink(path, target)
     shared = Resolver(config_for(sysroot))
-    names = ["opt", "lib", "libx.so", "nope", ".."] + [
+    names = ["opt", "lib", "libx.so", "nope", ".", ".."] + [
         p.rsplit("/", 1)[1] for p in DOTDOT_TREE]
     outcomes = set()
-    for i, spelling in enumerate(kernel_spellings(names, 4)):
+    spellings = kernel_spellings(names, 4)  # each also with a trailing "/"
+    for i, spelling in enumerate(s + end for s in spellings for end in ("", "/")):
         try:
             kernel = os.stat(sysroot.root + spelling)
         except OSError as exc:
@@ -232,6 +233,26 @@ def test_lookups_past_missing_components_and_files_match_the_kernel(sysroot):
                 outcomes.add("found")
                 assert (st.st_dev, st.st_ino) == (kernel.st_dev, kernel.st_ino), spelling
     assert outcomes == {"found", errno.ENOENT, errno.ENOTDIR, errno.ELOOP}
+
+
+def test_dot_and_trailing_slash_after_a_file_are_no_such_path(sysroot):
+    # the kernel fails lib/file/. and lib/file/ with ENOTDIR, where the
+    # loader finds nothing; after a directory either is a no-op
+    sysroot.write("/lib/file", b"x")
+    sysroot.write("/lib/libx.so", elf_bytes())
+    sysroot.write("/bin/app", elf_bytes())
+    resolver = Resolver(config_for(sysroot))
+    for spelling in ("/lib/file/.", "/lib/file/", "/lib/file/./libx.so", "/lib/nope/.",
+                     "/lib/nope/", "/lib/libx.so/."):
+        assert resolver.canonical(spelling)[0] is None, spelling
+    assert resolver.canonical("/lib/./libx.so") == resolver.canonical("/lib/libx.so")
+    assert resolver.canonical("/lib/.")[0] == resolver.canonical("/lib/")[0] == "/lib"
+    cfg = config_for(sysroot, default_dirs=["/lib/file"])
+    assert not Resolver(cfg).resolve(".", summary_with(sysroot), "/bin/app").resolved
+    assert not Resolver(cfg).resolve("libx.so/", summary_with(sysroot), "/lib/app").resolved
+    r = Resolver(config_for(sysroot, default_dirs=["/lib/."])).resolve(
+        "libx.so", summary_with(sysroot), "/bin/app")
+    assert (r.path, r.origin) == ("/lib/libx.so", Origin.DEFAULT_DIR)
 
 
 def test_no_such_path_is_memoised_and_not_a_loop(sysroot, monkeypatch):

@@ -16,11 +16,11 @@ from depex.metrics import closure_sizes, health, popularity, stats_summary
 from depex.queries import get_all_deps, get_deps, update_impact, who_uses
 from depex.resolver import Origin, SearchConfig
 from depex.scanner import ScanOptions, scan_tree
-from depex.store import (DependencyEdge, DependencyGraph, DuplicateLabel,
+from depex.store import (DependencyEdge, DuplicateLabel,
                          FileNode, StorageFailure, UnknownLabel, UnknownNode,
                          UnreadableDatabase, list_snapshots, load_graph,
                          open_db, save_snapshot)
-from graphbuild import EXE, LIB, build_graph, random_graph
+from graphbuild import EXE, LIB, build_graph, edge_records, random_graph
 
 
 class FakeResult:
@@ -43,7 +43,7 @@ def file_hash(path: str) -> str:
 
 def unresolved(graph) -> set[tuple[int, str]]:
     """(node id, needed name) of every unresolved edge."""
-    return {(e.from_node, e.needed_name) for e in graph.edges() if not e.resolved}
+    return {(e.from_node, e.needed_name) for e in edge_records(graph) if not e.resolved}
 
 
 def small_result():
@@ -87,7 +87,8 @@ def test_scan_ids_survive_save_and_load(demo_sysroot, tmp_path):
     graph = load_graph("second", db)
     assert [(n.id, n.canonical_path) for n in graph.nodes.values()] == \
         [(n.id, n.canonical_path) for n in result.nodes]
-    assert [(e.id, e.from_node, e.needed_name, e.to_node, e.origin) for e in graph.edges()] == \
+    assert [(e.id, e.from_node, e.needed_name, e.to_node, e.origin)
+            for e in edge_records(graph)] == \
         [(e.id, e.from_node, e.needed_name, e.to_node, e.origin) for e in result.edges]
 
 
@@ -102,7 +103,7 @@ def test_scan_roundtrip_preserves_graph(demo_sysroot, tmp_path):
                   for e in result.edges}
     db_edges = {(graph.nodes[e.from_node].canonical_path, e.needed_name,
                  None if e.to_node is None else graph.nodes[e.to_node].canonical_path)
-                for e in graph.edges()}
+                for e in edge_records(graph)}
     assert scan_edges == db_edges
 
 
@@ -132,14 +133,15 @@ def test_cycle_roundtrips(tmp_path):
     db = db_file(tmp_path)
     save_snapshot(FakeResult(nodes, edges), "cyc", db)
     graph = load_graph("cyc", db)
-    assert len(list(graph.edges())) == 2
+    assert len(edge_records(graph)) == 2
     a = next(n.id for n in graph.nodes.values() if n.canonical_path == "/lib/liba.so")
     assert graph.reachable_from(a) == {n for n in graph.nodes} - {a}
 
 
-def test_edge_to_unknown_node_is_storage_failure(tmp_path):
+@pytest.mark.parametrize("from_node, to_node", [(0, 99), (99, 0)], ids=["to_node", "from_node"])
+def test_edge_to_unknown_node_is_storage_failure(tmp_path, from_node, to_node):
     nodes = [FileNode(0, None, "/bin/app", [], FileKind.EXECUTABLE_BINARY)]
-    edges = [DependencyEdge(0, None, 0, "liba.so", 99, Origin.DEFAULT_DIR)]
+    edges = [DependencyEdge(0, None, from_node, "liba.so", to_node, Origin.DEFAULT_DIR)]
     db = db_file(tmp_path)
     save_snapshot(small_result(), "keep", db)
     before = file_hash(db)
@@ -307,7 +309,7 @@ def test_reverse_adjacency_is_exact_transpose():
     graph = build_graph(
         [("/a", EXE), ("/b", LIB), ("/c", LIB)],
         [(0, "b", 1), (0, "c", 2), (1, "c", 2), (2, "ghost", None)])
-    forward = {(e.from_node, e.to_node) for e in graph.edges() if e.resolved}
+    forward = {(e.from_node, e.to_node) for e in edge_records(graph) if e.resolved}
     transposed = {(s, target) for target in range(len(graph.nodes))
                   for s in graph.in_src[graph.in_start[target]:graph.in_start[target + 1]]}
     assert forward == transposed
@@ -349,7 +351,7 @@ def saved_rows(result):
 
 
 def loaded_rows(graph):
-    return saved_rows(FakeResult(list(graph.nodes.values()), list(graph.edges())))
+    return saved_rows(FakeResult(list(graph.nodes.values()), edge_records(graph)))
 
 
 def test_three_snapshots_roundtrip_apart(tmp_path):
@@ -364,10 +366,10 @@ def test_three_snapshots_roundtrip_apart(tmp_path):
         assert loaded_rows(graph) == saved_rows(result)
         sid = graph.snapshot.id
         assert {n.snapshot_id for n in graph.nodes.values()} == {sid}
-        assert {e.snapshot_id for e in graph.edges()} == {sid}
+        assert {e.snapshot_id for e in edge_records(graph)} == {sid}
         assert all(e.from_node in graph and (e.to_node is None or e.to_node in graph)
-                   for e in graph.edges())
-        assert {e.origin for e in graph.edges()} == set(Origin) | {None}
+                   for e in edge_records(graph))
+        assert {e.origin for e in edge_records(graph)} == set(Origin) | {None}
         assert {n.kind for n in graph.nodes.values()} == set(STORABLE_KINDS)
         ids = {n.canonical_path: n.id for n in graph.nodes.values()}
         a, b = ids[f"/usr/lib/r{k}/lib1.so"], ids[f"/usr/lib/r{k}/lib{len(ids) - 1}.so"]
@@ -446,7 +448,7 @@ def graph_dump(graph) -> tuple:
     return (graph.snapshot,
             [(n.id, n.canonical_path, n.alias_paths, n.kind, n.soname, n.size_bytes)
              for n in graph.nodes.values()],
-            [(e.id, e.from_node, e.needed_name, e.to_node, e.origin) for e in graph.edges()])
+            [(e.id, e.from_node, e.needed_name, e.to_node, e.origin) for e in edge_records(graph)])
 
 
 V1_TABLES = {"snapshots", "sqlite_autoindex_snapshots_1", "graphs"}
@@ -518,7 +520,7 @@ def equivalence_case(rng: random.Random) -> tuple[list, list]:
     node resolving to the same target, and edges in no source order."""
     graph, n, pairs = random_graph(rng, max_nodes=30)
     nodes = [(node.canonical_path, node.kind) for node in graph.nodes.values()]
-    edges = [(e.from_node, e.needed_name, e.to_node) for e in graph.edges()]
+    edges = [(e.from_node, e.needed_name, e.to_node) for e in edge_records(graph)]
     edges += [(src, f"alt{dst}.so", dst) for src, dst in sorted(pairs) if rng.random() < 0.2]
     edges += [(src, f"lib{dst}.so", None) for src in range(n) for dst in [rng.randrange(n)]
               if (src, dst) not in pairs and rng.random() < 0.2]
@@ -569,21 +571,26 @@ def test_loaded_graph_answers_like_the_record_built_one(tmp_path):
         assert answers(load_graph(f"s{seed}", db)) == answers(built), seed
 
 
-def test_record_ids_only_place_nodes_and_edges():
+def test_record_ids_only_place_nodes_and_edges(tmp_path):
     nodes = [("/bin/app", EXE), ("/lib/liba.so", LIB, "liba.so"), ("/lib/libb.so", LIB)]
     edges = [(0, "liba.so", 1), (0, "libghost.so", None), (1, "libb.so", 2), (2, "liba.so", 1)]
     positional = build_graph(nodes, edges)
     ids = [10, 20, 30]
-    records = DependencyGraph(positional.snapshot, [
-        FileNode(ids[i], 1, spec[0], [], spec[1], (spec[2:] or [None])[0])
+    db = db_file(tmp_path)
+    save_snapshot(FakeResult([
+        FileNode(ids[i], None, spec[0], ["/lib/a.so"] if ids[i] == 20 else [], spec[1],
+                 (spec[2:] or [None])[0])
         for i, spec in enumerate(nodes)], [
-        DependencyEdge(99 - i, 1, ids[src], name, None if dst is None else ids[dst],
+        DependencyEdge(99 - i, None, ids[src], name, None if dst is None else ids[dst],
                        None if dst is None else Origin.DEFAULT_DIR)
         # sources last to first, each source's edges in import-table order
-        for i, (src, name, dst) in sorted(enumerate(edges), key=lambda e: -e[1][0])])
+        for i, (src, name, dst) in sorted(enumerate(edges), key=lambda e: -e[1][0])]),
+        "ids", db)
+    records = load_graph("ids", db)
     assert list(records.nodes) == list(records.adjacency) == [0, 1, 2]
     assert [n.id for n in records.nodes.values()] == [0, 1, 2]
-    assert [(e.id, e.from_node, e.needed_name, e.to_node) for e in records.edges()] == \
+    assert records.aliases == {1: ["/lib/a.so"]}
+    assert [(e.id, e.from_node, e.needed_name, e.to_node) for e in edge_records(records)] == \
         [(0, 0, "liba.so", 1), (1, 0, "libghost.so", None), (2, 1, "libb.so", 2),
          (3, 2, "liba.so", 1)]
     assert 10 not in records
