@@ -1,17 +1,27 @@
 """Command-line entry point.
 
+Every read command runs load -> compute -> render. The load step reads
+--db (or DEPEX_DB), takes --snapshot or the latest label, loads that
+graph and finds the node a NAME argument names. The compute step, one per
+command, returns the answer as (JSON document, text). The render step
+writes it once: the document with --json (evolve: --format json), the
+text otherwise. `snapshots` and `evolve` compute from the database alone.
+
 Exit codes: 0 success, 1 user error (unknown snapshot/node, ambiguous
 name, bad arguments), 2 internal or storage error. Read commands never
-modify the database and print deterministically sorted output; --json
-gives the machine-readable form.
+modify the database and print deterministically sorted output.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
+import signal
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict
 
 from depex import __version__
@@ -38,9 +48,7 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 class _CliError(Exception):
-    def __init__(self, message: str, code: int = USER_ERROR):
-        super().__init__(message)
-        self.code = code
+    """A user error the command line finds itself (exit 1)."""
 
 
 def _int_at_least(minimum: int):
@@ -87,17 +95,18 @@ def _build_parser() -> argparse.ArgumentParser:
                         version=f"depex {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    def add(name: str, help_text: str, *, db: bool = True,
-            snapshot: bool = False, as_json: bool = False) -> argparse.ArgumentParser:
+    def add(name: str, help_text: str, *, snapshot: bool = False, as_json: bool = False,
+            node: bool = False) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
-        if db:
-            p.add_argument("--db", default=os.environ.get("DEPEX_DB"),
-                           help="database file (or DEPEX_DB)")
+        p.add_argument("--db", default=os.environ.get("DEPEX_DB"),
+                       help="database file (or DEPEX_DB)")
         if snapshot:
             p.add_argument("--snapshot", type=_stored_label,
                            help="snapshot label (default: latest)")
         if as_json:
             p.add_argument("--json", action="store_true", dest="as_json")
+        if node:  # the load step finds it
+            p.add_argument("name", metavar="NAME-OR-PATH")
         return p
 
     p = add("scan", "scan a sysroot into a new snapshot")
@@ -116,21 +125,15 @@ def _build_parser() -> argparse.ArgumentParser:
     add("stats", "snapshot-level statistics", snapshot=True, as_json=True)
     add("snapshots", "list stored snapshots", as_json=True)
 
-    p = add("who-uses", "files depending on a library", snapshot=True, as_json=True)
-    p.add_argument("name", metavar="NAME-OR-PATH")
+    p = add("who-uses", "files depending on a library", snapshot=True, as_json=True, node=True)
     p.add_argument("--transitive", action="store_true")
-
-    p = add("get-deps", "direct dependencies of a file", snapshot=True, as_json=True)
-    p.add_argument("name", metavar="NAME-OR-PATH")
-
-    p = add("get-all-deps", "transitive dependencies of a file",
-            snapshot=True, as_json=True)
-    p.add_argument("name", metavar="NAME-OR-PATH")
-
-    p = add("impact", "update impact of a library", snapshot=True, as_json=True)
-    p.add_argument("name", metavar="NAME-OR-PATH")
+    add("get-deps", "direct dependencies of a file", snapshot=True, as_json=True, node=True)
+    add("get-all-deps", "transitive dependencies of a file", snapshot=True, as_json=True,
+        node=True)
+    add("impact", "update impact of a library", snapshot=True, as_json=True, node=True)
 
     p = add("dot", "emit the dependency graph as DOT", snapshot=True)
+    p.set_defaults(as_json=False)  # no --json: DOT is its text form
     p.add_argument("--hide-top", type=_int_at_least(0), default=0, metavar="K",
                    help="hide the K most popular nodes")
     p.add_argument("--hide-name", action="append", default=[], metavar="S",
@@ -152,26 +155,31 @@ def _require_db(args) -> str:
     return args.db
 
 
-def _pick_snapshot(args, db: str) -> str:
-    if getattr(args, "snapshot", None):
-        return args.snapshot
-    snaps = list_snapshots(db)
-    if not snaps:
-        raise _CliError("database has no snapshots")
-    return snaps[-1].label
+def _load(args, db: str) -> tuple[DependencyGraph, int | None]:
+    """The load step: the graph of --snapshot (default: the latest snapshot)
+    and the node named by NAME, for a command that takes one."""
+    label = args.snapshot
+    if label is None:
+        snaps = list_snapshots(db)
+        if not snaps:
+            raise _CliError("database has no snapshots")
+        label = snaps[-1].label
+    graph = load_graph(label, db)
+    return graph, find_node(graph, args.name) if "name" in args else None
 
 
-def _load(args) -> DependencyGraph:
-    db = _require_db(args)
-    return load_graph(_pick_snapshot(args, db), db)
+def _render(as_json: bool, doc, text: Iterable[str]) -> None:
+    """The render step: one write of the answer; the text is joined only
+    when it is the form asked for."""
+    sys.stdout.write(json.dumps(doc, indent=2) + "\n" if as_json else "".join(text))
+
+
+def _lines(items) -> Iterator[str]:
+    return (f"{item}\n" for item in items)
 
 
 def _paths(graph: DependencyGraph, ids) -> list[str]:
     return sorted(graph.paths[n] for n in ids)
-
-
-def _print_json(obj) -> None:
-    print(json.dumps(obj, indent=2))
 
 
 def _cmd_scan(args) -> int:
@@ -194,132 +202,83 @@ def _cmd_scan(args) -> int:
     return 0
 
 
-def _cmd_stats(args) -> int:
-    stats = asdict(stats_summary(_load(args)))
-    if args.as_json:
-        _print_json(stats)
-    else:
-        width = max(len(k) for k in stats)
-        for key, value in stats.items():
-            print(f"{key.ljust(width)}  {value}")
-    return 0
+# The compute steps: each returns its answer as (JSON document, text), the
+# text as the pieces to join.
+_Answer = tuple[object, Iterable[str]]
+
+def _stats(args, graph: DependencyGraph, node: None) -> _Answer:
+    stats = asdict(stats_summary(graph))
+    width = max(map(len, stats))
+    return stats, _lines(f"{key.ljust(width)}  {value}" for key, value in stats.items())
 
 
-def _cmd_snapshots(args) -> int:
-    snaps = list_snapshots(_require_db(args))
-    if args.as_json:
-        _print_json([{"label": s.label, "root_path": s.root_path,
-                      "scanned_at": s.scanned_at, "tool_version": s.tool_version}
-                     for s in snaps])
-    else:
-        for s in snaps:
-            print(f"{s.label}\t{s.scanned_at}\t{s.root_path}")
-    return 0
-
-
-def _cmd_who_uses(args) -> int:
-    graph = _load(args)
-    node = find_node(graph, args.name)
+def _who_uses(args, graph: DependencyGraph, node: int) -> _Answer:
     users = _paths(graph, who_uses(graph, node, transitive=args.transitive))
-    if args.as_json:
-        _print_json({"library": graph.paths[node],
-                     "transitive": args.transitive, "dependents": users})
-    else:
-        for path in users:
-            print(path)
-    return 0
+    return ({"library": graph.paths[node], "transitive": args.transitive,
+             "dependents": users}, _lines(users))
 
 
-def _cmd_get_deps(args) -> int:
-    graph = _load(args)
-    node = find_node(graph, args.name)
+def _get_deps(args, graph: DependencyGraph, node: int) -> _Answer:
     deps = get_deps(graph, node)
-    if args.as_json:
-        _print_json({
-            "file": graph.paths[node],
-            "dependencies": [
-                {"needed_name": name,
-                 "status": "resolved" if res.resolved else "missing",
-                 "path": res.path,
-                 "origin": res.origin.value if res.origin else None}
-                for name, res in deps
-            ],
-        })
-    else:
-        for name, res in deps:
-            where = f"{res.path} ({res.origin.value})" if res.resolved else "MISSING"
-            print(f"{name}\t{where}")
-    return 0
+    return ({"file": graph.paths[node], "dependencies": [
+                {"needed_name": name, "status": "resolved" if res.resolved else "missing",
+                 "path": res.path, "origin": res.origin.value if res.origin else None}
+                for name, res in deps]},
+            _lines(f"{name}\t{res.path} ({res.origin.value})" if res.resolved
+                   else f"{name}\tMISSING" for name, res in deps))
 
 
-def _cmd_get_all_deps(args) -> int:
-    graph = _load(args)
-    node = find_node(graph, args.name)
+def _get_all_deps(args, graph: DependencyGraph, node: int) -> _Answer:
     closure = _paths(graph, get_all_deps(graph, node))
-    if args.as_json:
-        _print_json({"file": graph.paths[node],
-                     "dependencies": closure})
-    else:
-        for path in closure:
-            print(path)
-    return 0
+    return {"file": graph.paths[node], "dependencies": closure}, _lines(closure)
 
 
-def _cmd_impact(args) -> int:
-    graph = _load(args)
-    node = find_node(graph, args.name)
+def _impact(args, graph: DependencyGraph, node: int) -> _Answer:
     impact = update_impact(graph, node)
-    payload = {
-        "library": graph.paths[node],
-        "direct": _paths(graph, impact.direct),
-        "transitive": _paths(graph, impact.transitive),
-        "executables_affected": _paths(graph, impact.executables_affected),
-    }
-    if args.as_json:
-        _print_json(payload)
-    else:
-        for key in ("direct", "transitive", "executables_affected"):
-            print(f"{key}:")
-            for path in payload[key]:
-                print(f"  {path}")
-    return 0
+    sections = {key: _paths(graph, getattr(impact, key))
+                for key in ("direct", "transitive", "executables_affected")}
+    return ({"library": graph.paths[node], **sections},
+            _lines(line for key, paths in sections.items()
+                   for line in (f"{key}:", *(f"  {path}" for path in paths))))
 
 
-def _cmd_dot(args) -> int:
-    graph = _load(args)
+def _dot(args, graph: DependencyGraph, node: None) -> _Answer:
     roots = [find_node(graph, r) for r in args.root] or None
     options = DotOptions(hide_top_k=args.hide_top, hide_names=args.hide_name,
                          roots=roots)
-    sys.stdout.write(emit_dot(graph, options))
-    return 0
+    return None, [emit_dot(graph, options)]
 
 
-def _cmd_evolve(args) -> int:
+def _snapshots(args, db: str) -> _Answer:
+    snaps = list_snapshots(db)
+    return ([{"label": s.label, "root_path": s.root_path,
+              "scanned_at": s.scanned_at, "tool_version": s.tool_version} for s in snaps],
+            _lines(f"{s.label}\t{s.scanned_at}\t{s.root_path}" for s in snaps))
+
+
+def _evolve(args, db: str) -> _Answer:
+    rows = [asdict(r) for r in trend_report(db, args.snapshots).rows]
+    out = io.StringIO()
+    writer = csv.DictWriter(out, fieldnames=TREND_COLUMNS)
+    writer.writeheader()
+    writer.writerows(rows)
+    return {"rows": rows}, [out.getvalue()]
+
+
+_ON_SNAPSHOT = {"stats": _stats, "who-uses": _who_uses, "get-deps": _get_deps,
+                "get-all-deps": _get_all_deps, "impact": _impact, "dot": _dot}
+_ON_DATABASE = {"snapshots": _snapshots, "evolve": _evolve}
+
+
+def _read(args) -> int:
+    """A read command: load, compute, render."""
     db = _require_db(args)
-    report = trend_report(db, args.snapshots)
-    rows = [asdict(r) for r in report.rows]
-    if args.format == "csv":
-        import csv
-
-        writer = csv.DictWriter(sys.stdout, fieldnames=TREND_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
+    if args.command in _ON_SNAPSHOT:
+        doc, text = _ON_SNAPSHOT[args.command](args, *_load(args, db))
     else:
-        _print_json({"rows": rows})
+        doc, text = _ON_DATABASE[args.command](args, db)
+    _render(args.format == "json" if args.command == "evolve" else args.as_json, doc, text)
     return 0
-
-
-_COMMANDS = {
-    "scan": _cmd_scan,
-    "stats": _cmd_stats,
-    "snapshots": _cmd_snapshots,
-    "who-uses": _cmd_who_uses,
-    "get-deps": _cmd_get_deps,
-    "get-all-deps": _cmd_get_all_deps,
-    "impact": _cmd_impact,
-    "dot": _cmd_dot,
-    "evolve": _cmd_evolve,
-}
 
 
 def run_cli(argv: list[str] | None = None) -> int:
@@ -332,17 +291,14 @@ def run_cli(argv: list[str] | None = None) -> int:
         if args.command is None:
             parser.print_help()
             return USER_ERROR
-        return _COMMANDS[args.command](args)
-    except _CliError as exc:
-        print(f"depex: {exc}", file=sys.stderr)
-        return exc.code
+        return _cmd_scan(args) if args.command == "scan" else _read(args)
     except UnknownLabel as exc:
         print(f"depex: unknown snapshot {exc}", file=sys.stderr)
         return USER_ERROR
     except UnknownNode as exc:
         print(f"depex: unknown file or library {exc}", file=sys.stderr)
         return USER_ERROR
-    except (AmbiguousName, UnreadableDatabase) as exc:
+    except (_CliError, AmbiguousName, UnreadableDatabase) as exc:
         print(f"depex: {exc}", file=sys.stderr)
         return USER_ERROR
     except DuplicateLabel as exc:
@@ -361,6 +317,8 @@ def run_cli(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
+    if hasattr(signal, "SIGPIPE"):  # a reader that goes away ends the run quietly, as for cat
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run_cli())
 
 

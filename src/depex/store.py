@@ -18,7 +18,7 @@ column in one pass. A version 0 database keeps a row per node, alias and
 dependency in `files`, `file_aliases` and `deps`; reads load it through
 those tables, unchanged, and the first save into it converts every
 snapshot to a `graphs` row and drops the three tables in that save's
-transaction.
+transaction, then runs VACUUM once to give their pages back.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import sqlite3
 import sys
 from array import array
 from collections.abc import Mapping
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import cached_property
@@ -441,11 +441,20 @@ def _begin(db_path: str) -> sqlite3.Connection:
     return con
 
 
+def _commit(con: sqlite3.Connection) -> None:
+    """Commit, then VACUUM if pages are free, as only a conversion's dropped
+    tables leave them. The commit stands if the VACUUM fails."""
+    con.execute("COMMIT")
+    if con.execute("PRAGMA freelist_count").fetchone()[0]:
+        with suppress(sqlite3.Error):
+            con.execute("VACUUM")
+
+
 def open_db(db_path: str) -> sqlite3.Connection:
     """A writable connection with depex's tables, creating the file if
     absent and converting a version 0 database."""
     con = _begin(db_path)
-    con.execute("COMMIT")
+    _commit(con)
     return con
 
 
@@ -514,7 +523,7 @@ def save_snapshot(result: "ScanResult", label: str, db_path: str,
             "INSERT INTO snapshots(label, root_path, scanned_at, tool_version)"
             " VALUES (?, ?, ?, ?)", (label, result.root, scanned_at, version)).lastrowid
         con.execute(_INSERT_GRAPH, (snapshot_id, *row))
-        con.execute("COMMIT")
+        _commit(con)
     except DuplicateLabel:
         raise
     except Exception as exc:

@@ -3,7 +3,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
+import signal
 import sqlite3
+import subprocess
 import sys
 from array import array
 from importlib import resources
@@ -74,6 +77,40 @@ def test_stats_human_output(capsys, demo_db):
     code, out, _ = run(capsys, "stats", "--db", demo_db)
     assert code == 0
     assert "executables" in out and "3" in out
+
+
+TEXT_GOLDEN = {
+    ("stats",): "executables    3\nlibraries      7\ndependencies   10\nmissing        1\n"
+                "unused         2\navg_direct     1.0\navg_recursive  1.2\nmax_direct     2\n"
+                "max_recursive  3\n",
+    ("who-uses", "libc.so.6"): "/opt/app/lib/libapp.so.1\n/usr/bin/broken\n"
+                               "/usr/lib/gtk/libgtk.so.0\n/usr/lib/libm.so.6\n"
+                               "/usr/lib/libz.so.1.2.13\n",
+    ("who-uses", "libc.so.6", "--transitive"):
+        "/opt/app/bin/app\n/opt/app/lib/libapp.so.1\n/usr/bin/broken\n/usr/bin/tool\n"
+        "/usr/lib/gtk/libgtk.so.0\n/usr/lib/libm.so.6\n/usr/lib/libplugin.so\n"
+        "/usr/lib/libz.so.1.2.13\n",
+    ("get-deps", "/usr/bin/broken"): "libghost.so.9\tMISSING\n"
+                                     "libc.so.6\t/usr/lib/libc.so.6 (ldso-conf)\n",
+    ("get-all-deps", "/usr/bin/tool"): "/usr/lib/libc.so.6\n/usr/lib/libm.so.6\n"
+                                       "/usr/lib/libz.so.1.2.13\n",
+    ("impact", "libc.so.6"):
+        "direct:\n  /opt/app/lib/libapp.so.1\n  /usr/bin/broken\n  /usr/lib/gtk/libgtk.so.0\n"
+        "  /usr/lib/libm.so.6\n  /usr/lib/libz.so.1.2.13\n"
+        "transitive:\n  /opt/app/bin/app\n  /opt/app/lib/libapp.so.1\n  /usr/bin/broken\n"
+        "  /usr/bin/tool\n  /usr/lib/gtk/libgtk.so.0\n  /usr/lib/libm.so.6\n"
+        "  /usr/lib/libplugin.so\n  /usr/lib/libz.so.1.2.13\n"
+        "executables_affected:\n  /opt/app/bin/app\n  /usr/bin/broken\n  /usr/bin/tool\n",
+}
+
+
+def test_text_output_golden(capsys, demo_sysroot, demo_db):
+    for argv, expected in TEXT_GOLDEN.items():
+        assert run(capsys, *argv, "--db", demo_db) == (0, expected, ""), argv
+    code, out, err = run(capsys, "snapshots", "--db", demo_db)
+    assert (code, err) == (0, "")
+    scanned_at = r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d(\.\d{6})?\+00:00"
+    assert re.fullmatch(f"demo\t{scanned_at}\t{re.escape(demo_sysroot.root)}\n", out), out
 
 
 def test_unknown_snapshot(capsys, demo_db):
@@ -196,6 +233,41 @@ def test_read_commands_do_not_modify_a_v0_db(capsys, v0_db):
         code, _, _ = run(capsys, *argv, "--db", v0_db)
         assert code == 0, argv
     assert db_hash(v0_db) == before
+
+
+def v0_reads(capsys, db: str) -> list[tuple[int, str, str]]:
+    """Each read of the three snapshots of the version 0 fixture, text and JSON."""
+    reads = [run(capsys, "evolve", "--snapshots", "1,2,demo", *form, "--db", db)
+             for form in ([], ["--format", "csv"])]
+    for label, app, lib in (("demo", "/usr/bin/tool", "libc.so.6"),
+                            ("1", "/bin/app1", "/usr/lib/r1/lib1.so"),
+                            ("2", "/bin/app2", "/usr/lib/r2/lib1.so")):
+        for argv in (["stats"], ["who-uses", lib], ["who-uses", lib, "--transitive"],
+                     ["get-deps", app], ["get-all-deps", app], ["impact", lib]):
+            for form in ([], ["--json"]):
+                reads.append(run(capsys, *argv, *form, "--snapshot", label, "--db", db))
+        reads.append(run(capsys, "dot", "--snapshot", label, "--db", db))
+    assert all(code == 0 and out and not err for code, out, err in reads)
+    return reads
+
+
+def freelist_count(db: str) -> int:
+    con = sqlite3.connect(db)
+    try:
+        return con.execute("PRAGMA freelist_count").fetchone()[0]
+    finally:
+        con.close()
+
+
+@pytest.mark.parametrize("convert", ["open_db", "save"])
+def test_converting_a_v0_db_gives_its_free_pages_back(capsys, v0_db, convert):
+    before = v0_reads(capsys, v0_db)
+    if convert == "open_db":
+        open_db(v0_db).close()
+    else:
+        save_snapshot(FakeResult([], []), "later", v0_db)
+    assert freelist_count(v0_db) == 0
+    assert v0_reads(capsys, v0_db) == before
 
 
 def test_read_commands_create_no_database(capsys, tmp_path):
@@ -376,6 +448,27 @@ def test_db_env_fallback(capsys, demo_db, monkeypatch):
     code, out, _ = run(capsys, "snapshots", "--json")
     assert code == 0
     assert json.loads(out)[0]["label"] == "demo"
+
+
+def depex_process(*argv, stdout):
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(depex.cli.__file__))}
+    return subprocess.run([sys.executable, "-m", "depex.cli", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, env=env, timeout=60)
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+def test_closed_stdout_ends_the_command_quietly(demo_db):
+    argv = ("who-uses", "libc.so.6", "--transitive", "--db", demo_db)
+    full = depex_process(*argv, stdout=subprocess.PIPE)
+    assert (full.returncode, full.stderr) == (0, b"")
+    assert full.stdout.decode() == TEXT_GOLDEN[argv[:3]]
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first write
+    try:
+        closed = depex_process(*argv, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (closed.returncode, closed.stderr) == (-signal.SIGPIPE, b"")
 
 
 def test_bad_usage_exits_one(capsys):

@@ -490,6 +490,26 @@ def test_old_schema_database_loads_the_same_and_migrates_on_save(v0_db, demo_sys
     assert loaded_rows(load_graph("3", v0_db)) == saved_rows(release(3))
 
 
+def test_a_failed_vacuum_after_a_conversion_keeps_the_save(v0_db, monkeypatch):
+    connect = sqlite3.connect
+
+    class NoVacuum(sqlite3.Connection):
+        def execute(self, sql, *args):
+            if sql == "VACUUM":
+                raise sqlite3.OperationalError("database or disk is full")
+            return super().execute(sql, *args)
+
+    monkeypatch.setattr(sqlite3, "connect",
+                        lambda *args, **kwargs: connect(*args, factory=NoVacuum, **kwargs))
+    save_snapshot(release(3), "3", v0_db)
+    monkeypatch.undo()
+    assert schema(v0_db) == (1, V1_TABLES)
+    assert loaded_rows(load_graph("3", v0_db)) == saved_rows(release(3))
+    con = connect_plain(v0_db)
+    assert con.execute("PRAGMA freelist_count").fetchone()[0] > 0  # the pages stay free
+    con.close()
+
+
 def test_old_schema_dependencies_in_no_source_order_load_grouped_by_source(v0_db):
     snapshot = "(SELECT id FROM snapshots WHERE label = '2')"
     con = sqlite3.connect(v0_db)

@@ -8,16 +8,18 @@
 `build` generates a perfbench workload's seed-1 inputs under WHERE through
 `perfbench/workload.py` (scan-distro is scanned into a database first) and
 records the 64 pooled query command lines next to the database. `dump`
-imports depex from the source directory SRC, runs `stats --json`, `dot`,
-`dot --hide-top 12`, `evolve`, `evolve --format csv` and the pooled
-queries in-process against that database, and prints each command line,
-its exit code and its output. It then prints, for each snapshot, every
-node's recursive coupling from `depex.metrics.closure_sizes` as
-`path<TAB>size` lines in path order, and every node's direct users from
-`depex.queries.who_uses` as `path<TAB>count<TAB>digest` lines in path
-order, the digest a SHA-256 prefix of the users' sorted paths. Dumps made
-with the `src/` of two commits differ in a byte exactly when a read
-answer does.
+imports depex from the source directory SRC, runs `stats` (with and
+without `--json`), `dot`, `dot --hide-top 12`, `evolve`, `evolve --format
+csv` and each pooled query (with and without `--json`, so both the JSON
+and the text form are compared) in-process against that database, and
+prints each command line, its exit code and its output. `snapshots` is
+left out: its scan time and root differ between databases built apart.
+It then prints, for each snapshot, every node's recursive coupling from
+`depex.metrics.closure_sizes` as `path<TAB>size` lines in path order, and
+every node's direct users from `depex.queries.who_uses` as
+`path<TAB>count<TAB>digest` lines in path order, the digest a SHA-256
+prefix of the users' sorted paths. Dumps made with the `src/` of two
+commits differ in a byte exactly when a read answer does.
 
 `build-trees` writes the test suite's demo tree and perfbench's seed-1
 scan-distro tree under WHERE. `scans` imports depex from SRC, scans each
@@ -43,8 +45,8 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-READS = (["stats", "--json"], ["dot"], ["dot", "--hide-top", "12"], ["evolve"],
-         ["evolve", "--format", "csv"])
+READS = (["stats", "--json"], ["stats"], ["dot"], ["dot", "--hide-top", "12"],
+         ["evolve"], ["evolve", "--format", "csv"])
 
 
 def build(workload: str, where: str) -> None:
@@ -124,7 +126,9 @@ def dump(src: str, where: str) -> None:
 
     with open(os.path.join(where, "reads.json")) as f:
         spec = json.load(f)
-    for argv in [*READS, *spec["queries"]]:
+    queries = [form for argv in spec["queries"]
+               for form in (argv, [a for a in argv if a != "--json"])]
+    for argv in [*READS, *queries]:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = depex.cli.run_cli([*argv, "--db", spec["db"]])
