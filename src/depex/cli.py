@@ -4,8 +4,9 @@ Every read command runs load -> compute -> render. The load step reads
 --db (or DEPEX_DB), takes --snapshot or the latest label, loads that
 graph and finds the node a NAME argument names. The compute step, one per
 command, returns the answer as (JSON document, text). The render step
-writes it once: the document with --json (evolve: --format json), the
-text otherwise. `snapshots` and `evolve` compute from the database alone.
+writes the document with --json (evolve: --format json), or else the text
+a piece at a time as it is made, so `dot` never holds its whole output.
+`snapshots` and `evolve` compute from the database alone.
 
 Exit codes: 0 success, 1 user error (unknown snapshot/node, ambiguous
 name, bad arguments), 2 internal or storage error. Read commands never
@@ -25,7 +26,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import asdict
 
 from depex import __version__
-from depex.dot import DotOptions, emit_dot
+from depex.dot import DotOptions, dot_chunks
 from depex.evolution import TREND_COLUMNS, trend_report
 from depex.metrics import stats_summary
 from depex.queries import (AmbiguousName, find_node, get_all_deps, get_deps,
@@ -169,9 +170,9 @@ def _load(args, db: str) -> tuple[DependencyGraph, int | None]:
 
 
 def _render(as_json: bool, doc, text: Iterable[str]) -> None:
-    """The render step: one write of the answer; the text is joined only
-    when it is the form asked for."""
-    sys.stdout.write(json.dumps(doc, indent=2) + "\n" if as_json else "".join(text))
+    """The render step: the document in one write, or the text a piece at a
+    time as it is made; the text is made only when it is the form asked for."""
+    sys.stdout.writelines([json.dumps(doc, indent=2) + "\n"] if as_json else text)
 
 
 def _lines(items) -> Iterator[str]:
@@ -203,7 +204,7 @@ def _cmd_scan(args) -> int:
 
 
 # The compute steps: each returns its answer as (JSON document, text), the
-# text as the pieces to join.
+# text as the pieces to write.
 _Answer = tuple[object, Iterable[str]]
 
 def _stats(args, graph: DependencyGraph, node: None) -> _Answer:
@@ -244,9 +245,8 @@ def _impact(args, graph: DependencyGraph, node: int) -> _Answer:
 
 def _dot(args, graph: DependencyGraph, node: None) -> _Answer:
     roots = [find_node(graph, r) for r in args.root] or None
-    options = DotOptions(hide_top_k=args.hide_top, hide_names=args.hide_name,
-                         roots=roots)
-    return None, [emit_dot(graph, options)]
+    return None, dot_chunks(graph, DotOptions(hide_top_k=args.hide_top,
+                                              hide_names=args.hide_name, roots=roots))
 
 
 def _snapshots(args, db: str) -> _Answer:

@@ -8,11 +8,15 @@ something a human can read.
 
 from __future__ import annotations
 
+import heapq
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 from depex.elf import FileKind
 from depex.metrics import popularity
 from depex.store import DependencyGraph
+
+_SHAPES = {FileKind.EXECUTABLE_BINARY: "box"}  # every other node is an ellipse
 
 
 @dataclass
@@ -26,58 +30,51 @@ def _quote(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _node_attrs(kind: FileKind) -> str:
-    if kind is FileKind.EXECUTABLE_BINARY:
-        return "shape=box"
-    return "shape=ellipse"
-
-
-def emit_dot(graph: DependencyGraph, options: DotOptions | None = None) -> str:
+def dot_chunks(graph: DependencyGraph, options: DotOptions | None = None) -> Iterator[str]:
+    """The DOT text in chunks: the header, the node declarations, the
+    missing-name declarations, the edge lines of every 16 visible sources
+    and the closing brace. All that can fail runs before the first chunk."""
     options = options or DotOptions()
     paths = graph.paths
 
     visible = set(range(len(paths)))  # node ids
-    if options.roots is not None:
-        keep: set[int] = set()
-        for root in options.roots:
-            keep.add(graph.require(root))
-            keep.update(graph.reachable_from(root))
-        visible &= keep
+    if options.roots is not None:  # the roots and their closures; reachable_from checks each
+        visible = set(options.roots).union(*map(graph.reachable_from, options.roots))
 
-    if options.hide_top_k > 0:
+    if options.hide_top_k > 0:  # nsmallest: sorted(...)[:k] without sorting every node
         pop = popularity(graph)
-        ranked = sorted(range(len(paths)), key=lambda p: (-pop[p], paths[p]))
-        visible -= set(ranked[: options.hide_top_k])
+        visible -= set(heapq.nsmallest(options.hide_top_k, range(len(paths)),
+                                       key=lambda p: (-pop[p], paths[p])))
 
     if options.hide_names:
-        visible = {
-            p for p in visible
-            if not any(s in paths[p] for s in options.hide_names)
-        }
+        visible = {p for p in visible if not any(s in paths[p] for s in options.hide_names)}
 
     order = sorted(visible, key=paths.__getitem__)
     quoted = {p: _quote(paths[p]) for p in order}  # each visible path, quoted once
-    lines = ["digraph dependencies {"]
-    for p in order:
-        lines.append(f"    {quoted[p]} [{_node_attrs(graph.kinds[p])}];")
-
     # one synthetic node per distinct unresolved name keeps breakage visible
-    missing_shown = sorted({
-        name for s, name, d in zip(graph.src, graph.names, graph.dst)
-        if d < 0 and s in visible
-    })
-    for name in missing_shown:
-        lines.append(
-            f"    {_quote('missing:' + name)} "
-            f"[label={_quote(name)}, shape=ellipse, style=dashed, color=red];")
+    missing_shown = sorted({name for s, name, d in zip(graph.src, graph.names, graph.dst)
+                            if d < 0 and s in visible})
+    yield "digraph dependencies {\n"
+    yield "".join(f"    {quoted[p]} [shape={_SHAPES.get(graph.kinds[p], 'ellipse')}];\n"
+                  for p in order)
+    yield "".join(f"    {_quote('missing:' + name)} "
+                  f"[label={_quote(name)}, shape=ellipse, style=dashed, color=red];\n"
+                  for name in missing_shown)
+    for i in range(0, len(order), 16):  # a chunk a few kB long, written as it is made
+        yield emit_dot(graph, order[i:i + 16], quoted)
+    yield "}\n"
 
+
+def emit_dot(graph: DependencyGraph, sources: Iterable[int], quoted: dict[int, str]) -> str:
+    """The DOT edge lines of `sources` in import-table order: each edge to a
+    node in `quoted` (the shown nodes' quoted paths) or to a missing: node."""
     start, dst, names = graph.out_start, graph.dst, graph.names
-    for p in order:
+    lines = []
+    for p in sources:
         for e in range(start[p], start[p + 1]):
             d = dst[e]
             if d < 0:
-                lines.append(f"    {quoted[p]} -> {_quote('missing:' + names[e])};")
+                lines.append(f"    {quoted[p]} -> {_quote('missing:' + names[e])};\n")
             elif d in quoted:
-                lines.append(f"    {quoted[p]} -> {quoted[d]};")
-    lines.append("}\n")  # the last newline rides along: no second copy of the output
-    return "\n".join(lines)
+                lines.append(f"    {quoted[p]} -> {quoted[d]};\n")
+    return "".join(lines)

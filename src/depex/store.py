@@ -152,10 +152,10 @@ class DependencyGraph:
     that have any) are indexed by it. An edge's id is its position in src
     and dst node ids (dst -1: unresolved), names and origins, which come
     grouped by source in import-table order, so node p's out-edges are
-    numbers out_start[p] to out_start[p + 1] - 1. The reverse CSR over
-    resolved edges (in_start, in_src) is built on first use. `nodes` and
-    `adjacency` are read-only id -> record views that build a record when
-    it is read.
+    numbers out_start[p] to out_start[p + 1] - 1. Those offsets and the
+    reverse CSR over resolved edges (in_start, in_src) are built on first
+    use. `nodes` and `adjacency` are read-only id -> record views that
+    build a record when it is read.
     """
 
     def __init__(self, snapshot: Snapshot, paths, kinds, sonames, sizes, aliases,
@@ -164,7 +164,10 @@ class DependencyGraph:
         self.paths, self.kinds, self.sonames, self.sizes = paths, kinds, sonames, sizes
         self.aliases: dict[int, list[str]] = aliases
         self.src, self.names, self.dst, self.origins = src, names, dst, origins
-        self.out_start = _offsets(src, len(paths))
+
+    @cached_property
+    def out_start(self) -> list[int]:
+        return _offsets(self.src, len(self.paths))
 
     @cached_property
     def in_start(self) -> list[int]:

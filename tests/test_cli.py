@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import re
@@ -10,6 +11,7 @@ import subprocess
 import sys
 from array import array
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -199,6 +201,27 @@ def test_dot_cli(capsys, demo_db):
     assert code == 0
     assert '"/usr/bin/tool"' not in out3
     assert '"/opt/app/lib/libapp.so.1"' in out3
+
+
+class RecordingStdout(io.TextIOBase):
+    def __init__(self):
+        self.writes: list[str] = []
+
+    def write(self, text: str) -> int:
+        self.writes.append(text)
+        return len(text)
+
+
+def test_dot_is_written_as_it_is_made(demo_db, monkeypatch):
+    golden = (Path(__file__).parent / "data" / "golden.dot").read_text()
+    stdout = RecordingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert run_cli(["dot", "--db", demo_db]) == 0
+    assert "".join(stdout.writes) == golden
+    assert len(stdout.writes) > 1
+    stdout.writes.clear()
+    assert run_cli(["dot", "--root", "nowhere", "--db", demo_db]) == 1
+    assert stdout.writes == []  # an error writes no part of the graph
 
 
 def test_evolve_csv_and_json(capsys, demo_db):

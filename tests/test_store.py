@@ -10,7 +10,7 @@ import textwrap
 
 import pytest
 
-from depex.dot import DotOptions, emit_dot
+from depex.dot import DotOptions, dot_chunks
 from depex.elf import FileKind
 from depex.metrics import closure_sizes, health, popularity, stats_summary
 from depex.queries import get_all_deps, get_deps, update_impact, who_uses
@@ -564,8 +564,9 @@ def answers(graph) -> dict:
         "health": (report.missing_names, paths(report.directly_impacted),
                    paths(report.unused_libraries)),
         "popularity": {path[n]: count for n, count in popularity(graph).items()},
-        "dot": [emit_dot(graph), emit_dot(graph, DotOptions(hide_top_k=3)),
-                emit_dot(graph, DotOptions(roots=roots))],
+        "dot": ["".join(dot_chunks(graph)),
+                "".join(dot_chunks(graph, DotOptions(hide_top_k=3))),
+                "".join(dot_chunks(graph, DotOptions(roots=roots)))],
     }
     for p, n in sorted(ids.items()):
         impact = update_impact(graph, n)

@@ -9,10 +9,12 @@
 `perfbench/workload.py` (scan-distro is scanned into a database first) and
 records the 64 pooled query command lines next to the database. `dump`
 imports depex from the source directory SRC, runs `stats` (with and
-without `--json`), `dot`, `dot --hide-top 12`, `evolve`, `evolve --format
-csv` and each pooled query (with and without `--json`, so both the JSON
-and the text form are compared) in-process against that database, and
-prints each command line, its exit code and its output. `snapshots` is
+without `--json`), `dot`, `dot --hide-top 12`, `dot --hide-name lib`,
+`dot --root NAME` (NAME: the name of the first pooled `get-all-deps`
+query), `evolve`, `evolve --format csv` and each pooled query (with and
+without `--json`, so both the JSON and the text form are compared)
+in-process against that database, and prints each command line, its exit
+code and its output, which `dot` writes a chunk at a time. `snapshots` is
 left out: its scan time and root differ between databases built apart.
 It then prints, for each snapshot, every node's recursive coupling from
 `depex.metrics.closure_sizes` as `path<TAB>size` lines in path order, and
@@ -46,7 +48,7 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 READS = (["stats", "--json"], ["stats"], ["dot"], ["dot", "--hide-top", "12"],
-         ["evolve"], ["evolve", "--format", "csv"])
+         ["dot", "--hide-name", "lib"], ["evolve"], ["evolve", "--format", "csv"])
 
 
 def build(workload: str, where: str) -> None:
@@ -128,7 +130,8 @@ def dump(src: str, where: str) -> None:
         spec = json.load(f)
     queries = [form for argv in spec["queries"]
                for form in (argv, [a for a in argv if a != "--json"])]
-    for argv in [*READS, *queries]:
+    root = next(argv[1] for argv in spec["queries"] if argv[0] == "get-all-deps")
+    for argv in [*READS, ["dot", "--root", root], *queries]:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = depex.cli.run_cli([*argv, "--db", spec["db"]])
