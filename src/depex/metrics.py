@@ -14,11 +14,11 @@ never-imported node then costs one OR per out-edge, not one DFS.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import is_, is_not, not_
 
-from depex.elf import ElfSummary, FileKind
+from depex.elf import FileKind
 from depex.store import DependencyGraph
 
 
@@ -145,64 +145,6 @@ def health(graph: DependencyGraph) -> HealthReport:
     return HealthReport(set(compress(names, unresolved)) - resolved_names,
                         set(compress(graph.src, unresolved)),
                         {p for p in libraries if start[p] == start[p + 1]})
-
-
-@dataclass
-class CoverageRow:
-    """How much of one library's export surface one dependent actually uses."""
-
-    satisfied: set[str]
-    satisfied_count: int
-    library_export_count: int
-    coverage_ratio: float | None  # None when the library exports nothing
-
-
-@dataclass
-class CoverageReport:
-    rows: dict[tuple[int, int], CoverageRow] = field(default_factory=dict)
-    # imports no resolved library of the file satisfies
-    unsatisfied_symbols: dict[int, set[str]] = field(default_factory=dict)
-    # the weak subset of those; the loader tolerates their absence
-    unsatisfied_optional: dict[int, set[str]] = field(default_factory=dict)
-
-
-def coverage(graph: DependencyGraph,
-             summaries: dict[str, ElfSummary]) -> CoverageReport:
-    """Symbol-level reliance per resolved edge.
-
-    summaries maps canonical paths to parse_elf's summaries; each one reads
-    its symbol sets from its image the first time they are used here.
-    A symbol exported by several of the file's libraries counts toward each
-    of them; the loader's first-wins choice is deliberately not modeled.
-    """
-    report = CoverageReport()
-    paths, start, dst = graph.paths, graph.out_start, graph.dst
-    for p, path in enumerate(paths):
-        summary = summaries.get(path)
-        if summary is None or not summary.undefined_symbols:
-            continue
-        imports = summary.undefined_symbols
-        satisfied_anywhere: set[str] = set()
-        for d in dst[start[p]:start[p + 1]]:
-            target_summary = summaries.get(paths[d]) if d >= 0 else None
-            if target_summary is None:
-                continue
-            exports = target_summary.exported_symbols
-            satisfied = set(imports & exports)
-            satisfied_anywhere |= satisfied
-            report.rows[(p, d)] = CoverageRow(
-                satisfied=satisfied,
-                satisfied_count=len(satisfied),
-                library_export_count=len(exports),
-                coverage_ratio=len(satisfied) / len(exports) if exports else None,
-            )
-        unsatisfied = set(imports - satisfied_anywhere)
-        if unsatisfied:
-            report.unsatisfied_symbols[p] = unsatisfied
-            optional = unsatisfied & summary.weak_undefined_symbols
-            if optional:
-                report.unsatisfied_optional[p] = optional
-    return report
 
 
 @dataclass

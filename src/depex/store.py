@@ -328,6 +328,8 @@ def _unpack(snapshot: Snapshot, row: tuple) -> DependencyGraph:
                          ("origins", m), ("alias_nodes", len(columns["aliases"]))):
         if len(columns[name]) != length:
             raise ValueError(f"column {name} holds {len(columns[name])} values, not {length}")
+    if len(set(columns["paths"])) != n:  # the loop only names the path
+        _require_unique(columns["paths"], "column paths: path")
     sizes, src, dst = (columns[name].tolist() for name in ("sizes", "src", "dst"))
     grouped = src == sorted(src)  # sorted finds a grouped column one run
     for name, values, low, high in (

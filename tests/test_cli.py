@@ -601,6 +601,12 @@ def renamed(row: dict, name: str, new: str) -> dict:
     return {"strings": b"\0".join(strings)}
 
 
+def first_path_twice(row: dict) -> dict:
+    paths = row["paths"].split(b"\0")
+    paths[1] = paths[0]
+    return {"paths": b"\0".join(paths)}
+
+
 # (stored column changes, what the message says), on the demo tree's 10 nodes
 # and edges and 13 distinct strings
 CORRUPT_V1 = {
@@ -626,6 +632,9 @@ CORRUPT_V1 = {
                       "column sizes holds a value outside 0..9223372036854775807"),
     "grouped sources from -1": (lambda r: first_set(r, "src", -1),
                                 "column src holds a value outside 0..9"),
+    # save refuses this; a load that took it would declare one file as two nodes
+    "a path twice": (first_path_twice,
+                     "column paths: path '/opt/app/bin/app' occurs twice"),
 }
 
 

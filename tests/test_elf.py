@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import json
+import os
 import random
 import struct
+import subprocess
+import sys
 
 import pytest
 
@@ -88,6 +92,20 @@ def test_defined_and_undefined_same_name_is_satisfied_locally():
     assert s.undefined_symbols == frozenset()
     assert s.exported_symbols == {"dual"}
     assert not (s.undefined_symbols & s.exported_symbols)
+
+
+def test_calibrate_reads_symbol_sets_of_demo_tree(demo_sysroot):
+    # perfbench/calibrate.py counts imports and exports through the summaries'
+    # symbol properties; the properties may not go while it still reads them
+    script = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench", "calibrate.py")
+    proc = subprocess.run([sys.executable, script, demo_sysroot.root], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    shape = json.loads(proc.stdout)
+    assert (shape["executables"], shape["libraries"]) == (3, 6)
+    assert shape["exe_imports"]["n"] == shape["executables"]
+    assert shape["lib_exports"]["n"] == shape["libraries"]
+    assert shape["exe_imports"]["max"] > 0 and shape["lib_exports"]["max"] > 0
 
 
 def test_empty_needed_entries_dropped():

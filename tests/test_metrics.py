@@ -4,13 +4,12 @@ import random
 
 import pytest
 
-from depex.elf import FileKind, parse_elf
-from depex.metrics import (HealthReport, StatsSummary, closure_sizes, coverage,
+from depex.elf import FileKind
+from depex.metrics import (HealthReport, StatsSummary, closure_sizes,
                            direct_coupling, health, popularity,
                            recursive_coupling, stats_summary)
 from depex.queries import who_uses
 from depex.store import DependencyGraph, UnknownNode
-from elfbuild import ElfSpec, build_elf
 from graphbuild import EXE, LIB, build_graph, edge_records, random_graph
 from oracles import closure_sets
 
@@ -126,76 +125,6 @@ def test_health_unused_libraries():
 def test_health_unused_only_counts_libraries():
     g = build_graph([("/a", EXE), ("/lib.so", LIB)], [(0, "lib.so", 1)])
     assert health(g).unused_libraries == set()
-
-
-def make_summaries():
-    binary = parse_elf(build_elf(ElfSpec(
-        e_type=2, interpreter="/ld.so", needed=["libx.so"],
-        undefined=[("foo", 1), ("bar", 1)])))
-    library = parse_elf(build_elf(ElfSpec(
-        soname="libx.so",
-        defined=[("foo", 1), ("bar", 1), ("baz", 1), ("qux", 1)])))
-    return binary, library
-
-
-def test_coverage_ratio():
-    binary, library = make_summaries()
-    g = build_graph([("/bin/app", EXE), ("/lib/libx.so", LIB, "libx.so")],
-                    [(0, "libx.so", 1)])
-    report = coverage(g, {"/bin/app": binary, "/lib/libx.so": library})
-    row = report.rows[(0, 1)]
-    assert row.satisfied == {"foo", "bar"}
-    assert row.satisfied_count == 2
-    assert row.library_export_count == 4
-    assert row.coverage_ratio == 0.5
-    assert report.unsatisfied_symbols == {}
-
-
-def test_coverage_no_imports_no_rows():
-    _, library = make_summaries()
-    empty = parse_elf(build_elf(ElfSpec(e_type=2, interpreter="/ld.so",
-                                        needed=["libx.so"])))
-    g = build_graph([("/bin/app", EXE), ("/lib/libx.so", LIB, "libx.so")],
-                    [(0, "libx.so", 1)])
-    report = coverage(g, {"/bin/app": empty, "/lib/libx.so": library})
-    assert report.rows == {}
-
-
-def test_coverage_symbol_in_two_libraries_counts_in_both():
-    binary = parse_elf(build_elf(ElfSpec(
-        e_type=2, interpreter="/ld.so", needed=["liba.so", "libb.so"],
-        undefined=[("shared_fn", 1)])))
-    liba = parse_elf(build_elf(ElfSpec(soname="liba.so", defined=[("shared_fn", 1)])))
-    libb = parse_elf(build_elf(ElfSpec(soname="libb.so", defined=[("shared_fn", 1)])))
-    g = build_graph(
-        [("/bin/app", EXE), ("/la.so", LIB, "liba.so"), ("/lb.so", LIB, "libb.so")],
-        [(0, "liba.so", 1), (0, "libb.so", 2)])
-    report = coverage(g, {"/bin/app": binary, "/la.so": liba, "/lb.so": libb})
-    assert report.rows[(0, 1)].satisfied == {"shared_fn"}
-    assert report.rows[(0, 2)].satisfied == {"shared_fn"}
-
-
-def test_coverage_unsatisfied_and_weak_flag():
-    binary = parse_elf(build_elf(ElfSpec(
-        e_type=2, interpreter="/ld.so", needed=["libx.so"],
-        undefined=[("gone", 1), ("maybe", 2)])))
-    library = parse_elf(build_elf(ElfSpec(soname="libx.so", defined=[("other", 1)])))
-    g = build_graph([("/bin/app", EXE), ("/libx.so", LIB, "libx.so")],
-                    [(0, "libx.so", 1)])
-    report = coverage(g, {"/bin/app": binary, "/libx.so": library})
-    assert report.unsatisfied_symbols[0] == {"gone", "maybe"}
-    assert report.unsatisfied_optional[0] == {"maybe"}
-    assert report.rows[(0, 1)].coverage_ratio == 0.0
-
-
-def test_coverage_zero_export_library_has_no_ratio():
-    binary = parse_elf(build_elf(ElfSpec(
-        e_type=2, interpreter="/ld.so", needed=["libx.so"], undefined=[("f", 1)])))
-    library = parse_elf(build_elf(ElfSpec(soname="libx.so")))
-    g = build_graph([("/bin/app", EXE), ("/libx.so", LIB, "libx.so")],
-                    [(0, "libx.so", 1)])
-    report = coverage(g, {"/bin/app": binary, "/libx.so": library})
-    assert report.rows[(0, 1)].coverage_ratio is None
 
 
 def test_stats_chain_of_three():
