@@ -2,11 +2,21 @@
 
 Nodes are matched across snapshots by soname when they have one, else by
 path basename: paths drift across OS eras while sonames stay put.
+
+Each trend row is loaded and summarised in a forked worker process, one
+per CPU the caller may run on (so `taskset` limits them), at most one per
+distinct label. The calling process computes the rows itself, with no
+fork, when there are fewer than two distinct labels, when it may run on
+one CPU only, when the platform has no `os.sched_getaffinity`, and when
+it runs more than one thread (a forked child of a threaded process may
+deadlock).
 """
 
 from __future__ import annotations
 
+import os
 import posixpath
+import threading
 from dataclasses import asdict, dataclass, field, fields
 
 from depex.elf import FileKind
@@ -70,12 +80,27 @@ def _trend_row(label: str, graph: DependencyGraph) -> TrendRow:
                     if stats.libraries else 0.0, **asdict(stats))
 
 
+def _load_row(label: str, db_path: str) -> TrendRow:
+    return _trend_row(label, load_graph(label, db_path))
+
+
 def trend_report(db_path: str, labels: list[str] | None = None) -> TrendReport:
-    """One row of headline metrics per snapshot, in the given order."""
-    report = TrendReport()
-    for label in _labels_or_all(db_path, labels):
-        report.rows.append(_trend_row(label, load_graph(label, db_path)))
-    return report
+    """One row of headline metrics per snapshot, in the given order. A
+    failure is the first failing label's, as if the rows were made in turn."""
+    labels = _labels_or_all(db_path, labels)
+    distinct = list(dict.fromkeys(labels))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(distinct))
+    if workers < 2 or threading.active_count() > 1:
+        return TrendReport([_load_row(label, db_path) for label in labels])
+    # imported here, so that no other command pays for importing them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        # the last label, the newest release by default, is the largest: start it first
+        futures = {label: pool.submit(_load_row, label, db_path) for label in reversed(distinct)}
+        return TrendReport([futures[label].result() for label in labels])
 
 
 def _keys_by_kind(graph: DependencyGraph, kind: FileKind) -> set[str]:

@@ -1,14 +1,23 @@
 from __future__ import annotations
 
+import multiprocessing
+import os
+import random
+import sqlite3
+import threading
+
 import pytest
 
+from depex.cli import run_cli
 from depex.elf import FileKind
-from depex.evolution import (PresenceSpan, diff_snapshots, identity_key,
-                             longevity, trend_report)
+from depex.evolution import (PresenceSpan, _trend_row, diff_snapshots,
+                             identity_key, longevity, trend_report)
 from depex.metrics import stats_summary
 from depex.resolver import Origin
 from depex.store import (DependencyEdge, FileNode, UnknownLabel, load_graph,
                          save_snapshot)
+from graphbuild import edge_records, random_graph
+from test_cli import CORRUPT_V1, db_hash, graphs_row
 
 EXE, LIB = FileKind.EXECUTABLE_BINARY, FileKind.SHARED_LIBRARY
 
@@ -174,3 +183,118 @@ def test_rows_invariant_to_insertion_order(tmp_path):
     rows_a = trend_report(db_a).rows
     rows_b = trend_report(db_b).rows
     assert rows_a == rows_b
+
+
+# -- trend rows from forked workers ---------------------------------------
+
+@pytest.fixture
+def random_corpus(tmp_path):
+    db = str(tmp_path / "random.db")
+    rng = random.Random(22)
+    for label in ("r1", "r2", "r3"):
+        graph = random_graph(rng, max_nodes=40)[0]
+        save_snapshot(FakeResult(list(graph.nodes.values()), edge_records(graph)), label, db)
+    return db
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The number of os.fork calls made by this process."""
+    count = [0]
+    fork = os.fork
+
+    def counted():
+        count[0] += 1
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return count
+
+
+def on_cpus(monkeypatch, n: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def serial_rows(db: str, labels: list[str]):
+    return [_trend_row(label, load_graph(label, db)) for label in labels]
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("labels", [None, ["r3", "r2", "r1"], ["r2", "r1", "r2"]],
+                         ids=["default", "reversed", "duplicate"])
+def test_trend_rows_from_workers_equal_serial_rows(monkeypatch, random_corpus, forks,
+                                                   cpus, labels):
+    asked = labels or ["r1", "r2", "r3"]
+    expected = serial_rows(random_corpus, asked)
+    on_cpus(monkeypatch, cpus)
+    threads = threading.active_count()
+    assert trend_report(random_corpus, labels).rows == expected
+    assert forks[0] == (min(len(set(asked)), cpus) if cpus > 1 else 0)
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("labels", [["r2"], ["r2", "r2"], []])
+def test_one_distinct_label_forks_nothing(monkeypatch, random_corpus, forks, labels):
+    on_cpus(monkeypatch, 3)
+    assert trend_report(random_corpus, labels).rows == serial_rows(random_corpus, labels)
+    assert forks[0] == 0
+
+
+def test_a_second_thread_keeps_the_rows_in_process(monkeypatch, random_corpus, forks):
+    on_cpus(monkeypatch, 3)
+    threads = threading.active_count()
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    waiter.start()
+    try:
+        rows = trend_report(random_corpus).rows
+    finally:
+        release.set()
+        waiter.join()
+    assert rows == serial_rows(random_corpus, ["r1", "r2", "r3"])
+    assert forks[0] == 0
+    assert threading.active_count() == threads
+
+
+def test_no_affinity_call_keeps_the_rows_in_process(monkeypatch, random_corpus, forks):
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert trend_report(random_corpus).rows == serial_rows(random_corpus, ["r1", "r2", "r3"])
+    assert forks[0] == 0
+
+
+def corrupt_r2(db: str) -> str:
+    change, message = CORRUPT_V1["names of part of an int"]
+    columns = change(graphs_row(db, "r2"))
+    con = sqlite3.connect(db)
+    with con:
+        con.execute(f"UPDATE graphs SET {', '.join(f'{c} = ?' for c in columns)}"
+                    " WHERE snapshot_id = (SELECT id FROM snapshots WHERE label = 'r2')",
+                    list(columns.values()))
+    con.close()
+    return message
+
+
+@pytest.mark.parametrize("snapshots, corrupt, message", [
+    ("r1,nope,r3", False, "depex: unknown snapshot nope\n"),
+    (None, True, "snapshot 'r2' in "),
+    # both r2 and nope fail; r2 comes first in the asked order
+    ("r1,r2,nope", True, "snapshot 'r2' in "),
+], ids=["unknown-label", "corrupt-r2", "first-failure-in-order"])
+def test_evolve_fails_alike_in_process_and_from_workers(capsys, monkeypatch, random_corpus,
+                                                        forks, snapshots, corrupt, message):
+    messages = [message] + ([corrupt_r2(random_corpus)] if corrupt else [])
+    argv = ["evolve", "--db", random_corpus] + (["--snapshots", snapshots] if snapshots else [])
+    before = db_hash(random_corpus)
+    errors = []
+    for cpus in (1, 3):
+        on_cpus(monkeypatch, cpus)
+        assert run_cli(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        errors.append(err)
+    assert forks[0] == 3
+    assert errors[0] == errors[1]
+    assert all(m in errors[0] for m in messages) and "Traceback" not in errors[0]
+    assert db_hash(random_corpus) == before
+    assert multiprocessing.active_children() == []
