@@ -64,10 +64,15 @@ def _int_at_least(minimum: int):
 
 
 def _stored_label(text: str) -> str:
-    """argparse type: the label of a stored snapshot, never empty. A label
-    with "," stays nameable here: older versions stored such labels."""
+    """argparse type: the label of a stored snapshot, never empty and UTF-8,
+    as labels are stored. A label with "," stays nameable here: older
+    versions stored such labels."""
     if not text:
         raise argparse.ArgumentTypeError("empty snapshot label")
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise argparse.ArgumentTypeError(f"snapshot label {text!r} is not UTF-8") from None
     return text
 
 

@@ -11,14 +11,18 @@ save_snapshot turns a scan's records into columns and packs them, with
 no graph built. Node and edge ids are positions, and a scan's ids come
 back from save_snapshot and load_graph unchanged.
 
-Schema version 1 (PRAGMA user_version) stores a snapshot's graph as
+Schema version 2 (PRAGMA user_version) stores a snapshot's graph as
 those columns: one `graphs` row of BLOBs (see _COLUMNS), keyed by the
-snapshot's id. A load reads that one row and checks and decodes each
-column in one pass. A version 0 database keeps a row per node, alias and
-dependency in `files`, `file_aliases` and `deps`; reads load it through
-those tables, unchanged, and the first save into it converts every
-snapshot to a `graphs` row and drops the three tables in that save's
-transaction, then runs VACUUM once to give their pages back.
+snapshot's id, whose three text columns are zlib streams and whose kinds
+and origins take one byte each; a snapshot's root is a BLOB, so that any
+path round-trips. A load reads that one row and checks and decodes each
+column in one pass. Older databases are read as they are: a version 1
+`graphs` row holds plain text and int32 kinds and origins, and a version
+0 database a row per node, alias and dependency in `files`,
+`file_aliases` and `deps`. The first save into either converts every
+snapshot to a version 2 row (and drops version 0's tables) in that
+save's transaction, then runs VACUUM once to give the freed pages back.
+A depex that reads only versions 0 and 1 refuses a version 2 file.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import os
 import re
 import sqlite3
 import sys
+import zlib
 from array import array
 from collections.abc import Mapping
 from contextlib import contextmanager, suppress
@@ -234,17 +239,20 @@ class DependencyGraph:
         return seen
 
 
-# The BLOB columns of a graphs row, in table order, each a string list
-# ("s": UTF-8 with surrogateescape, so any path or ELF string round-trips,
-# each string ended by NUL, which no C string holds) or a little-endian
-# array of int32 ("i") or int64 ("q"). kinds, sonames, names and origins
-# index the snapshot's distinct strings (-1: None); src, dst (-1:
-# unresolved) and alias_nodes are node positions.
-_COLUMNS = (("strings", "s"), ("paths", "s"), ("kinds", "i"), ("sonames", "i"),
-            ("sizes", "q"), ("alias_nodes", "i"), ("aliases", "s"),
-            ("src", "i"), ("names", "i"), ("dst", "i"), ("origins", "i"))
+# The BLOB columns of a graphs row, in table order, each with its type
+# code in schema version 1 and in version 2: a string list ("s": UTF-8
+# with surrogateescape, so any path or ELF string round-trips, each string
+# ended by NUL, which no C string holds; "z": that text as a zlib stream)
+# or a little-endian array of int8 ("b"), int32 ("i") or int64 ("q").
+# kinds, sonames, names and origins index the snapshot's distinct strings
+# (-1: None), which _pack lists kind and origin values first, so that
+# their codes fit in a byte; src, dst (-1: unresolved) and alias_nodes
+# are node positions.
+_COLUMNS = (("strings", "sz"), ("paths", "sz"), ("kinds", "ib"), ("sonames", "ii"),
+            ("sizes", "qq"), ("alias_nodes", "ii"), ("aliases", "sz"),
+            ("src", "ii"), ("names", "ii"), ("dst", "ii"), ("origins", "ib"))
 _NAMES = ", ".join(name for name, _ in _COLUMNS)
-_VERSION = 1
+_VERSION = 2
 _SCHEMA = ("""CREATE TABLE IF NOT EXISTS snapshots(
     id INTEGER PRIMARY KEY,
     label TEXT NOT NULL UNIQUE,
@@ -254,8 +262,10 @@ _SCHEMA = ("""CREATE TABLE IF NOT EXISTS snapshots(
 )""", "CREATE TABLE IF NOT EXISTS graphs(snapshot_id INTEGER PRIMARY KEY"
       " REFERENCES snapshots(id), "
       + ", ".join(f"{name} BLOB NOT NULL" for name, _ in _COLUMNS) + ")")
-_INSERT_GRAPH = (f"INSERT INTO graphs(snapshot_id, {_NAMES})"
-                 f" VALUES (?{', ?' * len(_COLUMNS)})")
+_INSERT_GRAPH = f"INSERT INTO graphs({_NAMES}, snapshot_id) VALUES (?{', ?' * len(_COLUMNS)})"
+_UPDATE_GRAPH = (f"UPDATE graphs SET {' = ?, '.join(name for name, _ in _COLUMNS)} = ?"
+                 " WHERE snapshot_id = ?")
+_SNAPSHOT = "id, label, root_path, scanned_at, tool_version"
 
 
 def _pack_ints(code: str, values: Iterable[int]) -> bytes:
@@ -276,7 +286,7 @@ def _pack_strings(values: list[str]) -> bytes:
     blob = "\0".join([*values, ""]).encode("utf-8", "surrogateescape")
     if blob.count(0) != len(values):
         raise ValueError("a string to store holds NUL")
-    return blob
+    return zlib.compress(blob, 1)
 
 
 def _unpack_strings(blob: bytes) -> list[str]:
@@ -299,29 +309,32 @@ def _pack(paths, kinds, sonames, sizes, aliases, src, names, dst, origins) -> li
     in _COLUMNS order; ValueError if they cannot be stored as they are."""
     _require_unique(paths, "canonical path")
     _require_unique(zip(src, names), "dependency (node, needed name)")
-    coded = ([k.value for k in kinds], sonames, names,
-             [None if o is None else o.value for o in origins])
+    coded = ([k.value for k in kinds], [None if o is None else o.value for o in origins],
+             sonames, names)
     strings = [s for s in dict.fromkeys(chain.from_iterable(coded)) if s is not None]
     index = {None: -1, **{s: i for i, s in enumerate(strings)}}
-    kinds, sonames, names, origins = (_pack_ints("i", map(index.__getitem__, c))
-                                      for c in coded)
+    kinds, origins, sonames, names = (map(index.__getitem__, c) for c in coded)
     aliases = list(aliases.items())
-    return [_pack_strings(strings), _pack_strings(paths), kinds, sonames, _pack_ints("q", sizes),
-            _pack_ints("i", [p for p, group in aliases for _ in group]),
-            _pack_strings([a for _, group in aliases for a in group]),
-            _pack_ints("i", src), names, _pack_ints("i", dst), origins]
+    values = (strings, paths, kinds, sonames, sizes, [p for p, group in aliases for _ in group],
+              [a for _, group in aliases for a in group], src, names, dst, origins)
+    return [_pack_strings(v) if codes[-1] == "z" else _pack_ints(codes[-1], v)
+            for (_, codes), v in zip(_COLUMNS, values)]
 
 
-def _unpack(snapshot: Snapshot, row: tuple) -> DependencyGraph:
-    """The graph in one graphs row, each column checked and decoded in one
-    pass; ValueError names the first column that does not fit the others."""
+def _unpack(row: tuple, version: int) -> list:
+    """The columns of one version 1 or 2 graphs row, as DependencyGraph
+    takes them, each checked and decoded in one pass; ValueError names the
+    first column that does not fit the others."""
     columns = {}
-    for (name, code), blob in zip(_COLUMNS, row):
+    for (name, codes), blob in zip(_COLUMNS, row):
+        code = codes[version - 1]
         try:
             if type(blob) is not bytes:
                 raise ValueError("it holds no BLOB")
-            columns[name] = _unpack_strings(blob) if code == "s" else _unpack_ints(code, blob)
-        except ValueError as exc:
+            if code == "z":
+                blob = zlib.decompress(blob)
+            columns[name] = _unpack_strings(blob) if code in "sz" else _unpack_ints(code, blob)
+        except (ValueError, zlib.error) as exc:
             raise ValueError(f"column {name}: {exc}") from None
     n, m = len(columns["paths"]), len(columns["src"])
     for name, length in (("kinds", n), ("sonames", n), ("sizes", n), ("names", m), ("dst", m),
@@ -340,10 +353,14 @@ def _unpack(snapshot: Snapshot, row: tuple) -> DependencyGraph:
             raise ValueError(f"column {name} holds a value outside {low}..{high - 1}")
     if not grouped:
         raise ValueError("column src is not grouped by source")
-    text = dict(enumerate(columns["strings"]))  # each lookup below checks and decodes
+    strings = columns["strings"]
+    index = dict(zip(strings, range(len(strings))))  # a decoder looks its few values up
+    if len(index) != len(strings):  # so each string must have one index
+        _require_unique(strings, "column strings: string")
+    text = dict(enumerate(strings))  # each lookup below checks and decodes
     for name, known, low in (("kinds", _KINDS, 0), ("sonames", None, -1),
                              ("names", None, 0), ("origins", _ORIGINS, -1)):
-        table = text if known is None else {i: known[s] for i, s in text.items() if s in known}
+        table = text if known is None else {index[s]: v for s, v in known.items() if s in index}
         try:
             columns[name] = list(map(({-1: None, **table} if low else table).__getitem__,
                                      columns[name]))
@@ -354,8 +371,8 @@ def _unpack(snapshot: Snapshot, row: tuple) -> DependencyGraph:
     aliases: dict[int, list[str]] = {}
     for p, alias in zip(columns["alias_nodes"], columns["aliases"]):
         aliases.setdefault(p, []).append(alias)
-    return DependencyGraph(snapshot, columns["paths"], columns["kinds"], columns["sonames"],
-                           sizes, aliases, src, columns["names"], dst, columns["origins"])
+    return [columns["paths"], columns["kinds"], columns["sonames"], sizes, aliases,
+            src, columns["names"], dst, columns["origins"]]
 
 
 def _columns(rows: list[tuple], width: int) -> list[list]:
@@ -395,27 +412,41 @@ def _check_version(version: int, db_path: str) -> None:
             f" depex reads versions 0 to {_VERSION}")
 
 
-def _convert_v0(con: sqlite3.Connection) -> None:
-    """Store every snapshot of a version 0 database as a graphs row and
-    drop the tables that held it; nothing if the database has none."""
-    if con.execute("SELECT 1 FROM sqlite_master WHERE name = 'files'").fetchone() is None:
+def _read(con: sqlite3.Connection, snap: Snapshot, version: int) -> list:
+    """The columns of one stored snapshot, as DependencyGraph takes them;
+    ValueError if they do not decode."""
+    if version == 0:
+        return _load_v0(con, snap)
+    row = con.execute(f"SELECT {_NAMES} FROM graphs WHERE snapshot_id = ?",
+                      (snap.id,)).fetchone()
+    if row is None:
+        raise ValueError("its graph is not stored")
+    return _unpack(row, version)
+
+
+def _convert(con: sqlite3.Connection, version: int) -> None:
+    """Store every snapshot of a version 0 or 1 database as a version 2
+    graphs row, read as a load reads it, and drop version 0's tables; one
+    step from each older version. Nothing for a new file."""
+    if version == 0 and con.execute(
+            "SELECT 1 FROM sqlite_master WHERE name = 'files'").fetchone() is None:
         return
-    for row in con.execute("SELECT id, label, root_path, scanned_at, tool_version"
-                           " FROM snapshots ORDER BY id").fetchall():
-        snap = Snapshot(*row)
+    for row in con.execute(f"SELECT {_SNAPSHOT} FROM snapshots ORDER BY id").fetchall():
+        snap = _snapshot(row)
         try:
-            packed = _pack(*_load_v0(con, snap))
+            packed = _pack(*_read(con, snap, version))
         except ValueError as exc:
             raise UnreadableDatabase(f"snapshot {snap.label!r} cannot be converted:"
                                      f" {exc}") from None
-        con.execute(_INSERT_GRAPH, (snap.id, *packed))
-    for table in ("deps", "file_aliases", "files"):  # their indexes go with them
-        con.execute(f"DROP TABLE {table}")
+        con.execute(_UPDATE_GRAPH if version else _INSERT_GRAPH, (*packed, snap.id))
+    if version == 0:
+        for table in ("deps", "file_aliases", "files"):  # their indexes go with them
+            con.execute(f"DROP TABLE {table}")
 
 
 def _begin(db_path: str) -> sqlite3.Connection:
-    """A writable connection in a BEGIN IMMEDIATE transaction on a version 1
-    database: a new file gets the tables and a version 0 database is
+    """A writable connection in a BEGIN IMMEDIATE transaction on a version 2
+    database: a new file gets the tables and an older database is
     converted, both inside the transaction, so a rollback undoes them.
     UnreadableDatabase for a file that is no depex database, StorageFailure
     if it cannot be written."""
@@ -435,7 +466,7 @@ def _begin(db_path: str) -> sqlite3.Connection:
         if version < _VERSION:
             for statement in _SCHEMA:
                 con.execute(statement)
-            _convert_v0(con)
+            _convert(con, version)
             con.execute(f"PRAGMA user_version = {_VERSION}")
     except sqlite3.DatabaseError as exc:
         con.close()
@@ -447,8 +478,8 @@ def _begin(db_path: str) -> sqlite3.Connection:
 
 
 def _commit(con: sqlite3.Connection) -> None:
-    """Commit, then VACUUM if pages are free, as only a conversion's dropped
-    tables leave them. The commit stands if the VACUUM fails."""
+    """Commit, then VACUUM if pages are free, as only a conversion leaves
+    them. The commit stands if the VACUUM fails."""
     con.execute("COMMIT")
     if con.execute("PRAGMA freelist_count").fetchone()[0]:
         with suppress(sqlite3.Error):
@@ -457,7 +488,7 @@ def _commit(con: sqlite3.Connection) -> None:
 
 def open_db(db_path: str) -> sqlite3.Connection:
     """A writable connection with depex's tables, creating the file if
-    absent and converting a version 0 database."""
+    absent and converting an older database."""
     con = _begin(db_path)
     _commit(con)
     return con
@@ -526,8 +557,9 @@ def save_snapshot(result: "ScanResult", label: str, db_path: str,
             raise DuplicateLabel(label)
         snapshot_id = con.execute(
             "INSERT INTO snapshots(label, root_path, scanned_at, tool_version)"
-            " VALUES (?, ?, ?, ?)", (label, result.root, scanned_at, version)).lastrowid
-        con.execute(_INSERT_GRAPH, (snapshot_id, *row))
+            " VALUES (?, ?, ?, ?)", (label, result.root.encode("utf-8", "surrogateescape"),
+                                     scanned_at, version)).lastrowid
+        con.execute(_INSERT_GRAPH, (*row, snapshot_id))
         _commit(con)
     except DuplicateLabel:
         raise
@@ -538,13 +570,20 @@ def save_snapshot(result: "ScanResult", label: str, db_path: str,
     return Snapshot(snapshot_id, label, result.root, scanned_at, version)
 
 
+def _snapshot(row: tuple) -> Snapshot:
+    """A snapshots row; its root is TEXT in version 1 and, so that any path
+    round-trips, a BLOB of UTF-8 with surrogateescape since version 2."""
+    sid, label, root, *rest = row
+    return Snapshot(sid, label, root if type(root) is str
+                    else root.decode("utf-8", "surrogateescape"), *rest)
+
+
 def _snapshot_row(con: sqlite3.Connection, label: str) -> Snapshot:
-    row = con.execute(
-        "SELECT id, label, root_path, scanned_at, tool_version FROM snapshots"
-        " WHERE label = ?", (label,)).fetchone()
+    row = con.execute(f"SELECT {_SNAPSHOT} FROM snapshots WHERE label = ?",
+                      (label,)).fetchone()
     if row is None:
         raise UnknownLabel(label)
-    return Snapshot(*row)
+    return _snapshot(row)
 
 
 class _Decoder(dict):
@@ -570,13 +609,7 @@ def load_graph(label: str, db_path: str) -> DependencyGraph:
     with _read_only(db_path) as (con, version):
         snap = _snapshot_row(con, label)
         try:
-            if version == 0:
-                return DependencyGraph(snap, *_load_v0(con, snap))
-            row = con.execute(f"SELECT {_NAMES} FROM graphs WHERE snapshot_id = ?",
-                              (snap.id,)).fetchone()
-            if row is None:
-                raise ValueError("its graph is not stored")
-            return _unpack(snap, row)
+            return DependencyGraph(snap, *_read(con, snap, version))
         except ValueError as exc:
             raise UnreadableDatabase(
                 f"snapshot {label!r} in {db_path!r} cannot be read: {exc}") from None
@@ -591,6 +624,5 @@ def _natural_key(label: str) -> list[tuple[int, object]]:
 def list_snapshots(db_path: str) -> list[Snapshot]:
     """All snapshots in natural version order, then scan time."""
     with _read_only(db_path) as (con, _):
-        rows = [Snapshot(*row) for row in con.execute(
-            "SELECT id, label, root_path, scanned_at, tool_version FROM snapshots")]
+        rows = [_snapshot(row) for row in con.execute(f"SELECT {_SNAPSHOT} FROM snapshots")]
     return sorted(rows, key=lambda s: (_natural_key(s.label), s.scanned_at, s.label))

@@ -82,14 +82,26 @@ def demo_sysroot(sysroot) -> SysrootBuilder:
     return make_demo_sysroot(sysroot)
 
 
+def database_from_dump(tmp_path, name: str) -> str:
+    """A database file made from tests/data/NAME.sql."""
+    db = str(tmp_path / f"{name}.db")
+    con = sqlite3.connect(db)
+    try:
+        con.executescript((Path(__file__).parent / "data" / f"{name}.sql").read_text())
+    finally:
+        con.close()
+    return db
+
+
 @pytest.fixture
 def v0_db(tmp_path) -> str:
     """A version 0 database (see tests/data/v0.sql): snapshots 'demo', '1'
     and '2', of which 'demo' is the latest."""
-    db = str(tmp_path / "v0.db")
-    con = sqlite3.connect(db)
-    try:
-        con.executescript((Path(__file__).parent / "data" / "v0.sql").read_text())
-    finally:
-        con.close()
-    return db
+    return database_from_dump(tmp_path, "v0")
+
+
+@pytest.fixture
+def v1_db(tmp_path) -> str:
+    """A version 1 database (see tests/data/v1.sql): snapshots 'demo' and
+    '1', of which 'demo' is the latest."""
+    return database_from_dump(tmp_path, "v1")

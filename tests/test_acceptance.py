@@ -13,6 +13,7 @@ import subprocess
 import sqlite3
 import sys
 import time
+import zlib
 from array import array
 from pathlib import Path
 
@@ -363,8 +364,9 @@ EXPECTED_DEPS = {
 
 def dump_db_rows(db: str, label: str):
     """The snapshot's stored files, aliases and deps, decoded from its
-    graphs row by this test alone: NUL-terminated UTF-8 string columns and
-    little-endian int32 arrays, -1 standing for None."""
+    graphs row by this test alone: zlib streams of NUL-terminated UTF-8
+    strings, one-byte kinds and origins and little-endian int32 arrays,
+    -1 standing for None."""
     con = sqlite3.connect(db)
     try:
         cur = con.execute("SELECT graphs.* FROM graphs JOIN snapshots"
@@ -374,10 +376,10 @@ def dump_db_rows(db: str, label: str):
         con.close()
 
     def strings(name):
-        return row[name].decode("utf-8", "surrogateescape").split("\0")[:-1]
+        return zlib.decompress(row[name]).decode("utf-8", "surrogateescape").split("\0")[:-1]
 
     def ints(name):
-        column = array("i", row[name])
+        column = array("b" if name in ("kinds", "origins") else "i", row[name])
         if sys.byteorder == "big":
             column.byteswap()
         return column.tolist()

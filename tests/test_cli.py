@@ -5,10 +5,12 @@ import io
 import json
 import os
 import re
+import shutil
 import signal
 import sqlite3
 import subprocess
 import sys
+import zlib
 from array import array
 from importlib import resources
 from pathlib import Path
@@ -22,6 +24,7 @@ from depex.elf import FileKind
 from depex.resolver import SearchConfig
 from depex.scanner import ScanOptions, scan_tree
 from depex.store import FileNode, load_graph, open_db, save_snapshot
+from conftest import SysrootBuilder, make_demo_sysroot
 from elfbuild import ElfSpec, build_elf
 from graphbuild import edge_records
 
@@ -242,12 +245,13 @@ READ_COMMANDS = (["stats"], ["snapshots"], ["who-uses", "libc.so.6"],
                  ["impact", "libc.so.6"], ["dot"], ["evolve"])
 
 
-def test_read_commands_do_not_modify_db(capsys, demo_db):
-    before = db_hash(demo_db)
-    for argv in READ_COMMANDS:
-        code, _, _ = run(capsys, *argv, "--db", demo_db)
-        assert code == 0
-    assert db_hash(demo_db) == before
+def test_read_commands_do_not_modify_db(capsys, demo_db, v1_db):
+    for db in (demo_db, v1_db):  # version 2, and version 1 that a save would convert
+        before = db_hash(db)
+        for argv in READ_COMMANDS:
+            code, _, _ = run(capsys, *argv, "--db", db)
+            assert code == 0
+        assert db_hash(db) == before
 
 
 def test_read_commands_do_not_modify_a_v0_db(capsys, v0_db):
@@ -258,13 +262,19 @@ def test_read_commands_do_not_modify_a_v0_db(capsys, v0_db):
     assert db_hash(v0_db) == before
 
 
-def v0_reads(capsys, db: str) -> list[tuple[int, str, str]]:
-    """Each read of the three snapshots of the version 0 fixture, text and JSON."""
-    reads = [run(capsys, "evolve", "--snapshots", "1,2,demo", *form, "--db", db)
+# (a file, a library) of each snapshot of the version 0 and 1 fixtures
+FIXTURE_NODES = {"demo": ("/usr/bin/tool", "libc.so.6"),
+                 "1": ("/bin/app1", "/usr/lib/r1/lib1.so"),
+                 "2": ("/bin/app2", "/usr/lib/r2/lib1.so")}
+
+
+def fixture_reads(capsys, db: str, labels=("demo", "1", "2")) -> list[tuple[int, str, str]]:
+    """Each read of the given snapshots of a fixture (by default the three of
+    the version 0 fixture), text and JSON."""
+    reads = [run(capsys, "evolve", "--snapshots", ",".join(sorted(labels)), *form, "--db", db)
              for form in ([], ["--format", "csv"])]
-    for label, app, lib in (("demo", "/usr/bin/tool", "libc.so.6"),
-                            ("1", "/bin/app1", "/usr/lib/r1/lib1.so"),
-                            ("2", "/bin/app2", "/usr/lib/r2/lib1.so")):
+    for label in labels:
+        app, lib = FIXTURE_NODES[label]
         for argv in (["stats"], ["who-uses", lib], ["who-uses", lib, "--transitive"],
                      ["get-deps", app], ["get-all-deps", app], ["impact", lib]):
             for form in ([], ["--json"]):
@@ -284,13 +294,28 @@ def freelist_count(db: str) -> int:
 
 @pytest.mark.parametrize("convert", ["open_db", "save"])
 def test_converting_a_v0_db_gives_its_free_pages_back(capsys, v0_db, convert):
-    before = v0_reads(capsys, v0_db)
+    before = fixture_reads(capsys, v0_db)
     if convert == "open_db":
         open_db(v0_db).close()
     else:
         save_snapshot(FakeResult([], []), "later", v0_db)
     assert freelist_count(v0_db) == 0
-    assert v0_reads(capsys, v0_db) == before
+    assert fixture_reads(capsys, v0_db) == before
+
+
+def test_converting_a_v1_db_keeps_every_answer(capsys, v1_db, tmp_path):
+    converted = str(tmp_path / "converted.db")
+    shutil.copy(v1_db, converted)
+    open_db(converted).close()
+    con = sqlite3.connect(converted)
+    assert con.execute("PRAGMA user_version").fetchone() == (2,)
+    con.close()
+    assert freelist_count(converted) == 0
+    assert len(graphs_row(converted, "demo")["kinds"]) == 10  # one byte per node
+    for argv in (["snapshots"], ["snapshots", "--json"]):
+        assert run(capsys, *argv, "--db", converted) == run(capsys, *argv, "--db", v1_db)
+    labels = ("demo", "1")
+    assert fixture_reads(capsys, converted, labels) == fixture_reads(capsys, v1_db, labels)
 
 
 def test_read_commands_create_no_database(capsys, tmp_path):
@@ -387,6 +412,43 @@ def test_scan_rejects_labels_no_command_can_name(capsys, demo_sysroot, tmp_path,
         save_snapshot(scan_tree(ScanOptions(SearchConfig(demo_sysroot.root))), label, db)
         code, out, _ = run(capsys, "stats", "--db", db, "--snapshot", label, "--json")
         assert code == 0 and json.loads(out)["libraries"] == 7
+
+
+def test_a_label_that_is_not_utf8_is_a_usage_error(capsys, demo_db):
+    # stored labels are UTF-8 text, so such a label names no snapshot
+    before = db_hash(demo_db)
+    for argv in (["stats", "--snapshot", "a\udcff"], ["dot", "--snapshot", "a\udcff"],
+                 ["get-deps", "/usr/bin/tool", "--snapshot", "a\udcff"],
+                 ["evolve", "--snapshots", "demo,a\udcff"]):
+        code, out, err = run(capsys, *argv, "--db", demo_db)
+        assert (code, out) == (1, ""), argv
+        assert "snapshot label 'a\\udcff' is not UTF-8" in err and "Traceback" not in err
+    assert db_hash(demo_db) == before
+
+
+def test_scan_refuses_a_label_that_is_not_utf8_before_scanning(capsys, demo_sysroot, tmp_path,
+                                                                 monkeypatch):
+    def no_scan(options):
+        raise AssertionError("scanned")
+
+    monkeypatch.setattr(depex.cli, "scan_tree", no_scan)
+    db = str(tmp_path / "x.db")
+    code, out, err = run(capsys, "scan", "--sysroot", demo_sysroot.root,
+                         "--label", "l\udcff", "--db", db)
+    assert (code, out) == (1, "")
+    assert "--label" in err and "is not UTF-8" in err
+    assert not os.path.exists(db)
+
+
+def test_scan_stores_a_sysroot_whose_path_is_not_utf8(capsys, tmp_path):
+    root = make_demo_sysroot(SysrootBuilder(str(tmp_path / "root\udcff"))).root
+    db = str(tmp_path / "x.db")
+    code, _, err = run(capsys, "scan", "--sysroot", root, "--label", "v1", "--db", db)
+    assert (code, err) == (0, "")
+    code, out, _ = run(capsys, "snapshots", "--json", "--db", db)
+    assert code == 0 and [s["root_path"] for s in json.loads(out)] == [root]
+    assert load_graph("v1", db).snapshot.root_path == root
+    assert run(capsys, "stats", "--json", "--db", db)[0] == 0
 
 
 def test_scan_runs_in_one_process(capsys, demo_sysroot, tmp_path, monkeypatch):
@@ -595,6 +657,14 @@ def first_set(row: dict, column: str, value: int, code: str = "i") -> dict:
     return {column: as_blob(values, code)}
 
 
+def inflated(row: dict, column: str) -> list[bytes]:
+    return zlib.decompress(row[column]).split(b"\0")
+
+
+def deflated(strings: list[bytes], column: str) -> dict:
+    return {column: zlib.compress(b"\0".join(strings), 1)}
+
+
 def renamed(row: dict, name: str, new: str) -> dict:
     strings = row["strings"].split(b"\0")
     strings[strings.index(name.encode())] = new.encode()
@@ -638,23 +708,70 @@ CORRUPT_V1 = {
 }
 
 
-@pytest.mark.parametrize("case", CORRUPT_V1)
-def test_corrupt_graphs_row_is_unreadable(capsys, demo_db, case):
-    change, message = CORRUPT_V1[case]
-    con = sqlite3.connect(demo_db)
+def code_of(row: dict, string: str) -> int:
+    return inflated(row, "strings").index(string.encode())
+
+
+# the same on a version 2 row, whose text columns are zlib streams and
+# whose kinds and origins take a byte each; the kind and origin values
+# come first in its strings: executable, library, runpath, ldso-conf, rpath
+CORRUPT_V2 = {
+    "paths that do not inflate": (lambda r: {"paths": b"/opt/app/bin/app\0"},
+                                  "column paths: Error -3 while decompressing data"),
+    "strings cut short": (lambda r: {"strings": r["strings"][:-4]},
+                          "column strings: Error -5 while decompressing data"),
+    "aliases without their last NUL": (
+        lambda r: {"aliases": zlib.compress(zlib.decompress(r["aliases"])[:-1], 1)},
+        "column aliases: its last string is not NUL-terminated"),
+    "a kind byte too few": (lambda r: {"kinds": r["kinds"][:-1]},
+                            "column kinds holds 9 values, not 10"),
+    "an origin byte too many": (lambda r: {"origins": r["origins"] + b"\3"},
+                                "column origins holds 11 values, not 10"),
+    "kind code one past the strings": (lambda r: first_set(r, "kinds", 13, "b"),
+                                       "column kinds holds a value outside 0..12"),
+    "origin code -2": (lambda r: first_set(r, "origins", -2, "b"),
+                       "column origins holds a value outside -1..12"),
+    "kind code naming a soname": (lambda r: first_set(r, "kinds", code_of(r, "libc.so.6"), "b"),
+                                  "kind 'libc.so.6'"),
+    "origin code naming a needed name": (
+        lambda r: first_set(r, "origins", code_of(r, "libghost.so.9"), "b"),
+        "origin 'libghost.so.9'"),
+    "unknown origin": (lambda r: deflated([b"bogus" if s == b"ldso-conf" else s
+                                           for s in inflated(r, "strings")], "strings"),
+                       "origin 'bogus'"),
+    # each string has one code, which a kind or origin is looked up by
+    "a string twice": (lambda r: deflated([b"library", *inflated(r, "strings")[1:]],
+                                          "strings"),
+                       "column strings: string 'library' occurs twice"),
+}
+
+
+def corrupt_graphs_row_is_unreadable(capsys, db: str, change, message: str) -> None:
+    con = sqlite3.connect(db)
     with con:
-        columns = change(graphs_row(demo_db, "demo"))
-        con.execute(f"UPDATE graphs SET {', '.join(f'{c} = ?' for c in columns)}",
+        columns = change(graphs_row(db, "demo"))
+        con.execute(f"UPDATE graphs SET {', '.join(f'{c} = ?' for c in columns)}"
+                    " WHERE snapshot_id = (SELECT id FROM snapshots WHERE label = 'demo')",
                     list(columns.values()))
     con.close()
-    before = db_hash(demo_db)
+    before = db_hash(db)
     for argv in (["stats"], ["who-uses", "libc.so.6"], ["evolve"], ["dot"]):
-        code, out, err = run(capsys, *argv, "--db", demo_db)
+        code, out, err = run(capsys, *argv, "--db", db)
         assert code == 1, argv
         assert out == ""
         assert err.startswith("depex: snapshot 'demo' in ") and message in err, err
         assert "Traceback" not in err
-    assert db_hash(demo_db) == before
+    assert db_hash(db) == before
+
+
+@pytest.mark.parametrize("case", CORRUPT_V1)
+def test_corrupt_graphs_row_is_unreadable(capsys, v1_db, case):
+    corrupt_graphs_row_is_unreadable(capsys, v1_db, *CORRUPT_V1[case])
+
+
+@pytest.mark.parametrize("case", CORRUPT_V2)
+def test_corrupt_v2_graphs_row_is_unreadable(capsys, demo_db, case):
+    corrupt_graphs_row_is_unreadable(capsys, demo_db, *CORRUPT_V2[case])
 
 
 EMPTY_ROW = dict.fromkeys(["executables", "libraries", "dependencies", "missing", "unused",

@@ -17,7 +17,7 @@ from depex.resolver import Origin
 from depex.store import (DependencyEdge, FileNode, UnknownLabel, load_graph,
                          save_snapshot)
 from graphbuild import edge_records, random_graph
-from test_cli import CORRUPT_V1, db_hash, graphs_row
+from test_cli import CORRUPT_V2, db_hash, graphs_row
 
 EXE, LIB = FileKind.EXECUTABLE_BINARY, FileKind.SHARED_LIBRARY
 
@@ -264,7 +264,7 @@ def test_no_affinity_call_keeps_the_rows_in_process(monkeypatch, random_corpus, 
 
 
 def corrupt_r2(db: str) -> str:
-    change, message = CORRUPT_V1["names of part of an int"]
+    change, message = CORRUPT_V2["paths that do not inflate"]
     columns = change(graphs_row(db, "r2"))
     con = sqlite3.connect(db)
     with con:

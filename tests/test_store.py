@@ -7,6 +7,8 @@ import sqlite3
 import subprocess
 import sys
 import textwrap
+import zlib
+from array import array
 
 import pytest
 
@@ -201,12 +203,12 @@ def test_newer_schema_version_is_unreadable(tmp_path):
     db = db_file(tmp_path)
     save_snapshot(small_result(), "s1", db)
     con = sqlite3.connect(db)
-    con.execute("PRAGMA user_version = 2")
+    con.execute("PRAGMA user_version = 3")
     con.close()
     before = file_hash(db)
     for call in (lambda: list_snapshots(db), lambda: load_graph("s1", db),
                  lambda: save_snapshot(small_result(), "s2", db)):
-        with pytest.raises(UnreadableDatabase, match="schema version 2"):
+        with pytest.raises(UnreadableDatabase, match="schema version 3"):
             call()
     assert file_hash(db) == before
 
@@ -451,24 +453,24 @@ def graph_dump(graph) -> tuple:
             [(e.id, e.from_node, e.needed_name, e.to_node, e.origin) for e in edge_records(graph)])
 
 
-V1_TABLES = {"snapshots", "sqlite_autoindex_snapshots_1", "graphs"}
+TABLES = {"snapshots", "sqlite_autoindex_snapshots_1", "graphs"}
 
 
 def test_old_schema_database_loads_the_same_and_migrates_on_save(v0_db, demo_sysroot,
                                                                  tmp_path):
     # the same scans saved by this version, in the same order
-    v1_db = str(tmp_path / "v1.db")
-    save_snapshot(scan_tree(ScanOptions(SearchConfig(demo_sysroot.root))), "demo", v1_db)
+    new_db = str(tmp_path / "new.db")
+    save_snapshot(scan_tree(ScanOptions(SearchConfig(demo_sysroot.root))), "demo", new_db)
     for k in (1, 2):
-        save_snapshot(release(k), str(k), v1_db)
-    assert schema(v1_db) == (1, V1_TABLES)
+        save_snapshot(release(k), str(k), new_db)
+    assert schema(new_db) == (2, TABLES)
     version, tables = schema(v0_db)
     assert version == 0 and {"files", "file_aliases", "deps"} <= tables
 
     before = file_hash(v0_db)
     loaded = {}
     for label in ("demo", "1", "2"):
-        old, new = load_graph(label, v0_db), load_graph(label, v1_db)
+        old, new = load_graph(label, v0_db), load_graph(label, new_db)
         assert (old.snapshot.id, old.snapshot.label) == (new.snapshot.id, label)
         assert graph_dump(old)[1:] == graph_dump(new)[1:]
         assert answers(old) == answers(new)
@@ -480,7 +482,7 @@ def test_old_schema_database_loads_the_same_and_migrates_on_save(v0_db, demo_sys
     assert file_hash(v0_db) == before
 
     save_snapshot(release(3), "3", v0_db)
-    assert schema(v0_db) == (1, V1_TABLES)
+    assert schema(v0_db) == (2, TABLES)
     con = connect_plain(v0_db)
     assert con.execute("SELECT snapshot_id FROM graphs ORDER BY 1").fetchall() == \
         [(1,), (2,), (3,), (4,)]
@@ -488,6 +490,69 @@ def test_old_schema_database_loads_the_same_and_migrates_on_save(v0_db, demo_sys
     for label, dump in loaded.items():
         assert graph_dump(load_graph(label, v0_db)) == dump
     assert loaded_rows(load_graph("3", v0_db)) == saved_rows(release(3))
+
+
+def test_v1_database_loads_the_same_and_converts_on_save(v1_db, demo_sysroot, tmp_path):
+    new_db = str(tmp_path / "new.db")
+    save_snapshot(scan_tree(ScanOptions(SearchConfig(demo_sysroot.root))), "demo", new_db)
+    save_snapshot(release(1), "1", new_db)
+    assert schema(v1_db) == (1, TABLES)
+    before = file_hash(v1_db)
+    loaded = {label: graph_dump(load_graph(label, v1_db)) for label in ("demo", "1")}
+    for label, dump in loaded.items():
+        assert dump[1:] == graph_dump(load_graph(label, new_db))[1:]
+    assert [(s.label, s.root_path) for s in list_snapshots(v1_db)] == \
+        [("1", "/srv/r1"), ("demo", "/srv/demo")]
+    with pytest.raises(DuplicateLabel):  # the conversion rolls back with the save
+        save_snapshot(release(2), "demo", v1_db)
+    assert file_hash(v1_db) == before
+
+    save_snapshot(release(2), "2", v1_db)
+    assert schema(v1_db) == (2, TABLES)
+    for label, dump in loaded.items():
+        assert graph_dump(load_graph(label, v1_db)) == dump
+    assert loaded_rows(load_graph("2", v1_db)) == saved_rows(release(2))
+    con = connect_plain(v1_db)
+    assert con.execute("SELECT length(kinds), length(origins) FROM graphs ORDER BY snapshot_id"
+                       ).fetchall() == [(10, 10), (7, 9), (7, 9)]  # a byte per node, per edge
+    con.close()
+
+
+def test_a_v1_row_that_does_not_decode_stops_the_save_that_would_convert_it(v1_db):
+    con = sqlite3.connect(v1_db)
+    with con:
+        con.execute("UPDATE graphs SET names = x'00' WHERE snapshot_id = 2")
+    con.close()
+    before = file_hash(v1_db)
+    with pytest.raises(UnreadableDatabase, match="snapshot '1' cannot be converted: column names"):
+        save_snapshot(release(2), "2", v1_db)
+    assert file_hash(v1_db) == before
+    assert len(load_graph("demo", v1_db).nodes) == 10
+
+
+def test_v2_row_layout(demo_sysroot, tmp_path):
+    # the three text columns inflate to NUL-terminated UTF-8, and each kind
+    # and origin is one byte, a code into strings, whose kinds and origins come first
+    db = db_file(tmp_path)
+    result = scan_tree(ScanOptions(SearchConfig(demo_sysroot.root)))
+    save_snapshot(result, "demo", db)
+    con = connect_plain(db)
+    cur = con.execute("SELECT * FROM graphs")
+    row = dict(zip([d[0] for d in cur.description], cur.fetchone()))
+    con.close()
+    graph = load_graph("demo", db)
+    strings = zlib.decompress(row["strings"]).split(b"\0")
+    assert strings.pop() == b""
+    assert strings[:5] == [b"executable", b"library", b"runpath", b"ldso-conf", b"rpath"]
+    assert zlib.decompress(row["paths"]) == \
+        b"".join(n.canonical_path.encode() + b"\0" for n in result.nodes)
+    assert zlib.decompress(row["aliases"]) == \
+        b"".join(a.encode() + b"\0" for n in result.nodes for a in n.alias_paths)
+    assert (len(row["kinds"]), len(row["origins"])) == (len(result.nodes), len(result.edges))
+    assert [strings[k] for k in array("b", row["kinds"])] == \
+        [n.kind.value.encode() for n in result.nodes]
+    assert [o >= 0 and strings[o] for o in array("b", row["origins"])] == \
+        [o is not None and o.value.encode() for o in graph.origins]
 
 
 def test_a_failed_vacuum_after_a_conversion_keeps_the_save(v0_db, monkeypatch):
@@ -503,7 +568,7 @@ def test_a_failed_vacuum_after_a_conversion_keeps_the_save(v0_db, monkeypatch):
                         lambda *args, **kwargs: connect(*args, factory=NoVacuum, **kwargs))
     save_snapshot(release(3), "3", v0_db)
     monkeypatch.undo()
-    assert schema(v0_db) == (1, V1_TABLES)
+    assert schema(v0_db) == (2, TABLES)
     assert loaded_rows(load_graph("3", v0_db)) == saved_rows(release(3))
     con = connect_plain(v0_db)
     assert con.execute("PRAGMA freelist_count").fetchone()[0] > 0  # the pages stay free

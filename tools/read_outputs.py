@@ -2,6 +2,8 @@
 
     python3 tools/read_outputs.py build corpus-read WHERE
     python3 tools/read_outputs.py dump SRC WHERE > out.txt
+    python3 tools/read_outputs.py convert SRC WHERE COPY
+    python3 tools/read_outputs.py size SRC WHERE
     python3 tools/read_outputs.py build-trees WHERE
     python3 tools/read_outputs.py scans SRC WHERE > out.txt
 
@@ -23,6 +25,13 @@ every node's direct users from `depex.queries.who_uses` as
 prefix of the users' sorted paths. Dumps made with the `src/` of two
 commits differ in a byte exactly when a read answer does.
 
+`convert` copies the database that `build` made under WHERE into COPY,
+with a `reads.json` that names the copy, and converts the copy to SRC's
+storage format with one `open_db` call, so that `dump SRC COPY` reads a
+converted older database. `size` prints the database's bytes, its
+dependency edges over every snapshot (as SRC loads them) and the bytes
+per edge.
+
 `build-trees` writes the test suite's demo tree and perfbench's seed-1
 scan-distro tree under WHERE. `scans` imports depex from SRC, scans each
 tree with symlink following on and off, and prints the counts, every node
@@ -43,6 +52,7 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import sys
 import tempfile
 
@@ -119,6 +129,31 @@ def scans(src: str, where: str) -> None:
                     out.write(f"saved edge {e} {src} {needed} {dst} {origin and origin.value}\n")
 
 
+def convert(src: str, where: str, copy: str) -> None:
+    sys.path.insert(0, os.path.abspath(src))
+    from depex.store import open_db
+
+    with open(os.path.join(where, "reads.json")) as f:
+        spec = json.load(f)
+    os.makedirs(copy, exist_ok=True)
+    db = os.path.join(os.path.abspath(copy), os.path.basename(spec["db"]))
+    shutil.copyfile(spec["db"], db)
+    open_db(db).close()
+    with open(os.path.join(copy, "reads.json"), "w") as f:
+        json.dump({**spec, "db": db}, f)
+
+
+def size(src: str, where: str) -> None:
+    sys.path.insert(0, os.path.abspath(src))
+    from depex.store import list_snapshots, load_graph
+
+    with open(os.path.join(where, "reads.json")) as f:
+        db = json.load(f)["db"]
+    edges = sum(len(load_graph(s.label, db).src) for s in list_snapshots(db))
+    nbytes = os.path.getsize(db)
+    print(f"{nbytes} B, {edges} edges, {nbytes / max(edges, 1):.2f} B/edge")
+
+
 def dump(src: str, where: str) -> None:
     sys.path.insert(0, os.path.abspath(src))
     import depex.cli
@@ -152,7 +187,8 @@ def dump(src: str, where: str) -> None:
 
 
 if __name__ == "__main__":
-    commands = {"build": build, "dump": dump, "build-trees": build_trees, "scans": scans}
+    commands = {"build": build, "dump": dump, "convert": convert, "size": size,
+                "build-trees": build_trees, "scans": scans}
     command = commands.get(sys.argv[1] if len(sys.argv) > 1 else "")
     if command is None or len(sys.argv) - 2 != command.__code__.co_argcount:
         sys.exit(__doc__.split("\n\n")[1])
