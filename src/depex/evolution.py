@@ -3,19 +3,20 @@
 Nodes are matched across snapshots by soname when they have one, else by
 path basename: paths drift across OS eras while sonames stay put.
 
-Each trend row is loaded and summarised in a forked worker process, one
-per CPU the caller may run on (so `taskset` limits them), at most one per
-distinct label. The calling process computes the rows itself, with no
-fork, when there are fewer than two distinct labels, when it may run on
-one CPU only, when the platform has no `os.sched_getaffinity`, and when
-it runs more than one thread (a forked child of a threaded process may
-deadlock).
+The calling process makes its share of the trend rows beside one forked
+helper per further CPU it may run on (so `taskset` limits them), up to
+one process per distinct label; each holds one graph at a time. It makes
+every row itself, with no fork, when there are fewer than two distinct
+labels, when it may run on one CPU only, when the platform has no
+`os.sched_getaffinity`, and when it runs more than one thread (a forked
+child of a threaded process may deadlock).
 """
 
 from __future__ import annotations
 
 import os
 import posixpath
+import signal
 import threading
 from dataclasses import asdict, dataclass, field, fields
 
@@ -84,23 +85,72 @@ def _load_row(label: str, db_path: str) -> TrendRow:
     return _trend_row(label, load_graph(label, db_path))
 
 
+_QUEUE_ITEMS = 1024  # 4-byte items fill a 4 KiB page, the least a pipe holds
+
+
+def _shared_rows(distinct: list[str], db_path: str, helpers: int) -> list:
+    """Each distinct label's row or exception, made here and in `helpers` forked
+    processes, none of which outlives the call; ChildProcessError if one dies."""
+    import pickle  # imported here, so that no other command pays for it
+    run = -(-len(distinct) // _QUEUE_ITEMS)  # labels per item, so the queue never blocks
+    queue, feed = os.pipe()
+    with open(feed, "wb") as items:  # the newest label, the largest, first
+        items.write(b"".join(i.to_bytes(4, "little") for i in range(0, len(distinct), run)[::-1]))
+
+    def claim() -> list[tuple]:  # (index, row or exception) per label, until the queue is empty
+        made = []
+        while item := os.read(queue, 4):
+            for i in range(int.from_bytes(item, "little"), len(distinct))[:run]:
+                try:
+                    made.append((i, _load_row(distinct[i], db_path)))
+                except Exception as exc:  # trend_report raises it in the asked order
+                    made.append((i, exc))
+        return made
+
+    fds, pids = [queue], []  # fds[i + 1] brings the rows of pids[i]
+    try:
+        for _ in range(helpers):
+            fds += os.pipe()
+            if (pid := os.fork()) == 0:  # a helper: it sends its rows and never returns
+                try:
+                    with open(fds[-1], "wb") as rows:
+                        pickle.dump(claim(), rows)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(fds.pop())
+            pids.append(pid)
+        made = dict(claim())
+        while pids:
+            with open(fds.pop(), "rb") as rows:
+                sent = rows.read()
+            if code := os.waitstatus_to_exitcode(os.waitpid(pids[-1], 0)[1]):
+                raise ChildProcessError(f"evolve helper {pids.pop()} ended with status {code}")
+            made.update(pickle.loads(sent))
+            pids.pop()
+        return [made[i] for i in range(len(distinct))]
+    finally:
+        for fd in fds:
+            os.close(fd)
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def trend_report(db_path: str, labels: list[str] | None = None) -> TrendReport:
     """One row of headline metrics per snapshot, in the given order. A
     failure is the first failing label's, as if the rows were made in turn."""
     labels = _labels_or_all(db_path, labels)
     distinct = list(dict.fromkeys(labels))
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(cpus, len(distinct))
-    if workers < 2 or threading.active_count() > 1:
+    helpers = min(cpus, len(distinct)) - 1
+    if helpers < 1 or threading.active_count() > 1:
         return TrendReport([_load_row(label, db_path) for label in labels])
-    # imported here, so that no other command pays for importing them
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        # the last label, the newest release by default, is the largest: start it first
-        futures = {label: pool.submit(_load_row, label, db_path) for label in reversed(distinct)}
-        return TrendReport([futures[label].result() for label in labels])
+    rows = dict(zip(distinct, _shared_rows(distinct, db_path, helpers)))
+    for row in rows.values():  # in the asked order of first sight: the first failure first
+        if isinstance(row, Exception):
+            raise row
+    return TrendReport([rows[label] for label in labels])
 
 
 def _keys_by_kind(graph: DependencyGraph, kind: FileKind) -> set[str]:

@@ -331,8 +331,12 @@ def _unpack(row: tuple, version: int) -> list:
         try:
             if type(blob) is not bytes:
                 raise ValueError("it holds no BLOB")
-            if code == "z":
-                blob = zlib.decompress(blob)
+            if code == "z":  # zlib.decompress would ignore bytes after the stream
+                inflate = zlib.decompressobj()
+                text = inflate.decompress(blob)
+                if inflate.unused_data:
+                    raise ValueError(f"{len(inflate.unused_data)} bytes follow its zlib stream")
+                blob = text if inflate.eof else zlib.decompress(blob)  # names a cut stream
             columns[name] = _unpack_strings(blob) if code in "sz" else _unpack_ints(code, blob)
         except (ValueError, zlib.error) as exc:
             raise ValueError(f"column {name}: {exc}") from None

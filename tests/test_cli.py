@@ -720,6 +720,8 @@ CORRUPT_V2 = {
                                   "column paths: Error -3 while decompressing data"),
     "strings cut short": (lambda r: {"strings": r["strings"][:-4]},
                           "column strings: Error -5 while decompressing data"),
+    "junk after the stream": (lambda r: {"paths": r["paths"] + b"junk"},
+                              "column paths: 4 bytes follow its zlib stream"),
     "aliases without their last NUL": (
         lambda r: {"aliases": zlib.compress(zlib.decompress(r["aliases"])[:-1], 1)},
         "column aliases: its last string is not NUL-terminated"),

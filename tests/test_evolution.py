@@ -1,13 +1,14 @@
 from __future__ import annotations
 
-import multiprocessing
 import os
 import random
 import sqlite3
 import threading
+import time
 
 import pytest
 
+from depex import evolution
 from depex.cli import run_cli
 from depex.elf import FileKind
 from depex.evolution import (PresenceSpan, _trend_row, diff_snapshots,
@@ -185,7 +186,7 @@ def test_rows_invariant_to_insertion_order(tmp_path):
     assert rows_a == rows_b
 
 
-# -- trend rows from forked workers ---------------------------------------
+# -- trend rows shared with forked helpers ------------------------------------
 
 @pytest.fixture
 def random_corpus(tmp_path):
@@ -219,7 +220,15 @@ def serial_rows(db: str, labels: list[str]):
     return [_trend_row(label, load_graph(label, db)) for label in labels]
 
 
-@pytest.mark.parametrize("cpus", [1, 3])
+def no_child_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
 @pytest.mark.parametrize("labels", [None, ["r3", "r2", "r1"], ["r2", "r1", "r2"]],
                          ids=["default", "reversed", "duplicate"])
 def test_trend_rows_from_workers_equal_serial_rows(monkeypatch, random_corpus, forks,
@@ -229,9 +238,23 @@ def test_trend_rows_from_workers_equal_serial_rows(monkeypatch, random_corpus, f
     on_cpus(monkeypatch, cpus)
     threads = threading.active_count()
     assert trend_report(random_corpus, labels).rows == expected
-    assert forks[0] == (min(len(set(asked)), cpus) if cpus > 1 else 0)
-    assert multiprocessing.active_children() == []
+    assert forks[0] == min(len(set(asked)), cpus) - 1
+    assert no_child_left()
     assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("items", [1, 2])
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_queue_items_naming_runs_of_labels_give_the_same_rows(monkeypatch, random_corpus,
+                                                              forks, items, cpus):
+    # with more distinct labels than queue items, an item names a run of
+    # consecutive labels: one run of three, or runs of two and one
+    monkeypatch.setattr(evolution, "_QUEUE_ITEMS", items)
+    on_cpus(monkeypatch, cpus)
+    for labels in (["r1", "r2", "r3"], ["r3", "r1", "r2", "r1"]):
+        assert trend_report(random_corpus, labels).rows == serial_rows(random_corpus, labels)
+    assert forks[0] == 2 * (cpus - 1)
+    assert no_child_left()
 
 
 @pytest.mark.parametrize("labels", [["r2"], ["r2", "r2"], []])
@@ -287,14 +310,63 @@ def test_evolve_fails_alike_in_process_and_from_workers(capsys, monkeypatch, ran
     argv = ["evolve", "--db", random_corpus] + (["--snapshots", snapshots] if snapshots else [])
     before = db_hash(random_corpus)
     errors = []
-    for cpus in (1, 3):
+    for cpus in (1, 2, 3):
         on_cpus(monkeypatch, cpus)
         assert run_cli(argv) == 1
         out, err = capsys.readouterr()
         assert out == ""
         errors.append(err)
-    assert forks[0] == 3
-    assert errors[0] == errors[1]
+    assert forks[0] == 0 + 1 + 2
+    assert errors[0] == errors[1] == errors[2]
     assert all(m in errors[0] for m in messages) and "Traceback" not in errors[0]
     assert db_hash(random_corpus) == before
-    assert multiprocessing.active_children() == []
+    assert no_child_left()
+
+
+def wait_for(path, seconds: float = 30) -> None:
+    deadline = time.monotonic() + seconds
+    while not path.exists() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert path.exists()
+
+
+def test_a_helper_that_dies_is_a_clean_error(capsys, monkeypatch, random_corpus, tmp_path):
+    caller, died = os.getpid(), tmp_path / "died"
+    load_row = evolution._load_row
+
+    def dying(label, db):
+        if os.getpid() != caller:  # the helper ends on the first label it claims
+            died.touch()
+            os._exit(3)
+        wait_for(died)  # so that the helper claims one
+        return load_row(label, db)
+
+    monkeypatch.setattr(evolution, "_load_row", dying)
+    on_cpus(monkeypatch, 2)
+    before = db_hash(random_corpus)
+    assert run_cli(["evolve", "--db", random_corpus]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("depex: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert "status 3" in err
+    assert db_hash(random_corpus) == before
+    assert no_child_left()
+
+
+def test_an_interrupt_kills_and_reaps_every_helper(monkeypatch, random_corpus, tmp_path):
+    caller, claimed = os.getpid(), tmp_path / "claimed"
+
+    def interrupted(label, db):
+        if os.getpid() != caller:  # the helper would outlive the test unless killed
+            claimed.touch()
+            time.sleep(60)
+        wait_for(claimed)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(evolution, "_load_row", interrupted)
+    on_cpus(monkeypatch, 3)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        trend_report(random_corpus)
+    assert time.monotonic() - start < 30
+    assert no_child_left()
