@@ -93,9 +93,6 @@ def _shared_rows(distinct: list[str], db_path: str, helpers: int) -> list:
     processes, none of which outlives the call; ChildProcessError if one dies."""
     import pickle  # imported here, so that no other command pays for it
     run = -(-len(distinct) // _QUEUE_ITEMS)  # labels per item, so the queue never blocks
-    queue, feed = os.pipe()
-    with open(feed, "wb") as items:  # the newest label, the largest, first
-        items.write(b"".join(i.to_bytes(4, "little") for i in range(0, len(distinct), run)[::-1]))
 
     def claim() -> list[tuple]:  # (index, row or exception) per label, until the queue is empty
         made = []
@@ -107,8 +104,12 @@ def _shared_rows(distinct: list[str], db_path: str, helpers: int) -> list:
                     made.append((i, exc))
         return made
 
+    queue, feed = os.pipe()
     fds, pids = [queue], []  # fds[i + 1] brings the rows of pids[i]
     try:
+        with open(feed, "wb") as items:  # the newest label, the largest, first
+            items.write(b"".join(i.to_bytes(4, "little")
+                                 for i in range(0, len(distinct), run)[::-1]))
         for _ in range(helpers):
             fds += os.pipe()
             if (pid := os.fork()) == 0:  # a helper: it sends its rows and never returns
@@ -124,10 +125,11 @@ def _shared_rows(distinct: list[str], db_path: str, helpers: int) -> list:
         while pids:
             with open(fds.pop(), "rb") as rows:
                 sent = rows.read()
-            if code := os.waitstatus_to_exitcode(os.waitpid(pids[-1], 0)[1]):
-                raise ChildProcessError(f"evolve helper {pids.pop()} ended with status {code}")
+            status = os.waitpid(pids[-1], 0)[1]
+            pid = pids.pop()  # reaped, so no longer the finally's to kill
+            if code := os.waitstatus_to_exitcode(status):
+                raise ChildProcessError(f"evolve helper {pid} ended with status {code}")
             made.update(pickle.loads(sent))
-            pids.pop()
         return [made[i] for i in range(len(distinct))]
     finally:
         for fd in fds:
