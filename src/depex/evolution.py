@@ -3,13 +3,12 @@
 Nodes are matched across snapshots by soname when they have one, else by
 path basename: paths drift across OS eras while sonames stay put.
 
-The calling process makes its share of the trend rows beside one forked
-helper per further CPU it may run on (so `taskset` limits them), up to
-one process per distinct label; each holds one graph at a time. It makes
-every row itself, with no fork, when there are fewer than two distinct
-labels, when it may run on one CPU only, when the platform has no
-`os.sched_getaffinity`, and when it runs more than one thread (a forked
-child of a threaded process may deadlock).
+`trend_report` makes each distinct label's row once, newest first: the
+calling process makes its share beside one forked helper per further CPU it
+may run on (so `taskset` limits them), up to one per distinct label, and none
+on one CPU, without `os.sched_getaffinity`, or in a threaded process (a forked
+child of one may deadlock). Each process holds one graph at a time, and an
+error is raised only once every distinct row is made.
 """
 
 from __future__ import annotations
@@ -91,8 +90,7 @@ _QUEUE_ITEMS = 1024  # 4-byte items fill a 4 KiB page, the least a pipe holds
 def _shared_rows(distinct: list[str], db_path: str, helpers: int) -> list:
     """Each distinct label's row or exception, made here and in `helpers` forked
     processes, none of which outlives the call; ChildProcessError if one dies."""
-    import pickle  # imported here, so that no other command pays for it
-    run = -(-len(distinct) // _QUEUE_ITEMS)  # labels per item, so the queue never blocks
+    run = -(-len(distinct) // _QUEUE_ITEMS) or 1  # labels per item, so the queue never blocks
 
     def claim() -> list[tuple]:  # (index, row or exception) per label, until the queue is empty
         made = []
@@ -111,6 +109,7 @@ def _shared_rows(distinct: list[str], db_path: str, helpers: int) -> list:
             items.write(b"".join(i.to_bytes(4, "little")
                                  for i in range(0, len(distinct), run)[::-1]))
         for _ in range(helpers):
+            import pickle  # imported only with helpers, so that one CPU does not pay for it
             fds += os.pipe()
             if (pid := os.fork()) == 0:  # a helper: it sends its rows and never returns
                 try:
@@ -145,9 +144,7 @@ def trend_report(db_path: str, labels: list[str] | None = None) -> TrendReport:
     labels = _labels_or_all(db_path, labels)
     distinct = list(dict.fromkeys(labels))
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    helpers = min(cpus, len(distinct)) - 1
-    if helpers < 1 or threading.active_count() > 1:
-        return TrendReport([_load_row(label, db_path) for label in labels])
+    helpers = 0 if threading.active_count() > 1 else max(min(cpus, len(distinct)) - 1, 0)
     rows = dict(zip(distinct, _shared_rows(distinct, db_path, helpers)))
     for row in rows.values():  # in the asked order of first sight: the first failure first
         if isinstance(row, Exception):
@@ -181,7 +178,7 @@ def longevity(db_path: str,
               labels: list[str] | None = None) -> dict[str, PresenceSpan]:
     """Presence span of every executable/library key across the corpus."""
     spans: dict[str, PresenceSpan] = {}
-    for label in _labels_or_all(db_path, labels):
+    for label in dict.fromkeys(_labels_or_all(db_path, labels)):
         graph = load_graph(label, db_path)
         keys = (_keys_by_kind(graph, FileKind.SHARED_LIBRARY)
                 | _keys_by_kind(graph, FileKind.EXECUTABLE_BINARY))

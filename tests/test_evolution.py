@@ -174,6 +174,11 @@ def test_longevity_respects_label_order(corpus):
     assert spans["libnew.so.1"] == PresenceSpan("3.0", "2.0", 2)
 
 
+def test_longevity_counts_a_repeated_label_once(corpus):
+    assert longevity(corpus, ["1.0", "1.0", "1.0"])["app"] == PresenceSpan("1.0", "1.0", 1)
+    assert longevity(corpus, ["2.0", "3.0", "2.0"]) == longevity(corpus, ["2.0", "3.0"])
+
+
 def test_rows_invariant_to_insertion_order(tmp_path):
     db_a = str(tmp_path / "a.db")
     db_b = str(tmp_path / "b.db")
@@ -283,6 +288,33 @@ def test_a_second_thread_keeps_the_rows_in_process(monkeypatch, random_corpus, f
 def test_no_affinity_call_keeps_the_rows_in_process(monkeypatch, random_corpus, forks):
     monkeypatch.delattr(os, "sched_getaffinity")
     assert trend_report(random_corpus).rows == serial_rows(random_corpus, ["r1", "r2", "r3"])
+    assert forks[0] == 0
+
+
+@pytest.mark.parametrize("labels", [["r2", "r2", "r2"], ["r2", "r1", "r2"]],
+                         ids=["one-label", "two-labels"])
+@pytest.mark.parametrize("no_helper", ["one-cpu", "second-thread", "no-affinity-call"])
+def test_with_no_helper_each_distinct_label_is_made_once(monkeypatch, random_corpus, forks,
+                                                         no_helper, labels):
+    made, load_row = [], evolution._load_row
+    monkeypatch.setattr(evolution, "_load_row",
+                        lambda label, db: made.append(label) or load_row(label, db))
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    if no_helper == "no-affinity-call":
+        monkeypatch.delattr(os, "sched_getaffinity")
+    else:
+        on_cpus(monkeypatch, 1 if no_helper == "one-cpu" else 3)
+    if no_helper == "second-thread":
+        waiter.start()
+    try:
+        rows = trend_report(random_corpus, labels).rows
+    finally:
+        release.set()
+        if waiter.ident is not None:
+            waiter.join()
+    assert rows == serial_rows(random_corpus, labels)
+    assert made == list(dict.fromkeys(labels))[::-1]  # once each, the last distinct label first
     assert forks[0] == 0
 
 

@@ -13,11 +13,13 @@ records the 64 pooled query command lines next to the database. `dump`
 imports depex from the source directory SRC, runs `stats` (with and
 without `--json`), `dot`, `dot --hide-top 12`, `dot --hide-name lib`,
 `dot --root NAME` (NAME: the name of the first pooled `get-all-deps`
-query), `evolve`, `evolve --format csv` and each pooled query (with and
-without `--json`, so both the JSON and the text form are compared)
-in-process against that database, and prints each command line, its exit
-code and its output, which `dot` writes a chunk at a time. `snapshots` is
-left out: its scan time and root differ between databases built apart.
+query), `evolve`, `evolve --format csv`, `evolve --snapshots` naming every
+stored label twice, newest first (so the rows of a repeated label are
+compared too), and each pooled query (with and without `--json`, so both
+the JSON and the text form are compared) in-process against that database,
+and prints each command line, its exit code and its output, which `dot`
+writes a chunk at a time. `snapshots` is left out: its scan time and root
+differ between databases built apart.
 It then prints, for each snapshot, every node's recursive coupling from
 `depex.metrics.closure_sizes` as `path<TAB>size` lines in path order, and
 every node's direct users from `depex.queries.who_uses` as
@@ -166,7 +168,8 @@ def dump(src: str, where: str) -> None:
     queries = [form for argv in spec["queries"]
                for form in (argv, [a for a in argv if a != "--json"])]
     root = next(argv[1] for argv in spec["queries"] if argv[0] == "get-all-deps")
-    for argv in [*READS, ["dot", "--root", root], *queries]:
+    twice = ",".join(s.label for s in list_snapshots(spec["db"])[::-1] for _ in (0, 1))
+    for argv in [*READS, ["dot", "--root", root], ["evolve", "--snapshots", twice], *queries]:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = depex.cli.run_cli([*argv, "--db", spec["db"]])
