@@ -2,10 +2,11 @@
 
 All paths handed around here are absolute strings interpreted *inside*
 the sysroot; nothing is read outside it (chroot emulation, including
-re-rooting of absolute symlink targets). Resolver.canonical is the one
-canonicaliser: the scanner's walk, the search probes, ld.so.conf includes
-and multiarch listings all go through it. Resolver.resolve is the one
-implementation of the loader's search. A Resolver is the only way in.
+re-rooting of absolute symlink targets). The scanner's walk, the search
+probes, ld.so.conf includes and multiarch listings all go through the one
+canonicaliser, Resolver.canonical, and the one lister, Resolver.scandir.
+Resolver.search_stages alone spells the loader's order, and Resolver.resolve
+runs it. A Resolver is the only way in.
 
 Lookups read directory listings, not one lstat per name: a Resolver keeps
 each listed directory's names with their d_type (Resolver.scandir, which
@@ -24,6 +25,7 @@ import posixpath
 import stat as stat_module
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Protocol
 
 log = logging.getLogger(__name__)
@@ -76,42 +78,13 @@ class SearchConfig:
     default_dirs: list[str] = field(default_factory=lambda: list(DEFAULT_DIRS))
 
 
-def substitute_origin(raw_path_element: str, dependent_file_dir: str) -> str:
-    """Expand $ORIGIN/${ORIGIN} to the dependent file's directory."""
-    return raw_path_element.replace("${ORIGIN}", dependent_file_dir).replace(
-        "$ORIGIN", dependent_file_dir
-    )
-
-
-def _split_search_value(raw: str, dependent_dir: str) -> list[str]:
-    """The absolute directories of an RPATH or RUNPATH value. The loader
-    reads an element that is still relative after $ORIGIN against the
-    process's working directory, which a scan cannot know: it is dropped."""
-    return [d for d in (substitute_origin(elem, dependent_dir)
-                        for elem in raw.split(":")) if d.startswith("/")]
-
-
-def build_search_stages(summary: SearchPaths, dependent_dir: str,
-                        config: SearchConfig, ldso_dirs: list[str],
-                        multiarch_dirs: list[str]) -> list[tuple[Origin, str]]:
-    """(stage, directory) pairs in loader precedence order.
-
-    DT_RPATH only applies when DT_RUNPATH is absent; that flip is the
-    whole reason the two tags exist side by side. ldso_dirs and
-    multiarch_dirs are the Resolver's answers for the tree, read once.
-    """
-    stages: list[tuple[Origin, str]] = []
-    if summary.rpath is not None and summary.runpath is None:
-        stages += [(Origin.RPATH, d)
-                   for d in _split_search_value(summary.rpath, dependent_dir)]
-    stages += [(Origin.ENV_PATH, d) for d in config.env_library_path]
-    if summary.runpath is not None:
-        stages += [(Origin.RUNPATH, d)
-                   for d in _split_search_value(summary.runpath, dependent_dir)]
-    stages += [(Origin.LDSO_CONF, d) for d in ldso_dirs]
-    stages += [(Origin.DEFAULT_DIR, d) for d in config.default_dirs]
-    stages += [(Origin.DEFAULT_DIR, d) for d in multiarch_dirs]
-    return stages
+def _split_search_value(raw: str | None, dependent_dir: str) -> list[str]:
+    """The absolute directories of an RPATH or RUNPATH value (None: no such
+    tag), $ORIGIN and ${ORIGIN} expanded to the dependent file's directory.
+    The loader reads an element that is still relative after that against
+    the process's working directory, which a scan cannot know: it is dropped."""
+    return [d for d in (elem.replace("${ORIGIN}", dependent_dir).replace(
+        "$ORIGIN", dependent_dir) for elem in (raw or "").split(":")) if d.startswith("/")]
 
 
 class Resolver:
@@ -124,8 +97,6 @@ class Resolver:
     def __init__(self, config: SearchConfig):
         self.config = config
         self._host = config.sysroot.rstrip("/")
-        self._ldso_dirs: list[str] | None = None
-        self._multiarch: list[str] | None = None
         self._resolution_cache: dict[tuple[str, str | None, str | None, str],
                                      Resolution] = {}
         # normalised spelling -> canonical's answer for it
@@ -232,30 +203,32 @@ class Resolver:
         self._listings[directory] = dict(e[:2] for e in entries) if searchable else None
         return entries, searchable
 
-    def _listdir(self, path: str) -> list[str]:
-        """Sorted names in the directory path spells, listed inside the sysroot."""
+    def _names(self, path: str) -> list[str]:
+        """Sorted names in the directory path spells: a kept listing, or scandir's."""
         hit = self.canonical(path)
+        if not hit or not stat_module.S_ISDIR(hit[2]):
+            return []
+        if self._listings.get(hit[0]) is not None:
+            return list(self._listings[hit[0]])
         try:
-            return (sorted(os.listdir(self._host + hit[0]))
-                    if hit and stat_module.S_ISDIR(hit[2]) else [])
-        except (OSError, ValueError):
+            return [e[0] for e in self.scandir(hit[0])[0]]
+        except (OSError, ValueError):  # unreadable, or a NUL byte
             return []
 
     def ldso_dirs(self) -> list[str]:
         """Directories listed by ld.so.conf inside the sysroot, includes expanded."""
-        if self._ldso_dirs is None:
-            self._ldso_dirs = []
-            self._read_ldso_conf(LDSO_CONF_PATH, ())
-        return self._ldso_dirs
+        dirs: list[str] = []
+        self._read_ldso_conf(LDSO_CONF_PATH, (), dirs)
+        return dirs
 
-    def _read_ldso_conf(self, conf_path: str, chain: tuple[str, ...]) -> None:
+    def _read_ldso_conf(self, conf_path: str, chain: tuple[str, ...], dirs: list[str]) -> None:
         hit = self.canonical(conf_path)
         if hit is None or hit[0] in chain:
             # a diamond include is legal and re-processed; only a true cycle stops
             log.warning("cyclic include or symlink loop at %s in ld.so.conf; "
                         "continuing with directories gathered so far", conf_path)
             return
-        if hit[0] is None:  # no such path: nothing to read, as for a missing file
+        if not stat_module.S_ISREG(hit[2]):  # missing, or no file (open blocks on a FIFO)
             return
         chain = chain + (hit[0],)
         try:
@@ -273,9 +246,9 @@ class Resolver:
                 if not pattern.startswith("/"):
                     pattern = posixpath.join(posixpath.dirname(conf_path), pattern)
                 for match in self._glob(pattern):
-                    self._read_ldso_conf(match, chain)
+                    self._read_ldso_conf(match, chain, dirs)
             elif line.startswith("/"):  # a relative line names no fixed directory
-                self._ldso_dirs.append(line)
+                dirs.append(line)
 
     def _glob(self, pattern: str) -> list[str]:
         """Sorted spellings an include pattern matches, one component at a
@@ -286,19 +259,37 @@ class Resolver:
                 matches = [posixpath.join(m, part) for m in matches]
             else:  # as glob(3): a wildcard matches a leading "." only if part has one
                 matches = [posixpath.join(m, name) for m in matches
-                           for name in fnmatch.filter(self._listdir(m), part)
+                           for name in fnmatch.filter(self._names(m), part)
                            if part[0] == "." or name[0] != "."]
         return sorted(matches)
 
     def multiarch_dirs(self) -> list[str]:
         """Triplet subdirectories of /lib and /usr/lib that hold shared objects."""
-        if self._multiarch is None:
-            self._multiarch = [
-                subdir for parent in ("/lib", "/usr/lib")
-                for subdir in (posixpath.join(parent, e) for e in self._listdir(parent))
+        return [subdir for parent in ("/lib", "/usr/lib")
+                for subdir in (posixpath.join(parent, e) for e in self._names(parent))
                 if any(name.startswith("lib") and ".so" in name
-                       for name in self._listdir(subdir))]
-        return self._multiarch
+                       for name in self._names(subdir))]
+
+    def search_stages(self, needed_name: str, summary: SearchPaths,
+                      dependent_dir: str) -> list[tuple[Origin, str]]:
+        """(stage, directory) pairs in loader precedence order; a name with
+        '/' is opened as given, relative to the dependent's directory, and
+        DT_RPATH applies only when DT_RUNPATH is absent."""
+        if "/" in needed_name:
+            return [(Origin.DIRECT, dependent_dir)]
+        rpath = summary.rpath if summary.runpath is None else None
+        return ([(Origin.RPATH, d) for d in _split_search_value(rpath, dependent_dir)]
+                + [(Origin.ENV_PATH, d) for d in self.config.env_library_path]
+                + [(Origin.RUNPATH, d)
+                   for d in _split_search_value(summary.runpath, dependent_dir)]
+                + self._tail)
+
+    @cached_property
+    def _tail(self) -> list[tuple[Origin, str]]:
+        """ld.so.conf, default and multiarch stages, read from the tree once."""
+        return ([(Origin.LDSO_CONF, d) for d in self.ldso_dirs()]
+                + [(Origin.DEFAULT_DIR, d)
+                   for d in [*self.config.default_dirs, *self.multiarch_dirs()]])
 
     def resolve(self, needed_name: str, summary: SearchPaths,
                 dependent_path: str) -> Resolution:
@@ -309,15 +300,9 @@ class Resolver:
         hit = self._resolution_cache.get(key)
         if hit is not None:
             return hit
-        dependent_dir = posixpath.dirname(dependent_path) or "/"
-        if "/" in needed_name:
-            # opened as given, relative to the dependent's directory
-            stages = [(Origin.DIRECT, dependent_dir)]
-        else:
-            stages = build_search_stages(summary, dependent_dir, self.config,
-                                         self.ldso_dirs(), self.multiarch_dirs())
         result = Resolution(needed_name)
-        for origin, directory in stages:
+        for origin, directory in self.search_stages(
+                needed_name, summary, posixpath.dirname(dependent_path) or "/"):
             # only a regular file ends the search: a directory, a FIFO or a
             # dangling or looping link named like the library is skipped
             hit = self.canonical(posixpath.join(directory, needed_name))

@@ -136,7 +136,7 @@ class _Extracted(NamedTuple):
 
     canonical: str
     size_bytes: int
-    kind: str | None = None  # FileKind value; None: not an ELF file, or an error
+    kind: FileKind | None = None  # None: not an ELF file, or an error
     error: str | None = None
     soname: str | None = None
     needed: tuple[str, ...] = ()
@@ -165,7 +165,7 @@ def _extract_one(canonical: str, options: ScanOptions) -> _Extracted:
     except Exception as exc:  # a parser crash must not kill the scan
         return _Extracted(canonical, len(data),
                           error=f"parser crashed: {type(exc).__name__}: {exc}")
-    return _Extracted(canonical, len(data), classify_kind(summary).value,
+    return _Extracted(canonical, len(data), classify_kind(summary),
                       soname=summary.soname, needed=summary.needed,
                       rpath=summary.rpath, runpath=summary.runpath)
 
@@ -221,13 +221,12 @@ def scan_tree(options: ScanOptions) -> ScanResult:
     node_ids = {item.canonical: idx for idx, item in enumerate(parsed)}
     nodes: list[FileNode] = []
     for idx, item in enumerate(parsed):
-        kind = FileKind(item.kind)
-        if kind is FileKind.EXECUTABLE_BINARY:
+        if item.kind is FileKind.EXECUTABLE_BINARY:
             counts.executables += 1
-        elif kind is FileKind.SHARED_LIBRARY:
+        elif item.kind is FileKind.SHARED_LIBRARY:
             counts.libraries += 1
         nodes.append(FileNode(idx, None, item.canonical,
-                              sorted(aliases.get(item.canonical, ())), kind,
+                              sorted(aliases.get(item.canonical, ())), item.kind,
                               item.soname, item.size_bytes))
     counts.elf_parsed = len(nodes)
     assembled = time.perf_counter()

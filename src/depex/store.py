@@ -104,10 +104,6 @@ class DependencyEdge:
     to_node: int | None = None  # None = the needed name went unresolved
     origin: Origin | None = None
 
-    @property
-    def resolved(self) -> bool:
-        return self.to_node is not None
-
 
 def _offsets(keys: list[int], n: int) -> list[int]:
     """CSR offsets over positions 0..n-1: entry p counts the keys below p.

@@ -299,7 +299,7 @@ def test_criterion_4_health_identities():
     for _ in range(50):
         graph, _, _ = random_graph(rng)
         report = health(graph)
-        targets = {e.to_node for e in edge_records(graph) if e.resolved}
+        targets = {e.to_node for e in edge_records(graph) if e.to_node is not None}
         assert not (report.unused_libraries & targets)
 
     from graphbuild import EXE, LIB

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import builtins
 import errno
 import itertools
 import os
@@ -7,8 +8,7 @@ import os
 import pytest
 
 from depex.elf import parse_elf
-from depex.resolver import (Origin, Resolver, SearchConfig, build_search_stages,
-                            substitute_origin)
+from depex.resolver import Origin, Resolver, SearchConfig
 from elfbuild import ElfSpec, build_elf
 
 
@@ -18,20 +18,6 @@ def config_for(sysroot, **kw) -> SearchConfig:
 
 def summary_with(sysroot, rpath=None, runpath=None):
     return parse_elf(build_elf(ElfSpec(rpath=rpath, runpath=runpath)))
-
-
-# --- substitute_origin ------------------------------------------------------
-
-def test_origin_token():
-    assert substitute_origin("$ORIGIN/../lib", "/opt/app/bin") == "/opt/app/bin/../lib"
-
-
-def test_origin_braced():
-    assert substitute_origin("${ORIGIN}", "/x") == "/x"
-
-
-def test_origin_absent():
-    assert substitute_origin("/usr/lib", "/opt/app/bin") == "/usr/lib"
 
 
 # --- Resolver.ldso_dirs and multiarch_dirs ----------------------------------
@@ -94,6 +80,23 @@ def test_ldso_conf_looping_include_skipped(sysroot, caplog):
         dirs = Resolver(config_for(sysroot)).ldso_dirs()
     assert dirs == ["/first", "/from-b", "/last"]
     assert any("symlink loop" in r.message for r in caplog.records)
+
+
+def test_ldso_conf_include_of_no_regular_file_is_skipped(sysroot, monkeypatch):
+    # opening a FIFO would block the scan for good; a directory is no file
+    sysroot.write("/etc/ld.so.conf", b"include /etc/ld.so.conf.d/*\n")
+    sysroot.write("/etc/ld.so.conf.d/b.conf", b"/from-b\n")
+    pipe = sysroot.root + "/etc/ld.so.conf.d/a-pipe"
+    os.mkfifo(pipe)
+    sysroot.mkdir("/etc/ld.so.conf.d/c-dir")
+    real_open = builtins.open
+
+    def open_(file, *args, **kwargs):
+        assert file != pipe, "a FIFO opened"
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", open_)
+    assert Resolver(config_for(sysroot)).ldso_dirs() == ["/from-b"]
 
 
 def test_nul_byte_in_ldso_conf_is_no_crash(sysroot):
@@ -316,16 +319,60 @@ def test_relative_search_elements_are_dropped(sysroot):
     assert (r.path, r.origin) == ("/opt/lib/libx.so", Origin.LDSO_CONF)
 
 
-# --- build_search_stages ----------------------------------------------------
+# --- Resolver.search_stages -------------------------------------------------
 
-def stages_for(summary, dependent_dir, cfg):
-    resolver = Resolver(cfg)
-    return build_search_stages(summary, dependent_dir, cfg, resolver.ldso_dirs(),
-                               resolver.multiarch_dirs())
+def stages_for(summary, dependent_dir, cfg, needed_name="libx.so"):
+    return Resolver(cfg).search_stages(needed_name, summary, dependent_dir)
 
 
 RPATH, ENV, RUNPATH, DEFAULT = (Origin.RPATH, Origin.ENV_PATH, Origin.RUNPATH,
                                 Origin.DEFAULT_DIR)
+
+
+def test_origin_token(sysroot):
+    s = summary_with(sysroot, runpath="$ORIGIN/../lib")
+    assert stages_for(s, "/opt/app/bin", config_for(sysroot, default_dirs=[])) == \
+        [(RUNPATH, "/opt/app/bin/../lib")]
+
+
+def test_origin_braced(sysroot):
+    s = summary_with(sysroot, rpath="${ORIGIN}")
+    assert stages_for(s, "/x", config_for(sysroot, default_dirs=[])) == [(RPATH, "/x")]
+
+
+def test_origin_absent(sysroot):
+    s = summary_with(sysroot, runpath="/usr/lib")
+    assert stages_for(s, "/opt/app/bin", config_for(sysroot, default_dirs=[])) == \
+        [(RUNPATH, "/usr/lib")]
+
+
+def test_slash_name_is_one_direct_stage(sysroot):
+    cfg = config_for(sysroot, env_library_path=["/env"])
+    s = summary_with(sysroot, rpath="/rp")
+    assert stages_for(s, "/opt/app", cfg, "plugins/mod.so") == [(Origin.DIRECT, "/opt/app")]
+
+
+def test_whole_order_ends_in_the_tree_wide_tail(sysroot, monkeypatch):
+    # the tail is read once, from the listings a walk kept: nothing is listed again
+    sysroot.write("/etc/ld.so.conf", b"include /etc/ld.so.conf.d/*.conf\n")
+    sysroot.write("/etc/ld.so.conf.d/a.conf", b"/conf\n")
+    sysroot.write("/usr/lib/x86_64-linux-gnu/libc.so.6", b"x")
+    resolver = Resolver(config_for(sysroot, env_library_path=["/env"], default_dirs=["/lib"]))
+    for directory in ("/", "/etc", "/etc/ld.so.conf.d", "/usr", "/usr/lib",
+                      "/usr/lib/x86_64-linux-gnu"):  # as a walk does
+        resolver.scandir(directory)
+
+    def no_listing(*args, **kwargs):
+        raise AssertionError("a directory listed twice")
+
+    monkeypatch.setattr(os, "scandir", no_listing)
+    monkeypatch.setattr(os, "listdir", no_listing)
+    tail = [(Origin.LDSO_CONF, "/conf"), (DEFAULT, "/lib"),
+            (DEFAULT, "/usr/lib/x86_64-linux-gnu")]
+    assert resolver.search_stages("libx.so", summary_with(sysroot, runpath="/r"), "/bin") == \
+        [(ENV, "/env"), (RUNPATH, "/r"), *tail]
+    assert resolver.search_stages("libx.so", summary_with(sysroot, rpath="/rp"), "/bin") == \
+        [(RPATH, "/rp"), (ENV, "/env"), *tail]
 
 
 def test_rpath_only_comes_first(sysroot):
@@ -562,7 +609,7 @@ def test_probe_of_a_listed_directory_makes_no_lstat(sysroot, monkeypatch):
     resolver = Resolver(config_for(sysroot, default_dirs=["/usr/lib"]))
     for directory in ("/", "/usr", "/usr/lib", "/usr/lib/libdir.so"):  # as a walk does
         resolver.scandir(directory)
-    resolver.ldso_dirs(), resolver.multiarch_dirs()  # read once per tree
+    resolver.search_stages("libm.so.6", summary_with(sysroot), "/usr/bin")  # reads the tail once
     calls = []
     with monkeypatch.context() as patch:
         for name in ("lstat", "stat", "readlink", "scandir", "listdir"):

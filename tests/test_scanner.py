@@ -7,17 +7,18 @@ import posixpath
 import random
 import stat
 from collections import Counter
+from typing import NamedTuple
 
 import pytest
 
 import depex.elf
 import depex.scanner
-from depex.elf import DT_SYMENT, DT_SYMTAB
-from depex.resolver import Resolver, SearchConfig
+from depex.elf import DT_SYMENT, DT_SYMTAB, FileKind
+from depex.resolver import Origin, Resolver, SearchConfig
 from depex.scanner import RelativePath, ScanOptions, SysrootUnreadable, scan_tree
 from conftest import SysrootBuilder, make_demo_sysroot
 from elfbuild import ElfSpec, build_elf, with_dynamic_entry
-from oracles import NO_SUCH_PATH, canonical_reference
+from oracles import NO_SUCH_PATH, canonical_reference, resolve_reference
 
 
 def options_for(sysroot, **kw) -> ScanOptions:
@@ -48,6 +49,22 @@ def test_demo_tree_counts(demo_sysroot):
     assert result.counts.errors == 0
     c = result.counts
     assert c.executables + c.libraries <= c.elf_parsed <= c.files_seen
+
+
+def test_scan_lists_every_directory_through_scandir(demo_sysroot, monkeypatch):
+    # the walk, the ld.so.conf include glob and the multiarch guess share one lister
+    demo_sysroot.elf("/usr/lib/x86_64-linux-gnu/libmulti.so.1", ElfSpec(soname="libmulti.so.1"))
+    demo_sysroot.elf("/usr/bin/multi", ElfSpec(e_type=2, needed=["libmulti.so.1", "libc.so.6"]))
+
+    def listdir(*args, **kwargs):
+        raise AssertionError("os.listdir called")
+
+    monkeypatch.setattr(os, "listdir", listdir)
+    result = scan_tree(options_for(demo_sysroot))
+    origins = {(result.nodes[e.from_node].canonical_path, e.needed_name): e.origin
+               for e in result.edges}
+    assert origins[("/usr/bin/multi", "libmulti.so.1")] is Origin.DEFAULT_DIR
+    assert origins[("/usr/bin/multi", "libc.so.6")] is Origin.LDSO_CONF
 
 
 def test_empty_sysroot(sysroot):
@@ -322,7 +339,7 @@ def test_extraction_record_holds_plain_values(demo_sysroot):
     def plain(value):
         if isinstance(value, tuple):
             return all(plain(v) for v in value)
-        return value is None or type(value) in (str, int)
+        return value is None or type(value) in (str, int, FileKind)
 
     records = []
     for dirpath, _, names in os.walk(demo_sysroot.root):
@@ -330,7 +347,8 @@ def test_extraction_record_holds_plain_values(demo_sysroot):
             canonical = os.path.join(dirpath, name)[len(demo_sysroot.root):]
             records.append(depex.scanner._extract_one(canonical, options))
     assert len(records) == 14  # 10 ELF files, 2 ld.so.conf files, a link, libbad
-    assert {record.kind for record in records} == {"executable", "library", None}
+    assert {record.kind for record in records} == {
+        FileKind.EXECUTABLE_BINARY, FileKind.SHARED_LIBRARY, None}
     assert [record.canonical for record in records if record.error] == ["/usr/lib/libbad.so"]
     assert all(plain(record) for record in records)
 
@@ -486,6 +504,108 @@ def test_canonicalize_matches_reference(sysroot, seed):
         expected = canonical_reference(sysroot.root, spelling)
         for hit in (shared.canonical(spelling), Resolver(config).canonical(spelling)):
             assert (hit and (NO_SUCH_PATH if hit[0] is None else hit[0])) == expected, spelling
+
+
+class SearchPaths(NamedTuple):
+    rpath: str | None
+    runpath: str | None
+
+
+def random_search(sysroot, rng, dirs, spellings):
+    """An ld.so.conf chain (globs, relative and cyclic includes, comments,
+    relative lines and a looping link) and a SearchConfig with env and
+    default directories, drawn from the tree's directories and spellings."""
+    def conf():
+        return "".join(rng.choice([
+            f"{rng.choice(spellings)}\n", f"{rng.choice(spellings)}  # a comment\n",
+            "include /etc/ld.so.conf.d/*.conf\n", "include\tconf.d/?.conf\n",
+            "include /etc/ld.so.conf\n", "include /etc/*/[ab].conf\n", "relative/lib\n",
+            "# only a comment\n"]) for _ in range(rng.randint(1, 3))).encode()
+
+    sysroot.write("/etc/ld.so.conf", f"include /etc/ld.so.conf.d/*.conf\n"
+                  f"{rng.choice(['/usr/lib', *dirs])}\n".encode() + conf())
+    sysroot.write("/etc/ld.so.conf.d/.hidden.conf", b"/usr/lib\n")  # "*" does not match it
+    for path in ("/etc/ld.so.conf.d/a.conf", "/etc/conf.d/b.conf", "/etc/ld.so.conf.d/c.conf"):
+        if rng.random() < 0.7:
+            sysroot.write(path, conf())
+    sysroot.symlink("/etc/ld.so.conf.d/loop.conf", "loop.conf")
+    if rng.random() < 0.3:
+        sysroot.symlink("/lib", "usr/lib")
+    if rng.random() < 0.5:  # no shared object in it: the multiarch guess skips it
+        sysroot.write("/usr/lib/share/libshare.txt", b"x")
+    return SearchConfig(sysroot.root, env_library_path=rng.sample(spellings, rng.randint(0, 2)),
+                        default_dirs=rng.sample(spellings, rng.randint(0, 3)) + ["/usr/lib"])
+
+
+def search_value(rng, spellings):
+    return rng.choice([None, ":".join(rng.choice(
+        [*spellings, "$ORIGIN", "$ORIGIN/..", "${ORIGIN}/d0", "$ORIGIN/../usr/lib", "rel", ""])
+        for _ in range(rng.randint(1, 3)))])
+
+
+@pytest.mark.parametrize("seed", range(0, 400, 21))
+def test_resolve_matches_reference(sysroot, seed):
+    # one Resolver per tree, as in a scan; on odd seeds every directory is
+    # listed first, as the walk does, so that lookups read listings
+    links = random_tree(sysroot, seed)
+    rng = random.Random(seed)
+    dirs = [top[len(sysroot.root):] or "/" for top, _, _ in os.walk(sysroot.root)]
+    spellings = sorted({*dirs, *links, "/lib", "/nowhere"})
+    config = random_search(sysroot, rng, dirs, spellings)
+    files = sorted({name for _, _, names in os.walk(sysroot.root) for name in names
+                    if name.startswith("lib")})
+    names = sorted({p.rsplit("/", 1)[1] for p in links} | {"libghost.so"})
+    resolver = Resolver(config)
+    if seed % 2:
+        for spelling in spellings:
+            hit = resolver.canonical(spelling)
+            if hit and stat.S_ISDIR(hit[2]):
+                resolver.scandir(hit[0])
+    for _ in range(30):
+        needed = rng.choice([*files, *files, *names, f"d0/{rng.choice(files)}", "../lib0.so",
+                             rng.choice(spellings) + "/lib1.so"])
+        summary = SearchPaths(search_value(rng, dirs), search_value(rng, spellings))
+        dependent_dir = rng.choice(dirs)
+        r = resolver.resolve(needed, summary, posixpath.join(dependent_dir, "dependent"))
+        assert (r.path, r.origin and r.origin.value) == resolve_reference(
+            sysroot.root, needed, *summary, dependent_dir, config), (needed, summary, dependent_dir)
+
+
+# Where depex and the loader part ways, each seen with glibc 2.36 (ldconfig
+# -r -v, and ldd on a built binary). Each case pins both answers, so a fix
+# shows up here and the case moves to agreement. (files, needed name,
+# RPATH, RUNPATH, dependent directory, depex's answer, the oracle's)
+KNOWN_DIVERGENCES = {
+    # ldconfig reads each blank-separated pattern of an include line;
+    # depex reads the rest of the line as one pattern, which names no file
+    "include line with two patterns": (
+        {"/etc/ld.so.conf": b"include /etc/a.conf /etc/b.conf\n", "/etc/b.conf": b"/db\n",
+         "/db/libx.so": b"x"},
+        "libx.so", None, None, "/bin", (None, None), ("/db/libx.so", "ldso-conf")),
+    # glibc reads $ORIGIN only where no letter, digit or "_" follows it
+    "$ORIGIN followed by a letter": (
+        {"/appAL/libx.so": b"x"},
+        "libx.so", None, "$ORIGINAL", "/app", ("/appAL/libx.so", "runpath"), (None, None)),
+    # glibc expands in one pass; depex expands ${ORIGIN} and then any
+    # $ORIGIN that the dependent's directory itself spells
+    "$ORIGIN in the dependent's directory": (
+        {"/x/$ORIGIN/lib/libx.so": b"x"},
+        "libx.so", "${ORIGIN}/lib", None, "/x/$ORIGIN",
+        (None, None), ("/x/$ORIGIN/lib/libx.so", "rpath")),
+}
+
+
+@pytest.mark.parametrize("case", KNOWN_DIVERGENCES)
+def test_known_divergence_from_the_loader(sysroot, case):
+    files, needed, rpath, runpath, dependent_dir, ours, loader = KNOWN_DIVERGENCES[case]
+    for path, data in files.items():
+        sysroot.write(path, data)
+    config = SearchConfig(sysroot.root, default_dirs=[])
+    r = Resolver(config).resolve(needed, SearchPaths(rpath, runpath),
+                                 posixpath.join(dependent_dir, "dependent"))
+    assert (r.path, r.origin and r.origin.value) == ours
+    assert resolve_reference(sysroot.root, needed, rpath, runpath, dependent_dir,
+                             config) == loader
 
 
 def test_link_chain_past_the_limit_matches_the_kernel(tmp_path):

@@ -45,7 +45,7 @@ def file_hash(path: str) -> str:
 
 def unresolved(graph) -> set[tuple[int, str]]:
     """(node id, needed name) of every unresolved edge."""
-    return {(e.from_node, e.needed_name) for e in edge_records(graph) if not e.resolved}
+    return {(e.from_node, e.needed_name) for e in edge_records(graph) if e.to_node is None}
 
 
 def small_result():
@@ -73,7 +73,7 @@ def test_roundtrip(tmp_path):
     assert app.kind is FileKind.EXECUTABLE_BINARY
     assert app.size_bytes == 100
     out = graph.adjacency[app.id]
-    assert [(e.needed_name, e.resolved) for e in out] == \
+    assert [(e.needed_name, e.to_node is not None) for e in out] == \
         [("liba.so", True), ("libmissing.so", False)]
     assert out[0].origin is Origin.DEFAULT_DIR
     assert unresolved(graph) == {(app.id, "libmissing.so")}
@@ -311,7 +311,7 @@ def test_reverse_adjacency_is_exact_transpose():
     graph = build_graph(
         [("/a", EXE), ("/b", LIB), ("/c", LIB)],
         [(0, "b", 1), (0, "c", 2), (1, "c", 2), (2, "ghost", None)])
-    forward = {(e.from_node, e.to_node) for e in edge_records(graph) if e.resolved}
+    forward = {(e.from_node, e.to_node) for e in edge_records(graph) if e.to_node is not None}
     transposed = {(s, target) for target in range(len(graph.nodes))
                   for s in graph.in_src[graph.in_start[target]:graph.in_start[target + 1]]}
     assert forward == transposed

@@ -35,11 +35,14 @@ dependency edges over every snapshot (as SRC loads them) and the bytes
 per edge.
 
 `build-trees` writes the test suite's demo tree and perfbench's seed-1
-scan-distro tree under WHERE. `scans` imports depex from SRC, scans each
-tree with symlink following on and off, and prints the counts, every node
-(path, kind, soname, size, aliases), every edge (with its target and
-origin) and every error record. It then saves the scan through
-`save_snapshot`, all four into one fresh database, and prints what
+scan-distro tree under WHERE. `scans` imports depex from SRC and scans
+each tree three times: with symlink following on and off, and once more,
+following, with the search settings of SEARCH (an `env_library_path`, so
+that the env-path stage is taken, and `default_dirs` other than the
+default). For each scan it prints the counts, every node (path, kind,
+soname, size, aliases), every edge (with its target and origin) and every
+error record. It then saves the scan through `save_snapshot`, all six into
+one fresh database, and prints what
 `load_graph` reads back: the snapshot's id, label and root, the node
 columns by position (path, kind, soname, size, aliases) and the edges by
 position (source, needed name, target, origin). Scan dumps likewise differ
@@ -61,6 +64,10 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 READS = (["stats", "--json"], ["stats"], ["dot"], ["dot", "--hide-top", "12"],
          ["dot", "--hide-name", "lib"], ["evolve"], ["evolve", "--format", "csv"])
+# /opt/app/lib (demo) and /opt/vendor/lib (scan-distro) hold libraries that
+# RUNPATH or ld.so.conf finds later, so the env-path stage takes them first
+SEARCH = {"env_library_path": ["/opt/vendor/lib", "/opt/app/lib"],
+          "default_dirs": ["/usr/lib/gtk", "/usr/lib", "/lib"]}
 
 
 def build(workload: str, where: str) -> None:
@@ -107,9 +114,10 @@ def scans(src: str, where: str) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         db = os.path.join(tmp, "scans.db")
         for name, root in trees.items():
-            for follow in (True, False):
-                r = scan_tree(ScanOptions(SearchConfig(root), follow_symlinks=follow))
-                out.write(f"$ scan {name} follow_symlinks={follow}\n{r.counts}\n")
+            for follow, search in ((True, {}), (False, {}), (True, SEARCH)):
+                r = scan_tree(ScanOptions(SearchConfig(root, **search), follow_symlinks=follow))
+                label = f"{name} {follow}" + " search" * bool(search)
+                out.write(f"$ scan {name} follow_symlinks={follow} {search}\n{r.counts}\n")
                 paths = [n.canonical_path for n in r.nodes]
                 for n in r.nodes:
                     out.write(f"node {n.canonical_path} {n.kind.value} {n.soname} "
@@ -120,7 +128,7 @@ def scans(src: str, where: str) -> None:
                     out.write(f"edge {paths[e.from_node]} {e.needed_name} {target} {origin}\n")
                 for path, message in r.error_records:
                     out.write(f"error {path} {message}\n")
-                snapshot = save_snapshot(r, f"{name} {follow}", db, tool_version="0")
+                snapshot = save_snapshot(r, label, db, tool_version="0")
                 g = load_graph(snapshot.label, db)
                 out.write(f"saved {g.snapshot.id} {g.snapshot.label} {g.snapshot.root_path}\n")
                 for p, path in enumerate(g.paths):
