@@ -178,10 +178,6 @@ def _unpack(record: struct.Struct, data: bytes, off: int) -> tuple:
     return record.unpack_from(data, off)
 
 
-def _decode(raw: bytes) -> str:
-    return raw.decode("utf-8", "surrogateescape")
-
-
 class _Reader:
     """One parse pass over an in-memory ELF image.
 
@@ -215,9 +211,8 @@ class _Reader:
                 raise Malformed(f"e_phentsize {e_phentsize} too small")
             if e_phoff + e_phnum * e_phentsize > len(data):
                 raise Truncated("program header table past end of file")
-            for i in range(e_phnum):
-                p_type, p_offset, p_vaddr, p_filesz = _unpack(
-                    layout.phdr, data, e_phoff + i * e_phentsize)
+            for off in range(e_phoff, e_phoff + e_phnum * e_phentsize, e_phentsize):
+                p_type, p_offset, p_vaddr, p_filesz = layout.phdr.unpack_from(data, off)
                 if p_type == PT_LOAD:
                     if p_offset + p_filesz > len(data):
                         raise Truncated("PT_LOAD data past end of file")
@@ -229,31 +224,35 @@ class _Reader:
                 elif p_type == PT_INTERP:
                     self.has_interp = True
 
-        self.tags: dict[int, list[int]] = {}
+        self.tags: dict[int, int] = {}  # the first value of each tag
+        self.needed: list[int] = []     # every DT_NEEDED value, in order
         self.strtab: tuple[int, int] | None = None
         if dynamic_span is not None:
             offset, filesz = dynamic_span
             end = offset + filesz - filesz % layout.dyn.size
             for d_tag, d_val in layout.dyn.iter_unpack(memoryview(data)[offset:end]):
-                if d_tag == DT_NULL:
+                if d_tag == DT_NEEDED:
+                    self.needed.append(d_val)
+                elif d_tag == DT_NULL:
                     break
-                self.tags.setdefault(d_tag, []).append(d_val)
+                elif d_tag not in self.tags:
+                    self.tags[d_tag] = d_val
             self.strtab = self._strtab_view(self.tags)
 
     def summary(self) -> ElfSummary:
         tags, strtab = self.tags, self.strtab
         needed = []
-        for idx in tags.get(DT_NEEDED, ()):
+        for idx in self.needed:
             name = self._string(strtab, idx)
             if name:
                 needed.append(name)
         soname = rpath = runpath = None
         if DT_SONAME in tags:
-            soname = self._string(strtab, tags[DT_SONAME][0]) or None
+            soname = self._string(strtab, tags[DT_SONAME]) or None
         if DT_RPATH in tags:
-            rpath = self._string(strtab, tags[DT_RPATH][0])
+            rpath = self._string(strtab, tags[DT_RPATH])
         if DT_RUNPATH in tags:
-            runpath = self._string(strtab, tags[DT_RUNPATH][0])
+            runpath = self._string(strtab, tags[DT_RUNPATH])
         # a symbol table the loader could not use makes the file malformed,
         # even though its entries are read only on demand
         self._symbol_table()
@@ -276,14 +275,14 @@ class _Reader:
                 return offset + (addr - vaddr)
         raise Malformed(f"address {addr:#x} maps into no PT_LOAD segment")
 
-    def _strtab_view(self, tags: dict[int, list[int]]) -> tuple[int, int] | None:
+    def _strtab_view(self, tags: dict[int, int]) -> tuple[int, int] | None:
         """(file offset, byte length) of the dynamic string table, or None."""
         if DT_STRTAB not in tags:
             return None
-        off = self._vaddr_to_offset(tags[DT_STRTAB][0])
+        off = self._vaddr_to_offset(tags[DT_STRTAB])
         size = len(self.data) - off
         if DT_STRSZ in tags:
-            size = min(size, tags[DT_STRSZ][0])
+            size = min(size, tags[DT_STRSZ])
         return off, size
 
     def _string(self, strtab: tuple[int, int] | None, idx: int) -> str:
@@ -295,7 +294,7 @@ class _Reader:
         end = self.data.find(b"\x00", off + idx, off + size)
         if end < 0:
             raise Malformed("unterminated string in string table")
-        return _decode(self.data[off + idx : end])
+        return self.data[off + idx : end].decode("utf-8", "surrogateescape")
 
     def _symbol_count(self, sym_off: int, syment: int) -> int:
         """Number of dynamic symbol entries, bounded by what the file can hold."""
@@ -304,18 +303,18 @@ class _Reader:
         count = 0
         if DT_HASH in tags:
             try:
-                hash_off = self._vaddr_to_offset(tags[DT_HASH][0])
+                hash_off = self._vaddr_to_offset(tags[DT_HASH])
                 count, = _unpack(self.layout.word, self.data, hash_off + 4)  # nchain
             except ElfError:
                 count = 0
         if not count and DT_GNU_HASH in tags:
             try:
-                count = self._gnu_hash_count(self._vaddr_to_offset(tags[DT_GNU_HASH][0]))
+                count = self._gnu_hash_count(self._vaddr_to_offset(tags[DT_GNU_HASH]))
             except ElfError:
                 count = 0
         if not count and DT_STRTAB in tags:
             # common layout: .dynsym immediately precedes .dynstr
-            str_off = self._vaddr_to_offset(tags[DT_STRTAB][0])
+            str_off = self._vaddr_to_offset(tags[DT_STRTAB])
             if str_off > sym_off:
                 count = (str_off - sym_off) // syment
         return min(count, cap)
@@ -342,9 +341,9 @@ class _Reader:
         """(file offset, entry size) of the dynamic symbol table, or None."""
         if DT_SYMTAB not in self.tags or self.strtab is None:
             return None
-        sym_off = self._vaddr_to_offset(self.tags[DT_SYMTAB][0])
+        sym_off = self._vaddr_to_offset(self.tags[DT_SYMTAB])
         default_ent = self.layout.sym.size
-        syment = self.tags.get(DT_SYMENT, [default_ent])[0]
+        syment = self.tags.get(DT_SYMENT, default_ent)
         if syment < default_ent:
             raise Malformed(f"DT_SYMENT {syment} smaller than symbol entry")
         return sym_off, syment

@@ -9,11 +9,12 @@ Resolver.search_stages alone spells the loader's order, and Resolver.resolve
 runs it. A Resolver is the only way in.
 
 Lookups read directory listings, not one lstat per name: a Resolver keeps
-each listed directory's names with their d_type (Resolver.scandir, which
-the scanner's walk calls); on DT_UNKNOWN, os.DirEntry makes the lstat. A
-directory not listed, or not searchable, is probed by name, one lstat each,
-as the loader needs only search permission. The gap: for a file
-bind-mounted over a name, readdir reports the type and inode it covers.
+each listed directory's names with their d_type and d_ino (Resolver.scandir,
+which the scanner's walk calls, lists a directory once); on DT_UNKNOWN,
+os.DirEntry makes the lstat. A directory not listed, or not searchable, is
+probed by name, one lstat each, as the loader needs only search permission.
+The gap: for a file bind-mounted over a name, readdir reports the type and
+inode it covers.
 """
 
 from __future__ import annotations
@@ -23,9 +24,11 @@ import logging
 import os
 import posixpath
 import stat as stat_module
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from operator import attrgetter
 from typing import Protocol
 
 log = logging.getLogger(__name__)
@@ -103,8 +106,9 @@ class Resolver:
         self._memo: dict[str, tuple[str | None, int, int] | None] = {
             "/": ("/", 0, stat_module.S_IFDIR)}
         # canonical directory -> {name: S_IFLNK, S_IFDIR, S_IFREG or 0 for
-        # any other type}; None for one that is not searchable
+        # any other type}, None for one that is not searchable; -> its d_ino list
         self._listings: dict[str, dict[str, int] | None] = {}
+        self._inodes: dict[str, array] = {}
 
     def canonical(self, path: str, spent: int = 0
                   ) -> tuple[str | None, int, int] | None:
@@ -127,21 +131,21 @@ class Resolver:
         """
         memo = self._memo
         key, parts = path, []
-        if key not in memo:  # normalise, then start from the longest known prefix
-            parts = [p for p in path.split("/") if p] + ["."] * path.endswith("/")
-            for done in range(len(parts), -1, -1):
-                key = "/" + "/".join(parts[:done])
-                if key in memo:
-                    break
-            parts = parts[done:]
+        if key not in memo:  # start from the longest known prefix, most often the parent
+            parts = ["."] * path.endswith("/")  # no key but "/" has "//" or an end "/"
+            while key not in memo:
+                key, _, name = key.rpartition("/")
+                key = key or "/"
+                parts.append(name)
+            parts = [p for p in reversed(parts) if p]
         hit = memo[key]
         if hit is None or spent + hit[1] > MAX_LINK_TRAVERSALS:
             return None
         canonical, links, mode = hit
         if canonical is None:
             return hit
-        for name in parts:
-            key = posixpath.join(key, name)
+        for name in parts:  # keys and canonical paths end in "/" only at the root
+            key = f"{key.rstrip('/')}/{name}"
             if name in (".", ".."):
                 if not stat_module.S_ISDIR(mode):
                     memo[key] = hit = (None, links, 0)
@@ -149,7 +153,7 @@ class Resolver:
                 if name == "..":
                     canonical = posixpath.dirname(canonical)
             else:
-                parent, canonical = canonical, posixpath.join(canonical, name)
+                parent, canonical = canonical, f"{canonical.rstrip('/')}/{name}"
                 # nothing is below a missing component or a non-directory
                 listing = self._listings.get(parent) if stat_module.S_ISDIR(mode) else {}
                 try:
@@ -188,49 +192,55 @@ class Resolver:
         except (OSError, ValueError):
             return hit[0], None
 
-    def scandir(self, directory: str) -> tuple[list[tuple[str, int, int]], bool]:
-        """(entries, searchable): each entry's (name, type, inode) from
-        readdir(3), sorted by name, the type S_IFLNK, S_IFDIR, S_IFREG or 0;
-        and whether names in it can be stat'd, kept for lookups only then.
-        OSError if the canonical directory cannot be listed."""
+    def scandir(self, directory: str) -> tuple[dict[str, int], array, bool]:
+        """(types, inodes, searchable): each name's type from readdir(3), in
+        name order, the type S_IFLNK, S_IFDIR, S_IFREG or 0; their inodes in
+        that order; and whether names in it can be stat'd, kept for lookups
+        and later calls only then. OSError if the directory cannot be listed."""
+        if self._listings.get(directory) is not None:
+            return self._listings[directory], self._inodes[directory], True
         with os.scandir(self._host + directory) as it:
-            entries = sorted(
-                (e.name, stat_module.S_IFLNK if e.is_symlink()
+            entries = sorted(it, key=attrgetter("name"))
+        types = {e.name: stat_module.S_IFREG if e.is_file(follow_symlinks=False)
+                 else stat_module.S_IFLNK if e.is_symlink()
                  else stat_module.S_IFDIR if e.is_dir(follow_symlinks=False)
-                 else stat_module.S_IFREG if e.is_file(follow_symlinks=False)
-                 else 0, e.inode()) for e in it)
+                 else 0 for e in entries}
+        inodes = array("Q", [e.inode() for e in entries])
         searchable = os.access(self._host + directory, os.X_OK)
-        self._listings[directory] = dict(e[:2] for e in entries) if searchable else None
-        return entries, searchable
+        self._listings[directory] = types if searchable else None
+        self._inodes[directory] = inodes
+        return types, inodes, searchable
 
     def _names(self, path: str) -> list[str]:
         """Sorted names in the directory path spells: a kept listing, or scandir's."""
         hit = self.canonical(path)
         if not hit or not stat_module.S_ISDIR(hit[2]):
             return []
-        if self._listings.get(hit[0]) is not None:
-            return list(self._listings[hit[0]])
         try:
-            return [e[0] for e in self.scandir(hit[0])[0]]
+            return list(self.scandir(hit[0])[0])
         except (OSError, ValueError):  # unreadable, or a NUL byte
             return []
 
     def ldso_dirs(self) -> list[str]:
-        """Directories listed by ld.so.conf inside the sysroot, includes expanded."""
-        dirs: list[str] = []
-        self._read_ldso_conf(LDSO_CONF_PATH, (), dirs)
-        return dirs
+        """Directories listed by ld.so.conf inside the sysroot, includes
+        expanded, each file read once and each directory kept at its first
+        line: a later duplicate could find nothing the first one missed."""
+        dirs: dict[str, None] = {}
+        self._read_ldso_conf(LDSO_CONF_PATH, (), set(), dirs)
+        return list(dirs)
 
-    def _read_ldso_conf(self, conf_path: str, chain: tuple[str, ...], dirs: list[str]) -> None:
+    def _read_ldso_conf(self, conf_path: str, chain: tuple[str, ...], done: set[str],
+                        dirs: dict[str, None]) -> None:
         hit = self.canonical(conf_path)
         if hit is None or hit[0] in chain:
-            # a diamond include is legal and re-processed; only a true cycle stops
+            # a diamond include is legal and adds nothing new; only a true cycle warns
             log.warning("cyclic include or symlink loop at %s in ld.so.conf; "
                         "continuing with directories gathered so far", conf_path)
             return
-        if not stat_module.S_ISREG(hit[2]):  # missing, or no file (open blocks on a FIFO)
+        if hit[0] in done or not stat_module.S_ISREG(hit[2]):  # read, missing, or a FIFO
             return
         chain = chain + (hit[0],)
+        done.add(hit[0])
         try:
             with open(self._host + hit[0], encoding="utf-8",
                       errors="surrogateescape") as f:
@@ -246,9 +256,9 @@ class Resolver:
                 if not pattern.startswith("/"):
                     pattern = posixpath.join(posixpath.dirname(conf_path), pattern)
                 for match in self._glob(pattern):
-                    self._read_ldso_conf(match, chain, dirs)
+                    self._read_ldso_conf(match, chain, done, dirs)
             elif line.startswith("/"):  # a relative line names no fixed directory
-                dirs.append(line)
+                dirs.setdefault(line)
 
     def _glob(self, pattern: str) -> list[str]:
         """Sorted spellings an include pattern matches, one component at a
@@ -294,8 +304,9 @@ class Resolver:
     def resolve(self, needed_name: str, summary: SearchPaths,
                 dependent_path: str) -> Resolution:
         # only $ORIGIN and a name with '/' read the dependent's directory
-        reads_dir = "/" in needed_name or "$" in f"{summary.rpath}{summary.runpath}"
-        key = (needed_name, summary.rpath, summary.runpath,
+        rpath, runpath = summary.rpath, summary.runpath
+        reads_dir = "/" in needed_name or "$" in (rpath or "") or "$" in (runpath or "")
+        key = (needed_name, rpath, runpath,
                posixpath.dirname(dependent_path) if reads_dir else None)
         hit = self._resolution_cache.get(key)
         if hit is not None:

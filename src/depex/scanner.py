@@ -4,13 +4,14 @@ The walk is serial (it is cheap) and works out each file's identity as it
 goes, from its directory's listing or, for a link, the resolver's one
 canonicaliser: its canonical path inside the sysroot, its inode and every
 symlinked or hard-linked spelling, so each file becomes one node with its
-aliases. Extraction then reads each canonical file once, in the calling
-process: a file that starts with the ELF magic is parsed for its link facts
-(no symbol sets) and classified; any other file is counted in files_seen
-and skipped. Each file's extraction is a flat record of plain values (kind,
-soname, needed names, RPATH, RUNPATH or the error), so no parsed image
-outlives its file. Records are assembled into a deterministic, path-sorted
-node list.
+aliases; a directory reached again by another spelling is walked from the
+listing the resolver kept. Extraction then reads each canonical file once,
+in the calling process, through a bare file descriptor: a file that starts
+with the ELF magic is parsed for its link facts (no symbol sets) and
+classified; any other file is counted in files_seen and skipped. Each
+file's extraction is a flat record of plain values (kind, soname, needed
+names, RPATH, RUNPATH or the error), so no parsed image outlives its file.
+Records are assembled into a deterministic, path-sorted node list.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import os
 import stat as stat_module
 import time
+from collections import defaultdict
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -27,7 +29,7 @@ from depex.resolver import Resolver, SearchConfig
 from depex.store import DependencyEdge, FileNode
 
 DEFAULT_EXCLUDES = ("/proc", "/sys", "/dev", "/run")
-_FIRST_READ = 4096  # bytes: the st_blksize buffer a default open() fills
+_FIRST_READ = 4096  # bytes: a page, which holds most non-ELF files whole
 
 
 class SysrootUnreadable(Exception):
@@ -94,16 +96,18 @@ def _walk_regular_files(options: ScanOptions, resolver: Resolver,
             st = os.stat(sysroot + directory)
             if (st.st_dev, st.st_ino) in ancestors:
                 continue
-            entries, searchable = resolver.scandir(directory)
+            types, inodes, searchable = resolver.scandir(directory)
         except OSError as exc:
             errors.append((rel, f"listing failed: {exc.strerror}"))
             continue
         ancestors |= {(st.st_dev, st.st_ino)}
-        rel, directory = rel.rstrip("/"), directory.rstrip("/")
+        prefix, directory = rel.rstrip("/") + "/", directory.rstrip("/")
+        # a child is excluded only where an excluded prefix and its spelling overlap
+        tested = any(d.startswith(prefix) or prefix.startswith(d) for d in excluded_dirs)
         subdirs = []
-        for name, mode, inode in entries:
-            child = f"{rel}/{name}"
-            if child in excluded_names or child.startswith(excluded_dirs):
+        for (name, mode), inode in zip(types.items(), inodes):
+            child = prefix + name
+            if tested and (child in excluded_names or child.startswith(excluded_dirs)):
                 continue
             if mode == stat_module.S_IFLNK:
                 if not options.follow_symlinks:
@@ -145,17 +149,22 @@ class _Extracted(NamedTuple):
 
 
 def _extract_one(canonical: str, options: ScanOptions) -> _Extracted:
-    """One unbuffered page read gets the magic, or a small file whole; an ELF
-    file that fills the page is read again whole, so no join copies it."""
-    host = options.config.sysroot.rstrip("/") + canonical
+    """One read of a page gets the magic, or a small file whole; an ELF file
+    that fills the page is read whole by one pread from its start, the size
+    fstat gives, so no join copies it; one that grew since reads on to EOF."""
     try:
-        with open(host, "rb", buffering=0) as f:
-            data = f.read(_FIRST_READ)
+        fd = os.open(options.config.sysroot.rstrip("/") + canonical, os.O_RDONLY)
+        try:
+            data = os.read(fd, _FIRST_READ)
             if not data.startswith(ELF_MAGIC):
                 return _Extracted(canonical, len(data))
             if len(data) == _FIRST_READ:
-                f.seek(0)
-                data = f.readall()
+                size = os.fstat(fd).st_size
+                data = os.pread(fd, size + 1, 0)
+                while len(data) > size:  # it grew since the fstat: read on to EOF
+                    size, data = len(data), data + os.pread(fd, _FIRST_READ, len(data))
+        finally:
+            os.close(fd)
     except OSError as exc:  # strerror: the text without the host path
         return _Extracted(canonical, 0, error=f"read failed: {exc.strerror}")
     try:
@@ -165,9 +174,8 @@ def _extract_one(canonical: str, options: ScanOptions) -> _Extracted:
     except Exception as exc:  # a parser crash must not kill the scan
         return _Extracted(canonical, len(data),
                           error=f"parser crashed: {type(exc).__name__}: {exc}")
-    return _Extracted(canonical, len(data), classify_kind(summary),
-                      soname=summary.soname, needed=summary.needed,
-                      rpath=summary.rpath, runpath=summary.runpath)
+    return _Extracted(canonical, len(data), classify_kind(summary), None, summary.soname,
+                      summary.needed, summary.rpath, summary.runpath)
 
 
 def scan_tree(options: ScanOptions) -> ScanResult:
@@ -192,7 +200,7 @@ def scan_tree(options: ScanOptions) -> ScanResult:
     # collapse symlink aliases and hard links onto one canonical node each
     errors: list[tuple[str, str]] = []
     alias_of: dict[str, str] = {}        # canonical path -> primary
-    aliases: dict[str, set[str]] = {}    # primary -> its other spellings
+    aliases: defaultdict[str, set[str]] = defaultdict(set)  # primary -> its other spellings
     by_inode: dict[tuple[int, int], str] = {}
     canonical_files: list[str] = []
     for spelling, canonical, key in _walk_regular_files(options, resolver, errors):
@@ -202,9 +210,10 @@ def scan_tree(options: ScanOptions) -> ScanResult:
             primary = alias_of[canonical] = by_inode.setdefault(key, canonical)
             if primary == canonical:
                 canonical_files.append(canonical)
-        for alias in (spelling, canonical):
-            if alias != primary:
-                aliases.setdefault(primary, set()).add(alias)
+        if spelling != primary:
+            aliases[primary].add(spelling)
+        if canonical != primary:
+            aliases[primary].add(canonical)
     walked = time.perf_counter()
 
     counts = ScanCounts(files_seen=len(canonical_files))

@@ -4,12 +4,16 @@ import builtins
 import errno
 import itertools
 import os
+import random
+import time
+from collections import Counter
 
 import pytest
 
 from depex.elf import parse_elf
 from depex.resolver import Origin, Resolver, SearchConfig
 from elfbuild import ElfSpec, build_elf
+from oracles import _reference_conf
 
 
 def config_for(sysroot, **kw) -> SearchConfig:
@@ -67,8 +71,48 @@ def test_ldso_conf_diamond_include_is_not_a_cycle(sysroot, caplog):
     sysroot.write("/etc/shared.conf", b"/common\n")
     with caplog.at_level("WARNING"):
         dirs = Resolver(config_for(sysroot)).ldso_dirs()
-    assert dirs == ["/common", "/common"]  # duplicates kept, first hit wins later
+    assert dirs == ["/common"]  # read once: a second read could find nothing new
     assert not any("cyclic" in r.message for r in caplog.records)
+
+
+def test_ldso_conf_mutual_includes_read_each_file_once(sysroot, monkeypatch, caplog):
+    # seven files that each include all seven: re-reading a file at every
+    # include that reaches it would grow the list factorially
+    sysroot.write("/etc/ld.so.conf", b"include /etc/ld.so.conf.d/*.conf\n")
+    for i in range(7):
+        sysroot.write(f"/etc/ld.so.conf.d/{i}.conf",
+                      f"/d{i}\ninclude /etc/ld.so.conf.d/*.conf\n".encode())
+    reads, real_open = Counter(), builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        reads[file] += 1
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    started = time.perf_counter()
+    with caplog.at_level("WARNING"):
+        dirs = Resolver(config_for(sysroot)).ldso_dirs()
+    assert time.perf_counter() - started < 1.0
+    assert dirs == [f"/d{i}" for i in range(7)]
+    assert len(reads) == 8 and set(reads.values()) == {1}
+    assert any("cyclic" in r.message for r in caplog.records)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_ldso_conf_random_includes_keep_first_occurrences(sysroot, seed):
+    # each file read once gives the directories of reading a file at every
+    # include that reaches it (cycles cut), each at its first occurrence
+    rng = random.Random(seed)
+    files = ["/etc/ld.so.conf"] + [f"/etc/ld.so.conf.d/{c}.conf" for c in "abcd"]
+    for path in files[:rng.randint(2, len(files))]:
+        sysroot.write(path, "".join(rng.choice([
+            f"/d{rng.randint(0, 5)}\n", f"include {rng.choice(files)}\n",
+            "include /etc/ld.so.conf.d/*.conf\n", f"include {rng.choice('abcdl')}.conf\n",
+            "include ld.so.conf.d/[a-c].conf\n"]) for _ in range(rng.randint(1, 5))).encode())
+    if rng.random() < 0.5:  # a second spelling of one file
+        sysroot.symlink("/etc/ld.so.conf.d/l.conf", "a.conf")
+    expected = list(dict.fromkeys(_reference_conf(sysroot.root, "/etc/ld.so.conf", [])))
+    assert Resolver(config_for(sysroot)).ldso_dirs() == expected
 
 
 def test_ldso_conf_looping_include_skipped(sysroot, caplog):

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import builtins
 import errno
 import os
 import posixpath
@@ -65,6 +64,23 @@ def test_scan_lists_every_directory_through_scandir(demo_sysroot, monkeypatch):
                for e in result.edges}
     assert origins[("/usr/bin/multi", "libmulti.so.1")] is Origin.DEFAULT_DIR
     assert origins[("/usr/bin/multi", "libc.so.6")] is Origin.LDSO_CONF
+
+
+def test_directory_reached_twice_is_listed_once(demo_sysroot, monkeypatch):
+    # /bin links to /usr/bin: the walk goes through both spellings, so that
+    # every alias surfaces, but reads the second listing from the resolver
+    listed, real_scandir = Counter(), os.scandir
+
+    def scandir(path):
+        listed[path[len(demo_sysroot.root):]] += 1
+        return real_scandir(path)
+
+    monkeypatch.setattr(os, "scandir", scandir)
+    result = scan_tree(options_for(demo_sysroot))
+    assert listed["/usr/bin"] == 1 and set(listed.values()) == {1}
+    assert {n.canonical_path: n.alias_paths for n in result.nodes
+            if n.canonical_path.startswith("/usr/bin/")} == {
+        "/usr/bin/broken": ["/bin/broken"], "/usr/bin/tool": ["/bin/tool"]}
 
 
 def test_empty_sysroot(sysroot):
@@ -137,7 +153,7 @@ def test_relative_excluded_prefix_rejected(demo_sysroot):
 
 
 def test_error_records_name_no_host_path(tmp_path, monkeypatch):
-    real_scandir, real_open = os.scandir, builtins.open
+    real_scandir, real_open = os.scandir, os.open
 
     def denied(path):
         return PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
@@ -147,7 +163,7 @@ def test_error_records_name_no_host_path(tmp_path, monkeypatch):
             raise denied(path)
         return real_scandir(path)
 
-    def open_(file, *a, **kw):
+    def open_(file, *a, **kw):  # what extraction opens through
         if isinstance(file, str) and file.endswith("/usr/lib/libx.so"):
             raise denied(file)
         return real_open(file, *a, **kw)
@@ -159,7 +175,7 @@ def test_error_records_name_no_host_path(tmp_path, monkeypatch):
         tree.elf("/usr/lib/libx.so", ElfSpec(soname="libx.so"))
         with monkeypatch.context() as patch:
             patch.setattr(os, "scandir", scandir)
-            patch.setattr(builtins, "open", open_)
+            patch.setattr(os, "open", open_)
             records.append(scan_tree(options_for(tree)).error_records)
     assert records[0] == records[1] == [
         ("/usr/share", "listing failed: Permission denied"),
@@ -243,17 +259,18 @@ def test_phase_seconds(demo_sysroot):
     assert all(seconds >= 0 for seconds in phases.values())
 
 
-@pytest.mark.parametrize("padding", [0, depex.scanner._FIRST_READ,
-                                     depex.scanner._FIRST_READ * 3 + 7])
+@pytest.mark.parametrize("padding", [0, 4095, 4096, 4097, 4096 * 3 + 7, 1 << 20])
 def test_file_past_the_first_read_is_read_whole(sysroot, padding):
     # the first read takes a page; an ELF file that fills it is read on
-    data = build_elf(ElfSpec(soname="libbig.so"))
+    assert depex.scanner._FIRST_READ == 4096
+    data = build_elf(ElfSpec(soname="libbig.so", needed=["libc.so.6"], runpath="$ORIGIN"))
     data += b"\0" * (padding and padding - len(data))
     sysroot.write("/usr/lib/libbig.so", data)
     sysroot.write("/usr/share/big.txt", b"x" * 200000)
     result = scan_tree(options_for(sysroot))
-    assert [(n.canonical_path, n.soname, n.size_bytes) for n in result.nodes] == [
-        ("/usr/lib/libbig.so", "libbig.so", len(data))]
+    assert [(n.canonical_path, n.kind, n.soname, n.size_bytes) for n in result.nodes] == [
+        ("/usr/lib/libbig.so", FileKind.SHARED_LIBRARY, "libbig.so", len(data))]
+    assert [e.needed_name for e in result.edges] == ["libc.so.6"]
     assert result.counts.files_seen == 2 and result.error_records == []
 
 
@@ -276,15 +293,15 @@ def test_scan_determinism(demo_sysroot):
 
 def test_no_file_fully_read_twice(demo_sysroot, monkeypatch):
     full_reads = Counter()
-    real_open = builtins.open
+    real_open = os.open
 
-    def counting_open(file, mode="r", *a, **kw):
-        f = real_open(file, mode, *a, **kw)
-        if isinstance(file, str) and file.startswith(demo_sysroot.root) and "b" in mode:
+    def counting_open(file, flags, *a, **kw):  # what extraction opens through
+        fd = real_open(file, flags, *a, **kw)
+        if isinstance(file, str) and file.startswith(demo_sysroot.root):
             full_reads[file] += 1
-        return f
+        return fd
 
-    monkeypatch.setattr(builtins, "open", counting_open)
+    monkeypatch.setattr(os, "open", counting_open)
     scan_tree(options_for(demo_sysroot))
     assert full_reads and max(full_reads.values()) == 1
 
@@ -501,9 +518,14 @@ def test_canonicalize_matches_reference(sysroot, seed):
     rng = random.Random(seed)
     for _ in range(300):
         spelling = random_spelling(rng, names)
-        expected = canonical_reference(sysroot.root, spelling)
-        for hit in (shared.canonical(spelling), Resolver(config).canonical(spelling)):
-            assert (hit and (NO_SUCH_PATH if hit[0] is None else hit[0])) == expected, spelling
+        # then that spelling followed by "/", ".", "..", "//", "//" and a
+        # name, or a name and "/": its parent is in the shared memo now
+        for spelling in (spelling, spelling.rstrip("/") + rng.choice(
+                ["/", "/.", "/..", "//", f"//{rng.choice(names)}", f"/{rng.choice(names)}/"])):
+            expected = canonical_reference(sysroot.root, spelling)
+            for hit in (shared.canonical(spelling), Resolver(config).canonical(spelling)):
+                assert (hit and (NO_SUCH_PATH if hit[0] is None else hit[0])) == expected, \
+                    spelling
 
 
 class SearchPaths(NamedTuple):

@@ -34,8 +34,11 @@ converted older database. `size` prints the database's bytes, its
 dependency edges over every snapshot (as SRC loads them) and the bytes
 per edge.
 
-`build-trees` writes the test suite's demo tree and perfbench's seed-1
-scan-distro tree under WHERE. `scans` imports depex from SRC and scans
+`build-trees` writes the test suite's demo tree, perfbench's seed-1
+scan-distro tree and a small conf tree under WHERE. The conf tree's four
+ld.so.conf files hold a diamond include and a mutually including pair,
+and a program needs one library from each directory they list and one
+that no directory holds. `scans` imports depex from SRC and scans
 each tree three times: with symlink following on and off, and once more,
 following, with the search settings of SEARCH (an `env_library_path`, so
 that the env-path stage is taken, and `default_dirs` other than the
@@ -92,14 +95,26 @@ def build(workload: str, where: str) -> None:
 def build_trees(where: str) -> None:
     sys.path[:0] = [os.path.join(ROOT, d) for d in ("perfbench", "src", "tests")]
     from conftest import make_demo_sysroot
+    from elfbuild import ElfSpec
     from gen import GENERATORS
     from model import TreeWriter
 
     demo = make_demo_sysroot(TreeWriter(os.path.join(where, "demo"))).root
     distro = GENERATORS["scan-distro"](os.path.join(where, "scan-distro"), 1).tree.root
+    conf = TreeWriter(os.path.join(where, "conf"))
+    # a.conf and b.conf include each other, and both include c.conf
+    for name, text in (("ld.so.conf", "include /etc/ld.so.conf.d/*.conf\n"),
+                       ("ld.so.conf.d/a.conf", "/opt/a\ninclude b.conf\ninclude c.conf\n"),
+                       ("ld.so.conf.d/b.conf", "/opt/b\ninclude a.conf\ninclude c.conf\n"),
+                       ("ld.so.conf.d/c.conf", "/opt/c\n/opt/a\n")):
+        conf.write(f"/etc/{name}", text.encode())
+    for d in "abc":
+        conf.elf(f"/opt/{d}/libopt{d}.so", ElfSpec(soname=f"libopt{d}.so"))
+    conf.elf("/usr/bin/prog", ElfSpec(e_type=2, needed=["liboptc.so", "liboptb.so",
+                                                         "libopta.so", "libnone.so"]))
     with open(os.path.join(where, "trees.json"), "w") as f:
-        json.dump({"demo": os.path.abspath(demo),
-                   "scan-distro": os.path.abspath(distro)}, f)
+        json.dump({"demo": os.path.abspath(demo), "scan-distro": os.path.abspath(distro),
+                   "conf": os.path.abspath(conf.root)}, f)
 
 
 def scans(src: str, where: str) -> None:
