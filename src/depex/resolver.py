@@ -23,6 +23,7 @@ import fnmatch
 import logging
 import os
 import posixpath
+import re
 import stat as stat_module
 from array import array
 from dataclasses import dataclass, field
@@ -81,13 +82,19 @@ class SearchConfig:
     default_dirs: list[str] = field(default_factory=lambda: list(DEFAULT_DIRS))
 
 
+# $ORIGIN or ${ORIGIN}; unbraced, a name that goes on is no token (is_dst in glibc)
+_ORIGIN = re.compile(r"\$(?:\{ORIGIN\}|ORIGIN(?![A-Za-z0-9_]))")
+
+
 def _split_search_value(raw: str | None, dependent_dir: str) -> list[str]:
     """The absolute directories of an RPATH or RUNPATH value (None: no such
-    tag), $ORIGIN and ${ORIGIN} expanded to the dependent file's directory.
-    The loader reads an element that is still relative after that against
-    the process's working directory, which a scan cannot know: it is dropped."""
-    return [d for d in (elem.replace("${ORIGIN}", dependent_dir).replace(
-        "$ORIGIN", dependent_dir) for elem in (raw or "").split(":")) if d.startswith("/")]
+    tag), $ORIGIN and ${ORIGIN} expanded to the dependent file's directory
+    in one left-to-right pass, as the loader does, so a token that the
+    directory itself spells stays as it is. The loader reads an element
+    that is still relative after that against the process's working
+    directory, which a scan cannot know: it is dropped."""
+    return [d for d in (_ORIGIN.sub(lambda _: dependent_dir, elem)
+                        for elem in (raw or "").split(":")) if d.startswith("/")]
 
 
 class Resolver:
@@ -252,11 +259,11 @@ class Resolver:
             if not line:
                 continue
             if line.startswith("include") and line[7:8] in (" ", "\t"):
-                pattern = line[8:].strip()
-                if not pattern.startswith("/"):
+                # as ldconfig, each blank-separated pattern of the line
+                for pattern in filter(None, line[8:].replace("\t", " ").split(" ")):
                     pattern = posixpath.join(posixpath.dirname(conf_path), pattern)
-                for match in self._glob(pattern):
-                    self._read_ldso_conf(match, chain, done, dirs)
+                    for match in self._glob(pattern):
+                        self._read_ldso_conf(match, chain, done, dirs)
             elif line.startswith("/"):  # a relative line names no fixed directory
                 dirs.setdefault(line)
 

@@ -11,18 +11,20 @@ save_snapshot turns a scan's records into columns and packs them, with
 no graph built. Node and edge ids are positions, and a scan's ids come
 back from save_snapshot and load_graph unchanged.
 
-Schema version 2 (PRAGMA user_version) stores a snapshot's graph as
+Schema version 3 (PRAGMA user_version) stores a snapshot's graph as
 those columns: one `graphs` row of BLOBs (see _COLUMNS), keyed by the
-snapshot's id, whose three text columns are zlib streams and whose kinds
-and origins take one byte each; a snapshot's root is a BLOB, so that any
-path round-trips. A load reads that one row and checks and decodes each
-column in one pass. Older databases are read as they are: a version 1
-`graphs` row holds plain text and int32 kinds and origins, and a version
-0 database a row per node, alias and dependency in `files`,
-`file_aliases` and `deps`. The first save into either converts every
-snapshot to a version 2 row (and drops version 0's tables) in that
-save's transaction, then runs VACUUM once to give the freed pages back.
-A depex that reads only versions 0 and 1 refuses a version 2 file.
+snapshot's id, whose three text columns are zlib streams and whose eight
+integer columns are each one width code byte, then the values at the
+narrowest signed width that holds them all; a snapshot's root is a BLOB,
+so that any path round-trips. A load reads that one row and checks and
+decodes each column in one pass. Older databases are read as they are: a
+version 2 row holds one-byte kinds and origins and int32 or int64 other
+integers, a version 1 row plain text and int32 kinds and origins too, and
+a version 0 database a row per node, alias and dependency in `files`,
+`file_aliases` and `deps`. The first save into any of them converts every
+snapshot to a version 3 row (and drops version 0's tables) in that save's
+transaction, then runs VACUUM once to give the freed pages back. A depex
+that reads only versions 0 to 2 refuses a version 3 file.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from datetime import datetime, timezone
 from functools import cached_property
 from itertools import accumulate, chain
 from operator import itemgetter
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterator
 from urllib.parse import quote
 
 from depex.elf import FileKind
@@ -236,19 +238,20 @@ class DependencyGraph:
 
 
 # The BLOB columns of a graphs row, in table order, each with its type
-# code in schema version 1 and in version 2: a string list ("s": UTF-8
-# with surrogateescape, so any path or ELF string round-trips, each string
-# ended by NUL, which no C string holds; "z": that text as a zlib stream)
-# or a little-endian array of int8 ("b"), int32 ("i") or int64 ("q").
-# kinds, sonames, names and origins index the snapshot's distinct strings
-# (-1: None), which _pack lists kind and origin values first, so that
-# their codes fit in a byte; src, dst (-1: unresolved) and alias_nodes
-# are node positions.
-_COLUMNS = (("strings", "sz"), ("paths", "sz"), ("kinds", "ib"), ("sonames", "ii"),
-            ("sizes", "qq"), ("alias_nodes", "ii"), ("aliases", "sz"),
-            ("src", "ii"), ("names", "ii"), ("dst", "ii"), ("origins", "ib"))
+# code in schema versions 1, 2 and 3: a string list ("s": UTF-8 with
+# surrogateescape, so any path or ELF string round-trips, each string
+# ended by NUL, which no C string holds; "z": that text as a zlib stream),
+# a little-endian array of int8 ("b"), int32 ("i") or int64 ("q"), or one
+# ("w") whose first byte is its width code, b, h (int16), i or q, the
+# narrowest that holds every value. kinds, sonames, names and origins index
+# the snapshot's distinct strings (-1: None), which _pack lists kind and
+# origin values first, so that their codes fit in a byte; src, dst (-1:
+# unresolved) and alias_nodes are node positions.
+_COLUMNS = (("strings", "szz"), ("paths", "szz"), ("kinds", "ibw"), ("sonames", "iiw"),
+            ("sizes", "qqw"), ("alias_nodes", "iiw"), ("aliases", "szz"),
+            ("src", "iiw"), ("names", "iiw"), ("dst", "iiw"), ("origins", "ibw"))
 _NAMES = ", ".join(name for name, _ in _COLUMNS)
-_VERSION = 2
+_VERSION = 3
 _SCHEMA = ("""CREATE TABLE IF NOT EXISTS snapshots(
     id INTEGER PRIMARY KEY,
     label TEXT NOT NULL UNIQUE,
@@ -264,11 +267,17 @@ _UPDATE_GRAPH = (f"UPDATE graphs SET {' = ?, '.join(name for name, _ in _COLUMNS
 _SNAPSHOT = "id, label, root_path, scanned_at, tool_version"
 
 
-def _pack_ints(code: str, values: Iterable[int]) -> bytes:
-    column = array(code, values)  # C int is 32 bits wherever CPython runs
+def _pack_ints(values: list[int]) -> bytes:
+    """A "w" column: the narrowest width code that holds values, then values."""
+    for code in "bhi":  # a narrow array stops at the first value it cannot hold
+        with suppress(OverflowError):
+            column = array(code, values)  # C short and int: 16 and 32 bits wherever CPython runs
+            break
+    else:
+        column = array("q", values)  # past int64, the OverflowError that a save reports
     if sys.byteorder == "big":
         column.byteswap()
-    return column.tobytes()
+    return column.typecode.encode() + column.tobytes()
 
 
 def _unpack_ints(code: str, blob: bytes) -> array:
@@ -312,16 +321,16 @@ def _pack(paths, kinds, sonames, sizes, aliases, src, names, dst, origins) -> li
              sonames, names)
     strings = [s for s in dict.fromkeys(chain.from_iterable(coded)) if s is not None]
     index = {None: -1, **{s: i for i, s in enumerate(strings)}}
-    kinds, origins, sonames, names = (map(index.__getitem__, c) for c in coded)
+    kinds, origins, sonames, names = (list(map(index.__getitem__, c)) for c in coded)
     aliases = list(aliases.items())
     values = (strings, paths, kinds, sonames, sizes, [p for p, group in aliases for _ in group],
               [a for _, group in aliases for a in group], src, names, dst, origins)
-    return [_pack_strings(v) if codes[-1] == "z" else _pack_ints(codes[-1], v)
+    return [_pack_strings(v) if codes[-1] == "z" else _pack_ints(v)
             for (_, codes), v in zip(_COLUMNS, values)]
 
 
 def _unpack(row: tuple, version: int) -> list:
-    """The columns of one version 1 or 2 graphs row, as DependencyGraph
+    """The columns of one version 1, 2 or 3 graphs row, as DependencyGraph
     takes them, each checked and decoded in one pass; ValueError names the
     first column that does not fit the others."""
     columns = {}
@@ -336,6 +345,12 @@ def _unpack(row: tuple, version: int) -> list:
                 if inflate.unused_data:
                     raise ValueError(f"{len(inflate.unused_data)} bytes follow its zlib stream")
                 blob = text if inflate.eof else zlib.decompress(blob)  # names a cut stream
+            elif code == "w":
+                if not blob:
+                    raise ValueError("it holds no width code")
+                code, blob = blob[:1].decode("latin-1"), blob[1:]
+                if code not in ("b", "h", "i", "q"):
+                    raise ValueError(f"its width code {code!r} is none of b, h, i, q")
             columns[name] = _unpack_strings(blob) if code in "sz" else _unpack_ints(code, blob)
         except (ValueError, zlib.error) as exc:
             raise ValueError(f"column {name}: {exc}") from None
@@ -427,7 +442,7 @@ def _read(con: sqlite3.Connection, snap: Snapshot, version: int) -> list:
 
 
 def _convert(con: sqlite3.Connection, version: int) -> None:
-    """Store every snapshot of a version 0 or 1 database as a version 2
+    """Store every snapshot of a version 0, 1 or 2 database as a version 3
     graphs row, read as a load reads it, and drop version 0's tables; one
     step from each older version. Nothing for a new file."""
     if version == 0 and con.execute(
@@ -447,7 +462,7 @@ def _convert(con: sqlite3.Connection, version: int) -> None:
 
 
 def _begin(db_path: str) -> sqlite3.Connection:
-    """A writable connection in a BEGIN IMMEDIATE transaction on a version 2
+    """A writable connection in a BEGIN IMMEDIATE transaction on a version 3
     database: a new file gets the tables and an older database is
     converted, both inside the transaction, so a rollback undoes them.
     UnreadableDatabase for a file that is no depex database, StorageFailure

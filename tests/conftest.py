@@ -105,3 +105,10 @@ def v1_db(tmp_path) -> str:
     """A version 1 database (see tests/data/v1.sql): snapshots 'demo' and
     '1', of which 'demo' is the latest."""
     return database_from_dump(tmp_path, "v1")
+
+
+@pytest.fixture
+def v2_db(tmp_path) -> str:
+    """A version 2 database (see tests/data/v2.sql): snapshots 'demo' and
+    '1', of which 'demo' is the latest."""
+    return database_from_dump(tmp_path, "v2")

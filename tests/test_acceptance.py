@@ -365,8 +365,8 @@ EXPECTED_DEPS = {
 def dump_db_rows(db: str, label: str):
     """The snapshot's stored files, aliases and deps, decoded from its
     graphs row by this test alone: zlib streams of NUL-terminated UTF-8
-    strings, one-byte kinds and origins and little-endian int32 arrays,
-    -1 standing for None."""
+    strings, and little-endian integer arrays, each after one byte that
+    names its width (b, h, i or q: 1, 2, 4 or 8 bytes), -1 standing for None."""
     con = sqlite3.connect(db)
     try:
         cur = con.execute("SELECT graphs.* FROM graphs JOIN snapshots"
@@ -379,7 +379,9 @@ def dump_db_rows(db: str, label: str):
         return zlib.decompress(row[name]).decode("utf-8", "surrogateescape").split("\0")[:-1]
 
     def ints(name):
-        column = array("b" if name in ("kinds", "origins") else "i", row[name])
+        width = row[name][:1].decode()
+        column = array(width, row[name][1:])
+        assert column.itemsize == {"b": 1, "h": 2, "i": 4, "q": 8}[width]
         if sys.byteorder == "big":
             column.byteswap()
         return column.tolist()

@@ -245,8 +245,8 @@ READ_COMMANDS = (["stats"], ["snapshots"], ["who-uses", "libc.so.6"],
                  ["impact", "libc.so.6"], ["dot"], ["evolve"])
 
 
-def test_read_commands_do_not_modify_db(capsys, demo_db, v1_db):
-    for db in (demo_db, v1_db):  # version 2, and version 1 that a save would convert
+def test_read_commands_do_not_modify_db(capsys, demo_db, v1_db, v2_db):
+    for db in (demo_db, v1_db, v2_db):  # version 3, and older ones that a save would convert
         before = db_hash(db)
         for argv in READ_COMMANDS:
             code, _, _ = run(capsys, *argv, "--db", db)
@@ -303,19 +303,27 @@ def test_converting_a_v0_db_gives_its_free_pages_back(capsys, v0_db, convert):
     assert fixture_reads(capsys, v0_db) == before
 
 
-def test_converting_a_v1_db_keeps_every_answer(capsys, v1_db, tmp_path):
+def converting_keeps_every_answer(capsys, db: str, tmp_path) -> None:
     converted = str(tmp_path / "converted.db")
-    shutil.copy(v1_db, converted)
+    shutil.copy(db, converted)
     open_db(converted).close()
     con = sqlite3.connect(converted)
-    assert con.execute("PRAGMA user_version").fetchone() == (2,)
+    assert con.execute("PRAGMA user_version").fetchone() == (3,)
     con.close()
     assert freelist_count(converted) == 0
-    assert len(graphs_row(converted, "demo")["kinds"]) == 10  # one byte per node
+    assert len(graphs_row(converted, "demo")["kinds"]) == 11  # a width code, a byte per node
     for argv in (["snapshots"], ["snapshots", "--json"]):
-        assert run(capsys, *argv, "--db", converted) == run(capsys, *argv, "--db", v1_db)
+        assert run(capsys, *argv, "--db", converted) == run(capsys, *argv, "--db", db)
     labels = ("demo", "1")
-    assert fixture_reads(capsys, converted, labels) == fixture_reads(capsys, v1_db, labels)
+    assert fixture_reads(capsys, converted, labels) == fixture_reads(capsys, db, labels)
+
+
+def test_converting_a_v1_db_keeps_every_answer(capsys, v1_db, tmp_path):
+    converting_keeps_every_answer(capsys, v1_db, tmp_path)
+
+
+def test_converting_a_v2_db_keeps_every_answer(capsys, v2_db, tmp_path):
+    converting_keeps_every_answer(capsys, v2_db, tmp_path)
 
 
 def test_read_commands_create_no_database(capsys, tmp_path):
@@ -748,6 +756,36 @@ CORRUPT_V2 = {
 }
 
 
+def width_set(row: dict, column: str, value: int, code: str | None = None) -> dict:
+    """A version 3 integer column with its first value set, at its own
+    width or at the width code given."""
+    width = row[column][:1].decode()
+    values = ints(row[column][1:], width)
+    values[0] = value
+    return {column: (code or width).encode() + as_blob(values, code or width)}
+
+
+# the same on a version 3 row, whose integer columns are each a width code
+# (b, h, i or q) and then their values at that width: on the demo tree
+# sizes are int16 and the other integers int8, and it has 3 aliases
+CORRUPT_V3 = {
+    "an empty blob": (lambda r: {"dst": b""}, "column dst: it holds no width code"),
+    "an unknown width code": (lambda r: {"src": b"l" + r["src"][1:]},
+                              "column src: its width code 'l' is none of b, h, i, q"),
+    "a width that leaves a partial item": (
+        lambda r: {"alias_nodes": b"h" + r["alias_nodes"][1:]},
+        "column alias_nodes: bytes length not a multiple of item size"),
+    "int8 dst outside the nodes": (lambda r: width_set(r, "dst", 10),
+                                   "column dst holds a value outside -1..9"),
+    "int8 kind code one past the strings": (lambda r: width_set(r, "kinds", 13),
+                                            "column kinds holds a value outside 0..12"),
+    "int16 negative size": (lambda r: width_set(r, "sizes", -1),
+                            "column sizes holds a value outside 0..9223372036854775807"),
+    "int16 name index past the strings": (lambda r: width_set(r, "names", 300, "h"),
+                                          "column names holds a value outside 0..12"),
+}
+
+
 def corrupt_graphs_row_is_unreadable(capsys, db: str, change, message: str) -> None:
     con = sqlite3.connect(db)
     with con:
@@ -772,8 +810,13 @@ def test_corrupt_graphs_row_is_unreadable(capsys, v1_db, case):
 
 
 @pytest.mark.parametrize("case", CORRUPT_V2)
-def test_corrupt_v2_graphs_row_is_unreadable(capsys, demo_db, case):
-    corrupt_graphs_row_is_unreadable(capsys, demo_db, *CORRUPT_V2[case])
+def test_corrupt_v2_graphs_row_is_unreadable(capsys, v2_db, case):
+    corrupt_graphs_row_is_unreadable(capsys, v2_db, *CORRUPT_V2[case])
+
+
+@pytest.mark.parametrize("case", CORRUPT_V3)
+def test_corrupt_v3_graphs_row_is_unreadable(capsys, demo_db, case):
+    corrupt_graphs_row_is_unreadable(capsys, demo_db, *CORRUPT_V3[case])
 
 
 EMPTY_ROW = dict.fromkeys(["executables", "libraries", "dependencies", "missing", "unused",

@@ -108,7 +108,9 @@ def test_ldso_conf_random_includes_keep_first_occurrences(sysroot, seed):
         sysroot.write(path, "".join(rng.choice([
             f"/d{rng.randint(0, 5)}\n", f"include {rng.choice(files)}\n",
             "include /etc/ld.so.conf.d/*.conf\n", f"include {rng.choice('abcdl')}.conf\n",
-            "include ld.so.conf.d/[a-c].conf\n"]) for _ in range(rng.randint(1, 5))).encode())
+            "include ld.so.conf.d/[a-c].conf\n",
+            f"include {rng.choice(files)}\t {rng.choice('abcdl')}.conf\n"])
+            for _ in range(rng.randint(1, 5))).encode())
     if rng.random() < 0.5:  # a second spelling of one file
         sysroot.symlink("/etc/ld.so.conf.d/l.conf", "a.conf")
     expected = list(dict.fromkeys(_reference_conf(sysroot.root, "/etc/ld.so.conf", [])))

@@ -542,6 +542,7 @@ def random_search(sysroot, rng, dirs, spellings):
             f"{rng.choice(spellings)}\n", f"{rng.choice(spellings)}  # a comment\n",
             "include /etc/ld.so.conf.d/*.conf\n", "include\tconf.d/?.conf\n",
             "include /etc/ld.so.conf\n", "include /etc/*/[ab].conf\n", "relative/lib\n",
+            "include /etc/conf.d/b.conf \tconf.d/c.conf\n",
             "# only a comment\n"]) for _ in range(rng.randint(1, 3))).encode()
 
     sysroot.write("/etc/ld.so.conf", f"include /etc/ld.so.conf.d/*.conf\n"
@@ -561,7 +562,8 @@ def random_search(sysroot, rng, dirs, spellings):
 
 def search_value(rng, spellings):
     return rng.choice([None, ":".join(rng.choice(
-        [*spellings, "$ORIGIN", "$ORIGIN/..", "${ORIGIN}/d0", "$ORIGIN/../usr/lib", "rel", ""])
+        [*spellings, "$ORIGIN", "$ORIGIN/..", "${ORIGIN}/d0", "$ORIGIN/../usr/lib", "rel", "",
+         "$ORIGIN_/..", "/${ORIGIN}$ORIGIN"])
         for _ in range(rng.randint(1, 3)))])
 
 
@@ -593,39 +595,36 @@ def test_resolve_matches_reference(sysroot, seed):
             sysroot.root, needed, *summary, dependent_dir, config), (needed, summary, dependent_dir)
 
 
-# Where depex and the loader part ways, each seen with glibc 2.36 (ldconfig
-# -r -v, and ldd on a built binary). Each case pins both answers, so a fix
-# shows up here and the case moves to agreement. (files, needed name,
-# RPATH, RUNPATH, dependent directory, depex's answer, the oracle's)
-KNOWN_DIVERGENCES = {
-    # ldconfig reads each blank-separated pattern of an include line;
-    # depex reads the rest of the line as one pattern, which names no file
+# Loader rules that a simpler reading gets wrong, each answer seen with
+# glibc 2.36 (ldconfig -r -v, and ldd on a built binary): (files, needed
+# name, RPATH, RUNPATH, dependent directory, the loader's answer)
+LOADER_CASES = {
+    # ldconfig reads each blank-separated pattern of an include line
     "include line with two patterns": (
         {"/etc/ld.so.conf": b"include /etc/a.conf /etc/b.conf\n", "/etc/b.conf": b"/db\n",
          "/db/libx.so": b"x"},
-        "libx.so", None, None, "/bin", (None, None), ("/db/libx.so", "ldso-conf")),
+        "libx.so", None, None, "/bin", ("/db/libx.so", "ldso-conf")),
     # glibc reads $ORIGIN only where no letter, digit or "_" follows it
     "$ORIGIN followed by a letter": (
         {"/appAL/libx.so": b"x"},
-        "libx.so", None, "$ORIGINAL", "/app", ("/appAL/libx.so", "runpath"), (None, None)),
-    # glibc expands in one pass; depex expands ${ORIGIN} and then any
-    # $ORIGIN that the dependent's directory itself spells
+        "libx.so", None, "$ORIGINAL", "/app", (None, None)),
+    # glibc expands in one pass, so a $ORIGIN that the dependent's
+    # directory spells is not expanded again
     "$ORIGIN in the dependent's directory": (
         {"/x/$ORIGIN/lib/libx.so": b"x"},
-        "libx.so", "${ORIGIN}/lib", None, "/x/$ORIGIN",
-        (None, None), ("/x/$ORIGIN/lib/libx.so", "rpath")),
+        "libx.so", "${ORIGIN}/lib", None, "/x/$ORIGIN", ("/x/$ORIGIN/lib/libx.so", "rpath")),
 }
 
 
-@pytest.mark.parametrize("case", KNOWN_DIVERGENCES)
-def test_known_divergence_from_the_loader(sysroot, case):
-    files, needed, rpath, runpath, dependent_dir, ours, loader = KNOWN_DIVERGENCES[case]
+@pytest.mark.parametrize("case", LOADER_CASES)
+def test_resolve_agrees_with_the_loader(sysroot, case):
+    files, needed, rpath, runpath, dependent_dir, loader = LOADER_CASES[case]
     for path, data in files.items():
         sysroot.write(path, data)
     config = SearchConfig(sysroot.root, default_dirs=[])
     r = Resolver(config).resolve(needed, SearchPaths(rpath, runpath),
                                  posixpath.join(dependent_dir, "dependent"))
-    assert (r.path, r.origin and r.origin.value) == ours
+    assert (r.path, r.origin and r.origin.value) == loader
     assert resolve_reference(sysroot.root, needed, rpath, runpath, dependent_dir,
                              config) == loader
 

@@ -20,7 +20,7 @@ from depex.resolver import Origin, SearchConfig
 from depex.scanner import ScanOptions, scan_tree
 from depex.store import (DependencyEdge, DuplicateLabel,
                          FileNode, StorageFailure, UnknownLabel, UnknownNode,
-                         UnreadableDatabase, list_snapshots, load_graph,
+                         UnreadableDatabase, _pack_ints, list_snapshots, load_graph,
                          open_db, save_snapshot)
 from graphbuild import EXE, LIB, build_graph, edge_records, random_graph
 
@@ -182,6 +182,7 @@ UNSTORABLE = {
     "NUL in an alias": lambda r: r.nodes[0].alias_paths.append("/alias/\0app"),
     "NUL in a soname": lambda r: setattr(r.nodes[1], "soname", "liba.so\0"),
     "NUL in a needed name": lambda r: setattr(r.edges[1], "needed_name", "\0libmissing.so"),
+    "size past int64": lambda r: setattr(r.nodes[1], "size_bytes", 2**63),
 }
 
 
@@ -203,12 +204,12 @@ def test_newer_schema_version_is_unreadable(tmp_path):
     db = db_file(tmp_path)
     save_snapshot(small_result(), "s1", db)
     con = sqlite3.connect(db)
-    con.execute("PRAGMA user_version = 3")
+    con.execute("PRAGMA user_version = 4")
     con.close()
     before = file_hash(db)
     for call in (lambda: list_snapshots(db), lambda: load_graph("s1", db),
                  lambda: save_snapshot(small_result(), "s2", db)):
-        with pytest.raises(UnreadableDatabase, match="schema version 3"):
+        with pytest.raises(UnreadableDatabase, match="schema version 4"):
             call()
     assert file_hash(db) == before
 
@@ -463,7 +464,7 @@ def test_old_schema_database_loads_the_same_and_migrates_on_save(v0_db, demo_sys
     save_snapshot(scan_tree(ScanOptions(SearchConfig(demo_sysroot.root))), "demo", new_db)
     for k in (1, 2):
         save_snapshot(release(k), str(k), new_db)
-    assert schema(new_db) == (2, TABLES)
+    assert schema(new_db) == (3, TABLES)
     version, tables = schema(v0_db)
     assert version == 0 and {"files", "file_aliases", "deps"} <= tables
 
@@ -482,7 +483,7 @@ def test_old_schema_database_loads_the_same_and_migrates_on_save(v0_db, demo_sys
     assert file_hash(v0_db) == before
 
     save_snapshot(release(3), "3", v0_db)
-    assert schema(v0_db) == (2, TABLES)
+    assert schema(v0_db) == (3, TABLES)
     con = connect_plain(v0_db)
     assert con.execute("SELECT snapshot_id FROM graphs ORDER BY 1").fetchall() == \
         [(1,), (2,), (3,), (4,)]
@@ -492,30 +493,40 @@ def test_old_schema_database_loads_the_same_and_migrates_on_save(v0_db, demo_sys
     assert loaded_rows(load_graph("3", v0_db)) == saved_rows(release(3))
 
 
-def test_v1_database_loads_the_same_and_converts_on_save(v1_db, demo_sysroot, tmp_path):
+def older_database_loads_the_same_and_converts_on_save(db, version, demo_sysroot, tmp_path):
     new_db = str(tmp_path / "new.db")
     save_snapshot(scan_tree(ScanOptions(SearchConfig(demo_sysroot.root))), "demo", new_db)
     save_snapshot(release(1), "1", new_db)
-    assert schema(v1_db) == (1, TABLES)
-    before = file_hash(v1_db)
-    loaded = {label: graph_dump(load_graph(label, v1_db)) for label in ("demo", "1")}
+    assert schema(db) == (version, TABLES)
+    before = file_hash(db)
+    loaded = {label: graph_dump(load_graph(label, db)) for label in ("demo", "1")}
     for label, dump in loaded.items():
         assert dump[1:] == graph_dump(load_graph(label, new_db))[1:]
-    assert [(s.label, s.root_path) for s in list_snapshots(v1_db)] == \
+    assert [(s.label, s.root_path) for s in list_snapshots(db)] == \
         [("1", "/srv/r1"), ("demo", "/srv/demo")]
     with pytest.raises(DuplicateLabel):  # the conversion rolls back with the save
-        save_snapshot(release(2), "demo", v1_db)
-    assert file_hash(v1_db) == before
+        save_snapshot(release(2), "demo", db)
+    assert file_hash(db) == before
 
-    save_snapshot(release(2), "2", v1_db)
-    assert schema(v1_db) == (2, TABLES)
+    save_snapshot(release(2), "2", db)
+    assert schema(db) == (3, TABLES)
     for label, dump in loaded.items():
-        assert graph_dump(load_graph(label, v1_db)) == dump
-    assert loaded_rows(load_graph("2", v1_db)) == saved_rows(release(2))
-    con = connect_plain(v1_db)
+        assert graph_dump(load_graph(label, db)) == dump
+    assert loaded_rows(load_graph("2", db)) == saved_rows(release(2))
+    con = connect_plain(db)
+    # a width code, then a byte per node and per edge
     assert con.execute("SELECT length(kinds), length(origins) FROM graphs ORDER BY snapshot_id"
-                       ).fetchall() == [(10, 10), (7, 9), (7, 9)]  # a byte per node, per edge
+                       ).fetchall() == [(11, 11), (8, 10), (8, 10)]
+    assert con.execute("PRAGMA freelist_count").fetchone() == (0,)
     con.close()
+
+
+def test_v1_database_loads_the_same_and_converts_on_save(v1_db, demo_sysroot, tmp_path):
+    older_database_loads_the_same_and_converts_on_save(v1_db, 1, demo_sysroot, tmp_path)
+
+
+def test_v2_database_loads_the_same_and_converts_on_save(v2_db, demo_sysroot, tmp_path):
+    older_database_loads_the_same_and_converts_on_save(v2_db, 2, demo_sysroot, tmp_path)
 
 
 def test_a_v1_row_that_does_not_decode_stops_the_save_that_would_convert_it(v1_db):
@@ -530,9 +541,19 @@ def test_a_v1_row_that_does_not_decode_stops_the_save_that_would_convert_it(v1_d
     assert len(load_graph("demo", v1_db).nodes) == 10
 
 
-def test_v2_row_layout(demo_sysroot, tmp_path):
-    # the three text columns inflate to NUL-terminated UTF-8, and each kind
-    # and origin is one byte, a code into strings, whose kinds and origins come first
+def width_coded(blob: bytes) -> tuple[str, list[int]]:
+    """The width code of a version 3 integer column and its values."""
+    column = array(blob[:1].decode(), blob[1:])
+    if sys.byteorder == "big":
+        column.byteswap()
+    return column.typecode, column.tolist()
+
+
+def test_v3_row_layout(demo_sysroot, tmp_path):
+    # the three text columns inflate to NUL-terminated UTF-8; each integer
+    # column is its width code, then its values at the narrowest width that
+    # holds them; each kind and origin is a code into strings, whose kinds
+    # and origins come first
     db = db_file(tmp_path)
     result = scan_tree(ScanOptions(SearchConfig(demo_sysroot.root)))
     save_snapshot(result, "demo", db)
@@ -548,11 +569,48 @@ def test_v2_row_layout(demo_sysroot, tmp_path):
         b"".join(n.canonical_path.encode() + b"\0" for n in result.nodes)
     assert zlib.decompress(row["aliases"]) == \
         b"".join(a.encode() + b"\0" for n in result.nodes for a in n.alias_paths)
-    assert (len(row["kinds"]), len(row["origins"])) == (len(result.nodes), len(result.edges))
-    assert [strings[k] for k in array("b", row["kinds"])] == \
-        [n.kind.value.encode() for n in result.nodes]
-    assert [o >= 0 and strings[o] for o in array("b", row["origins"])] == \
+    ints = {name: width_coded(row[name]) for name in
+            ("kinds", "sonames", "sizes", "alias_nodes", "src", "names", "dst", "origins")}
+    # sizes of 801-934 bytes need two; the demo tree's other integers fit in one
+    assert {name: code for name, (code, _) in ints.items()} == {
+        **dict.fromkeys(ints, "b"), "sizes": "h"}
+    assert (len(row["kinds"]), len(row["origins"])) == (len(result.nodes) + 1,
+                                                        len(result.edges) + 1)
+    assert [strings[k] for k in ints["kinds"][1]] == [n.kind.value.encode() for n in result.nodes]
+    assert [o >= 0 and strings[o] for o in ints["origins"][1]] == \
         [o is not None and o.value.encode() for o in graph.origins]
+    assert ints["sizes"][1] == [n.size_bytes for n in result.nodes] == graph.sizes
+    assert (ints["src"][1], ints["dst"][1]) == (graph.src, graph.dst)
+
+
+@pytest.mark.parametrize("values, code", [
+    ([], "b"), ([0], "b"), ([127], "b"), ([-128], "b"), ([128], "h"), ([-129], "h"),
+    ([32767], "h"), ([-32768], "h"), ([32768], "i"), ([-32769], "i"), ([2**31 - 1], "i"),
+    ([-2**31], "i"), ([2**31], "q"), ([-2**31 - 1], "q"), ([2**63 - 1], "q"), ([-2**63], "q"),
+    ([-1, 127], "b"), ([-1, 128], "h"), ([-129, 127], "h")])
+def test_integer_column_takes_the_narrowest_width(values, code):
+    assert width_coded(_pack_ints(values)) == (code, values)
+
+
+@pytest.mark.parametrize("size, code", [
+    (127, "b"), (128, "h"), (32767, "h"), (32768, "i"), (2**31 - 1, "i"), (2**31, "q"),
+    (2**63 - 1, "q")])
+@pytest.mark.parametrize("nodes, node_code", [(128, "b"), (129, "h")])
+def test_width_boundaries_round_trip(tmp_path, size, code, nodes, node_code):
+    # the largest size sets the sizes column's width; the last node's
+    # position, 127 or 128, sets src's and dst's
+    db = db_file(tmp_path)
+    result = FakeResult(
+        [FileNode(p, None, f"/lib/lib{p}.so", [], FileKind.SHARED_LIBRARY, f"lib{p}.so",
+                  size if p == nodes - 1 else p) for p in range(nodes)],
+        [DependencyEdge(p, None, nodes - 1 - p, "libc.so", p, Origin.DEFAULT_DIR)
+         for p in range(nodes)])
+    save_snapshot(result, "s", db)
+    con = connect_plain(db)
+    row = con.execute("SELECT sizes, src, dst FROM graphs").fetchone()
+    con.close()
+    assert [width_coded(blob)[0] for blob in row] == [code, node_code, node_code]
+    assert loaded_rows(load_graph("s", db)) == saved_rows(result)
 
 
 def test_a_failed_vacuum_after_a_conversion_keeps_the_save(v0_db, monkeypatch):
@@ -568,7 +626,7 @@ def test_a_failed_vacuum_after_a_conversion_keeps_the_save(v0_db, monkeypatch):
                         lambda *args, **kwargs: connect(*args, factory=NoVacuum, **kwargs))
     save_snapshot(release(3), "3", v0_db)
     monkeypatch.undo()
-    assert schema(v0_db) == (2, TABLES)
+    assert schema(v0_db) == (3, TABLES)
     assert loaded_rows(load_graph("3", v0_db)) == saved_rows(release(3))
     con = connect_plain(v0_db)
     assert con.execute("PRAGMA freelist_count").fetchone()[0] > 0  # the pages stay free
