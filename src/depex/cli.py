@@ -324,6 +324,7 @@ def run_cli(argv: list[str] | None = None) -> int:
 def main() -> None:
     if hasattr(signal, "SIGPIPE"):  # a reader that goes away ends the run quietly, as for cat
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
+    sys.stdout.reconfigure(errors="surrogateescape")  # a non-UTF-8 path prints its own bytes
     sys.exit(run_cli())
 
 

@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from operator import attrgetter
-from typing import Protocol
+
+from depex.elf import ElfSummary
 
 log = logging.getLogger(__name__)
 
@@ -49,17 +50,6 @@ class Origin(Enum):
     DEFAULT_DIR = "default-dir"
     # needed names containing '/' bypass the directory search entirely
     DIRECT = "direct"
-
-
-class SearchPaths(Protocol):
-    """What the search reads of the dependent file: an ElfSummary, or the
-    scanner's record of one."""
-
-    @property
-    def rpath(self) -> str | None: ...
-
-    @property
-    def runpath(self) -> str | None: ...
 
 
 @dataclass(frozen=True)
@@ -98,8 +88,9 @@ def _split_search_value(raw: str | None, dependent_dir: str) -> list[str]:
 
 
 class Resolver:
-    """The loader's search for DT_NEEDED names, and the one canonicaliser
-    for walk spellings, search candidates, includes and multiarch listings.
+    """The loader's search for the DT_NEEDED names of a dependent file,
+    given its ElfSummary and path, and the one canonicaliser for walk
+    spellings, search candidates, includes and multiarch listings.
 
     The memo and caches assume the tree does not change while an instance
     is in use. A scan keeps one; a fresh look at the tree takes a new one."""
@@ -287,11 +278,12 @@ class Resolver:
                 if any(name.startswith("lib") and ".so" in name
                        for name in self._names(subdir))]
 
-    def search_stages(self, needed_name: str, summary: SearchPaths,
+    def search_stages(self, needed_name: str, summary: ElfSummary,
                       dependent_dir: str) -> list[tuple[Origin, str]]:
-        """(stage, directory) pairs in loader precedence order; a name with
-        '/' is opened as given, relative to the dependent's directory, and
-        DT_RPATH applies only when DT_RUNPATH is absent."""
+        """(stage, directory) pairs in loader precedence order, read from
+        summary, the dependent's ElfSummary; a name with '/' is opened as
+        given, relative to the dependent's directory, and DT_RPATH applies
+        only when DT_RUNPATH is absent."""
         if "/" in needed_name:
             return [(Origin.DIRECT, dependent_dir)]
         rpath = summary.rpath if summary.runpath is None else None
@@ -308,8 +300,10 @@ class Resolver:
                 + [(Origin.DEFAULT_DIR, d)
                    for d in [*self.config.default_dirs, *self.multiarch_dirs()]])
 
-    def resolve(self, needed_name: str, summary: SearchPaths,
+    def resolve(self, needed_name: str, summary: ElfSummary,
                 dependent_path: str) -> Resolution:
+        """Where the loader finds needed_name for the file at dependent_path,
+        whose ElfSummary is summary; answers are kept per search key."""
         # only $ORIGIN and a name with '/' read the dependent's directory
         rpath, runpath = summary.rpath, summary.runpath
         reads_dir = "/" in needed_name or "$" in (rpath or "") or "$" in (runpath or "")

@@ -7,11 +7,12 @@ symlinked or hard-linked spelling, so each file becomes one node with its
 aliases; a directory reached again by another spelling is walked from the
 listing the resolver kept. Extraction then reads each canonical file once,
 in the calling process, through a bare file descriptor: a file that starts
-with the ELF magic is parsed for its link facts (no symbol sets) and
-classified; any other file is counted in files_seen and skipped. Each
-file's extraction is a flat record of plain values (kind, soname, needed
-names, RPATH, RUNPATH or the error), so no parsed image outlives its file.
-Records are assembled into a deterministic, path-sorted node list.
+with the ELF magic is parsed for its link facts (no symbol sets),
+classified, and its needed names resolved while its summary is in hand;
+any other file is counted in files_seen and skipped. The scan keeps a
+plain tuple per ELF file (path, size, kind, soname, resolutions), so no
+parsed image outlives its file, and assembly builds the path-sorted nodes
+and their edges from those tuples in one loop.
 """
 
 from __future__ import annotations
@@ -22,10 +23,9 @@ import time
 from collections import defaultdict
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
-from depex.elf import ELF_MAGIC, ElfError, FileKind, classify_kind, parse_elf
-from depex.resolver import Resolver, SearchConfig
+from depex.elf import ELF_MAGIC, ElfError, ElfSummary, FileKind, classify_kind, parse_elf
+from depex.resolver import Resolution, Resolver, SearchConfig
 from depex.store import DependencyEdge, FileNode
 
 DEFAULT_EXCLUDES = ("/proc", "/sys", "/dev", "/run")
@@ -130,34 +130,19 @@ def _walk_regular_files(options: ScanOptions, resolver: Resolver,
         stack.extend(reversed(subdirs))
 
 
-class _Extracted(NamedTuple):
-    """What extraction learns of one file, in plain values only.
-
-    The scan holds one record per file until assembly. An ElfSummary would
-    keep its whole file alive through `image`, so holding summaries instead
-    would keep every parsed file in memory at once.
-    """
-
-    canonical: str
-    size_bytes: int
-    kind: FileKind | None = None  # None: not an ELF file, or an error
-    error: str | None = None
-    soname: str | None = None
-    needed: tuple[str, ...] = ()
-    rpath: str | None = None
-    runpath: str | None = None
-
-
-def _extract_one(canonical: str, options: ScanOptions) -> _Extracted:
-    """One read of a page gets the magic, or a small file whole; an ELF file
-    that fills the page is read whole by one pread from its start, the size
-    fstat gives, so no join copies it; one that grew since reads on to EOF."""
+def _extract_one(canonical: str, options: ScanOptions
+                 ) -> tuple[int, ElfSummary | None, str | None]:
+    """(bytes read, summary, error) of one file: no summary for a file that
+    is not ELF or fails, and an error only where it fails. One read of a
+    page gets the magic, or a small file whole; an ELF file that fills the
+    page is read whole by one pread from its start, the size fstat gives, so
+    no join copies it; one that grew since reads on to EOF."""
     try:
         fd = os.open(options.config.sysroot.rstrip("/") + canonical, os.O_RDONLY)
         try:
             data = os.read(fd, _FIRST_READ)
             if not data.startswith(ELF_MAGIC):
-                return _Extracted(canonical, len(data))
+                return len(data), None, None
             if len(data) == _FIRST_READ:
                 size = os.fstat(fd).st_size
                 data = os.pread(fd, size + 1, 0)
@@ -166,23 +151,21 @@ def _extract_one(canonical: str, options: ScanOptions) -> _Extracted:
         finally:
             os.close(fd)
     except OSError as exc:  # strerror: the text without the host path
-        return _Extracted(canonical, 0, error=f"read failed: {exc.strerror}")
+        return 0, None, f"read failed: {exc.strerror}"
     try:
-        summary = parse_elf(data)
+        return len(data), parse_elf(data), None
     except ElfError as exc:
-        return _Extracted(canonical, len(data), error=f"{type(exc).__name__}: {exc}")
+        return len(data), None, f"{type(exc).__name__}: {exc}"
     except Exception as exc:  # a parser crash must not kill the scan
-        return _Extracted(canonical, len(data),
-                          error=f"parser crashed: {type(exc).__name__}: {exc}")
-    return _Extracted(canonical, len(data), classify_kind(summary), None, summary.soname,
-                      summary.needed, summary.rpath, summary.runpath)
+        return len(data), None, f"parser crashed: {type(exc).__name__}: {exc}"
 
 
 def scan_tree(options: ScanOptions) -> ScanResult:
     """Walk the sysroot and build the node/edge sets for one snapshot.
 
-    Every step runs in the calling process: the walk, one extraction per
-    canonical file, then assembly and resolution.
+    Every step runs in the calling process: the walk, one extraction and
+    resolution per canonical file, then assembly. phase_seconds books the
+    time inside the searches to resolve, not to extract.
     """
     config = options.config
     for option, elements in (("--exclude", options.excluded_prefixes),
@@ -216,53 +199,50 @@ def scan_tree(options: ScanOptions) -> ScanResult:
             aliases[primary].add(canonical)
     walked = time.perf_counter()
 
-    counts = ScanCounts(files_seen=len(canonical_files))
-    parsed: list[_Extracted] = []
+    # (canonical, size, kind, soname, resolutions) per ELF file: its needs are
+    # resolved while its summary is in hand, and no summary, which holds its
+    # whole file in `image`, outlives the file's turn
+    files: list[tuple[str, int, FileKind, str | None, list[Resolution]]] = []
+    searching = 0.0  # the time inside the searches, booked to resolve
     for canonical in canonical_files:
-        item = _extract_one(canonical, options)
-        if item.error is not None:
-            errors.append((item.canonical, item.error))
-        elif item.kind is not None:
-            parsed.append(item)
+        size, summary, error = _extract_one(canonical, options)
+        if error is not None:
+            errors.append((canonical, error))
+        elif summary is not None:
+            kind, searched = classify_kind(summary), time.perf_counter()
+            # a repeated DT_NEEDED of the same name is one requirement
+            resolutions = [resolver.resolve(name, summary, canonical)
+                           for name in dict.fromkeys(summary.needed)]
+            searching += time.perf_counter() - searched
+            files.append((canonical, size, kind, summary.soname, resolutions))
+            del summary  # before the next file is read
     extracted = time.perf_counter()
 
-    parsed.sort(key=lambda it: it.canonical)
-    node_ids = {item.canonical: idx for idx, item in enumerate(parsed)}
+    files.sort()  # canonical paths are unique, so only they are compared
+    node_ids = {file[0]: idx for idx, file in enumerate(files)}
     nodes: list[FileNode] = []
-    for idx, item in enumerate(parsed):
-        if item.kind is FileKind.EXECUTABLE_BINARY:
-            counts.executables += 1
-        elif item.kind is FileKind.SHARED_LIBRARY:
-            counts.libraries += 1
-        nodes.append(FileNode(idx, None, item.canonical,
-                              sorted(aliases.get(item.canonical, ())), item.kind,
-                              item.soname, item.size_bytes))
-    counts.elf_parsed = len(nodes)
-    assembled = time.perf_counter()
-
     edges: list[DependencyEdge] = []
-    for item in parsed:
-        from_id = node_ids[item.canonical]
-        # a repeated DT_NEEDED of the same name is one requirement
-        for name in dict.fromkeys(item.needed):
-            resolution = resolver.resolve(name, item, item.canonical)
+    for idx, (canonical, size, kind, soname, resolutions) in enumerate(files):
+        nodes.append(FileNode(idx, None, canonical, sorted(aliases.get(canonical, ())),
+                              kind, soname, size))
+        for resolution in resolutions:
             # a hit on a hard-linked spelling lands on its primary's node; a
             # hit that is no node at all (non-ELF or excluded) would fail in
             # the loader too, so it stays an unmet requirement
             target = node_ids.get(alias_of.get(resolution.path))
-            if target is None:
-                edges.append(DependencyEdge(len(edges), None, from_id, name))
-            else:
-                edges.append(DependencyEdge(len(edges), None, from_id, name,
-                                            target, resolution.origin))
-    resolved = time.perf_counter()
+            edges.append(DependencyEdge(len(edges), None, idx, resolution.needed_name, target,
+                                        None if target is None else resolution.origin))
+    kinds = [node.kind for node in nodes]
+    counts = ScanCounts(files_seen=len(canonical_files), elf_parsed=len(nodes),
+                        executables=kinds.count(FileKind.EXECUTABLE_BINARY),
+                        libraries=kinds.count(FileKind.SHARED_LIBRARY), errors=len(errors))
+    assembled = time.perf_counter()
 
-    counts.errors = len(errors)
     return ScanResult(
         root=sysroot,
         counts=counts,
-        phase_seconds={"walk": walked - started, "extract": extracted - walked,
-                       "assemble": assembled - extracted, "resolve": resolved - assembled},
+        phase_seconds={"walk": walked - started, "extract": extracted - walked - searching,
+                       "assemble": assembled - extracted, "resolve": searching},
         nodes=nodes,
         edges=edges,
         error_records=errors,

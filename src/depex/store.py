@@ -547,8 +547,7 @@ def _read_only(db_path: str) -> Iterator[tuple[sqlite3.Connection, int]]:
         con.close()
 
 
-def save_snapshot(result: "ScanResult", label: str, db_path: str,
-                  tool_version: str | None = None) -> Snapshot:
+def save_snapshot(result: "ScanResult", label: str, db_path: str) -> Snapshot:
     """Write one scan as a snapshot, one graphs row; all-or-nothing. The
     scan's records become columns here, their ids only placing the edge ends."""
     from depex import __version__
@@ -567,7 +566,6 @@ def save_snapshot(result: "ScanResult", label: str, db_path: str,
     except (ValueError, OverflowError) as exc:
         raise StorageFailure(f"cannot store snapshot {label!r}: {exc}") from None
     scanned_at = datetime.now(timezone.utc).isoformat()
-    version = tool_version if tool_version is not None else __version__
     con = _begin(db_path)
     try:
         if con.execute("SELECT 1 FROM snapshots WHERE label = ?", (label,)).fetchone():
@@ -575,7 +573,7 @@ def save_snapshot(result: "ScanResult", label: str, db_path: str,
         snapshot_id = con.execute(
             "INSERT INTO snapshots(label, root_path, scanned_at, tool_version)"
             " VALUES (?, ?, ?, ?)", (label, result.root.encode("utf-8", "surrogateescape"),
-                                     scanned_at, version)).lastrowid
+                                     scanned_at, __version__)).lastrowid
         con.execute(_INSERT_GRAPH, (*row, snapshot_id))
         _commit(con)
     except DuplicateLabel:
@@ -584,7 +582,7 @@ def save_snapshot(result: "ScanResult", label: str, db_path: str,
         raise StorageFailure(str(exc)) from exc
     finally:
         con.close()  # which rolls back what was not committed
-    return Snapshot(snapshot_id, label, result.root, scanned_at, version)
+    return Snapshot(snapshot_id, label, result.root, scanned_at, __version__)
 
 
 def _snapshot(row: tuple) -> Snapshot:

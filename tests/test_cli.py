@@ -543,8 +543,9 @@ def test_db_env_fallback(capsys, demo_db, monkeypatch):
     assert json.loads(out)[0]["label"] == "demo"
 
 
-def depex_process(*argv, stdout):
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(depex.cli.__file__))}
+def depex_process(*argv, stdout, **env):
+    env = {**os.environ, **env,
+           "PYTHONPATH": os.path.dirname(os.path.dirname(depex.cli.__file__))}
     return subprocess.run([sys.executable, "-m", "depex.cli", *argv], stdout=stdout,
                           stderr=subprocess.PIPE, env=env, timeout=60)
 
@@ -562,6 +563,33 @@ def test_closed_stdout_ends_the_command_quietly(demo_db):
     finally:
         os.close(write_end)
     assert (closed.returncode, closed.stderr) == (-signal.SIGPIPE, b"")
+
+
+# (argv, bytes its text output holds) on a tree with non-UTF-8 names
+NON_UTF8_TEXT = [
+    (("get-deps", "/usr/bin/t\udcff"), b"libq\xfd.so\t/usr/lib/libq\xfd.so"),
+    (("who-uses", "libq\udcfd.so"), b"/usr/bin/t\xff\n"),
+    (("impact", "libq\udcfd.so"), b"  /usr/bin/t\xff\n"),
+    (("get-all-deps", "/usr/bin/t\udcff"), b"/usr/lib/libq\xfd.so"),
+    (("dot",), b'"/usr/bin/t\xff"'),
+    (("snapshots",), b"/root\xff\n"),
+]
+
+
+@pytest.mark.parametrize("argv, shown", NON_UTF8_TEXT,
+                         ids=[argv[0] for argv, _ in NON_UTF8_TEXT])
+def test_text_output_of_a_non_utf8_path_is_its_bytes(tmp_path, argv, shown):
+    # a strict UTF-8 stdout, as under en_US.UTF-8, cannot encode the lone
+    # surrogate a non-UTF-8 byte decodes to: the path's own byte is written
+    sysroot = make_demo_sysroot(SysrootBuilder(f"{tmp_path}/root\udcff"))
+    sysroot.elf("/usr/lib/libq\udcfd.so", ElfSpec(soname="libq\udcfd.so"))
+    sysroot.elf("/usr/bin/t\udcff", ElfSpec(interpreter="/lib/ld.so", needed=["libq\udcfd.so"]))
+    db = str(tmp_path / "x.db")
+    save_snapshot(scan_tree(ScanOptions(SearchConfig(sysroot.root))), "v1", db)
+    done = depex_process(*argv, "--db", db, stdout=subprocess.PIPE,
+                         PYTHONIOENCODING="utf-8:strict")
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert shown in done.stdout
 
 
 def test_bad_usage_exits_one(capsys):

@@ -5,6 +5,8 @@ import os
 import posixpath
 import random
 import stat
+import time
+import weakref
 from collections import Counter
 from typing import NamedTuple
 
@@ -12,7 +14,7 @@ import pytest
 
 import depex.elf
 import depex.scanner
-from depex.elf import DT_SYMENT, DT_SYMTAB, FileKind
+from depex.elf import DT_SYMENT, DT_SYMTAB, FileKind, classify_kind
 from depex.resolver import Origin, Resolver, SearchConfig
 from depex.scanner import RelativePath, ScanOptions, SysrootUnreadable, scan_tree
 from conftest import SysrootBuilder, make_demo_sysroot
@@ -349,25 +351,53 @@ def test_scan_builds_no_symbol_sets(demo_sysroot, monkeypatch):
     assert len(result.nodes) == 10 and result.error_records == []
 
 
-def test_extraction_record_holds_plain_values(demo_sysroot):
+def test_no_parsed_summary_outlives_its_file(demo_sysroot, monkeypatch):
+    # a summary holds its whole file in `image`: each is dead before the
+    # next file is parsed, so a scan holds one parsed file at a time
     demo_sysroot.write("/usr/lib/libbad.so", build_elf(ElfSpec(soname="libbad.so"))[:60])
     options = options_for(demo_sysroot)
+    parse_elf, summaries = depex.scanner.parse_elf, []
 
-    def plain(value):
-        if isinstance(value, tuple):
-            return all(plain(v) for v in value)
-        return value is None or type(value) in (str, int, FileKind)
+    def tracked(data):
+        assert all(ref() is None for ref in summaries)
+        summary = parse_elf(data)
+        summaries.append(weakref.ref(summary))
+        return summary
 
-    records = []
+    with monkeypatch.context() as patch:
+        patch.setattr(depex.scanner, "parse_elf", tracked)
+        result = scan_tree(options)
+    assert len(summaries) == len(result.nodes) == 10
+    assert all(ref() is None for ref in summaries)
+    assert [path for path, _ in result.error_records] == ["/usr/lib/libbad.so"]
+
+    extracted = {}
     for dirpath, _, names in os.walk(demo_sysroot.root):
         for name in names:
             canonical = os.path.join(dirpath, name)[len(demo_sysroot.root):]
-            records.append(depex.scanner._extract_one(canonical, options))
-    assert len(records) == 14  # 10 ELF files, 2 ld.so.conf files, a link, libbad
-    assert {record.kind for record in records} == {
+            extracted[canonical] = depex.scanner._extract_one(canonical, options)
+    assert len(extracted) == 14  # 10 ELF files, 2 ld.so.conf files, a link, libbad
+    assert {summary and classify_kind(summary) for _, summary, _ in extracted.values()} == {
         FileKind.EXECUTABLE_BINARY, FileKind.SHARED_LIBRARY, None}
-    assert [record.canonical for record in records if record.error] == ["/usr/lib/libbad.so"]
-    assert all(plain(record) for record in records)
+    assert [c for c, (_, _, error) in extracted.items() if error] == ["/usr/lib/libbad.so"]
+    size, summary, error = extracted["/usr/lib/libbad.so"]
+    assert (size, summary) == (60, None) and error.startswith("Truncated")
+
+
+def test_each_phase_is_booked_to_its_key(demo_sysroot, monkeypatch):
+    # the searches run in extraction's loop, but their time is resolve's
+    resolve, calls = Resolver.resolve, []
+
+    def slow(self, needed_name, *args):
+        calls.append(needed_name)
+        time.sleep(0.002)
+        return resolve(self, needed_name, *args)
+
+    monkeypatch.setattr(Resolver, "resolve", slow)
+    phases = scan_tree(options_for(demo_sysroot)).phase_seconds
+    assert list(phases) == ["walk", "extract", "assemble", "resolve"]
+    assert len(calls) > 5
+    assert phases["resolve"] >= len(calls) * 0.002 > phases["extract"]
 
 
 def test_resolved_target_outside_graph_downgraded_to_missing(sysroot):

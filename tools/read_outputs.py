@@ -143,7 +143,7 @@ def scans(src: str, where: str) -> None:
                     out.write(f"edge {paths[e.from_node]} {e.needed_name} {target} {origin}\n")
                 for path, message in r.error_records:
                     out.write(f"error {path} {message}\n")
-                snapshot = save_snapshot(r, label, db, tool_version="0")
+                snapshot = save_snapshot(r, label, db)
                 g = load_graph(snapshot.label, db)
                 out.write(f"saved {g.snapshot.id} {g.snapshot.label} {g.snapshot.root_path}\n")
                 for p, path in enumerate(g.paths):
