@@ -35,8 +35,8 @@ from depex.resolver import DEFAULT_DIRS, SearchConfig
 from depex.scanner import (RelativePath, ScanOptions, SysrootUnreadable,
                            scan_tree)
 from depex.store import (DependencyGraph, DuplicateLabel, StorageFailure,
-                         UnknownLabel, UnknownNode, UnreadableDatabase,
-                         list_snapshots, load_graph, save_snapshot)
+                         UnknownLabel, UnknownNode, UnreadableDatabase, list_snapshots,
+                         load_graph, require_new_label, save_snapshot)
 
 USER_ERROR, INTERNAL_ERROR = 1, 2
 
@@ -198,6 +198,7 @@ def _cmd_scan(args) -> int:
     )
     options = ScanOptions(config, follow_symlinks=not args.no_follow_symlinks)
     options.excluded_prefixes.extend(args.exclude)
+    require_new_label(args.label, db)  # a save that would be refused is refused first
     result = scan_tree(options)
     snapshot = save_snapshot(result, args.label, db)
     c = result.counts

@@ -11,20 +11,23 @@ save_snapshot turns a scan's records into columns and packs them, with
 no graph built. Node and edge ids are positions, and a scan's ids come
 back from save_snapshot and load_graph unchanged.
 
-Schema version 3 (PRAGMA user_version) stores a snapshot's graph as
+Schema version 4 (PRAGMA user_version) stores a snapshot's graph as
 those columns: one `graphs` row of BLOBs (see _COLUMNS), keyed by the
 snapshot's id, whose three text columns are zlib streams and whose eight
 integer columns are each one width code byte, then the values at the
-narrowest signed width that holds them all; a snapshot's root is a BLOB,
-so that any path round-trips. A load reads that one row and checks and
-decodes each column in one pass. Older databases are read as they are: a
-version 2 row holds one-byte kinds and origins and int32 or int64 other
-integers, a version 1 row plain text and int32 kinds and origins too, and
-a version 0 database a row per node, alias and dependency in `files`,
-`file_aliases` and `deps`. The first save into any of them converts every
-snapshot to a version 3 row (and drops version 0's tables) in that save's
-transaction, then runs VACUUM once to give the freed pages back. A depex
-that reads only versions 0 to 2 refuses a version 3 file.
+narrowest signed width that holds them all, that too a zlib stream in all
+but names and dst; src holds each node's out-degree, as the edges come
+grouped by source. A snapshot's root is a BLOB, so that any path
+round-trips. A load reads that one row and checks and decodes each column
+in one pass. Older databases are read as they are: a version 3 row holds
+plain integer columns and each edge's source in src, a version 2 row
+one-byte kinds and origins and int32 or int64 other integers, a version 1
+row plain text and int32 kinds and origins too, and a version 0 database a
+row per node, alias and dependency in `files`, `file_aliases` and `deps`.
+The first save into any of them converts every snapshot to a version 4
+row (and drops version 0's tables) in that save's transaction, then runs
+VACUUM once to give the freed pages back. A depex that reads only versions
+0 to 3 refuses a version 4 file.
 """
 
 from __future__ import annotations
@@ -35,12 +38,13 @@ import sqlite3
 import sys
 import zlib
 from array import array
+from collections import Counter
 from collections.abc import Collection, Mapping
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 from operator import itemgetter
 from typing import TYPE_CHECKING, Iterator
 from urllib.parse import quote
@@ -238,20 +242,23 @@ class DependencyGraph:
 
 
 # The BLOB columns of a graphs row, in table order, each with its type
-# code in schema versions 1, 2 and 3: a string list ("s": UTF-8 with
+# code in schema versions 1, 2, 3 and 4: a string list ("s": UTF-8 with
 # surrogateescape, so any path or ELF string round-trips, each string
 # ended by NUL, which no C string holds; "z": that text as a zlib stream),
 # a little-endian array of int8 ("b"), int32 ("i") or int64 ("q"), or one
 # ("w") whose first byte is its width code, b, h (int16), i or q, the
-# narrowest that holds every value. kinds, sonames, names and origins index
-# the snapshot's distinct strings (-1: None), which _pack lists kind and
-# origin values first, so that their codes fit in a byte; src, dst (-1:
-# unresolved) and alias_nodes are node positions.
-_COLUMNS = (("strings", "szz"), ("paths", "szz"), ("kinds", "ibw"), ("sonames", "iiw"),
-            ("sizes", "qqw"), ("alias_nodes", "iiw"), ("aliases", "szz"),
-            ("src", "iiw"), ("names", "iiw"), ("dst", "iiw"), ("origins", "ibw"))
+# narrowest that holds every value ("c": that as a zlib stream). kinds,
+# sonames, names and origins index the snapshot's distinct strings (-1:
+# None), which _pack lists kind and origin values first, so that their codes
+# fit in a byte; dst (-1: unresolved) and alias_nodes are node positions,
+# and so is src up to version 3; a version 4 src ("d": a "c" column) holds
+# each node's out-degree, which places the edges, grouped by source.
+# names and dst stay plain: near-random indexes hardly deflate.
+_COLUMNS = (("strings", "szzz"), ("paths", "szzz"), ("kinds", "ibwc"), ("sonames", "iiwc"),
+            ("sizes", "qqwc"), ("alias_nodes", "iiwc"), ("aliases", "szzz"),
+            ("src", "iiwd"), ("names", "iiww"), ("dst", "iiww"), ("origins", "ibwc"))
 _NAMES = ", ".join(name for name, _ in _COLUMNS)
-_VERSION = 3
+_VERSION = 4
 _SCHEMA = ("""CREATE TABLE IF NOT EXISTS snapshots(
     id INTEGER PRIMARY KEY,
     label TEXT NOT NULL UNIQUE,
@@ -323,14 +330,16 @@ def _pack(paths, kinds, sonames, sizes, aliases, src, names, dst, origins) -> li
     index = {None: -1, **{s: i for i, s in enumerate(strings)}}
     kinds, origins, sonames, names = (list(map(index.__getitem__, c)) for c in coded)
     aliases = list(aliases.items())
+    degrees = list(map(Counter(src).__getitem__, range(len(paths))))  # src comes grouped
     values = (strings, paths, kinds, sonames, sizes, [p for p, group in aliases for _ in group],
-              [a for _, group in aliases for a in group], src, names, dst, origins)
-    return [_pack_strings(v) if codes[-1] == "z" else _pack_ints(v)
+              [a for _, group in aliases for a in group], degrees, names, dst, origins)
+    return [_pack_strings(v) if codes[-1] == "z" else
+            zlib.compress(_pack_ints(v), 1) if codes[-1] in "cd" else _pack_ints(v)
             for (_, codes), v in zip(_COLUMNS, values)]
 
 
 def _unpack(row: tuple, version: int) -> list:
-    """The columns of one version 1, 2 or 3 graphs row, as DependencyGraph
+    """The columns of one version 1 to 4 graphs row, as DependencyGraph
     takes them, each checked and decoded in one pass; ValueError names the
     first column that does not fit the others."""
     columns = {}
@@ -339,13 +348,13 @@ def _unpack(row: tuple, version: int) -> list:
         try:
             if type(blob) is not bytes:
                 raise ValueError("it holds no BLOB")
-            if code == "z":  # zlib.decompress would ignore bytes after the stream
+            if code in "zcd":  # zlib.decompress would ignore bytes after the stream
                 inflate = zlib.decompressobj()
                 text = inflate.decompress(blob)
                 if inflate.unused_data:
                     raise ValueError(f"{len(inflate.unused_data)} bytes follow its zlib stream")
                 blob = text if inflate.eof else zlib.decompress(blob)  # names a cut stream
-            elif code == "w":
+            if code in "wcd":
                 if not blob:
                     raise ValueError("it holds no width code")
                 code, blob = blob[:1].decode("latin-1"), blob[1:]
@@ -354,14 +363,22 @@ def _unpack(row: tuple, version: int) -> list:
             columns[name] = _unpack_strings(blob) if code in "sz" else _unpack_ints(code, blob)
         except (ValueError, zlib.error) as exc:
             raise ValueError(f"column {name}: {exc}") from None
-    n, m = len(columns["paths"]), len(columns["src"])
+    by_degree = dict(_COLUMNS)["src"][version - 1] == "d"
+    n, m = len(columns["paths"]), len(columns["names" if by_degree else "src"])
     for name, length in (("kinds", n), ("sonames", n), ("sizes", n), ("names", m), ("dst", m),
-                         ("origins", m), ("alias_nodes", len(columns["aliases"]))):
+                         ("origins", m), ("alias_nodes", len(columns["aliases"])),
+                         ("src", n if by_degree else m)):
         if len(columns[name]) != length:
             raise ValueError(f"column {name} holds {len(columns[name])} values, not {length}")
     _require_unique(columns["paths"], "column paths: path")
     sizes, src, dst = (columns[name].tolist() for name in ("sizes", "src", "dst"))
-    grouped = src == sorted(src)  # sorted finds a grouped column one run
+    if by_degree:  # node p is the source of the next src[p] edges: grouped and in bounds
+        if src and min(src) < 0:
+            raise ValueError("column src holds a negative out-degree")
+        if sum(src) != m:
+            raise ValueError(f"column src holds out-degrees that sum to {sum(src)}, not {m}")
+        src = list(chain.from_iterable(map(repeat, range(n), src)))
+    grouped = by_degree or src == sorted(src)  # sorted finds a grouped column one run
     for name, values, low, high in (
             ("sizes", sizes and [min(sizes)], 0, 1 << 63),  # an int64 is below 2**63
             ("alias_nodes", columns["alias_nodes"], 0, n), ("dst", dst, -1, n),
@@ -442,7 +459,7 @@ def _read(con: sqlite3.Connection, snap: Snapshot, version: int) -> list:
 
 
 def _convert(con: sqlite3.Connection, version: int) -> None:
-    """Store every snapshot of a version 0, 1 or 2 database as a version 3
+    """Store every snapshot of a version 0 to 3 database as a version 4
     graphs row, read as a load reads it, and drop version 0's tables; one
     step from each older version. Nothing for a new file."""
     if version == 0 and con.execute(
@@ -462,7 +479,7 @@ def _convert(con: sqlite3.Connection, version: int) -> None:
 
 
 def _begin(db_path: str) -> sqlite3.Connection:
-    """A writable connection in a BEGIN IMMEDIATE transaction on a version 3
+    """A writable connection in a BEGIN IMMEDIATE transaction on a version 4
     database: a new file gets the tables and an older database is
     converted, both inside the transaction, so a rollback undoes them.
     UnreadableDatabase for a file that is no depex database, StorageFailure
@@ -538,6 +555,8 @@ def _read_only(db_path: str) -> Iterator[tuple[sqlite3.Connection, int]]:
                 recovery.execute("PRAGMA schema_version")
             finally:
                 recovery.close()
+        except sqlite3.DatabaseError as exc:  # a file that is no database at all
+            raise UnreadableDatabase(f"cannot open database {db_path!r}: {exc}") from None
         version, = con.execute("PRAGMA user_version").fetchone()
         _check_version(version, db_path)
         yield con, version
@@ -545,6 +564,16 @@ def _read_only(db_path: str) -> Iterator[tuple[sqlite3.Connection, int]]:
         raise UnreadableDatabase(f"cannot read database {db_path!r}: {exc}") from None
     finally:
         con.close()
+
+
+def require_new_label(label: str, db_path: str) -> None:
+    """DuplicateLabel if the database holds label, read-only, so that a scan
+    is refused before it starts; an absent or empty file, or one without
+    depex's tables, holds none. UnreadableDatabase as for a read."""
+    if os.path.isfile(db_path) and os.path.getsize(db_path):
+        with _read_only(db_path) as (con, _), suppress(sqlite3.OperationalError):
+            if con.execute("SELECT 1 FROM snapshots WHERE label = ?", (label,)).fetchone():
+                raise DuplicateLabel(label)  # no snapshots table, or no answer: the save checks
 
 
 def save_snapshot(result: "ScanResult", label: str, db_path: str) -> Snapshot:

@@ -112,3 +112,10 @@ def v2_db(tmp_path) -> str:
     """A version 2 database (see tests/data/v2.sql): snapshots 'demo' and
     '1', of which 'demo' is the latest."""
     return database_from_dump(tmp_path, "v2")
+
+
+@pytest.fixture
+def v3_db(tmp_path) -> str:
+    """A version 3 database (see tests/data/v3.sql): snapshots 'demo' and
+    '1', of which 'demo' is the latest."""
+    return database_from_dump(tmp_path, "v3")

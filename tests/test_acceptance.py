@@ -366,7 +366,9 @@ def dump_db_rows(db: str, label: str):
     """The snapshot's stored files, aliases and deps, decoded from its
     graphs row by this test alone: zlib streams of NUL-terminated UTF-8
     strings, and little-endian integer arrays, each after one byte that
-    names its width (b, h, i or q: 1, 2, 4 or 8 bytes), -1 standing for None."""
+    names its width (b, h, i or q: 1, 2, 4 or 8 bytes), -1 standing for None,
+    all but names and dst inside a zlib stream; src holds each node's
+    out-degree, the edges being grouped by source."""
     con = sqlite3.connect(db)
     try:
         cur = con.execute("SELECT graphs.* FROM graphs JOIN snapshots"
@@ -379,8 +381,9 @@ def dump_db_rows(db: str, label: str):
         return zlib.decompress(row[name]).decode("utf-8", "surrogateescape").split("\0")[:-1]
 
     def ints(name):
-        width = row[name][:1].decode()
-        column = array(width, row[name][1:])
+        blob = row[name] if name in ("names", "dst") else zlib.decompress(row[name])
+        width = blob[:1].decode()
+        column = array(width, blob[1:])
         assert column.itemsize == {"b": 1, "h": 2, "i": 4, "q": 8}[width]
         if sys.byteorder == "big":
             column.byteswap()
@@ -396,8 +399,9 @@ def dump_db_rows(db: str, label: str):
              for path, kind, soname in zip(paths, ints("kinds"), ints("sonames"))}
     aliases = {(paths[p], alias) for p, alias in zip(ints("alias_nodes"), strings("aliases"))}
     deps = {(paths[src], table[name], None if dst == -1 else paths[dst], text(origin))
-            for src, name, dst, origin in zip(ints("src"), ints("names"), ints("dst"),
-                                              ints("origins"))}
+            for src, name, dst, origin in zip(
+                [p for p, degree in enumerate(ints("src")) for _ in range(degree)],
+                ints("names"), ints("dst"), ints("origins"))}
     return files, aliases, deps
 
 

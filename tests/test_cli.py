@@ -245,8 +245,8 @@ READ_COMMANDS = (["stats"], ["snapshots"], ["who-uses", "libc.so.6"],
                  ["impact", "libc.so.6"], ["dot"], ["evolve"])
 
 
-def test_read_commands_do_not_modify_db(capsys, demo_db, v1_db, v2_db):
-    for db in (demo_db, v1_db, v2_db):  # version 3, and older ones that a save would convert
+def test_read_commands_do_not_modify_db(capsys, demo_db, v1_db, v2_db, v3_db):
+    for db in (demo_db, v1_db, v2_db, v3_db):  # version 4, and older ones a save would convert
         before = db_hash(db)
         for argv in READ_COMMANDS:
             code, _, _ = run(capsys, *argv, "--db", db)
@@ -308,10 +308,11 @@ def converting_keeps_every_answer(capsys, db: str, tmp_path) -> None:
     shutil.copy(db, converted)
     open_db(converted).close()
     con = sqlite3.connect(converted)
-    assert con.execute("PRAGMA user_version").fetchone() == (3,)
+    assert con.execute("PRAGMA user_version").fetchone() == (4,)
     con.close()
     assert freelist_count(converted) == 0
-    assert len(graphs_row(converted, "demo")["kinds"]) == 11  # a width code, a byte per node
+    # a width code, a byte per node
+    assert len(zlib.decompress(graphs_row(converted, "demo")["kinds"])) == 11
     for argv in (["snapshots"], ["snapshots", "--json"]):
         assert run(capsys, *argv, "--db", converted) == run(capsys, *argv, "--db", db)
     labels = ("demo", "1")
@@ -324,6 +325,10 @@ def test_converting_a_v1_db_keeps_every_answer(capsys, v1_db, tmp_path):
 
 def test_converting_a_v2_db_keeps_every_answer(capsys, v2_db, tmp_path):
     converting_keeps_every_answer(capsys, v2_db, tmp_path)
+
+
+def test_converting_a_v3_db_keeps_every_answer(capsys, v3_db, tmp_path):
+    converting_keeps_every_answer(capsys, v3_db, tmp_path)
 
 
 def test_read_commands_create_no_database(capsys, tmp_path):
@@ -359,6 +364,45 @@ def test_scan_into_non_database_file_fails_cleanly(capsys, demo_sysroot, tmp_pat
                        "--label", "v1", "--db", str(tmp_path / "absent" / "x.db"))
     assert code == 1
     assert err.startswith("depex: cannot open database")
+
+
+def test_scan_refuses_what_its_save_would_before_it_walks_the_tree(capsys, demo_db, tmp_path,
+                                                                   monkeypatch):
+    def no_walk(options):
+        raise AssertionError("the tree was walked")
+
+    monkeypatch.setattr(depex.cli, "scan_tree", no_walk)
+    junk = tmp_path / "notes.txt"
+    junk.write_bytes(b"hello")
+    newer = str(tmp_path / "newer.db")
+    shutil.copy(demo_db, newer)
+    con = sqlite3.connect(newer)
+    con.execute("PRAGMA user_version = 5")
+    con.close()
+    for db, message in ((demo_db, "depex: snapshot label already exists: demo\n"),
+                        (str(junk), f"depex: cannot open database {str(junk)!r}: "),
+                        (newer, f"depex: database {newer!r} has schema version 5;")):
+        before = db_hash(db)
+        code, out, err = run(capsys, "scan", "--sysroot", str(tmp_path), "--label", "demo",
+                             "--db", db)
+        assert (code, out) == (1, ""), db
+        assert err.startswith(message), err
+        assert db_hash(db) == before
+
+
+@pytest.mark.parametrize("content", ["empty", "foreign"])
+def test_scan_saves_into_an_empty_file_or_one_without_depex_tables(capsys, demo_sysroot,
+                                                                   tmp_path, content):
+    db = tmp_path / "x.db"
+    db.write_bytes(b"")
+    if content == "foreign":
+        con = sqlite3.connect(db)
+        con.execute("CREATE TABLE notes(text TEXT)")
+        con.close()
+    code, out, err = run(capsys, "scan", "--sysroot", demo_sysroot.root, "--label", "demo",
+                         "--db", str(db))
+    assert (code, err) == (0, "") and "12 files seen" in out
+    assert len(load_graph("demo", str(db)).paths) == 10
 
 
 def test_scan_bad_sysroot(capsys, tmp_path):
@@ -843,8 +887,47 @@ def test_corrupt_v2_graphs_row_is_unreadable(capsys, v2_db, case):
 
 
 @pytest.mark.parametrize("case", CORRUPT_V3)
-def test_corrupt_v3_graphs_row_is_unreadable(capsys, demo_db, case):
-    corrupt_graphs_row_is_unreadable(capsys, demo_db, *CORRUPT_V3[case])
+def test_corrupt_v3_graphs_row_is_unreadable(capsys, v3_db, case):
+    corrupt_graphs_row_is_unreadable(capsys, v3_db, *CORRUPT_V3[case])
+
+
+def deflated_set(row: dict, column: str, index: int, change) -> dict:
+    """A version 4 deflated integer column with its value at index changed
+    by change, at its own width."""
+    blob = zlib.decompress(row[column])
+    values = ints(blob[1:], blob[:1].decode())
+    values[index] = change(values[index])
+    return {column: zlib.compress(blob[:1] + as_blob(values, blob[:1].decode()), 1)}
+
+
+# the same on a version 4 row, whose src holds each node's out-degree and
+# whose integer columns but names and dst are zlib streams of a version 3
+# column; the demo tree's first node (/opt/app/bin/app) has one edge
+CORRUPT_V4 = {
+    "out-degrees one short of the edges": (
+        lambda r: deflated_set(r, "src", 0, lambda d: d - 1),
+        "column src holds out-degrees that sum to 9, not 10"),
+    "out-degrees one over the edges": (
+        lambda r: deflated_set(r, "src", 0, lambda d: d + 1),
+        "column src holds out-degrees that sum to 11, not 10"),
+    "a negative out-degree": (lambda r: deflated_set(r, "src", 0, lambda d: -1),
+                              "column src holds a negative out-degree"),
+    "an out-degree too few": (  # a byte per out-degree on the demo tree
+        lambda r: {"src": zlib.compress(zlib.decompress(r["src"])[:-1], 1)},
+        "column src holds 9 values, not 10"),
+    "a byte after a deflated column": (lambda r: {"origins": r["origins"] + b"\0"},
+                                       "column origins: 1 bytes follow its zlib stream"),
+    "a cut deflated column": (lambda r: {"src": r["src"][:-4]},
+                              "column src: Error -5 while decompressing data"),
+    "an unknown width code inside a stream": (
+        lambda r: {"kinds": zlib.compress(b"l" + zlib.decompress(r["kinds"])[1:], 1)},
+        "column kinds: its width code 'l' is none of b, h, i, q"),
+}
+
+
+@pytest.mark.parametrize("case", CORRUPT_V4)
+def test_corrupt_v4_graphs_row_is_unreadable(capsys, demo_db, case):
+    corrupt_graphs_row_is_unreadable(capsys, demo_db, *CORRUPT_V4[case])
 
 
 EMPTY_ROW = dict.fromkeys(["executables", "libraries", "dependencies", "missing", "unused",

@@ -204,12 +204,12 @@ def test_newer_schema_version_is_unreadable(tmp_path):
     db = db_file(tmp_path)
     save_snapshot(small_result(), "s1", db)
     con = sqlite3.connect(db)
-    con.execute("PRAGMA user_version = 4")
+    con.execute("PRAGMA user_version = 5")
     con.close()
     before = file_hash(db)
     for call in (lambda: list_snapshots(db), lambda: load_graph("s1", db),
                  lambda: save_snapshot(small_result(), "s2", db)):
-        with pytest.raises(UnreadableDatabase, match="schema version 4"):
+        with pytest.raises(UnreadableDatabase, match="schema version 5"):
             call()
     assert file_hash(db) == before
 
@@ -464,7 +464,7 @@ def test_old_schema_database_loads_the_same_and_migrates_on_save(v0_db, demo_sys
     save_snapshot(scan_tree(ScanOptions(SearchConfig(demo_sysroot.root))), "demo", new_db)
     for k in (1, 2):
         save_snapshot(release(k), str(k), new_db)
-    assert schema(new_db) == (3, TABLES)
+    assert schema(new_db) == (4, TABLES)
     version, tables = schema(v0_db)
     assert version == 0 and {"files", "file_aliases", "deps"} <= tables
 
@@ -483,7 +483,7 @@ def test_old_schema_database_loads_the_same_and_migrates_on_save(v0_db, demo_sys
     assert file_hash(v0_db) == before
 
     save_snapshot(release(3), "3", v0_db)
-    assert schema(v0_db) == (3, TABLES)
+    assert schema(v0_db) == (4, TABLES)
     con = connect_plain(v0_db)
     assert con.execute("SELECT snapshot_id FROM graphs ORDER BY 1").fetchall() == \
         [(1,), (2,), (3,), (4,)]
@@ -509,14 +509,15 @@ def older_database_loads_the_same_and_converts_on_save(db, version, demo_sysroot
     assert file_hash(db) == before
 
     save_snapshot(release(2), "2", db)
-    assert schema(db) == (3, TABLES)
+    assert schema(db) == (4, TABLES)
     for label, dump in loaded.items():
         assert graph_dump(load_graph(label, db)) == dump
     assert loaded_rows(load_graph("2", db)) == saved_rows(release(2))
     con = connect_plain(db)
-    # a width code, then a byte per node and per edge
-    assert con.execute("SELECT length(kinds), length(origins) FROM graphs ORDER BY snapshot_id"
-                       ).fetchall() == [(11, 11), (8, 10), (8, 10)]
+    # a width code, then a byte per node and per edge, in a zlib stream
+    assert [(len(zlib.decompress(kinds)), len(zlib.decompress(origins))) for kinds, origins
+            in con.execute("SELECT kinds, origins FROM graphs ORDER BY snapshot_id")] == \
+        [(11, 11), (8, 10), (8, 10)]
     assert con.execute("PRAGMA freelist_count").fetchone() == (0,)
     con.close()
 
@@ -527,6 +528,10 @@ def test_v1_database_loads_the_same_and_converts_on_save(v1_db, demo_sysroot, tm
 
 def test_v2_database_loads_the_same_and_converts_on_save(v2_db, demo_sysroot, tmp_path):
     older_database_loads_the_same_and_converts_on_save(v2_db, 2, demo_sysroot, tmp_path)
+
+
+def test_v3_database_loads_the_same_and_converts_on_save(v3_db, demo_sysroot, tmp_path):
+    older_database_loads_the_same_and_converts_on_save(v3_db, 3, demo_sysroot, tmp_path)
 
 
 def test_a_v1_row_that_does_not_decode_stops_the_save_that_would_convert_it(v1_db):
@@ -549,11 +554,12 @@ def width_coded(blob: bytes) -> tuple[str, list[int]]:
     return column.typecode, column.tolist()
 
 
-def test_v3_row_layout(demo_sysroot, tmp_path):
+def test_v4_row_layout(demo_sysroot, tmp_path):
     # the three text columns inflate to NUL-terminated UTF-8; each integer
     # column is its width code, then its values at the narrowest width that
-    # holds them; each kind and origin is a code into strings, whose kinds
-    # and origins come first
+    # holds them, and all but names and dst are a zlib stream of that; src
+    # holds each node's out-degree; each kind and origin is a code into
+    # strings, whose kinds and origins come first
     db = db_file(tmp_path)
     result = scan_tree(ScanOptions(SearchConfig(demo_sysroot.root)))
     save_snapshot(result, "demo", db)
@@ -569,18 +575,24 @@ def test_v3_row_layout(demo_sysroot, tmp_path):
         b"".join(n.canonical_path.encode() + b"\0" for n in result.nodes)
     assert zlib.decompress(row["aliases"]) == \
         b"".join(a.encode() + b"\0" for n in result.nodes for a in n.alias_paths)
-    ints = {name: width_coded(row[name]) for name in
+    ints = {name: width_coded(row[name] if name in ("names", "dst") else
+                              zlib.decompress(row[name])) for name in
             ("kinds", "sonames", "sizes", "alias_nodes", "src", "names", "dst", "origins")}
     # sizes of 801-934 bytes need two; the demo tree's other integers fit in one
     assert {name: code for name, (code, _) in ints.items()} == {
         **dict.fromkeys(ints, "b"), "sizes": "h"}
-    assert (len(row["kinds"]), len(row["origins"])) == (len(result.nodes) + 1,
-                                                        len(result.edges) + 1)
+    assert (len(zlib.decompress(row["kinds"])), len(zlib.decompress(row["origins"]))) == \
+        (len(result.nodes) + 1, len(result.edges) + 1)
     assert [strings[k] for k in ints["kinds"][1]] == [n.kind.value.encode() for n in result.nodes]
     assert [o >= 0 and strings[o] for o in ints["origins"][1]] == \
         [o is not None and o.value.encode() for o in graph.origins]
     assert ints["sizes"][1] == [n.size_bytes for n in result.nodes] == graph.sizes
-    assert (ints["src"][1], ints["dst"][1]) == (graph.src, graph.dst)
+    degrees = ints["src"][1]
+    assert len(degrees) == len(result.nodes) and 0 in degrees
+    assert [p for p, degree in enumerate(degrees) for _ in range(degree)] == graph.src
+    assert degrees == [sum(e.from_node == p for e in result.edges)
+                       for p in range(len(result.nodes))]
+    assert ints["dst"][1] == graph.dst
 
 
 @pytest.mark.parametrize("values, code", [
@@ -598,7 +610,8 @@ def test_integer_column_takes_the_narrowest_width(values, code):
 @pytest.mark.parametrize("nodes, node_code", [(128, "b"), (129, "h")])
 def test_width_boundaries_round_trip(tmp_path, size, code, nodes, node_code):
     # the largest size sets the sizes column's width; the last node's
-    # position, 127 or 128, sets src's and dst's
+    # position, 127 or 128, sets dst's; each node has one out-edge, so src,
+    # the out-degrees, is int8
     db = db_file(tmp_path)
     result = FakeResult(
         [FileNode(p, None, f"/lib/lib{p}.so", [], FileKind.SHARED_LIBRARY, f"lib{p}.so",
@@ -607,9 +620,30 @@ def test_width_boundaries_round_trip(tmp_path, size, code, nodes, node_code):
          for p in range(nodes)])
     save_snapshot(result, "s", db)
     con = connect_plain(db)
-    row = con.execute("SELECT sizes, src, dst FROM graphs").fetchone()
+    sizes, src, dst = con.execute("SELECT sizes, src, dst FROM graphs").fetchone()
     con.close()
-    assert [width_coded(blob)[0] for blob in row] == [code, node_code, node_code]
+    assert [width_coded(blob)[0] for blob in (zlib.decompress(sizes), zlib.decompress(src),
+                                              dst)] == [code, "b", node_code]
+    assert width_coded(zlib.decompress(src))[1] == [1] * nodes
+    assert loaded_rows(load_graph("s", db)) == saved_rows(result)
+
+
+@pytest.mark.parametrize("degree, code", [(127, "b"), (128, "h")])
+def test_out_degree_width_boundary_round_trips(tmp_path, degree, code):
+    # the first of two nodes needs the second under DEGREE names, so its
+    # out-degree alone sets src's width; dst, all 1, stays int8
+    db = db_file(tmp_path)
+    result = FakeResult(
+        [FileNode(p, None, f"/lib/lib{p}.so", [], FileKind.SHARED_LIBRARY, f"lib{p}.so", p)
+         for p in range(2)],
+        [DependencyEdge(e, None, 0, f"lib1.so.{e}", 1, Origin.DEFAULT_DIR)
+         for e in range(degree)])
+    save_snapshot(result, "s", db)
+    con = connect_plain(db)
+    src, dst = con.execute("SELECT src, dst FROM graphs").fetchone()
+    con.close()
+    assert width_coded(zlib.decompress(src)) == (code, [degree, 0])
+    assert width_coded(dst) == ("b", [1] * degree)
     assert loaded_rows(load_graph("s", db)) == saved_rows(result)
 
 
@@ -626,7 +660,7 @@ def test_a_failed_vacuum_after_a_conversion_keeps_the_save(v0_db, monkeypatch):
                         lambda *args, **kwargs: connect(*args, factory=NoVacuum, **kwargs))
     save_snapshot(release(3), "3", v0_db)
     monkeypatch.undo()
-    assert schema(v0_db) == (3, TABLES)
+    assert schema(v0_db) == (4, TABLES)
     assert loaded_rows(load_graph("3", v0_db)) == saved_rows(release(3))
     con = connect_plain(v0_db)
     assert con.execute("PRAGMA freelist_count").fetchone()[0] > 0  # the pages stay free

@@ -32,7 +32,8 @@ with a `reads.json` that names the copy, and converts the copy to SRC's
 storage format with one `open_db` call, so that `dump SRC COPY` reads a
 converted older database. `size` prints the database's bytes, its
 dependency edges over every snapshot (as SRC loads them) and the bytes
-per edge.
+per edge, then each `graphs` column's bytes over every snapshot, read
+with sqlite3 itself, so for any schema version (none for version 0).
 
 `build-trees` writes the test suite's demo tree, perfbench's seed-1
 scan-distro tree and a small conf tree under WHERE. The conf tree's four
@@ -61,8 +62,10 @@ import io
 import json
 import os
 import shutil
+import sqlite3
 import sys
 import tempfile
+from pathlib import Path
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 READS = (["stats", "--json"], ["stats"], ["dot"], ["dot", "--hide-top", "12"],
@@ -177,6 +180,15 @@ def size(src: str, where: str) -> None:
     edges = sum(len(load_graph(s.label, db).src) for s in list_snapshots(db))
     nbytes = os.path.getsize(db)
     print(f"{nbytes} B, {edges} edges, {nbytes / max(edges, 1):.2f} B/edge")
+    # sqlite3 itself reads the graphs table of any schema version
+    con = sqlite3.connect(Path(db).absolute().as_uri() + "?mode=ro", uri=True)
+    try:
+        columns = [row[1] for row in con.execute("PRAGMA table_info(graphs)")][1:]
+        for name in columns:
+            total, = con.execute(f"SELECT total(length({name})) FROM graphs").fetchone()
+            print(f"column {name}: {int(total)} B")
+    finally:
+        con.close()
 
 
 def dump(src: str, where: str) -> None:
