@@ -9,6 +9,7 @@ something a human can read.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
@@ -52,8 +53,8 @@ def dot_chunks(graph: DependencyGraph, options: DotOptions | None = None) -> Ite
     order = sorted(visible, key=paths.__getitem__)
     quoted = {p: _quote(paths[p]) for p in order}  # each visible path, quoted once
     # one synthetic node per distinct unresolved name keeps breakage visible
-    missing_shown = sorted({name for s, name, d in zip(graph.src, graph.names, graph.dst)
-                            if d < 0 and s in visible})
+    missing_shown = sorted({graph.names[e] for e, d in enumerate(graph.dst)
+                            if d < 0 and bisect_right(graph.out_start, e) - 1 in visible})
     yield "digraph dependencies {\n"
     yield "".join(f"    {quoted[p]} [shape={_SHAPES.get(graph.kinds[p], 'ellipse')}];\n"
                   for p in order)

@@ -14,8 +14,9 @@ never-imported node then costs one OR per out-edge, not one DFS.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import compress, count, repeat
 from operator import is_, is_not, not_
 
 from depex.elf import FileKind
@@ -24,8 +25,7 @@ from depex.store import DependencyGraph
 
 def direct_coupling(graph: DependencyGraph, node_id: int) -> int:
     """Number of libraries the file names explicitly, resolved or not."""
-    p = graph.require(node_id)
-    return graph.out_start[p + 1] - graph.out_start[p]
+    return graph.degrees[graph.require(node_id)]
 
 
 def recursive_coupling(graph: DependencyGraph, node_id: int) -> int:
@@ -138,12 +138,12 @@ class HealthReport:
 
 
 def health(graph: DependencyGraph) -> HealthReport:
-    names, kinds, start = graph.names, graph.kinds, graph.in_start
+    names, kinds, start, out_start = graph.names, graph.kinds, graph.in_start, graph.out_start
     unresolved = [d < 0 for d in graph.dst]
     resolved_names = set(compress(names, map(not_, unresolved)))
     libraries = compress(range(len(kinds)), map(is_, kinds, repeat(FileKind.SHARED_LIBRARY)))
     return HealthReport(set(compress(names, unresolved)) - resolved_names,
-                        set(compress(graph.src, unresolved)),
+                        {bisect_right(out_start, e) - 1 for e in compress(count(), unresolved)},
                         {p for p in libraries if start[p] == start[p + 1]})
 
 
@@ -166,15 +166,15 @@ def stats_summary(graph: DependencyGraph) -> StatsSummary:
     Recursive coupling comes from closure_sizes: O(V + E) plus one OR of
     at most core-size bits per edge, not a DFS per node at O(V * (V + E)).
     """
-    kinds, start = graph.kinds, graph.out_start
+    kinds = graph.kinds
     population = list(compress(range(len(kinds)), map(is_not, kinds, repeat(FileKind.ELF_OTHER))))
     report = health(graph)
-    directs = [start[p + 1] - start[p] for p in population]
+    directs = list(map(graph.degrees.__getitem__, population))
     recursives = list(map(closure_sizes(graph).__getitem__, population))
     return StatsSummary(
         executables=kinds.count(FileKind.EXECUTABLE_BINARY),
         libraries=kinds.count(FileKind.SHARED_LIBRARY),
-        dependencies=len(graph.src),
+        dependencies=len(graph.names),
         missing=len(report.missing_names),
         unused=len(report.unused_libraries),
         avg_direct=round(sum(directs) / len(population), 2) if population else 0.0,

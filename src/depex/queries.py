@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import compress, count, repeat
 from operator import eq
 
 from depex.elf import FileKind
@@ -40,8 +41,8 @@ def who_uses(graph: DependencyGraph, node_id: int, transitive: bool = False) -> 
     """Files that depend on this one, directly or through any chain."""
     if transitive:
         return graph.reverse_reachable(node_id)
-    p = graph.require(node_id)
-    return set(compress(graph.src, map(eq, graph.dst, repeat(p))))  # no reverse CSR
+    edges = compress(count(), map(eq, graph.dst, repeat(graph.require(node_id))))  # no reverse CSR
+    return {bisect_right(graph.out_start, e) - 1 for e in edges}  # each edge's source
 
 
 @dataclass

@@ -11,23 +11,23 @@ save_snapshot turns a scan's records into columns and packs them, with
 no graph built. Node and edge ids are positions, and a scan's ids come
 back from save_snapshot and load_graph unchanged.
 
-Schema version 4 (PRAGMA user_version) stores a snapshot's graph as
-those columns: one `graphs` row of BLOBs (see _COLUMNS), keyed by the
-snapshot's id, whose three text columns are zlib streams and whose eight
-integer columns are each one width code byte, then the values at the
-narrowest signed width that holds them all, that too a zlib stream in all
-but names and dst; src holds each node's out-degree, as the edges come
-grouped by source. A snapshot's root is a BLOB, so that any path
-round-trips. A load reads that one row and checks and decodes each column
-in one pass. Older databases are read as they are: a version 3 row holds
-plain integer columns and each edge's source in src, a version 2 row
-one-byte kinds and origins and int32 or int64 other integers, a version 1
-row plain text and int32 kinds and origins too, and a version 0 database a
-row per node, alias and dependency in `files`, `file_aliases` and `deps`.
-The first save into any of them converts every snapshot to a version 4
-row (and drops version 0's tables) in that save's transaction, then runs
-VACUUM once to give the freed pages back. A depex that reads only versions
-0 to 3 refuses a version 4 file.
+Schema version 4 (PRAGMA user_version) stores a snapshot's graph as those
+columns: one `graphs` row of BLOBs (see _COLUMNS), keyed by the snapshot's
+id, whose three text columns are zlib streams and whose eight integer
+columns are each one width code byte, then the values at the narrowest
+signed width that holds them all, that too a zlib stream in all but names
+and dst; src holds each node's out-degree, as the edges come grouped by
+source. A snapshot's root is a BLOB, so that any path round-trips. A load
+reads that one row, checks and decodes each column in one pass and keeps
+the out-degrees. Older databases are read as they are: a version 3 row
+holds plain integer columns and each edge's source in src, counted into
+out-degrees, a version 2 row one-byte kinds and origins and int32 or int64
+other integers, a version 1 row plain text and int32 kinds and origins
+too, and a version 0 database a row per node, alias and dependency in
+`files`, `file_aliases` and `deps`. The first save into any of them
+converts every snapshot to a version 4 row (and drops version 0's tables)
+in that save's transaction, then runs VACUUM once to give the freed pages
+back. A depex that reads only versions 0 to 3 refuses a version 4 file.
 """
 
 from __future__ import annotations
@@ -38,13 +38,12 @@ import sqlite3
 import sys
 import zlib
 from array import array
-from collections import Counter
 from collections.abc import Collection, Mapping
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import cached_property
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, islice, repeat
 from operator import itemgetter
 from typing import TYPE_CHECKING, Iterator
 from urllib.parse import quote
@@ -111,26 +110,25 @@ class DependencyEdge:
     origin: Origin | None = None
 
 
-def _offsets(keys: list[int], n: int) -> list[int]:
-    """CSR offsets over positions 0..n-1: entry p counts the keys below p.
-    A key of -1 (no target) is counted in count[n], which no offset reads."""
+def _counts(keys: list[int], n: int) -> list[int]:
+    """How many keys are each of 0..n-1; a key of -1 (no target) is dropped."""
     count = [0] * (n + 1)
     for k in keys:
         count[k] += 1
-    return [0, *accumulate(count[:n])]
+    return count[:n]
 
 
 def _by_source(pos: dict[int, int], froms: list[int], names: list[str],
                tos: list[int | None], origins: list) -> list[list]:
-    """Edge columns src, names, dst (None: -1) and origins with node ids made
-    positions and grouped by source in the order given; KeyError for an unknown id."""
+    """Out-degrees and edge columns names, dst (None: -1) and origins, node
+    ids made positions, grouped by source as given; KeyError for an unknown id."""
     src = list(map(pos.__getitem__, froms))
     dst = [-1 if to is None else pos[to] for to in tos]
-    columns = [src, names, dst, origins]
+    columns = [names, dst, origins]
     if src != sorted(src):  # not grouped yet: a stable sort
         order = sorted(range(len(src)), key=src.__getitem__)
         columns = [[column[e] for e in order] for column in columns]
-    return columns
+    return [_counts(src, len(pos)), *columns]
 
 
 class _View(Mapping):
@@ -155,43 +153,45 @@ class DependencyGraph:
     """One snapshot's nodes and edges as columns, with CSR adjacency.
 
     It is built from its columns only. A node's id is its position: paths,
-    kinds, sonames, sizes and sparse aliases (the alias lists of the nodes
-    that have any) are indexed by it. An edge's id is its position in src
-    and dst node ids (dst -1: unresolved), names and origins, which come
-    grouped by source in import-table order, so node p's out-edges are
-    numbers out_start[p] to out_start[p + 1] - 1. Those offsets and the
-    reverse CSR over resolved edges (in_start, in_src) are built on first
-    use. `nodes` and `adjacency` are read-only id -> record views that
-    build a record when it is read.
+    kinds, sonames, sizes, out-degrees and sparse aliases (the alias lists
+    of the nodes that have any) are indexed by it. An edge's id is its
+    position in dst node ids (-1: unresolved), names and origins, grouped
+    by source in import-table order: node p's out-edges are out_start[p] to
+    out_start[p + 1] - 1, so edge e's source is bisect_right(out_start, e) - 1.
+    Those offsets (the degrees' prefix sums) and the reverse CSR over resolved
+    edges (in_start, in_src) are built on first use. `nodes` and `adjacency`
+    are read-only id -> record views that build a record when it is read.
     """
 
     def __init__(self, snapshot: Snapshot, paths, kinds, sonames, sizes, aliases,
-                 src, names, dst, origins):
+                 degrees, names, dst, origins):
         self.snapshot = snapshot
         self.paths, self.kinds, self.sonames, self.sizes = paths, kinds, sonames, sizes
         self.aliases: dict[int, list[str]] = aliases
-        self.src, self.names, self.dst, self.origins = src, names, dst, origins
+        self.degrees, self.names, self.dst, self.origins = degrees, names, dst, origins
 
     @cached_property
     def out_start(self) -> list[int]:
-        return _offsets(self.src, len(self.paths))
+        return [0, *accumulate(self.degrees)]
 
     @cached_property
     def in_start(self) -> list[int]:
         """Reverse CSR offsets: the sources of the resolved edges into
         node p are in_src[in_start[p]:in_start[p + 1]]."""
-        return _offsets(self.dst, len(self.paths))
+        return [0, *accumulate(_counts(self.dst, len(self.paths)))]
 
     @cached_property
     def in_src(self) -> list[int]:
         """Source ids of the resolved edges, grouped by target by the
-        second pass of a counting sort over in_start."""
+        second pass of a counting sort over in_start, source by source."""
         fill = self.in_start[:-1]
         sources = [0] * self.in_start[-1]
-        for s, d in zip(self.src, self.dst):
-            if d >= 0:
-                sources[fill[d]] = s
-                fill[d] += 1
+        targets = iter(self.dst)
+        for s, degree in enumerate(self.degrees):
+            for d in islice(targets, degree):  # node s's out-edges, grouped by source
+                if d >= 0:
+                    sources[fill[d]] = s
+                    fill[d] += 1
         return sources
 
     @property
@@ -318,11 +318,12 @@ def _require_unique(values: Collection, what: str) -> None:
         seen.add(value)
 
 
-def _pack(paths, kinds, sonames, sizes, aliases, src, names, dst, origins) -> list[bytes]:
+def _pack(paths, kinds, sonames, sizes, aliases, degrees, names, dst, origins) -> list[bytes]:
     """The graphs row of a graph's columns, as DependencyGraph takes them,
     in _COLUMNS order; ValueError if they cannot be stored as they are."""
     _require_unique(paths, "canonical path")
-    _require_unique(list(zip(src, names)), "dependency (node, needed name)")
+    sources = chain.from_iterable(map(repeat, range(len(paths)), degrees))
+    _require_unique(list(zip(sources, names)), "dependency (node, needed name)")
     # _value_, what the value property reads, at a tenth of its cost; a non-member fails alike
     coded = ([k._value_ for k in kinds], [None if o is None else o._value_ for o in origins],
              sonames, names)
@@ -330,7 +331,6 @@ def _pack(paths, kinds, sonames, sizes, aliases, src, names, dst, origins) -> li
     index = {None: -1, **{s: i for i, s in enumerate(strings)}}
     kinds, origins, sonames, names = (list(map(index.__getitem__, c)) for c in coded)
     aliases = list(aliases.items())
-    degrees = list(map(Counter(src).__getitem__, range(len(paths))))  # src comes grouped
     values = (strings, paths, kinds, sonames, sizes, [p for p, group in aliases for _ in group],
               [a for _, group in aliases for a in group], degrees, names, dst, origins)
     return [_pack_strings(v) if codes[-1] == "z" else
@@ -372,18 +372,16 @@ def _unpack(row: tuple, version: int) -> list:
             raise ValueError(f"column {name} holds {len(columns[name])} values, not {length}")
     _require_unique(columns["paths"], "column paths: path")
     sizes, src, dst = (columns[name].tolist() for name in ("sizes", "src", "dst"))
-    if by_degree:  # node p is the source of the next src[p] edges: grouped and in bounds
-        if src and min(src) < 0:
-            raise ValueError("column src holds a negative out-degree")
-        if sum(src) != m:
-            raise ValueError(f"column src holds out-degrees that sum to {sum(src)}, not {m}")
-        src = list(chain.from_iterable(map(repeat, range(n), src)))
+    if by_degree and src and min(src) < 0:  # node p is the source of the next src[p] edges
+        raise ValueError("column src holds a negative out-degree")
+    if by_degree and sum(src) != m:  # so they are grouped and in bounds, and kept as they are
+        raise ValueError(f"column src holds out-degrees that sum to {sum(src)}, not {m}")
     grouped = by_degree or src == sorted(src)  # sorted finds a grouped column one run
     for name, values, low, high in (
             ("sizes", sizes and [min(sizes)], 0, 1 << 63),  # an int64 is below 2**63
             ("alias_nodes", columns["alias_nodes"], 0, n), ("dst", dst, -1, n),
-            ("src", src[:1] + src[-1:] if grouped else src, 0, n)):  # grouped: its ends bound it
-        if values and not (low <= min(values) and max(values) < high):
+            ("src", [] if by_degree else src[:1] + src[-1:] if grouped else src, 0, n)):
+        if values and not (low <= min(values) and max(values) < high):  # grouped: ends bound it
             raise ValueError(f"column {name} holds a value outside {low}..{high - 1}")
     if not grouped:
         raise ValueError("column src is not grouped by source")
@@ -406,7 +404,7 @@ def _unpack(row: tuple, version: int) -> list:
     for p, alias in zip(columns["alias_nodes"], columns["aliases"]):
         aliases.setdefault(p, []).append(alias)
     return [columns["paths"], columns["kinds"], columns["sonames"], sizes, aliases,
-            src, columns["names"], dst, columns["origins"]]
+            src if by_degree else _counts(src, n), columns["names"], dst, columns["origins"]]
 
 
 def _columns(rows: list[tuple], width: int) -> list[list]:

@@ -21,12 +21,21 @@ def build_graph(nodes, edges) -> DependencyGraph:
     their ids are positions once grouped by source, each source's in order.
     """
     edges = sorted(edges, key=lambda edge: edge[0])  # stable: import-table order kept
+    degrees = [0] * len(nodes)
+    for src, _, _ in edges:
+        degrees[src] += 1
     return DependencyGraph(
         _SNAP, [spec[0] for spec in nodes], [spec[1] for spec in nodes],
         [spec[2] if len(spec) > 2 else None for spec in nodes], [0] * len(nodes), {},
-        [src for src, _, _ in edges], [name for _, name, _ in edges],
+        degrees, [name for _, name, _ in edges],
         [-1 if dst is None else dst for _, _, dst in edges],
         [None if dst is None else Origin.DEFAULT_DIR for _, _, dst in edges])
+
+
+def edge_sources(graph: DependencyGraph) -> list[int]:
+    """Each edge's source node id, read off out_start's per-node ranges."""
+    start = graph.out_start
+    return [p for p in range(len(graph.paths)) for _ in range(start[p], start[p + 1])]
 
 
 def edge_records(graph: DependencyGraph) -> list[DependencyEdge]:

@@ -10,7 +10,7 @@ from depex.metrics import (HealthReport, StatsSummary, closure_sizes,
                            recursive_coupling, stats_summary)
 from depex.queries import who_uses
 from depex.store import DependencyGraph, UnknownNode
-from graphbuild import EXE, LIB, build_graph, edge_records, random_graph
+from graphbuild import EXE, LIB, build_graph, edge_records, edge_sources, random_graph
 from oracles import closure_sets
 
 
@@ -320,7 +320,8 @@ def test_adding_edge_never_decreases_metrics():
 
 def health_oracle(graph):
     resolved_names = {name for name, d in zip(graph.names, graph.dst) if d >= 0}
-    missing = {(s, name) for s, name, d in zip(graph.src, graph.names, graph.dst) if d < 0}
+    missing = {(s, name) for s, name, d in zip(edge_sources(graph), graph.names, graph.dst)
+               if d < 0}
     start = graph.in_start
     unused = {p for p, kind in enumerate(graph.kinds)
               if kind is LIB and start[p] == start[p + 1]}
@@ -337,7 +338,7 @@ def stats_oracle(graph):
     recursives = [len(graph.reachable_from(p)) for p in population]
     count = len(population)
     return StatsSummary(
-        executables, len(population) - executables, len(graph.src),
+        executables, len(population) - executables, len(edge_sources(graph)),
         len(report.missing_names), len(report.unused_libraries),
         round(sum(directs) / count, 2) if count else 0.0,
         round(sum(recursives) / count, 2) if count else 0.0,

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
+from depex.dot import DotOptions, dot_chunks
+from depex.metrics import health
 from depex.queries import (AmbiguousName, find_node, get_all_deps, get_deps,
                            update_impact, who_uses)
 from depex.store import UnknownNode
@@ -118,6 +121,48 @@ def test_get_all_deps_matches_matrix_oracle():
         expect = closure_sets(n, pairs)
         for node in range(n):
             assert get_all_deps(graph, node) == expect[node]
+
+
+def zero_degree_case(rng: random.Random, where: str) -> tuple[list, list]:
+    """Node specs and edges (source, name, target or None) of a random graph
+    whose nodes with no out-edge form runs of one to three at `where`: the
+    first nodes, the middle ones or the last ones; any other node has one
+    to four out-edges, some of them unresolved."""
+    n = rng.randint(6, 30)
+    run = rng.randint(1, 3)
+    first = {"first": 0, "middle": (n - run) // 2, "last": n - run}[where]
+    idle = range(first, first + run)
+    nodes = [(f"/n/{p:03d}", LIB if rng.random() < 0.6 else EXE) for p in range(n)]
+    edges = [(p, f"ghost{rng.randrange(4)}.so.{e}", None) if rng.random() < 0.2 else
+             (p, f"lib{e}.so", rng.randrange(n))
+             for p in range(n) if p not in idle for e in range(rng.randint(1, 4))]
+    rng.shuffle(edges)  # build_graph groups them by source, each source's in order
+    return nodes, edges
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_sources_from_out_start_match_the_edges_with_zero_degree_nodes(where):
+    # each edge's source comes from out_start, whose zero-degree nodes
+    # repeat an offset: every reader must still find the edge's own source
+    rng = random.Random(f"zero-degree {where}")
+    for _ in range(40):
+        nodes, edges = zero_degree_case(rng, where)
+        graph = build_graph(nodes, edges)
+        n = len(nodes)
+        by_source = sorted(edges, key=lambda edge: edge[0])
+        for p in range(n):
+            assert who_uses(graph, p) == {s for s, _, d in edges if d == p}
+        assert "in_src" not in graph.__dict__  # no reverse CSR for a direct who-uses
+        assert health(graph).directly_impacted == {s for s, _, d in edges if d is None}
+        hidden = set(rng.sample(range(n), rng.randint(0, n // 2)))
+        text = "".join(dot_chunks(graph, DotOptions(hide_names=[nodes[p][0] for p in hidden])))
+        assert re.findall(r'^    "missing:(.*)" \[label=', text, re.M) == sorted(
+            {name for s, name, d in edges if d is None and s not in hidden})
+        start = graph.in_start
+        for p in range(n):
+            assert graph.in_src[start[p]:start[p + 1]] == [s for s, _, d in by_source if d == p]
+            assert [(name, res.path) for name, res in get_deps(graph, p)] == \
+                [(name, None if d is None else nodes[d][0]) for s, name, d in by_source if s == p]
 
 
 # --- find_node --------------------------------------------------------------

@@ -22,7 +22,7 @@ from depex.store import (DependencyEdge, DuplicateLabel,
                          FileNode, StorageFailure, UnknownLabel, UnknownNode,
                          UnreadableDatabase, _pack_ints, list_snapshots, load_graph,
                          open_db, save_snapshot)
-from graphbuild import EXE, LIB, build_graph, edge_records, random_graph
+from graphbuild import EXE, LIB, build_graph, edge_records, edge_sources, random_graph
 
 
 class FakeResult:
@@ -589,7 +589,7 @@ def test_v4_row_layout(demo_sysroot, tmp_path):
     assert ints["sizes"][1] == [n.size_bytes for n in result.nodes] == graph.sizes
     degrees = ints["src"][1]
     assert len(degrees) == len(result.nodes) and 0 in degrees
-    assert [p for p, degree in enumerate(degrees) for _ in range(degree)] == graph.src
+    assert [p for p, degree in enumerate(degrees) for _ in range(degree)] == edge_sources(graph)
     assert degrees == [sum(e.from_node == p for e in result.edges)
                        for p in range(len(result.nodes))]
     assert ints["dst"][1] == graph.dst
@@ -687,7 +687,7 @@ def test_old_schema_dependencies_in_no_source_order_load_grouped_by_source(v0_db
     expect = sorted([(pos[from_file], name, -1 if to_file is None else pos[to_file],
                       origin and Origin(origin)) for _, from_file, name, to_file, origin in deps],
                     key=lambda edge: edge[0])  # stable: each source keeps its row order
-    assert list(zip(graph.src, graph.names, graph.dst, graph.origins)) == expect
+    assert list(zip(edge_sources(graph), graph.names, graph.dst, graph.origins)) == expect
     assert graph.names[0] == "libghost.so.2"  # the first source's last import comes first
 
 

@@ -152,8 +152,10 @@ def scans(src: str, where: str) -> None:
                 for p, path in enumerate(g.paths):
                     out.write(f"saved node {p} {path} {g.kinds[p].value} {g.sonames[p]} "
                               f"{g.sizes[p]} {' '.join(g.aliases.get(p, ()))}\n")
+                sources = [p for p in range(len(g.paths))
+                           for _ in range(g.out_start[p], g.out_start[p + 1])]
                 for e, (src, needed, dst, origin) in enumerate(
-                        zip(g.src, g.names, g.dst, g.origins)):
+                        zip(sources, g.names, g.dst, g.origins)):
                     out.write(f"saved edge {e} {src} {needed} {dst} {origin and origin.value}\n")
 
 
@@ -177,7 +179,7 @@ def size(src: str, where: str) -> None:
 
     with open(os.path.join(where, "reads.json")) as f:
         db = json.load(f)["db"]
-    edges = sum(len(load_graph(s.label, db).src) for s in list_snapshots(db))
+    edges = sum(len(load_graph(s.label, db).names) for s in list_snapshots(db))
     nbytes = os.path.getsize(db)
     print(f"{nbytes} B, {edges} edges, {nbytes / max(edges, 1):.2f} B/edge")
     # sqlite3 itself reads the graphs table of any schema version
