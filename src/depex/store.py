@@ -19,15 +19,15 @@ signed width that holds them all, that too a zlib stream in all but names
 and dst; src holds each node's out-degree, as the edges come grouped by
 source. A snapshot's root is a BLOB, so that any path round-trips. A load
 reads that one row, checks and decodes each column in one pass and keeps
-the out-degrees. Older databases are read as they are: a version 3 row
-holds plain integer columns and each edge's source in src, counted into
-out-degrees, a version 2 row one-byte kinds and origins and int32 or int64
-other integers, a version 1 row plain text and int32 kinds and origins
-too, and a version 0 database a row per node, alias and dependency in
-`files`, `file_aliases` and `deps`. The first save into any of them
-converts every snapshot to a version 4 row (and drops version 0's tables)
-in that save's transaction, then runs VACUUM once to give the freed pages
-back. A depex that reads only versions 0 to 3 refuses a version 4 file.
+the out-degrees and both alias columns as stored. Older databases are read
+as they are: a version 3 row holds plain integer columns and each edge's
+source in src, counted into out-degrees, a version 2 row one-byte kinds
+and origins and int32 or int64 other integers, a version 1 row plain text
+and int32 kinds and origins too, and a version 0 database a row per node,
+alias and dependency in `files`, `file_aliases` and `deps`. The first save
+into any of them converts every snapshot to a version 4 row (and drops
+version 0's tables) in that save's transaction, then runs VACUUM once to
+give the freed pages back. A depex reading only versions 0-3 refuses a v4 file.
 """
 
 from __future__ import annotations
@@ -153,22 +153,29 @@ class DependencyGraph:
     """One snapshot's nodes and edges as columns, with CSR adjacency.
 
     It is built from its columns only. A node's id is its position: paths,
-    kinds, sonames, sizes, out-degrees and sparse aliases (the alias lists
-    of the nodes that have any) are indexed by it. An edge's id is its
-    position in dst node ids (-1: unresolved), names and origins, grouped
+    kinds, sonames, sizes and out-degrees are indexed by it, and so are the
+    alias_nodes, as stored: one per spelling in alias_paths. An edge's id is
+    its position in dst node ids (-1: unresolved), names and origins, grouped
     by source in import-table order: node p's out-edges are out_start[p] to
     out_start[p + 1] - 1, so edge e's source is bisect_right(out_start, e) - 1.
-    Those offsets (the degrees' prefix sums) and the reverse CSR over resolved
-    edges (in_start, in_src) are built on first use. `nodes` and `adjacency`
-    are read-only id -> record views that build a record when it is read.
+    Those offsets (the degrees' prefix sums), the reverse CSR over resolved
+    edges (in_start, in_src) and `aliases` (node -> its alias list) are built
+    on first use. `nodes` and `adjacency` are read-only id -> record views.
     """
 
-    def __init__(self, snapshot: Snapshot, paths, kinds, sonames, sizes, aliases,
-                 degrees, names, dst, origins):
+    def __init__(self, snapshot: Snapshot, paths, kinds, sonames, sizes, alias_nodes,
+                 alias_paths, degrees, names, dst, origins):
         self.snapshot = snapshot
         self.paths, self.kinds, self.sonames, self.sizes = paths, kinds, sonames, sizes
-        self.aliases: dict[int, list[str]] = aliases
+        self.alias_nodes, self.alias_paths = alias_nodes, alias_paths
         self.degrees, self.names, self.dst, self.origins = degrees, names, dst, origins
+
+    @cached_property
+    def aliases(self) -> dict[int, list[str]]:
+        aliases: dict[int, list[str]] = {}
+        for p, alias in zip(self.alias_nodes, self.alias_paths):
+            aliases.setdefault(p, []).append(alias)
+        return aliases
 
     @cached_property
     def out_start(self) -> list[int]:
@@ -318,7 +325,8 @@ def _require_unique(values: Collection, what: str) -> None:
         seen.add(value)
 
 
-def _pack(paths, kinds, sonames, sizes, aliases, degrees, names, dst, origins) -> list[bytes]:
+def _pack(paths, kinds, sonames, sizes, alias_nodes, alias_paths, degrees, names, dst,
+          origins) -> list[bytes]:
     """The graphs row of a graph's columns, as DependencyGraph takes them,
     in _COLUMNS order; ValueError if they cannot be stored as they are."""
     _require_unique(paths, "canonical path")
@@ -330,9 +338,8 @@ def _pack(paths, kinds, sonames, sizes, aliases, degrees, names, dst, origins) -
     strings = [s for s in dict.fromkeys(chain.from_iterable(coded)) if s is not None]
     index = {None: -1, **{s: i for i, s in enumerate(strings)}}
     kinds, origins, sonames, names = (list(map(index.__getitem__, c)) for c in coded)
-    aliases = list(aliases.items())
-    values = (strings, paths, kinds, sonames, sizes, [p for p, group in aliases for _ in group],
-              [a for _, group in aliases for a in group], degrees, names, dst, origins)
+    values = (strings, paths, kinds, sonames, sizes, alias_nodes, alias_paths, degrees, names,
+              dst, origins)
     return [_pack_strings(v) if codes[-1] == "z" else
             zlib.compress(_pack_ints(v), 1) if codes[-1] in "cd" else _pack_ints(v)
             for (_, codes), v in zip(_COLUMNS, values)]
@@ -400,11 +407,9 @@ def _unpack(row: tuple, version: int) -> list:
             if exc.args[0] in text:  # a gap only a decoder's table has
                 known[text[exc.args[0]]]  # raises: a kind or origin it does not know
             raise ValueError(f"column {name} holds a value outside {low}..{len(text) - 1}")
-    aliases: dict[int, list[str]] = {}
-    for p, alias in zip(columns["alias_nodes"], columns["aliases"]):
-        aliases.setdefault(p, []).append(alias)
-    return [columns["paths"], columns["kinds"], columns["sonames"], sizes, aliases,
-            src if by_degree else _counts(src, n), columns["names"], dst, columns["origins"]]
+    return [columns["paths"], columns["kinds"], columns["sonames"], sizes,
+            columns["alias_nodes"], columns["aliases"], src if by_degree else _counts(src, n),
+            columns["names"], dst, columns["origins"]]
 
 
 def _columns(rows: list[tuple], width: int) -> list[list]:
@@ -419,16 +424,15 @@ def _load_v0(con: sqlite3.Connection, snap: Snapshot) -> list:
         "SELECT id, canonical_path, kind, soname, size_bytes FROM files"
         " WHERE snapshot_id = ? ORDER BY id", (snap.id,)).fetchall(), 5)
     pos = dict(zip(ids, range(len(ids))))
-    aliases: dict[int, list[str]] = {}
-    for file_id, alias in con.execute(
-            "SELECT file_id, alias_path FROM file_aliases WHERE file_id IN"
-            " (SELECT id FROM files WHERE snapshot_id = ?) ORDER BY rowid", (snap.id,)):
-        aliases.setdefault(pos[file_id], []).append(alias)
+    alias_files, alias_paths = _columns(con.execute(
+        "SELECT file_id, alias_path FROM file_aliases WHERE file_id IN"
+        " (SELECT id FROM files WHERE snapshot_id = ?) ORDER BY rowid", (snap.id,)).fetchall(), 2)
     froms, names, tos, origins = _columns(con.execute(
         "SELECT from_file, needed_name, to_file, origin FROM deps"
         " WHERE snapshot_id = ? ORDER BY id", (snap.id,)).fetchall(), 4)
     try:
-        return [paths, list(map(_KINDS.__getitem__, kinds)), sonames, sizes, aliases,
+        return [paths, list(map(_KINDS.__getitem__, kinds)), sonames, sizes,
+                list(map(pos.__getitem__, alias_files)), alias_paths,
                 *_by_source(pos, froms, names, tos, list(map(_ORIGINS.__getitem__, origins)))]
     except KeyError as exc:  # only a from_file or to_file id can be missing
         row, = con.execute("SELECT min(id) FROM deps WHERE snapshot_id = ?"
@@ -583,7 +587,8 @@ def save_snapshot(result: "ScanResult", label: str, db_path: str) -> Snapshot:
     try:
         row = _pack([n.canonical_path for n in nodes], [n.kind for n in nodes],
                     [n.soname for n in nodes], [n.size_bytes for n in nodes],
-                    {p: n.alias_paths for p, n in enumerate(nodes) if n.alias_paths},
+                    [p for p, n in enumerate(nodes) for _ in n.alias_paths],
+                    [alias for n in nodes for alias in n.alias_paths],
                     *_by_source({n.id: p for p, n in enumerate(nodes)},
                                 [e.from_node for e in edges], [e.needed_name for e in edges],
                                 [e.to_node for e in edges], [e.origin for e in edges]))

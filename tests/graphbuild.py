@@ -26,7 +26,7 @@ def build_graph(nodes, edges) -> DependencyGraph:
         degrees[src] += 1
     return DependencyGraph(
         _SNAP, [spec[0] for spec in nodes], [spec[1] for spec in nodes],
-        [spec[2] if len(spec) > 2 else None for spec in nodes], [0] * len(nodes), {},
+        [spec[2] if len(spec) > 2 else None for spec in nodes], [0] * len(nodes), [], [],
         degrees, [name for _, name, _ in edges],
         [-1 if dst is None else dst for _, _, dst in edges],
         [None if dst is None else Origin.DEFAULT_DIR for _, _, dst in edges])

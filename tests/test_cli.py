@@ -19,6 +19,7 @@ import jsonschema
 import pytest
 
 import depex.cli
+import depex.evolution
 from depex.cli import run_cli
 from depex.elf import FileKind
 from depex.resolver import SearchConfig
@@ -252,6 +253,32 @@ def test_read_commands_do_not_modify_db(capsys, demo_db, v1_db, v2_db, v3_db):
             code, _, _ = run(capsys, *argv, "--db", db)
             assert code == 0
         assert db_hash(db) == before
+
+
+def test_no_read_command_groups_the_aliases(capsys, demo_sysroot, demo_db, monkeypatch):
+    loaded = []
+
+    def recording_load(label, db):
+        loaded.append(load_graph(label, db))
+        return loaded[-1]
+
+    for module in (depex.cli, depex.evolution):
+        monkeypatch.setattr(module, "load_graph", recording_load)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)  # evolve forks no helper
+    for argv in (["stats"], ["who-uses", "libc.so.6"], ["who-uses", "libc.so.6", "--transitive"],
+                 ["get-deps", "/usr/bin/tool"], ["get-all-deps", "/usr/bin/tool"],
+                 ["impact", "libc.so.6"], ["dot"], ["evolve"]):
+        loaded.clear()
+        code, out, _ = run(capsys, *argv, "--db", demo_db)
+        assert code == 0 and out and len(loaded) == 1, argv
+        assert "aliases" not in vars(loaded[0]), argv
+    # a reader that asks for them sees the scan's sorted lists
+    nodes = scan_tree(ScanOptions(SearchConfig(demo_sysroot.root))).nodes
+    graph = loaded[0]
+    assert graph.aliases == {p: n.alias_paths for p, n in enumerate(nodes) if n.alias_paths}
+    assert [n.alias_paths for n in graph.nodes.values()] == [n.alias_paths for n in nodes]
+    assert all(n.alias_paths == sorted(n.alias_paths) for n in nodes)
+    assert sum(len(n.alias_paths) for n in nodes) == 3
 
 
 def test_read_commands_do_not_modify_a_v0_db(capsys, v0_db):
@@ -922,6 +949,12 @@ CORRUPT_V4 = {
     "an unknown width code inside a stream": (
         lambda r: {"kinds": zlib.compress(b"l" + zlib.decompress(r["kinds"])[1:], 1)},
         "column kinds: its width code 'l' is none of b, h, i, q"),
+    # the graph groups the aliases only when asked, but checks them at load
+    "an alias node outside the nodes": (lambda r: deflated_set(r, "alias_nodes", 0, lambda p: 10),
+                                        "column alias_nodes holds a value outside 0..9"),
+    "an alias node too few": (  # a byte per alias node on the demo tree
+        lambda r: {"alias_nodes": zlib.compress(zlib.decompress(r["alias_nodes"])[:-1], 1)},
+        "column alias_nodes holds 2 values, not 3"),
 }
 
 

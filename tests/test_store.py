@@ -22,6 +22,7 @@ from depex.store import (DependencyEdge, DuplicateLabel,
                          FileNode, StorageFailure, UnknownLabel, UnknownNode,
                          UnreadableDatabase, _pack_ints, list_snapshots, load_graph,
                          open_db, save_snapshot)
+from conftest import database_from_dump
 from graphbuild import EXE, LIB, build_graph, edge_records, edge_sources, random_graph
 
 
@@ -532,6 +533,27 @@ def test_v2_database_loads_the_same_and_converts_on_save(v2_db, demo_sysroot, tm
 
 def test_v3_database_loads_the_same_and_converts_on_save(v3_db, demo_sysroot, tmp_path):
     older_database_loads_the_same_and_converts_on_save(v3_db, 3, demo_sysroot, tmp_path)
+
+
+@pytest.mark.parametrize("convert", [False, True], ids=["as-is", "converted"])
+@pytest.mark.parametrize("name", ["v0", "v1", "v2", "v3"])
+def test_fixture_aliases_group_into_the_saved_lists(demo_sysroot, tmp_path, name, convert):
+    db = database_from_dump(tmp_path, name)
+    if convert:
+        open_db(db).close()
+    demo = scan_tree(ScanOptions(SearchConfig(demo_sysroot.root)))
+    for label in ("demo", "1", "2") if name == "v0" else ("demo", "1"):
+        saved = {n.canonical_path: n.alias_paths for n in
+                 (demo if label == "demo" else release(int(label))).nodes if n.alias_paths}
+        graph = load_graph(label, db)
+        # the columns as stored: grouped by node, in node order
+        assert [(graph.paths[p], alias) for p, alias in zip(graph.alias_nodes,
+                                                             graph.alias_paths)] == \
+            [(path, alias) for path, group in saved.items() for alias in group]
+        assert "aliases" not in vars(graph)
+        assert {graph.paths[p]: group for p, group in graph.aliases.items()} == saved
+        assert {n.canonical_path: n.alias_paths
+                for n in graph.nodes.values() if n.alias_paths} == saved
 
 
 def test_a_v1_row_that_does_not_decode_stops_the_save_that_would_convert_it(v1_db):

@@ -21,11 +21,14 @@ and prints each command line, its exit code and its output, which `dot`
 writes a chunk at a time. `snapshots` is left out: its scan time and root
 differ between databases built apart.
 It then prints, for each snapshot, every node's recursive coupling from
-`depex.metrics.closure_sizes` as `path<TAB>size` lines in path order, and
+`depex.metrics.closure_sizes` as `path<TAB>size` lines in path order,
 every node's direct users from `depex.queries.who_uses` as
 `path<TAB>count<TAB>digest` lines in path order, the digest a SHA-256
-prefix of the users' sorted paths. Dumps made with the `src/` of two
-commits differ in a byte exactly when a read answer does.
+prefix of the users' sorted paths, and every node's columns by position
+(path, kind, soname, size, aliases), as `scans` prints a saved snapshot's:
+no read command prints sizes or aliases, so a load that decoded them wrongly
+would otherwise pass. Dumps made with the `src/` of two commits differ in
+a byte exactly when a read answer or a loaded node column does.
 
 `convert` copies the database that `build` made under WHERE into COPY,
 with a `reads.json` that names the copy, and converts the copy to SRC's
@@ -224,6 +227,10 @@ def dump(src: str, where: str) -> None:
             users = sorted(graph.paths[u] for u in who_uses(graph, p))
             digest = hashlib.sha256("\n".join(users).encode("utf-8", "surrogateescape"))
             sys.stdout.write(f"{graph.paths[p]}\t{len(users)}\t{digest.hexdigest()[:16]}\n")
+        sys.stdout.write(f"$ nodes {snapshot.label}\n")
+        for p, path in enumerate(graph.paths):
+            sys.stdout.write(f"node {p} {path} {graph.kinds[p].value} {graph.sonames[p]} "
+                             f"{graph.sizes[p]} {' '.join(graph.aliases.get(p, ()))}\n")
 
 
 if __name__ == "__main__":
