@@ -281,9 +281,10 @@ class Resolver:
     def search_stages(self, needed_name: str, summary: ElfSummary,
                       dependent_dir: str) -> list[tuple[Origin, str]]:
         """(stage, directory) pairs in loader precedence order, read from
-        summary, the dependent's ElfSummary; a name with '/' is opened as
-        given, relative to the dependent's directory, and DT_RPATH applies
-        only when DT_RUNPATH is absent."""
+        summary, the dependent's ElfSummary; a name with '/', once its
+        $ORIGIN is expanded as resolve does, is opened as given, relative to
+        the dependent's directory, and DT_RPATH applies only when DT_RUNPATH
+        is absent."""
         if "/" in needed_name:
             return [(Origin.DIRECT, dependent_dir)]
         rpath = summary.rpath if summary.runpath is None else None
@@ -303,21 +304,30 @@ class Resolver:
     def resolve(self, needed_name: str, summary: ElfSummary,
                 dependent_path: str) -> Resolution:
         """Where the loader finds needed_name for the file at dependent_path,
-        whose ElfSummary is summary; answers are kept per search key."""
+        whose ElfSummary is summary; answers are kept per search key. The
+        Resolution keeps needed_name as spelt, $ORIGIN unexpanded."""
         # only $ORIGIN and a name with '/' read the dependent's directory
         rpath, runpath = summary.rpath, summary.runpath
-        reads_dir = "/" in needed_name or "$" in (rpath or "") or "$" in (runpath or "")
+        reads_dir = ("/" in needed_name or "$" in needed_name
+                     or "$" in (rpath or "") or "$" in (runpath or ""))
         key = (needed_name, rpath, runpath,
                posixpath.dirname(dependent_path) if reads_dir else None)
         hit = self._resolution_cache.get(key)
         if hit is not None:
             return hit
         result = Resolution(needed_name)
-        for origin, directory in self.search_stages(
-                needed_name, summary, posixpath.dirname(dependent_path) or "/"):
+        dependent_dir = posixpath.dirname(dependent_path) or "/"
+        # ld.so expands $ORIGIN in every needed name (dl-deps.c), and then
+        # once more in a name with '/' (_dl_map_object), which it opens as a path
+        name = needed_name
+        if "$" in name:
+            name = _ORIGIN.sub(lambda _: dependent_dir, name)
+            if "/" in name:
+                name = _ORIGIN.sub(lambda _: dependent_dir, name)
+        for origin, directory in self.search_stages(name, summary, dependent_dir):
             # only a regular file ends the search: a directory, a FIFO or a
             # dangling or looping link named like the library is skipped
-            hit = self.canonical(posixpath.join(directory, needed_name))
+            hit = self.canonical(posixpath.join(directory, name))
             if hit is not None and stat_module.S_ISREG(hit[2]):
                 result = Resolution(needed_name, hit[0], origin)
                 break

@@ -5,8 +5,9 @@ evolution reports work without juggling files. The write path is a single
 exclusive transaction: a crash mid-save leaves the database exactly as it
 was. Reads open the file read-only, so they never create or alter it.
 
-A loaded graph is columns, not records, with CSR (compressed sparse row)
-adjacency, and is built from those columns only; see DependencyGraph.
+A loaded graph is columns with CSR (compressed sparse row) adjacency,
+built from those columns only; its record views are built whole on first
+read and shared (see DependencyGraph), and no read command reads them.
 save_snapshot turns a scan's records into columns and packs them, with
 no graph built. Node and edge ids are positions, and a scan's ids come
 back from save_snapshot and load_graph unchanged.
@@ -45,6 +46,7 @@ from datetime import datetime, timezone
 from functools import cached_property
 from itertools import accumulate, chain, islice, repeat
 from operator import itemgetter
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterator
 from urllib.parse import quote
 
@@ -131,24 +133,6 @@ def _by_source(pos: dict[int, int], froms: list[int], names: list[str],
     return [_counts(src, len(pos)), *columns]
 
 
-class _View(Mapping):
-    """Read-only node id -> record mapping; a record is built when read."""
-
-    def __init__(self, graph: DependencyGraph, record):
-        self._graph, self._record = graph, record
-
-    def __getitem__(self, node_id: int):
-        if node_id not in self._graph:
-            raise KeyError(node_id)
-        return self._record(node_id)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(range(len(self)))
-
-    def __len__(self) -> int:
-        return len(self._graph.paths)
-
-
 class DependencyGraph:
     """One snapshot's nodes and edges as columns, with CSR adjacency.
 
@@ -158,9 +142,10 @@ class DependencyGraph:
     its position in dst node ids (-1: unresolved), names and origins, grouped
     by source in import-table order: node p's out-edges are out_start[p] to
     out_start[p + 1] - 1, so edge e's source is bisect_right(out_start, e) - 1.
-    Those offsets (the degrees' prefix sums), the reverse CSR over resolved
-    edges (in_start, in_src) and `aliases` (node -> its alias list) are built
-    on first use. `nodes` and `adjacency` are read-only id -> record views.
+    Built on first use, each once: those offsets (the degrees' prefix sums),
+    the reverse CSR over resolved edges (in_start, in_src), and `nodes` and
+    `adjacency`, read-only id -> record mappings built whole from the columns
+    (only `nodes` groups the aliases); treat their shared records as read-only.
     """
 
     def __init__(self, snapshot: Snapshot, paths, kinds, sonames, sizes, alias_nodes,
@@ -169,13 +154,6 @@ class DependencyGraph:
         self.paths, self.kinds, self.sonames, self.sizes = paths, kinds, sonames, sizes
         self.alias_nodes, self.alias_paths = alias_nodes, alias_paths
         self.degrees, self.names, self.dst, self.origins = degrees, names, dst, origins
-
-    @cached_property
-    def aliases(self) -> dict[int, list[str]]:
-        aliases: dict[int, list[str]] = {}
-        for p, alias in zip(self.alias_nodes, self.alias_paths):
-            aliases.setdefault(p, []).append(alias)
-        return aliases
 
     @cached_property
     def out_start(self) -> list[int]:
@@ -201,21 +179,22 @@ class DependencyGraph:
                     fill[d] += 1
         return sources
 
-    @property
+    @cached_property
     def nodes(self) -> Mapping[int, FileNode]:
-        return _View(self, self._node)
+        aliases = [[] for _ in self.paths]
+        for p, alias in zip(self.alias_nodes, self.alias_paths):
+            aliases[p].append(alias)
+        return MappingProxyType(dict(enumerate(map(
+            FileNode, range(len(aliases)), repeat(self.snapshot.id), self.paths, aliases,
+            self.kinds, self.sonames, self.sizes))))
 
-    @property
+    @cached_property
     def adjacency(self) -> Mapping[int, list[DependencyEdge]]:
         sid, start, dst = self.snapshot.id, self.out_start, self.dst
-        return _View(self, lambda p: [
+        return MappingProxyType({p: [
             DependencyEdge(e, sid, p, self.names[e], None if dst[e] < 0 else dst[e],
                            self.origins[e])
-            for e in range(start[p], start[p + 1])])
-
-    def _node(self, p: int) -> FileNode:
-        return FileNode(p, self.snapshot.id, self.paths[p], list(self.aliases.get(p, ())),
-                        self.kinds[p], self.sonames[p], self.sizes[p])
+            for e in range(start[p], start[p + 1])] for p in range(len(self.paths))})
 
     def __contains__(self, node_id: int) -> bool:
         return node_id in range(len(self.paths))  # no wrap-around: -1 is no node
@@ -625,14 +604,6 @@ def _snapshot(row: tuple) -> Snapshot:
                     else root.decode("utf-8", "surrogateescape"), *rest)
 
 
-def _snapshot_row(con: sqlite3.Connection, label: str) -> Snapshot:
-    row = con.execute(f"SELECT {_SNAPSHOT} FROM snapshots WHERE label = ?",
-                      (label,)).fetchone()
-    if row is None:
-        raise UnknownLabel(label)
-    return _snapshot(row)
-
-
 class _Decoder(dict):
     """Stored value -> enum member for one column; a value depex does not
     know makes the snapshot unreadable rather than misread."""
@@ -654,7 +625,11 @@ def load_graph(label: str, db_path: str) -> DependencyGraph:
     """Load one snapshot back as a columnar graph from its graphs row, each
     column checked and decoded in one pass; no record is built."""
     with _read_only(db_path) as (con, version):
-        snap = _snapshot_row(con, label)
+        row = con.execute(f"SELECT {_SNAPSHOT} FROM snapshots WHERE label = ?",
+                          (label,)).fetchone()
+        if row is None:
+            raise UnknownLabel(label)
+        snap = _snapshot(row)
         try:
             return DependencyGraph(snap, *_read(con, snap, version))
         except ValueError as exc:

@@ -93,8 +93,10 @@ def resolve_reference(sysroot: str, needed: str, rpath: str | None, runpath: str
     """(canonical path, stage) of the first regular file named needed that
     ld.so(8)'s search order meets inside sysroot; (None, None) for none.
 
-    A name with "/" is opened as given, relative to dependent_dir, and
-    nothing else. Otherwise the stages run in ld.so(8)'s order: DT_RPATH
+    $ORIGIN and ${ORIGIN} in needed are expanded as in an RPATH element
+    below (glibc's dl-deps.c), and if needed then holds "/", once more
+    (_dl_map_object), and it is opened as given, relative to dependent_dir,
+    and nothing else. Otherwise the stages run in ld.so(8)'s order: DT_RPATH
     (only without DT_RUNPATH), LD_LIBRARY_PATH (config.env_library_path),
     DT_RUNPATH, the cache (read here, as depex does, as the directories
     that /etc/ld.so.conf and its includes list) and the default
@@ -106,6 +108,9 @@ def resolve_reference(sysroot: str, needed: str, rpath: str | None, runpath: str
     ldconfig, an include line may list several blank-separated patterns.
     Stages are the values of depex's Origin.
     """
+    needed = _ORIGIN.sub(lambda _: dependent_dir, needed)
+    if "/" in needed:
+        needed = _ORIGIN.sub(lambda _: dependent_dir, needed)
     for stage, directory in _reference_stages(sysroot, needed, rpath, runpath,
                                               dependent_dir, config):
         path = canonical_reference(sysroot, posixpath.join(directory, needed))

@@ -271,11 +271,12 @@ def test_no_read_command_groups_the_aliases(capsys, demo_sysroot, demo_db, monke
         loaded.clear()
         code, out, _ = run(capsys, *argv, "--db", demo_db)
         assert code == 0 and out and len(loaded) == 1, argv
-        assert "aliases" not in vars(loaded[0]), argv
+        assert "nodes" not in vars(loaded[0]) and "adjacency" not in vars(loaded[0]), argv
     # a reader that asks for them sees the scan's sorted lists
     nodes = scan_tree(ScanOptions(SearchConfig(demo_sysroot.root))).nodes
     graph = loaded[0]
-    assert graph.aliases == {p: n.alias_paths for p, n in enumerate(nodes) if n.alias_paths}
+    assert {p: graph.nodes[p].alias_paths for p in graph.nodes if graph.nodes[p].alias_paths} \
+        == {p: n.alias_paths for p, n in enumerate(nodes) if n.alias_paths}
     assert [n.alias_paths for n in graph.nodes.values()] == [n.alias_paths for n in nodes]
     assert all(n.alias_paths == sorted(n.alias_paths) for n in nodes)
     assert sum(len(n.alias_paths) for n in nodes) == 3
@@ -949,18 +950,34 @@ CORRUPT_V4 = {
     "an unknown width code inside a stream": (
         lambda r: {"kinds": zlib.compress(b"l" + zlib.decompress(r["kinds"])[1:], 1)},
         "column kinds: its width code 'l' is none of b, h, i, q"),
-    # the graph groups the aliases only when asked, but checks them at load
+    # only the nodes view groups the aliases, but a load checks them
     "an alias node outside the nodes": (lambda r: deflated_set(r, "alias_nodes", 0, lambda p: 10),
                                         "column alias_nodes holds a value outside 0..9"),
     "an alias node too few": (  # a byte per alias node on the demo tree
         lambda r: {"alias_nodes": zlib.compress(zlib.decompress(r["alias_nodes"])[:-1], 1)},
         "column alias_nodes holds 2 values, not 3"),
+    "a column stored as TEXT": (lambda r: {"origins": "rpath"},
+                                "column origins: it holds no BLOB"),
 }
 
 
 @pytest.mark.parametrize("case", CORRUPT_V4)
 def test_corrupt_v4_graphs_row_is_unreadable(capsys, demo_db, case):
     corrupt_graphs_row_is_unreadable(capsys, demo_db, *CORRUPT_V4[case])
+
+
+def test_a_snapshot_whose_graph_is_gone_is_unreadable(capsys, demo_db):
+    con = sqlite3.connect(demo_db)
+    with con:
+        con.execute("DELETE FROM graphs")
+    con.close()
+    before = db_hash(demo_db)
+    for argv in (["stats"], ["who-uses", "libc.so.6"], ["evolve"], ["dot"]):
+        code, out, err = run(capsys, *argv, "--db", demo_db)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("depex: snapshot 'demo' in ") and \
+            err.endswith("cannot be read: its graph is not stored\n"), err
+    assert db_hash(demo_db) == before
 
 
 EMPTY_ROW = dict.fromkeys(["executables", "libraries", "dependencies", "missing", "unused",

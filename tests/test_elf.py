@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 import os
 import random
+import re
+import shutil
 import struct
 import subprocess
 import sys
@@ -14,6 +16,7 @@ from depex.elf import (DT_SYMENT, DT_SYMTAB, ByteOrder, ElfError, FileKind,
                        Malformed, NotElf, ObjectType, Truncated, WordSize,
                        classify_kind, parse_elf, read_symbols)
 from elfbuild import GLOBAL, LOCAL, WEAK, ElfSpec, build_elf, with_dynamic_entry
+from oracles import READELF, readelf_dyn_syms
 
 
 def test_64le_needed_and_runpath():
@@ -187,6 +190,42 @@ def test_symbols_read_once_on_first_access(monkeypatch):
         assert s.undefined_symbols == s.weak_undefined_symbols == {"g"}
     assert len(reads) == 1 and reads[0] is data
     assert s.image is data
+
+
+@pytest.mark.skipif(not (shutil.which("gcc") and READELF), reason="needs gcc and readelf")
+def test_read_symbols_of_a_gnu_hash_only_library_match_readelf(tmp_path, monkeypatch):
+    """A gcc-built library with DT_GNU_HASH and no DT_HASH, as Debian's gcc
+    links by default: its symbol count comes from the GNU hash chains."""
+    source = tmp_path / "lib.c"
+    source.write_text(
+        "extern int imported(int);\n"
+        "extern int weak_import(int) __attribute__((weak));\n"
+        "__attribute__((weak)) int weak_export(int x) { return x; }\n"
+        "static int local_helper(int x) { return imported(x); }\n"
+        + "".join(f"int export_{i}(int x) {{ return local_helper(x) + {i}; }}\n"
+                  for i in range(40))
+        + "int uses_weak(int x) { return weak_import ? weak_import(x) : 0; }\n")
+    library = str(tmp_path / "libgnuhash.so")
+    subprocess.run([shutil.which("gcc"), "-shared", "-fPIC", "-Wl,--hash-style=gnu",
+                    "-o", library, str(source)], check=True, capture_output=True)
+    dynamic = subprocess.run([READELF, "-d", "-W", library], capture_output=True, text=True,
+                             check=True).stdout
+    assert "(GNU_HASH)" in dynamic and "(HASH)" not in dynamic
+    listed = subprocess.run([READELF, "--dyn-syms", "-W", library], capture_output=True,
+                            text=True, check=True).stdout
+    entries, = map(int, re.findall(r"Symbol table '\.dynsym' contains (\d+) entries", listed))
+    counts = []
+    count = depex.elf._Reader._gnu_hash_count
+    monkeypatch.setattr(depex.elf._Reader, "_gnu_hash_count",
+                        lambda self, off: counts.append(count(self, off)) or counts[-1])
+    with open(library, "rb") as f:
+        data = f.read()
+    undefined, exported, weak = readelf_dyn_syms(library)
+    assert read_symbols(data) == (undefined, exported, weak)
+    assert counts == [entries]
+    assert {"imported", "weak_import"} <= undefined and weak >= {"weak_import"}
+    assert {"weak_export", "uses_weak", *(f"export_{i}" for i in range(40))} <= exported
+    assert "local_helper" not in exported | undefined
 
 
 def test_image_outside_eq_hash_and_repr():

@@ -4,7 +4,9 @@ import errno
 import os
 import posixpath
 import random
+import shutil
 import stat
+import subprocess
 import time
 import weakref
 from collections import Counter
@@ -14,7 +16,7 @@ import pytest
 
 import depex.elf
 import depex.scanner
-from depex.elf import DT_SYMENT, DT_SYMTAB, FileKind, classify_kind
+from depex.elf import DT_SYMENT, DT_SYMTAB, FileKind, classify_kind, parse_elf
 from depex.resolver import Origin, Resolver, SearchConfig
 from depex.scanner import RelativePath, ScanOptions, SysrootUnreadable, scan_tree
 from conftest import SysrootBuilder, make_demo_sysroot
@@ -274,6 +276,37 @@ def test_file_past_the_first_read_is_read_whole(sysroot, padding):
         ("/usr/lib/libbig.so", FileKind.SHARED_LIBRARY, "libbig.so", len(data))]
     assert [e.needed_name for e in result.edges] == ["libc.so.6"]
     assert result.counts.files_seen == 2 and result.error_records == []
+
+
+@pytest.mark.parametrize("reported", [0, 4096, 4097, 9000])
+def test_file_longer_than_fstat_says_is_read_to_eof(sysroot, monkeypatch, reported):
+    # a file that grew after its fstat: the pread that asks one byte past the
+    # size fstat gave gets it, so the scanner reads on to EOF
+    data = build_elf(ElfSpec(soname="libbig.so", needed=["libc.so.6"], runpath="$ORIGIN"))
+    data += b"\0" * (4096 * 3 + 7 - len(data))
+    sysroot.write("/usr/lib/libbig.so", data)
+    expected = scan_tree(options_for(sysroot))
+    sizes = []
+
+    class ShortFstat:  # os as the scanner sees it, whose fstat reports fewer bytes
+        def __getattr__(self, name):
+            return getattr(os, name)
+
+        @staticmethod
+        def fstat(fd):
+            st = os.fstat(fd)
+            sizes.append(st.st_size)
+            return os.stat_result((*st[:6], reported, *st[7:]))
+
+    monkeypatch.setattr(depex.scanner, "os", ShortFstat())
+    result = scan_tree(options_for(sysroot))
+    assert sizes == [len(data)]
+    assert [(n.canonical_path, n.size_bytes) for n in result.nodes] == \
+        [(n.canonical_path, n.size_bytes) for n in expected.nodes] == \
+        [("/usr/lib/libbig.so", len(data))]
+    assert edge_tuples(result) == edge_tuples(expected) == \
+        [("/usr/lib/libbig.so", "libc.so.6", None)]
+    assert result.error_records == []
 
 
 def test_truncated_elf_recorded_not_fatal(sysroot):
@@ -617,7 +650,8 @@ def test_resolve_matches_reference(sysroot, seed):
                 resolver.scandir(hit[0])
     for _ in range(30):
         needed = rng.choice([*files, *files, *names, f"d0/{rng.choice(files)}", "../lib0.so",
-                             rng.choice(spellings) + "/lib1.so"])
+                             rng.choice(spellings) + "/lib1.so", f"$ORIGIN/{rng.choice(files)}",
+                             "${ORIGIN}/../lib0.so", "$ORIGIN_/lib1.so", "lib$ORIGIN"])
         summary = SearchPaths(search_value(rng, dirs), search_value(rng, spellings))
         dependent_dir = rng.choice(dirs)
         r = resolver.resolve(needed, summary, posixpath.join(dependent_dir, "dependent"))
@@ -643,6 +677,20 @@ LOADER_CASES = {
     "$ORIGIN in the dependent's directory": (
         {"/x/$ORIGIN/lib/libx.so": b"x"},
         "libx.so", "${ORIGIN}/lib", None, "/x/$ORIGIN", ("/x/$ORIGIN/lib/libx.so", "rpath")),
+    # a needed name's $ORIGIN is expanded (dl-deps.c), and the name with
+    # "/" that it makes is opened as a path, not searched
+    "$ORIGIN in a needed name": (
+        {"/app/lib/libx.so": b"x", "/app/bin/.keep": b""},  # ".." needs the directory
+        "$ORIGIN/../lib/libx.so", None, None, "/app/bin", ("/app/lib/libx.so", "direct")),
+    "$ORIGIN in a needed name without '/'": (
+        {"/lib/libx$ORIGIN": b"x"},
+        "libx$ORIGIN", None, "/lib", "/app", (None, None)),
+    # then _dl_map_object expands that path's $ORIGIN once more
+    "$ORIGIN in a needed name and in the dependent's directory": (
+        {"/x/$ORIGIN/lib/libx.so": b"x", "/x/x/$ORIGIN/bin/lib/libx.so": b"x",
+         "/x/x/$ORIGIN/bin/bin/.keep": b""},
+        "$ORIGIN/../lib/libx.so", None, None, "/x/$ORIGIN/bin",
+        ("/x/x/$ORIGIN/bin/lib/libx.so", "direct")),
 }
 
 
@@ -657,6 +705,65 @@ def test_resolve_agrees_with_the_loader(sysroot, case):
     assert (r.path, r.origin and r.origin.value) == loader
     assert resolve_reference(sysroot.root, needed, rpath, runpath, dependent_dir,
                              config) == loader
+
+
+GCC, LDD = shutil.which("gcc"), shutil.which("ldd")
+
+
+def ldd_finds(program: str, library: str) -> str | None:
+    """The path ldd loads for the one needed name of program that ends in
+    library, realpath'd; None where ldd reports it not found."""
+    out = subprocess.run([LDD, program], capture_output=True, text=True, check=True).stdout
+    line, = (line for line in out.splitlines() if library in line)
+    # "NAME => PATH (ADDRESS)", "NAME => not found", or "PATH (ADDRESS)" for a
+    # name opened as the path that it spells
+    where = line.strip().rpartition(" => ")[2]
+    return None if where == "not found" else os.path.realpath(where.rpartition(" (")[0])
+
+
+@pytest.mark.skipif(not (GCC and LDD), reason="needs gcc and ldd")
+def test_origin_in_a_needed_name_resolves_as_ldd_does(tmp_path):
+    """A library linked with a SONAME that spells $ORIGIN gives that name to
+    the DT_NEEDED of a program linked against it. Each program is resolved
+    with the host's root as the sysroot, so that its answer and ldd's are
+    the same host path."""
+    top = os.path.realpath(tmp_path)
+    (tmp_path / "x.c").write_text("int x_fn(void) { return 42; }\n")
+    (tmp_path / "main.c").write_text("int x_fn(void); int main(void) { return x_fn(); }\n")
+    cases = [  # (program, SONAME, where the library is, a decoy copy, link flags, found)
+        (f"{top}/app/bin/prog", "$ORIGIN/../lib/libxo.so", f"{top}/app/lib/libxo.so", None, [],
+         True),
+        # ld.so expands the name, then that path once more, so a directory
+        # that spells $ORIGIN is expanded again; the decoy is where one pass leads
+        (f"{top}/x/$ORIGIN/bin/prog", "${ORIGIN}/../lib/libxo.so",
+         f"{top}/x{top}/x/$ORIGIN/bin/lib/libxo.so", f"{top}/x/$ORIGIN/lib/libxo.so", [], True),
+        # expanded, the name holds "/": no search, though RUNPATH holds a file so named
+        (f"{top}/rel/bin/prog", "libxo$ORIGIN", f"{top}/rel/bin/libxo$ORIGIN", None,
+         ["-Wl,--enable-new-dtags,-rpath,$ORIGIN"], False),
+    ]
+    for program, soname, library, decoy, flags, resolved in cases:
+        # "bin/../lib" is walked, so a bin beside each library's directory must exist
+        for path in (program, library, decoy or library, f"{os.path.dirname(library)}/../bin/"):
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+        subprocess.run([GCC, "-shared", "-fPIC", "-o", library, f"-Wl,-soname,{soname}",
+                        str(tmp_path / "x.c")], check=True, capture_output=True)
+        subprocess.run([GCC, "-o", program, str(tmp_path / "main.c"), library, *flags],
+                       check=True, capture_output=True)
+        if decoy:
+            shutil.copyfile(library, decoy)
+        with open(program, "rb") as f:
+            summary = parse_elf(f.read())
+        assert soname in summary.needed
+        loader = ldd_finds(program, "libxo")
+        assert loader == (library if resolved else None), soname
+        r = Resolver(SearchConfig("/")).resolve(soname, summary, program)
+        assert (r.path, r.needed_name) == (loader, soname)
+        assert resolve_reference("/", soname, summary.rpath, summary.runpath,
+                                 os.path.dirname(program), SearchConfig("/"))[0] == loader
+    # scanned as a tree of its own, the first program's edge is direct
+    result = scan_tree(ScanOptions(SearchConfig(f"{top}/app")))
+    assert [e for e in edge_tuples(result) if e[1] == cases[0][1]] == \
+        [("/bin/prog", "$ORIGIN/../lib/libxo.so", "/lib/libxo.so")]
 
 
 def test_link_chain_past_the_limit_matches_the_kernel(tmp_path):

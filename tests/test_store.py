@@ -550,8 +550,9 @@ def test_fixture_aliases_group_into_the_saved_lists(demo_sysroot, tmp_path, name
         assert [(graph.paths[p], alias) for p, alias in zip(graph.alias_nodes,
                                                              graph.alias_paths)] == \
             [(path, alias) for path, group in saved.items() for alias in group]
-        assert "aliases" not in vars(graph)
-        assert {graph.paths[p]: group for p, group in graph.aliases.items()} == saved
+        assert "nodes" not in vars(graph)
+        assert {graph.paths[p]: graph.nodes[p].alias_paths
+                for p in graph.nodes if graph.nodes[p].alias_paths} == saved
         assert {n.canonical_path: n.alias_paths
                 for n in graph.nodes.values() if n.alias_paths} == saved
 
@@ -789,9 +790,22 @@ def test_record_ids_only_place_nodes_and_edges(tmp_path):
     records = load_graph("ids", db)
     assert list(records.nodes) == list(records.adjacency) == [0, 1, 2]
     assert [n.id for n in records.nodes.values()] == [0, 1, 2]
-    assert records.aliases == {1: ["/lib/a.so"]}
+    assert [records.nodes[p].alias_paths for p in records.nodes] == [[], ["/lib/a.so"], []]
     assert [(e.id, e.from_node, e.needed_name, e.to_node) for e in edge_records(records)] == \
         [(0, 0, "liba.so", 1), (1, 0, "libghost.so", None), (2, 1, "libb.so", 2),
          (3, 2, "liba.so", 1)]
     assert 10 not in records
     assert answers(records) == answers(positional)
+
+
+def test_record_views_are_built_once_and_read_only():
+    graph = build_graph([("/bin/app", EXE), ("/lib/liba.so", LIB, "liba.so")],
+                        [(0, "liba.so", 1), (0, "libghost.so", None)])
+    assert vars(graph).keys().isdisjoint({"nodes", "adjacency"})
+    nodes, adjacency = graph.nodes, graph.adjacency
+    assert graph.nodes is nodes and graph.adjacency is adjacency  # and the records shared
+    for view in (nodes, adjacency):
+        assert len(view) == 2 and -1 not in view and 2 not in view
+        with pytest.raises(TypeError):
+            view[2] = None
+    assert [e.to_node for e in adjacency[0]] == [1, None] and adjacency[1] == []

@@ -25,7 +25,8 @@ It then prints, for each snapshot, every node's recursive coupling from
 every node's direct users from `depex.queries.who_uses` as
 `path<TAB>count<TAB>digest` lines in path order, the digest a SHA-256
 prefix of the users' sorted paths, and every node's columns by position
-(path, kind, soname, size, aliases), as `scans` prints a saved snapshot's:
+(path, kind, soname, size, and its aliases as the node records of the
+graph's `nodes` hold them), as `scans` prints a saved snapshot's:
 no read command prints sizes or aliases, so a load that decoded them wrongly
 would otherwise pass. Dumps made with the `src/` of two commits differ in
 a byte exactly when a read answer or a loaded node column does.
@@ -51,7 +52,8 @@ soname, size, aliases), every edge (with its target and origin) and every
 error record. It then saves the scan through `save_snapshot`, all six into
 one fresh database, and prints what
 `load_graph` reads back: the snapshot's id, label and root, the node
-columns by position (path, kind, soname, size, aliases) and the edges by
+columns by position (path, kind, soname, size, and the aliases of each
+node's record in `nodes`) and the edges by
 position (source, needed name, target, origin). Scan dumps likewise differ
 in a byte exactly when a scan answer or a saved snapshot does, whatever
 the storage format.
@@ -154,7 +156,7 @@ def scans(src: str, where: str) -> None:
                 out.write(f"saved {g.snapshot.id} {g.snapshot.label} {g.snapshot.root_path}\n")
                 for p, path in enumerate(g.paths):
                     out.write(f"saved node {p} {path} {g.kinds[p].value} {g.sonames[p]} "
-                              f"{g.sizes[p]} {' '.join(g.aliases.get(p, ()))}\n")
+                              f"{g.sizes[p]} {' '.join(g.nodes[p].alias_paths)}\n")
                 sources = [p for p in range(len(g.paths))
                            for _ in range(g.out_start[p], g.out_start[p + 1])]
                 for e, (src, needed, dst, origin) in enumerate(
@@ -230,7 +232,7 @@ def dump(src: str, where: str) -> None:
         sys.stdout.write(f"$ nodes {snapshot.label}\n")
         for p, path in enumerate(graph.paths):
             sys.stdout.write(f"node {p} {path} {graph.kinds[p].value} {graph.sonames[p]} "
-                             f"{graph.sizes[p]} {' '.join(graph.aliases.get(p, ()))}\n")
+                             f"{graph.sizes[p]} {' '.join(graph.nodes[p].alias_paths)}\n")
 
 
 if __name__ == "__main__":
