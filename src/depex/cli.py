@@ -26,7 +26,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import asdict
 
 from depex import __version__
-from depex.dot import DotOptions, dot_chunks
+from depex.dot import dot_chunks
 from depex.evolution import TREND_COLUMNS, trend_report
 from depex.metrics import stats_summary
 from depex.queries import (AmbiguousName, find_node, get_all_deps, get_deps,
@@ -250,9 +250,8 @@ def _impact(args, graph: DependencyGraph, node: int) -> _Answer:
 
 
 def _dot(args, graph: DependencyGraph, node: None) -> _Answer:
-    roots = [find_node(graph, r) for r in args.root] or None
-    return None, dot_chunks(graph, DotOptions(hide_top_k=args.hide_top,
-                                              hide_names=args.hide_name, roots=roots))
+    return None, dot_chunks(graph, hide_top_k=args.hide_top, hide_names=args.hide_name,
+                            roots=[find_node(graph, r) for r in args.root] or None)
 
 
 def _snapshots(args, db: str) -> _Answer:
@@ -263,7 +262,7 @@ def _snapshots(args, db: str) -> _Answer:
 
 
 def _evolve(args, db: str) -> _Answer:
-    rows = [asdict(r) for r in trend_report(db, args.snapshots).rows]
+    rows = [asdict(r) for r in trend_report(db, args.snapshots)]
     out = io.StringIO()
     writer = csv.DictWriter(out, fieldnames=TREND_COLUMNS)
     writer.writeheader()

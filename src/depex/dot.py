@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_right
-from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from collections.abc import Collection, Iterable, Iterator
 
 from depex.elf import FileKind
 from depex.metrics import popularity
@@ -20,35 +19,28 @@ from depex.store import DependencyGraph
 _SHAPES = {FileKind.EXECUTABLE_BINARY: "box"}  # every other node is an ellipse
 
 
-@dataclass
-class DotOptions:
-    hide_top_k: int = 0
-    hide_names: list[str] = field(default_factory=list)
-    roots: list[int] | None = None
-
-
 def _quote(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def dot_chunks(graph: DependencyGraph, options: DotOptions | None = None) -> Iterator[str]:
+def dot_chunks(graph: DependencyGraph, hide_top_k: int = 0, hide_names: Collection[str] = (),
+               roots: Collection[int] | None = None) -> Iterator[str]:
     """The DOT text in chunks: the header, the node declarations, the
     missing-name declarations, the edge lines of every 16 visible sources
     and the closing brace. All that can fail runs before the first chunk."""
-    options = options or DotOptions()
     paths = graph.paths
 
     visible = set(range(len(paths)))  # node ids
-    if options.roots is not None:  # the roots and their closures; reachable_from checks each
-        visible = set(options.roots).union(*map(graph.reachable_from, options.roots))
+    if roots is not None:  # the roots and their closures; reachable_from checks each
+        visible = set(roots).union(*map(graph.reachable_from, roots))
 
-    if options.hide_top_k > 0:  # nsmallest: sorted(...)[:k] without sorting every node
+    if hide_top_k > 0:  # nsmallest: sorted(...)[:k] without sorting every node
         pop = popularity(graph)
-        visible -= set(heapq.nsmallest(options.hide_top_k, range(len(paths)),
+        visible -= set(heapq.nsmallest(hide_top_k, range(len(paths)),
                                        key=lambda p: (-pop[p], paths[p])))
 
-    if options.hide_names:
-        visible = {p for p in visible if not any(s in paths[p] for s in options.hide_names)}
+    if hide_names:
+        visible = {p for p in visible if not any(s in paths[p] for s in hide_names)}
 
     order = sorted(visible, key=paths.__getitem__)
     quoted = {p: _quote(paths[p]) for p in order}  # each visible path, quoted once

@@ -43,11 +43,6 @@ TREND_COLUMNS = tuple(f.name for f in fields(TrendRow))
 
 
 @dataclass
-class TrendReport:
-    rows: list[TrendRow] = field(default_factory=list)
-
-
-@dataclass
 class SnapshotDelta:
     added_libraries: set[str] = field(default_factory=set)
     removed_libraries: set[str] = field(default_factory=set)
@@ -138,7 +133,7 @@ def _shared_rows(distinct: list[str], db_path: str, helpers: int) -> list:
             os.waitpid(pid, 0)
 
 
-def trend_report(db_path: str, labels: list[str] | None = None) -> TrendReport:
+def trend_report(db_path: str, labels: list[str] | None = None) -> list[TrendRow]:
     """One row of headline metrics per snapshot, in the given order. A
     failure is the first failing label's, as if the rows were made in turn."""
     labels = _labels_or_all(db_path, labels)
@@ -149,7 +144,7 @@ def trend_report(db_path: str, labels: list[str] | None = None) -> TrendReport:
     for row in rows.values():  # in the asked order of first sight: the first failure first
         if isinstance(row, Exception):
             raise row
-    return TrendReport([rows[label] for label in labels])
+    return [rows[label] for label in labels]
 
 
 def _keys_by_kind(graph: DependencyGraph, kind: FileKind) -> set[str]:

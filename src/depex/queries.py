@@ -65,8 +65,9 @@ def find_node(graph: DependencyGraph, ref: str) -> int:
     """Resolve a CLI name-or-path argument to a node id.
 
     Sonames match first; otherwise the argument is a canonical path or a
-    path suffix on a component boundary. More than one hit is an error
-    that lists the candidates.
+    path suffix on a component boundary; failing both, a node's alias
+    spelling as stored. More than one hit is an error that lists the
+    candidates.
     """
     sonames, paths = graph.sonames, graph.paths
     if sonames.count(ref) == 1:
@@ -77,6 +78,8 @@ def find_node(graph: DependencyGraph, ref: str) -> int:
     by_path = list(compress(range(len(paths)), map(str.endswith, paths, repeat(suffix))))
     if not ref.startswith("/") and ref in paths:  # a relative path matches only whole
         by_path.append(paths.index(ref))
+    if not by_path:  # the two alias columns as stored: no node records are built
+        by_path = list({p for p, a in zip(graph.alias_nodes, graph.alias_paths) if a == ref})
     if len(by_path) == 1:
         return by_path[0]
     if len(by_path) > 1:

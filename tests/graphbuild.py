@@ -14,11 +14,12 @@ LIB = FileKind.SHARED_LIBRARY
 _SNAP = Snapshot(1, "test", "/", "1970-01-01T00:00:00+00:00", "0")
 
 
-def build_graph(nodes, edges) -> DependencyGraph:
+def build_graph(nodes, edges, aliases=()) -> DependencyGraph:
     """nodes: list of (path, kind) or (path, kind, soname), ids by position.
 
     edges: (from_id, needed_name, to_id) with to_id None for a missing ref;
     their ids are positions once grouped by source, each source's in order.
+    aliases: (node_id, alias_path) pairs, stored in the given order.
     """
     edges = sorted(edges, key=lambda edge: edge[0])  # stable: import-table order kept
     degrees = [0] * len(nodes)
@@ -26,7 +27,8 @@ def build_graph(nodes, edges) -> DependencyGraph:
         degrees[src] += 1
     return DependencyGraph(
         _SNAP, [spec[0] for spec in nodes], [spec[1] for spec in nodes],
-        [spec[2] if len(spec) > 2 else None for spec in nodes], [0] * len(nodes), [], [],
+        [spec[2] if len(spec) > 2 else None for spec in nodes], [0] * len(nodes),
+        [p for p, _ in aliases], [alias for _, alias in aliases],
         degrees, [name for _, name, _ in edges],
         [-1 if dst is None else dst for _, _, dst in edges],
         [None if dst is None else Origin.DEFAULT_DIR for _, _, dst in edges])

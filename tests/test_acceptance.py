@@ -463,7 +463,7 @@ def test_criterion_6_evolution(tmp_path):
     for label, tree in build_version_trees(tmp_path / "trees").items():
         save_snapshot(scan_tree(ScanOptions(SearchConfig(tree.root))), label, db)
 
-    rows = trend_report(db).rows
+    rows = trend_report(db)
     assert [r.label for r in rows] == ["1.0", "2.0", "3.0"]
     r1, r2, r3 = rows
     assert (r1.executables, r1.libraries, r1.dependencies, r1.missing,

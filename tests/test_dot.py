@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from depex.dot import DotOptions, dot_chunks
+from depex.dot import dot_chunks
 from depex.metrics import popularity
 from depex.store import UnknownNode
 from graphbuild import EXE, LIB, build_graph
@@ -77,7 +77,7 @@ def test_shapes_by_kind():
 
 
 def test_hide_top_one_on_star_leaves_isolated_users():
-    text = "".join(dot_chunks(star(), DotOptions(hide_top_k=1)))
+    text = "".join(dot_chunks(star(), hide_top_k=1))
     nodes, edges = check_dot_grammar(text)
     assert '"/hub.so"' not in nodes
     assert len(nodes) == 5
@@ -87,14 +87,14 @@ def test_hide_top_one_on_star_leaves_isolated_users():
 def test_hide_top_tie_breaks_by_path():
     g = build_graph([("/a.so", LIB), ("/b.so", LIB), ("/c", EXE)],
                     [(2, "a.so", 0), (2, "b.so", 1)])
-    text = "".join(dot_chunks(g, DotOptions(hide_top_k=1)))
+    text = "".join(dot_chunks(g, hide_top_k=1))
     nodes, _ = check_dot_grammar(text)
     assert '"/a.so"' not in nodes  # equal popularity: earlier path hides first
     assert '"/b.so"' in nodes
 
 
 def test_filtering_soundness_no_dangling_edges():
-    text = "".join(dot_chunks(demo(), DotOptions(hide_names=["liba"])))
+    text = "".join(dot_chunks(demo(), hide_names=["liba"]))
     nodes, edges = check_dot_grammar(text)
     assert '"/lib/liba.so"' not in nodes
     for src, dst in edges:
@@ -103,7 +103,7 @@ def test_filtering_soundness_no_dangling_edges():
 
 
 def test_hidden_source_drops_its_missing_reference():
-    text = "".join(dot_chunks(demo(), DotOptions(hide_names=["app"])))
+    text = "".join(dot_chunks(demo(), hide_names=["app"]))
     nodes, edges = check_dot_grammar(text)
     assert '"missing:ghost.so"' not in nodes
     assert edges == {('"/lib/liba.so"', '"/lib/libb.so"')}
@@ -113,7 +113,7 @@ def test_roots_restrict_to_forward_closure():
     g = build_graph(
         [("/a", EXE), ("/b", LIB), ("/c", LIB), ("/other", EXE), ("/o.so", LIB)],
         [(0, "b", 1), (1, "c", 2), (3, "o", 4)])
-    text = "".join(dot_chunks(g, DotOptions(roots=[0])))
+    text = "".join(dot_chunks(g, roots=[0]))
     nodes, edges = check_dot_grammar(text)
     assert nodes == {'"/a"', '"/b"', '"/c"'}
     assert len(edges) == 2
@@ -121,7 +121,7 @@ def test_roots_restrict_to_forward_closure():
 
 def test_bad_root_raises():
     with pytest.raises(UnknownNode):  # before the first chunk: an error yields nothing
-        next(dot_chunks(demo(), DotOptions(roots=[99])))
+        next(dot_chunks(demo(), roots=[99]))
 
 
 def test_quoting_of_special_characters():
@@ -146,7 +146,7 @@ def test_hide_top_hides_the_k_first_by_popularity_then_path(seed):
     ranked = sorted(range(n), key=lambda p: (-pop[p], names[p]))
     everything, _ = check_dot_grammar("".join(dot_chunks(g)))
     for k in range(n + 2):
-        nodes, _ = check_dot_grammar("".join(dot_chunks(g, DotOptions(hide_top_k=k))))
+        nodes, _ = check_dot_grammar("".join(dot_chunks(g, hide_top_k=k)))
         assert everything - nodes == {f'"{names[p]}"' for p in ranked[:k]}
 
 

@@ -94,7 +94,7 @@ def test_identity_key_prefers_soname():
 
 def test_trend_report_hand_computed(corpus):
     report = trend_report(corpus, ["1.0", "2.0"])
-    r1, r2 = report.rows
+    r1, r2 = report
     assert (r1.label, r1.executables, r1.libraries) == ("1.0", 1, 2)
     assert (r1.dependencies, r1.missing, r1.unused) == (2, 0, 0)
     assert r1.files_total == 3
@@ -104,7 +104,7 @@ def test_trend_report_hand_computed(corpus):
 
 
 def test_trend_single_row_equals_stats(corpus):
-    row = trend_report(corpus, ["3.0"]).rows[0]
+    row = trend_report(corpus, ["3.0"])[0]
     stats = stats_summary(load_graph("3.0", corpus))
     assert row.executables == stats.executables
     assert row.libraries == stats.libraries
@@ -118,11 +118,11 @@ def test_trend_single_row_equals_stats(corpus):
 
 
 def test_trend_empty_label_list(corpus):
-    assert trend_report(corpus, []).rows == []
+    assert trend_report(corpus, []) == []
 
 
 def test_trend_defaults_to_all_in_natural_order(corpus):
-    labels = [r.label for r in trend_report(corpus).rows]
+    labels = [r.label for r in trend_report(corpus)]
     assert labels == ["1.0", "2.0", "3.0"]
 
 
@@ -186,8 +186,8 @@ def test_rows_invariant_to_insertion_order(tmp_path):
     save_snapshot(snapshot_v2(), "2.0", db_a)
     save_snapshot(snapshot_v2(), "2.0", db_b)
     save_snapshot(snapshot_v1(), "1.0", db_b)
-    rows_a = trend_report(db_a).rows
-    rows_b = trend_report(db_b).rows
+    rows_a = trend_report(db_a)
+    rows_b = trend_report(db_b)
     assert rows_a == rows_b
 
 
@@ -242,7 +242,7 @@ def test_trend_rows_from_workers_equal_serial_rows(monkeypatch, random_corpus, f
     expected = serial_rows(random_corpus, asked)
     on_cpus(monkeypatch, cpus)
     threads = threading.active_count()
-    assert trend_report(random_corpus, labels).rows == expected
+    assert trend_report(random_corpus, labels) == expected
     assert forks[0] == min(len(set(asked)), cpus) - 1
     assert no_child_left()
     assert threading.active_count() == threads
@@ -257,7 +257,7 @@ def test_queue_items_naming_runs_of_labels_give_the_same_rows(monkeypatch, rando
     monkeypatch.setattr(evolution, "_QUEUE_ITEMS", items)
     on_cpus(monkeypatch, cpus)
     for labels in (["r1", "r2", "r3"], ["r3", "r1", "r2", "r1"]):
-        assert trend_report(random_corpus, labels).rows == serial_rows(random_corpus, labels)
+        assert trend_report(random_corpus, labels) == serial_rows(random_corpus, labels)
     assert forks[0] == 2 * (cpus - 1)
     assert no_child_left()
 
@@ -265,7 +265,7 @@ def test_queue_items_naming_runs_of_labels_give_the_same_rows(monkeypatch, rando
 @pytest.mark.parametrize("labels", [["r2"], ["r2", "r2"], []])
 def test_one_distinct_label_forks_nothing(monkeypatch, random_corpus, forks, labels):
     on_cpus(monkeypatch, 3)
-    assert trend_report(random_corpus, labels).rows == serial_rows(random_corpus, labels)
+    assert trend_report(random_corpus, labels) == serial_rows(random_corpus, labels)
     assert forks[0] == 0
 
 
@@ -276,7 +276,7 @@ def test_a_second_thread_keeps_the_rows_in_process(monkeypatch, random_corpus, f
     waiter = threading.Thread(target=release.wait)
     waiter.start()
     try:
-        rows = trend_report(random_corpus).rows
+        rows = trend_report(random_corpus)
     finally:
         release.set()
         waiter.join()
@@ -287,7 +287,7 @@ def test_a_second_thread_keeps_the_rows_in_process(monkeypatch, random_corpus, f
 
 def test_no_affinity_call_keeps_the_rows_in_process(monkeypatch, random_corpus, forks):
     monkeypatch.delattr(os, "sched_getaffinity")
-    assert trend_report(random_corpus).rows == serial_rows(random_corpus, ["r1", "r2", "r3"])
+    assert trend_report(random_corpus) == serial_rows(random_corpus, ["r1", "r2", "r3"])
     assert forks[0] == 0
 
 
@@ -308,7 +308,7 @@ def test_with_no_helper_each_distinct_label_is_made_once(monkeypatch, random_cor
     if no_helper == "second-thread":
         waiter.start()
     try:
-        rows = trend_report(random_corpus, labels).rows
+        rows = trend_report(random_corpus, labels)
     finally:
         release.set()
         if waiter.ident is not None:

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from depex.dot import DotOptions, dot_chunks
+from depex.dot import dot_chunks
 from depex.metrics import health
 from depex.queries import (AmbiguousName, find_node, get_all_deps, get_deps,
                            update_impact, who_uses)
@@ -155,7 +155,7 @@ def test_sources_from_out_start_match_the_edges_with_zero_degree_nodes(where):
         assert "in_src" not in graph.__dict__  # no reverse CSR for a direct who-uses
         assert health(graph).directly_impacted == {s for s, _, d in edges if d is None}
         hidden = set(rng.sample(range(n), rng.randint(0, n // 2)))
-        text = "".join(dot_chunks(graph, DotOptions(hide_names=[nodes[p][0] for p in hidden])))
+        text = "".join(dot_chunks(graph, hide_names=[nodes[p][0] for p in hidden]))
         assert re.findall(r'^    "missing:(.*)" \[label=', text, re.M) == sorted(
             {name for s, name, d in edges if d is None and s not in hidden})
         start = graph.in_start
@@ -213,7 +213,8 @@ def find_node_oracle(graph, ref):
     by_soname = [p for p, soname in enumerate(graph.sonames) if soname == ref]
     suffix = "/" + ref.lstrip("/")
     by_path = [p for p, path in enumerate(graph.paths) if path == ref or path.endswith(suffix)]
-    hits = by_soname or by_path
+    by_alias = sorted({p for p, alias in zip(graph.alias_nodes, graph.alias_paths) if alias == ref})
+    hits = by_soname or by_path or by_alias
     if len(hits) == 1:
         return hits[0]
     return ("ambiguous", sorted(graph.paths[p] for p in hits)) if hits else "unknown"
@@ -224,10 +225,15 @@ def test_find_node_matches_the_comprehension_oracle():
         [("/usr/lib/a.so", LIB, "liba.so"), ("a.so", LIB), ("/lib/a.so", LIB, "liba.so"),
          ("/usr/bin/tool", EXE), ("//x/tool", EXE), ("/lib/b.so.1", LIB, "libb.so.1"),
          ("b.so.1", LIB, "libc.so")],
-        [])
+        [],
+        [(0, "/lib64/a.so"), (0, "/usr/lib/liba.so"), (3, "/bin/tool"), (5, "/lib/b.so"),
+         (6, "/lib/b.so"), (5, "/usr/lib/liba.so.0"), (6, "/usr/lib/b.so.1"), (1, "/x/tool"),
+         (2, "liba.so"), (6, "/lib/b.so.1")])
     refs = ["liba.so", "libb.so.1", "libc.so", "a.so", "/a.so", "//a.so", "lib/a.so",
             "b.so.1", "tool", "bin/tool", "x/tool", "//x/tool", "/usr/bin/tool", "nothing",
-            "", "/"]
+            "", "/", "/lib64/a.so", "lib64/a.so", "/usr/lib/liba.so", "/bin/tool",
+            "/lib/b.so", "/usr/lib/liba.so.0", "liba.so.0", "/usr/lib/b.so.1", "/x/tool",
+            "/lib/b.so.1"]
     for ref in refs:
         try:
             got = find_node(g, ref)

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import errno
+import json
 import os
 import posixpath
 import random
 import shutil
 import stat
+import struct
 import subprocess
 import time
 import weakref
@@ -16,9 +18,11 @@ import pytest
 
 import depex.elf
 import depex.scanner
+from depex.cli import run_cli
 from depex.elf import DT_SYMENT, DT_SYMTAB, FileKind, classify_kind, parse_elf
 from depex.resolver import Origin, Resolver, SearchConfig
 from depex.scanner import RelativePath, ScanOptions, SysrootUnreadable, scan_tree
+from depex.store import save_snapshot
 from conftest import SysrootBuilder, make_demo_sysroot
 from elfbuild import ElfSpec, build_elf, with_dynamic_entry
 from oracles import NO_SUCH_PATH, canonical_reference, resolve_reference
@@ -566,6 +570,22 @@ def test_walk_aliases_land_on_their_node(sysroot, seed):
     assert all(canonical_reference(sysroot.root, path) is None for path in recorded)
 
 
+@pytest.mark.parametrize("seed", range(0, 20, 3))
+def test_every_alias_spelling_names_its_node(sysroot, tmp_path, capsys, seed):
+    random_tree(sysroot, seed)
+    sysroot.elf("/usr/lib/libv.so.1.2", ElfSpec(soname="libv.so.1"))
+    sysroot.symlink("/usr/lib/libv.so.1", "libv.so.1.2")  # a soname link: no path suffix
+    sysroot.symlink("/lib", "usr/lib")  # merged /usr: /lib/x is a path suffix of /usr/lib/x
+    result = scan_tree(options_for(sysroot))
+    db = str(tmp_path / "aliases.db")
+    save_snapshot(result, "t", db)
+    spellings = [(alias, n.canonical_path) for n in result.nodes for alias in n.alias_paths]
+    assert "/usr/lib/libv.so.1" in dict(spellings)
+    for alias, path in spellings:
+        assert run_cli(["who-uses", alias, "--json", "--db", db]) == 0, alias
+        assert json.loads(capsys.readouterr().out)["library"] == path, alias
+
+
 def random_spelling(rng, names):
     parts = [rng.choice([*names, ".", "..", "nowhere"]) for _ in range(rng.randint(0, 6))]
     return "/" + "/".join(parts) + rng.choice(["", "/"])
@@ -764,6 +784,93 @@ def test_origin_in_a_needed_name_resolves_as_ldd_does(tmp_path):
     result = scan_tree(ScanOptions(SearchConfig(f"{top}/app")))
     assert [e for e in edge_tuples(result) if e[1] == cases[0][1]] == \
         [("/bin/prog", "$ORIGIN/../lib/libxo.so", "/lib/libxo.so")]
+
+
+GLIBC = "CS_GNU_LIBC_VERSION" in getattr(os, "confstr_names", {}) \
+    and (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc")
+
+
+def pt_interp(data: bytes) -> str | None:
+    """The PT_INTERP path of an ELF file's bytes, None without one."""
+    order, wide = "<" if data[5] == 1 else ">", data[4] == 2
+    phoff, = struct.unpack_from(order + ("Q" if wide else "I"), data, 0x20 if wide else 0x1C)
+    phentsize, phnum = struct.unpack_from(order + "HH", data, 0x36 if wide else 0x2A)
+    for off in range(phoff, phoff + phnum * phentsize, phentsize):
+        if struct.unpack_from(order + "I", data, off)[0] == 3:
+            offset, size = struct.unpack_from(order + ("8xQ16xQ" if wide else "4xI8xI"), data, off)
+            return data[offset:offset + size].rstrip(b"\0").decode()
+    return None
+
+
+def ldd_list(path: str) -> set:
+    """What ldd lists for the file at path, realpath'd, and ("not found",
+    NAME) for each name it does not find; the vDSO is left out."""
+    out = subprocess.run([LDD, path], capture_output=True, text=True, check=True).stdout
+    listed = set()
+    for line in out.splitlines():
+        # "NAME => PATH (ADDRESS)", "NAME => not found", or "PATH (ADDRESS)"
+        name, arrow, where = line.strip().partition(" => ")
+        where = (where if arrow else name).rpartition(" (")[0] or where
+        if where == "not found":
+            listed.add(("not found", name))
+        elif "/" in where:  # the vDSO has no path
+            listed.add(os.path.realpath(where))
+    return listed
+
+
+@pytest.mark.skipif(not (LDD and GLIBC), reason="needs ldd on a glibc host")
+def test_closures_of_the_live_root_match_ldd():
+    """Each dynamically linked program in the host's /usr/bin, followed
+    through depex's own parse_elf and one Resolver with "/" as the sysroot,
+    reaches what ldd lists for it, less the vDSO and the interpreter. A
+    name that a process finds only by an object loaded for another file is
+    the one difference allowed, and only where ldd of the needing library
+    also reports that name not found."""
+    resolver, files = Resolver(SearchConfig("/")), {}
+
+    def summary(path):  # (needed names, search paths, interpreter), parsed once a file
+        if path not in files:
+            with open(path, "rb") as f:
+                data = f.read()
+            elf = parse_elf(data)
+            files[path] = elf.needed, SearchPaths(elf.rpath, elf.runpath), pt_interp(data)
+        return files[path]
+
+    programs = sorted(entry.path for entry in os.scandir("/usr/bin")
+                      if entry.is_file(follow_symlinks=False))
+    compared, allowed, wrong = 0, [], []
+    for program in programs:
+        with open(program, "rb") as f:
+            if f.read(4) != b"\x7fELF":
+                continue
+        interp = summary(program)[2]
+        if interp is None or not os.path.exists(interp):
+            continue  # static, or for a loader this host lacks
+        reached, needing, todo = set(), {}, [program]
+        while todo:
+            path = todo.pop()
+            needed, search, _ = summary(path)
+            for name in needed:
+                r = resolver.resolve(name, search, path)
+                if r.path is None:
+                    reached.add(("not found", name))
+                    needing.setdefault(name, []).append(path)
+                elif r.path not in reached:
+                    reached.add(r.path)
+                    todo.append(r.path)
+        listed = ldd_list(program)
+        reached.discard(os.path.realpath(interp))
+        listed.discard(os.path.realpath(interp))
+        compared += 1
+        for item in sorted(reached ^ listed, key=str):
+            if isinstance(item, tuple) and item not in listed and any(  # see README
+                    item in ldd_list(lib) for lib in needing[item[1]]):
+                allowed.append((program, item[1]))
+            else:
+                wrong.append((program, item, "ldd only" if item in listed else "depex only"))
+    assert compared and not wrong, "\n".join(map(str, wrong))
+    print(f"{compared} programs, {len(files)} files: closures equal to ldd's but for "
+          f"{allowed or 'none'}")
 
 
 def test_link_chain_past_the_limit_matches_the_kernel(tmp_path):

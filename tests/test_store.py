@@ -12,7 +12,7 @@ from array import array
 
 import pytest
 
-from depex.dot import DotOptions, dot_chunks
+from depex.dot import dot_chunks
 from depex.elf import FileKind
 from depex.metrics import closure_sizes, health, popularity, stats_summary
 from depex.queries import get_all_deps, get_deps, update_impact, who_uses
@@ -745,8 +745,8 @@ def answers(graph) -> dict:
                    paths(report.unused_libraries)),
         "popularity": {path[n]: count for n, count in popularity(graph).items()},
         "dot": ["".join(dot_chunks(graph)),
-                "".join(dot_chunks(graph, DotOptions(hide_top_k=3))),
-                "".join(dot_chunks(graph, DotOptions(roots=roots)))],
+                "".join(dot_chunks(graph, hide_top_k=3)),
+                "".join(dot_chunks(graph, roots=roots))],
     }
     for p, n in sorted(ids.items()):
         impact = update_impact(graph, n)
