@@ -4,7 +4,7 @@ Direct coupling is what a developer sees in the import table; recursive
 coupling is the whole iceberg underneath it. Everything here is read-only
 over an immutable graph and safe to call concurrently.
 
-Recursive coupling of one node is one DFS, O(V + E). For a whole snapshot,
+One node's recursive coupling is one DFS, O(V + E). For a whole snapshot,
 closure_sizes condenses the imported core (the nodes something imports)
 into strongly connected components (Tarjan 1972) and propagates
 reachability bitsets over the condensation in reverse topological order
@@ -23,23 +23,10 @@ from depex.elf import FileKind
 from depex.store import DependencyGraph
 
 
-def direct_coupling(graph: DependencyGraph, node_id: int) -> int:
-    """Number of libraries the file names explicitly, resolved or not."""
-    return graph.degrees[graph.require(node_id)]
-
-
-def recursive_coupling(graph: DependencyGraph, node_id: int) -> int:
-    """Distinct files reachable through resolved edges, excluding the file itself.
-
-    Cycles are fine: each node counts once and the start node never counts.
-    This is the single-node query, one linear DFS; closure_sizes gives the
-    same count for every node at once.
-    """
-    return len(graph.reachable_from(node_id))
-
-
 def closure_sizes(graph: DependencyGraph) -> dict[int, int]:
-    """recursive_coupling of every node, in two passes over the graph.
+    """Recursive coupling of every node, in two passes over the graph: how
+    many distinct files each reaches through resolved edges, never itself,
+    as len(graph.reachable_from(p)) counts them for one node p.
 
     First the imported core, the nodes with a resolved in-edge, which holds
     every edge target. There Tarjan's SCC, iterative so deep chains cannot

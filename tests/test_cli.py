@@ -244,6 +244,8 @@ def test_evolve_csv_and_json(capsys, demo_db):
 READ_COMMANDS = (["stats"], ["snapshots"], ["who-uses", "libc.so.6"],
                  ["get-deps", "/usr/bin/tool"], ["get-all-deps", "/usr/bin/tool"],
                  ["impact", "libc.so.6"], ["dot"], ["evolve"])
+# the read commands that load one snapshot's graph
+GRAPH_COMMANDS = tuple(argv for argv in READ_COMMANDS if argv[0] not in ("snapshots", "evolve"))
 
 
 def test_read_commands_do_not_modify_db(capsys, demo_db, v1_db, v2_db, v3_db):
@@ -357,6 +359,16 @@ def test_converting_a_v2_db_keeps_every_answer(capsys, v2_db, tmp_path):
 
 def test_converting_a_v3_db_keeps_every_answer(capsys, v3_db, tmp_path):
     converting_keeps_every_answer(capsys, v3_db, tmp_path)
+
+
+def test_graph_commands_on_a_db_without_snapshots(capsys, tmp_path):
+    db = str(tmp_path / "empty.db")
+    open_db(db).close()
+    before = db_hash(db)
+    for argv in GRAPH_COMMANDS:
+        code, out, err = run(capsys, *argv, "--db", db)
+        assert (code, out, err) == (1, "", "depex: database has no snapshots\n"), argv
+    assert db_hash(db) == before
 
 
 def test_read_commands_create_no_database(capsys, tmp_path):
@@ -606,6 +618,32 @@ def test_missing_db_argument(capsys, monkeypatch):
     code, _, err = run(capsys, "snapshots")
     assert code == 1
     assert "DEPEX_DB" in err
+
+
+def test_no_command_prints_the_help_and_exits_one(capsys):
+    code, out, err = run(capsys)
+    assert (code, err) == (1, "")
+    assert out.startswith("usage: depex ") and "positional arguments:" in out
+
+
+def test_a_damaged_page_past_the_header_is_unreadable(capsys, demo_db):
+    # the graphs table's one page gets a b-tree page type SQLite does not have
+    con = sqlite3.connect(demo_db)
+    page_size, = con.execute("PRAGMA page_size").fetchone()
+    root, = con.execute("SELECT rootpage FROM sqlite_master WHERE name = 'graphs'").fetchone()
+    con.close()
+    assert root > 1
+    with open(demo_db, "r+b") as f:
+        f.seek((root - 1) * page_size)
+        f.write(b"\xff")
+    before = db_hash(demo_db)
+    code, out, _ = run(capsys, "snapshots", "--db", demo_db)
+    assert code == 0 and out.startswith("demo")
+    for argv in GRAPH_COMMANDS + (["evolve"],):
+        code, out, err = run(capsys, *argv, "--db", demo_db)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith(f"depex: cannot read database {demo_db!r}: "), err
+    assert db_hash(demo_db) == before
 
 
 def test_db_env_fallback(capsys, demo_db, monkeypatch):

@@ -5,9 +5,8 @@ import random
 import pytest
 
 from depex.elf import FileKind
-from depex.metrics import (HealthReport, StatsSummary, closure_sizes,
-                           direct_coupling, health, popularity,
-                           recursive_coupling, stats_summary)
+from depex.metrics import (HealthReport, StatsSummary, closure_sizes, health,
+                           popularity, stats_summary)
 from depex.queries import who_uses
 from depex.store import DependencyGraph, UnknownNode
 from graphbuild import EXE, LIB, build_graph, edge_records, edge_sources, random_graph
@@ -33,47 +32,47 @@ def two_cycle():
 def test_direct_counts_resolved_and_missing():
     g = build_graph([("/a", EXE), ("/b", LIB), ("/c", LIB)],
                     [(0, "b", 1), (0, "c", 2), (0, "ghost", None)])
-    assert direct_coupling(g, 0) == 3
+    assert g.degrees[g.require(0)] == 3
 
 
 def test_direct_isolated_node_is_zero():
     g = build_graph([("/a", EXE)], [])
-    assert direct_coupling(g, 0) == 0
+    assert g.degrees[g.require(0)] == 0
 
 
 def test_direct_hundred_edges():
     nodes = [("/hub", EXE)] + [(f"/lib/l{i}.so", LIB) for i in range(100)]
     edges = [(0, f"l{i}.so", i + 1) for i in range(100)]
     g = build_graph(nodes, edges)
-    assert direct_coupling(g, 0) == 100
+    assert g.degrees[g.require(0)] == 100
 
 
 def test_unknown_node_rejected():
     g = chain3()
     with pytest.raises(UnknownNode):
-        direct_coupling(g, 99)
+        g.require(99)
     with pytest.raises(UnknownNode):
-        recursive_coupling(g, 99)
+        g.reachable_from(99)
 
 
 def test_recursive_chain():
-    assert recursive_coupling(chain3(), 0) == 2
+    assert len(chain3().reachable_from(0)) == 2
 
 
 def test_recursive_diamond_counts_shared_node_once():
-    assert recursive_coupling(diamond(), 0) == 3
+    assert len(diamond().reachable_from(0)) == 3
 
 
 def test_recursive_two_cycle_excludes_self():
     g = two_cycle()
-    assert recursive_coupling(g, 0) == 1
-    assert recursive_coupling(g, 1) == 1
+    assert len(g.reachable_from(0)) == 1
+    assert len(g.reachable_from(1)) == 1
 
 
 def test_recursive_ignores_missing_edges():
     g = build_graph([("/a", EXE), ("/b", LIB)],
                     [(0, "b", 1), (0, "ghost", None)])
-    assert recursive_coupling(g, 0) == 1
+    assert len(g.reachable_from(0)) == 1
 
 
 def test_popularity_counts_distinct_importers():
@@ -170,7 +169,7 @@ def test_recursive_matches_matrix_oracle():
         graph, n, pairs = random_graph(rng)
         expect = closure_sets(n, pairs)
         for node in range(n):
-            assert recursive_coupling(graph, node) == len(expect[node])
+            assert len(graph.reachable_from(node)) == len(expect[node])
 
 
 def with_self_loops(rng, graph, n, pairs):
@@ -298,7 +297,7 @@ def test_adding_edge_never_decreases_metrics():
         graph, n, pairs = random_graph(rng, max_nodes=20)
         if n < 2:
             continue
-        before_rec = {v: recursive_coupling(graph, v) for v in range(n)}
+        before_rec = {v: len(graph.reachable_from(v)) for v in range(n)}
         before_pop = popularity(graph)
         choices = [(a, b) for a in range(n) for b in range(n)
                    if a != b and (a, b) not in pairs]
@@ -311,7 +310,7 @@ def test_adding_edge_never_decreases_metrics():
         bigger = build_graph(nodes, edges)
         after_pop = popularity(bigger)
         for v in range(n):
-            assert recursive_coupling(bigger, v) >= before_rec[v]
+            assert len(bigger.reachable_from(v)) >= before_rec[v]
             assert after_pop[v] >= before_pop[v]
 
 
