@@ -6,7 +6,8 @@ graph and finds the node a NAME argument names. The compute step, one per
 command, returns the answer as (JSON document, text). The render step
 writes the document with --json (evolve: --format json), or else the text
 a piece at a time as it is made, so `dot` never holds its whole output.
-`snapshots` and `evolve` compute from the database alone.
+`snapshots` and `evolve` compute from the database alone. Only `scan`
+imports the scan's modules, and only `evolve` imports depex.evolution.
 
 Exit codes: 0 success, 1 user error (unknown snapshot/node, ambiguous
 name, bad arguments), 2 internal or storage error. Read commands never
@@ -23,17 +24,12 @@ import os
 import signal
 import sys
 from collections.abc import Iterable, Iterator
-from dataclasses import asdict
 
 from depex import __version__
 from depex.dot import dot_chunks
-from depex.evolution import TREND_COLUMNS, trend_report
 from depex.metrics import stats_summary
 from depex.queries import (AmbiguousName, find_node, get_all_deps, get_deps,
                            update_impact, who_uses)
-from depex.resolver import DEFAULT_DIRS, SearchConfig
-from depex.scanner import (RelativePath, ScanOptions, SysrootUnreadable,
-                           scan_tree)
 from depex.store import (DependencyGraph, DuplicateLabel, StorageFailure,
                          UnknownLabel, UnknownNode, UnreadableDatabase, list_snapshots,
                          load_graph, require_new_label, save_snapshot)
@@ -123,7 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--env-library-path", action="append", default=[],
                    metavar="DIR", help="absolute directory searched like LD_LIBRARY_PATH")
     p.add_argument("--default-dirs", metavar="DIR:DIR:...",
-                   help=f"absolute dirs to search instead of {':'.join(DEFAULT_DIRS)}")
+                   help="absolute dirs to search instead of the default directories")
     p.add_argument("--no-follow-symlinks", action="store_true")
     p.add_argument("--workers", type=_int_at_least(1), default=1, metavar="N",
                    help="accepted and ignored: the scan runs in one process")
@@ -189,17 +185,22 @@ def _paths(graph: DependencyGraph, ids) -> list[str]:
 
 
 def _cmd_scan(args) -> int:
+    from depex.resolver import SearchConfig
+    from depex.scanner import RelativePath, ScanOptions, SysrootUnreadable, scan_tree
+
     db = _require_db(args)
-    config = SearchConfig(
-        sysroot=args.sysroot,
-        env_library_path=list(args.env_library_path),
-        default_dirs=(list(DEFAULT_DIRS) if args.default_dirs is None
-                      else args.default_dirs.split(":")),
-    )
+    config = SearchConfig(args.sysroot, list(args.env_library_path))
+    if args.default_dirs is not None:
+        config.default_dirs = args.default_dirs.split(":")
     options = ScanOptions(config, follow_symlinks=not args.no_follow_symlinks)
     options.excluded_prefixes.extend(args.exclude)
     require_new_label(args.label, db)  # a save that would be refused is refused first
-    result = scan_tree(options)
+    try:
+        result = scan_tree(options)
+    except RelativePath as exc:
+        raise _CliError(f"{exc.args[0]} takes absolute paths, got {exc.args[1]!r}") from None
+    except SysrootUnreadable as exc:
+        raise _CliError(f"sysroot not readable: {exc}") from None
     snapshot = save_snapshot(result, args.label, db)
     c = result.counts
     print(f"snapshot {snapshot.label!r}: {c.files_seen} files seen, "
@@ -214,7 +215,7 @@ def _cmd_scan(args) -> int:
 _Answer = tuple[object, Iterable[str]]
 
 def _stats(args, graph: DependencyGraph, node: None) -> _Answer:
-    stats = asdict(stats_summary(graph))
+    stats = stats_summary(graph)._asdict()
     width = max(map(len, stats))
     return stats, _lines(f"{key.ljust(width)}  {value}" for key, value in stats.items())
 
@@ -262,7 +263,9 @@ def _snapshots(args, db: str) -> _Answer:
 
 
 def _evolve(args, db: str) -> _Answer:
-    rows = [asdict(r) for r in trend_report(db, args.snapshots)]
+    from depex.evolution import TREND_COLUMNS, trend_report
+
+    rows = [r._asdict() for r in trend_report(db, args.snapshots)]
     out = io.StringIO()
     writer = csv.DictWriter(out, fieldnames=TREND_COLUMNS)
     writer.writeheader()
@@ -308,13 +311,6 @@ def run_cli(argv: list[str] | None = None) -> int:
         return USER_ERROR
     except DuplicateLabel as exc:
         print(f"depex: snapshot label already exists: {exc}", file=sys.stderr)
-        return USER_ERROR
-    except RelativePath as exc:
-        print(f"depex: {exc.args[0]} takes absolute paths, got {exc.args[1]!r}",
-              file=sys.stderr)
-        return USER_ERROR
-    except SysrootUnreadable as exc:
-        print(f"depex: sysroot not readable: {exc}", file=sys.stderr)
         return USER_ERROR
     except (StorageFailure, OSError) as exc:
         print(f"depex: {exc}", file=sys.stderr)

@@ -12,9 +12,8 @@ import heapq
 from bisect import bisect_right
 from collections.abc import Collection, Iterable, Iterator
 
-from depex.elf import FileKind
 from depex.metrics import popularity
-from depex.store import DependencyGraph
+from depex.store import DependencyGraph, FileKind
 
 _SHAPES = {FileKind.EXECUTABLE_BINARY: "box"}  # every other node is an ellipse
 

@@ -22,6 +22,8 @@ from enum import Enum, IntEnum
 from functools import cached_property
 from typing import NamedTuple
 
+from depex.store import FileKind
+
 ELF_MAGIC = b"\x7fELF"
 
 # e_ident indexes
@@ -85,12 +87,6 @@ class ObjectType(Enum):
     SHARED_OBJECT = "shared-object"
     RELOCATABLE = "relocatable"
     OTHER = "other"
-
-
-class FileKind(Enum):
-    EXECUTABLE_BINARY = "executable"
-    SHARED_LIBRARY = "library"
-    ELF_OTHER = "elf-other"
 
 
 @dataclass(frozen=True)

@@ -17,14 +17,13 @@ import os
 import posixpath
 import signal
 import threading
-from dataclasses import asdict, dataclass, field, fields
+from typing import NamedTuple
 
-from depex.elf import FileKind
 from depex.metrics import stats_summary
-from depex.store import DependencyGraph, list_snapshots, load_graph
+from depex.store import DependencyGraph, FileKind, list_snapshots, load_graph
 
-@dataclass
-class TrendRow:
+
+class TrendRow(NamedTuple):
     label: str
     executables: int
     libraries: int
@@ -39,20 +38,18 @@ class TrendRow:
     max_recursive: int
 
 
-TREND_COLUMNS = tuple(f.name for f in fields(TrendRow))
+TREND_COLUMNS = TrendRow._fields
 
 
-@dataclass
-class SnapshotDelta:
-    added_libraries: set[str] = field(default_factory=set)
-    removed_libraries: set[str] = field(default_factory=set)
-    added_executables: set[str] = field(default_factory=set)
-    removed_executables: set[str] = field(default_factory=set)
-    persistent_nodes: set[str] = field(default_factory=set)
+class SnapshotDelta(NamedTuple):
+    added_libraries: set[str]
+    removed_libraries: set[str]
+    added_executables: set[str]
+    removed_executables: set[str]
+    persistent_nodes: set[str]
 
 
-@dataclass
-class PresenceSpan:
+class PresenceSpan(NamedTuple):
     first_seen: str
     last_seen: str
     present_count: int
@@ -72,7 +69,7 @@ def _trend_row(label: str, graph: DependencyGraph) -> TrendRow:
     stats = stats_summary(graph)
     return TrendRow(label=label, files_total=len(graph.paths),
                     unused_fraction=round(stats.unused / stats.libraries, 4)
-                    if stats.libraries else 0.0, **asdict(stats))
+                    if stats.libraries else 0.0, **stats._asdict())
 
 
 def _load_row(label: str, db_path: str) -> TrendRow:
@@ -178,10 +175,6 @@ def longevity(db_path: str,
         keys = (_keys_by_kind(graph, FileKind.SHARED_LIBRARY)
                 | _keys_by_kind(graph, FileKind.EXECUTABLE_BINARY))
         for key in keys:
-            span = spans.get(key)
-            if span is None:
-                spans[key] = PresenceSpan(label, label, 1)
-            else:
-                span.last_seen = label
-                span.present_count += 1
+            first_seen, _, count = spans.get(key, (label, label, 0))
+            spans[key] = PresenceSpan(first_seen, label, count + 1)
     return spans

@@ -15,12 +15,11 @@ never-imported node then costs one OR per out-edge, not one DFS.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import compress, count, repeat
 from operator import is_, is_not, not_
+from typing import NamedTuple
 
-from depex.elf import FileKind
-from depex.store import DependencyGraph
+from depex.store import DependencyGraph, FileKind
 
 
 def closure_sizes(graph: DependencyGraph) -> dict[int, int]:
@@ -117,8 +116,7 @@ def popularity(graph: DependencyGraph) -> dict[int, int]:
     return {p: len(set(sources[start[p]:start[p + 1]])) for p in range(len(graph.paths))}
 
 
-@dataclass
-class HealthReport:
+class HealthReport(NamedTuple):
     missing_names: set[str]
     directly_impacted: set[int]
     unused_libraries: set[int]
@@ -134,8 +132,7 @@ def health(graph: DependencyGraph) -> HealthReport:
                         {p for p in libraries if start[p] == start[p + 1]})
 
 
-@dataclass
-class StatsSummary:
+class StatsSummary(NamedTuple):
     executables: int
     libraries: int
     dependencies: int

@@ -3,13 +3,11 @@
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import compress, count, repeat
 from operator import eq
+from typing import NamedTuple
 
-from depex.elf import FileKind
-from depex.resolver import Resolution
-from depex.store import DependencyGraph, UnknownNode
+from depex.store import DependencyGraph, FileKind, Resolution, UnknownNode
 
 
 class AmbiguousName(Exception):
@@ -45,8 +43,7 @@ def who_uses(graph: DependencyGraph, node_id: int, transitive: bool = False) -> 
     return {bisect_right(graph.out_start, e) - 1 for e in edges}  # each edge's source
 
 
-@dataclass
-class UpdateImpact:
+class UpdateImpact(NamedTuple):
     direct: set[int]
     transitive: set[int]
     executables_affected: set[int]

@@ -27,40 +27,17 @@ import re
 import stat as stat_module
 from array import array
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import cached_property
 from operator import attrgetter
 
 from depex.elf import ElfSummary
+from depex.store import Origin, Resolution
 
 log = logging.getLogger(__name__)
 
 DEFAULT_DIRS = ("/lib", "/usr/lib", "/lib64", "/usr/lib64")
 LDSO_CONF_PATH = "/etc/ld.so.conf"
 MAX_LINK_TRAVERSALS = 40  # mirrors the kernel/loader loop limit
-
-
-class Origin(Enum):
-    """Which search stage produced a resolution."""
-
-    RPATH = "rpath"
-    ENV_PATH = "env-path"
-    RUNPATH = "runpath"
-    LDSO_CONF = "ldso-conf"
-    DEFAULT_DIR = "default-dir"
-    # needed names containing '/' bypass the directory search entirely
-    DIRECT = "direct"
-
-
-@dataclass(frozen=True)
-class Resolution:
-    needed_name: str
-    path: str | None = None  # canonical sysroot path; None = missing
-    origin: Origin | None = None
-
-    @property
-    def resolved(self) -> bool:
-        return self.path is not None
 
 
 @dataclass

@@ -24,9 +24,9 @@ from collections import defaultdict
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from depex.elf import ELF_MAGIC, ElfError, ElfSummary, FileKind, classify_kind, parse_elf
-from depex.resolver import Resolution, Resolver, SearchConfig
-from depex.store import DependencyEdge, FileNode
+from depex.elf import ELF_MAGIC, ElfError, ElfSummary, classify_kind, parse_elf
+from depex.resolver import Resolver, SearchConfig
+from depex.store import DependencyEdge, FileKind, FileNode, Resolution
 
 DEFAULT_EXCLUDES = ("/proc", "/sys", "/dev", "/run")
 _FIRST_READ = 4096  # bytes: a page, which holds most non-ELF files whole

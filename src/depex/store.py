@@ -5,6 +5,10 @@ evolution reports work without juggling files. The write path is a single
 exclusive transaction: a crash mid-save leaves the database exactly as it
 was. Reads open the file read-only, so they never create or alter it.
 
+FileKind, Origin and the records (Snapshot, FileNode, DependencyEdge and
+Resolution, all named tuples) are defined here, where they are stored; the
+scan's modules import them, and this one imports no depex module on load.
+
 A loaded graph is columns with CSR (compressed sparse row) adjacency,
 built from those columns only; its record views are built whole on first
 read and shared (see DependencyGraph), and no read command reads them.
@@ -39,22 +43,16 @@ import sqlite3
 import sys
 import zlib
 from array import array
-from collections.abc import Collection, Mapping
+from collections.abc import Collection, Mapping, Sequence
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from enum import Enum
 from functools import cached_property
 from itertools import accumulate, chain, islice, repeat
 from operator import itemgetter
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator, NamedTuple
 from urllib.parse import quote
-
-from depex.elf import FileKind
-from depex.resolver import Origin
-
-if TYPE_CHECKING:
-    from depex.scanner import ScanResult
 
 
 class StoreError(Exception):
@@ -82,8 +80,25 @@ class UnknownNode(Exception):
     """A queried node id or reference does not exist in the graph."""
 
 
-@dataclass(frozen=True)
-class Snapshot:
+class FileKind(Enum):
+    EXECUTABLE_BINARY = "executable"
+    SHARED_LIBRARY = "library"
+    ELF_OTHER = "elf-other"
+
+
+class Origin(Enum):
+    """Which search stage produced a resolution."""
+
+    RPATH = "rpath"
+    ENV_PATH = "env-path"
+    RUNPATH = "runpath"
+    LDSO_CONF = "ldso-conf"
+    DEFAULT_DIR = "default-dir"
+    # needed names containing '/' bypass the directory search entirely
+    DIRECT = "direct"
+
+
+class Snapshot(NamedTuple):
     id: int
     label: str
     root_path: str
@@ -91,25 +106,33 @@ class Snapshot:
     tool_version: str
 
 
-@dataclass(slots=True)
-class FileNode:
+class FileNode(NamedTuple):
     id: int
     snapshot_id: int | None
     canonical_path: str
-    alias_paths: list[str] = field(default_factory=list)
+    alias_paths: Sequence[str] = ()
     kind: FileKind = FileKind.ELF_OTHER
     soname: str | None = None
     size_bytes: int = 0
 
 
-@dataclass(slots=True)
-class DependencyEdge:
+class DependencyEdge(NamedTuple):
     id: int
     snapshot_id: int | None
     from_node: int
     needed_name: str
     to_node: int | None = None  # None = the needed name went unresolved
     origin: Origin | None = None
+
+
+class Resolution(NamedTuple):
+    needed_name: str
+    path: str | None = None  # canonical sysroot path; None = missing
+    origin: Origin | None = None
+
+    @property
+    def resolved(self) -> bool:
+        return self.path is not None
 
 
 def _counts(keys: list[int], n: int) -> list[int]:
@@ -145,7 +168,8 @@ class DependencyGraph:
     Built on first use, each once: those offsets (the degrees' prefix sums),
     the reverse CSR over resolved edges (in_start, in_src), and `nodes` and
     `adjacency`, read-only id -> record mappings built whole from the columns
-    (only `nodes` groups the aliases); treat their shared records as read-only.
+    (only `nodes` groups the aliases), of named tuples; treat the alias
+    lists they share as read-only.
     """
 
     def __init__(self, snapshot: Snapshot, paths, kinds, sonames, sizes, alias_nodes,
@@ -557,9 +581,10 @@ def require_new_label(label: str, db_path: str) -> None:
                 raise DuplicateLabel(label)  # no snapshots table, or no answer: the save checks
 
 
-def save_snapshot(result: "ScanResult", label: str, db_path: str) -> Snapshot:
-    """Write one scan as a snapshot, one graphs row; all-or-nothing. The
-    scan's records become columns here, their ids only placing the edge ends."""
+def save_snapshot(result, label: str, db_path: str) -> Snapshot:
+    """Write one scan (a depex.scanner.ScanResult: its root, nodes and edges)
+    as a snapshot, one graphs row; all-or-nothing. The scan's records become
+    columns here, their ids only placing the edge ends."""
     from depex import __version__
 
     nodes, edges = result.nodes, result.edges

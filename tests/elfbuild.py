@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 PT_LOAD, PT_DYNAMIC, PT_INTERP = 1, 2, 3
 DT_NULL, DT_NEEDED, DT_HASH, DT_STRTAB, DT_SYMTAB = 0, 1, 4, 5, 6
 DT_STRSZ, DT_SYMENT, DT_SONAME, DT_RPATH, DT_RUNPATH = 10, 11, 14, 15, 29
-SHT_HASH, SHT_STRTAB, SHT_DYNAMIC, SHT_DYNSYM = 5, 3, 6, 11
+DT_GNU_HASH = 0x6FFFFEF5
+SHT_HASH, SHT_STRTAB, SHT_DYNAMIC, SHT_DYNSYM, SHT_GNU_HASH = 5, 3, 6, 11, 0x6FFFFFF6
 
 GLOBAL, WEAK, LOCAL = 1, 2, 0
 
@@ -36,6 +37,9 @@ class ElfSpec:
     with_dynamic: bool = True
     with_sections: bool = True
     base_vaddr: int = 0x400000
+    # "gnu": a DT_GNU_HASH table of one bucket, which holds every defined
+    # symbol (they come last), in place of the DT_HASH table
+    hash_style: str = "sysv"
 
     @property
     def expect_undefined(self) -> set[str]:
@@ -87,7 +91,15 @@ def build_elf(spec: ElfSpec) -> bytes:
             symtab += struct.pack(en + "IIIBBH", name_off, 0, 0, info, 0, shndx)
 
     nsyms = len(syms)
-    hashtab = struct.pack(en + "II", 1, nsyms) + b"\x00" * 4 + b"\x00" * (4 * nsyms)
+    gnu = spec.hash_style == "gnu"
+    if gnu:  # nbuckets, symoffset, bloom_size, bloom_shift; a bloom word that lets all pass
+        symoffset = 1 + len(spec.undefined)
+        chains = [gnu_hash(name) & ~1 for name, _ in spec.defined]
+        chains[-1:] = [c | 1 for c in chains[-1:]]  # the chain's last entry
+        hashtab = (struct.pack(en + "IIII", 1, symoffset, 1, 0) + b"\xff" * (bits // 8)
+                   + struct.pack(en + f"{1 + len(chains)}I", symoffset if chains else 0, *chains))
+    else:
+        hashtab = struct.pack(en + "II", 1, nsyms) + b"\x00" * 4 + b"\x00" * (4 * nsyms)
     interp_bytes = spec.interpreter.encode() + b"\x00" if spec.interpreter else b""
 
     phnum = 1 + (1 if spec.interpreter else 0) + (1 if spec.with_dynamic else 0)
@@ -118,7 +130,7 @@ def build_elf(spec: ElfSpec) -> bytes:
             dyn += dyn_entry(DT_RPATH, rpath_off)
         if runpath_off is not None:
             dyn += dyn_entry(DT_RUNPATH, runpath_off)
-        dyn += dyn_entry(DT_HASH, base + hash_off)
+        dyn += dyn_entry(DT_GNU_HASH if gnu else DT_HASH, base + hash_off)
         dyn += dyn_entry(DT_STRTAB, base + strtab_off)
         dyn += dyn_entry(DT_SYMTAB, base + symtab_off)
         dyn += dyn_entry(DT_STRSZ, len(strtab))
@@ -130,7 +142,8 @@ def build_elf(spec: ElfSpec) -> bytes:
     sh_names: dict[str, int] = {}
     if shnum:
         shstrtab += b"\x00"
-        for nm in (".hash", ".dynsym", ".dynstr", ".dynamic", ".shstrtab"):
+        for nm in (".gnu.hash" if gnu else ".hash", ".dynsym", ".dynstr", ".dynamic",
+                   ".shstrtab"):
             sh_names[nm] = len(shstrtab)
             shstrtab += nm.encode() + b"\x00"
     shstr_off = off
@@ -172,7 +185,10 @@ def build_elf(spec: ElfSpec) -> bytes:
     shdrs = bytearray()
     if shnum:
         shdrs += bytes(shentsize)  # index 0: null section
-        shdrs += shdr(sh_names[".hash"], SHT_HASH, hash_off, len(hashtab), 4, link=2)
+        if gnu:
+            shdrs += shdr(sh_names[".gnu.hash"], SHT_GNU_HASH, hash_off, len(hashtab), link=2)
+        else:
+            shdrs += shdr(sh_names[".hash"], SHT_HASH, hash_off, len(hashtab), 4, link=2)
         shdrs += shdr(sh_names[".dynsym"], SHT_DYNSYM, symtab_off, len(symtab),
                       syment, link=3, info=1)
         shdrs += shdr(sh_names[".dynstr"], SHT_STRTAB, strtab_off, len(strtab))
@@ -196,21 +212,39 @@ def minimal_library(soname: str | None = None, needed: list[str] | None = None, 
     return build_elf(ElfSpec(e_type=3, soname=soname, needed=list(needed or []), **kw))
 
 
+def gnu_hash(name: str) -> int:
+    """The DT_GNU_HASH hash of a symbol name (dl_new_hash in glibc)."""
+    h = 5381
+    for c in name.encode("utf-8", "surrogateescape"):
+        h = (h * 33 + c) & 0xFFFFFFFF
+    return h
+
+
+def _dynamic_entry(data: bytes, tag: int) -> tuple[int, int]:
+    """(file offset, value) of the first dynamic entry of `tag` in a 64-bit
+    little-endian image; ValueError if it has no such entry."""
+    phoff, = struct.unpack_from("<Q", data, 32)
+    phentsize, phnum = struct.unpack_from("<HH", data, 54)
+    dynamic = [struct.unpack_from("<Q", data, phoff + i * phentsize + 8)[0]
+               for i in range(phnum)
+               if struct.unpack_from("<I", data, phoff + i * phentsize)[0] == PT_DYNAMIC]
+    off = dynamic[0]
+    while True:
+        d_tag, value = struct.unpack_from("<qQ", data, off)
+        if d_tag == tag:
+            return off, value
+        if d_tag == DT_NULL:
+            raise ValueError(f"no dynamic entry with tag {tag}")
+        off += 16
+
+
+def dynamic_value(data: bytes, tag: int) -> int:
+    return _dynamic_entry(data, tag)[1]
+
+
 def with_dynamic_entry(data: bytes, tag: int, value: int) -> bytes:
     """A 64-bit little-endian image with the value of its first dynamic
     entry of `tag` replaced; ValueError if it has no such entry."""
     img = bytearray(data)
-    phoff, = struct.unpack_from("<Q", img, 32)
-    phentsize, phnum = struct.unpack_from("<HH", img, 54)
-    dynamic = [struct.unpack_from("<Q", img, phoff + i * phentsize + 8)[0]
-               for i in range(phnum)
-               if struct.unpack_from("<I", img, phoff + i * phentsize)[0] == PT_DYNAMIC]
-    off = dynamic[0]
-    while True:
-        d_tag, _ = struct.unpack_from("<qQ", img, off)
-        if d_tag == tag:
-            struct.pack_into("<qQ", img, off, tag, value)
-            return bytes(img)
-        if d_tag == DT_NULL:
-            raise ValueError(f"no dynamic entry with tag {tag}")
-        off += 16
+    struct.pack_into("<qQ", img, _dynamic_entry(data, tag)[0], tag, value)
+    return bytes(img)

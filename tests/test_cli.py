@@ -20,6 +20,7 @@ import pytest
 
 import depex.cli
 import depex.evolution
+import depex.scanner
 from depex.cli import run_cli
 from depex.elf import FileKind
 from depex.resolver import SearchConfig
@@ -411,7 +412,7 @@ def test_scan_refuses_what_its_save_would_before_it_walks_the_tree(capsys, demo_
     def no_walk(options):
         raise AssertionError("the tree was walked")
 
-    monkeypatch.setattr(depex.cli, "scan_tree", no_walk)
+    monkeypatch.setattr(depex.scanner, "scan_tree", no_walk)
     junk = tmp_path / "notes.txt"
     junk.write_bytes(b"hello")
     newer = str(tmp_path / "newer.db")
@@ -523,7 +524,7 @@ def test_scan_refuses_a_label_that_is_not_utf8_before_scanning(capsys, demo_sysr
     def no_scan(options):
         raise AssertionError("scanned")
 
-    monkeypatch.setattr(depex.cli, "scan_tree", no_scan)
+    monkeypatch.setattr(depex.scanner, "scan_tree", no_scan)
     db = str(tmp_path / "x.db")
     code, out, err = run(capsys, "scan", "--sysroot", demo_sysroot.root,
                          "--label", "l\udcff", "--db", db)
@@ -554,7 +555,7 @@ def test_scan_runs_in_one_process(capsys, demo_sysroot, tmp_path, monkeypatch):
     def no_fork():
         raise OSError("fork refused")
 
-    monkeypatch.setattr(depex.cli, "scan_tree", recording_scan)
+    monkeypatch.setattr(depex.scanner, "scan_tree", recording_scan)
     monkeypatch.setattr(os, "fork", no_fork)
     dumps = []
     for workers in ("1", "2"):
@@ -673,6 +674,33 @@ def test_closed_stdout_ends_the_command_quietly(demo_db):
     finally:
         os.close(write_end)
     assert (closed.returncode, closed.stderr) == (-signal.SIGPIPE, b"")
+
+
+# what a read command must not import: the scan's modules, and the standard
+# modules that only they, or dataclasses, need
+SCAN_MODULES = ("depex.scanner", "depex.elf", "depex.resolver", "depex.evolution", "logging",
+                "dataclasses", "inspect")
+READ_COMMANDS = (("stats",), ("snapshots",), ("who-uses", "libc.so.6", "--transitive"),
+                 ("get-deps", "/usr/bin/tool"), ("get-all-deps", "/usr/bin/tool"),
+                 ("impact", "libc.so.6"), ("dot",))
+
+
+@pytest.mark.parametrize("commands, allowed", [(READ_COMMANDS, ()),
+                                               ((("evolve",),), ("depex.evolution",))],
+                         ids=["read commands", "evolve"])
+def test_a_read_command_imports_nothing_of_the_scan(demo_db, commands, allowed):
+    # -S: no site module, so that no .pth file imports any of them first
+    script = ("import contextlib, io, sys\n"
+              "from depex.cli import run_cli\n"
+              f"for argv in {commands!r}:\n"
+              "    with contextlib.redirect_stdout(io.StringIO()):\n"
+              f"        assert run_cli([*argv, '--db', {demo_db!r}]) == 0, argv\n"
+              f"print(sorted(set({SCAN_MODULES!r}) & sys.modules.keys()))\n")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(depex.cli.__file__))}
+    done = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == f"{sorted(allowed)}\n"
 
 
 # (argv, bytes its text output holds) on a tree with non-UTF-8 names

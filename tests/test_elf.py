@@ -15,7 +15,8 @@ import depex.elf
 from depex.elf import (DT_SYMENT, DT_SYMTAB, ByteOrder, ElfError, FileKind,
                        Malformed, NotElf, ObjectType, Truncated, WordSize,
                        classify_kind, parse_elf, read_symbols)
-from elfbuild import GLOBAL, LOCAL, WEAK, ElfSpec, build_elf, with_dynamic_entry
+from elfbuild import (DT_GNU_HASH, DT_HASH, GLOBAL, LOCAL, WEAK, ElfSpec, build_elf,
+                      dynamic_value, with_dynamic_entry)
 from oracles import READELF, readelf_dyn_syms
 
 
@@ -230,6 +231,61 @@ def test_read_symbols_of_a_gnu_hash_only_library_match_readelf(tmp_path, monkeyp
     assert {"imported", "weak_import"} <= undefined and weak >= {"weak_import"}
     assert {"weak_export", "uses_weak", *(f"export_{i}" for i in range(exports))} <= exported
     assert "local_helper" not in exported | undefined
+
+
+UNMAPPED = 0xDEAD0000  # an address that no PT_LOAD segment of an elfbuild image maps
+
+
+def gnu_hash_offset(data: bytes) -> int:
+    """File offset of the DT_GNU_HASH table: elfbuild maps offset 0 at its base address."""
+    return dynamic_value(data, DT_GNU_HASH) - ElfSpec().base_vaddr
+
+
+def gnu_hash_header(data: bytes, nbuckets: int) -> bytes:
+    """data with the nbuckets word of its DT_GNU_HASH table replaced."""
+    off = gnu_hash_offset(data)
+    return data[:off] + struct.pack("<I", nbuckets) + data[off + 4:]
+
+
+# (sysv or gnu hash style, the change to the image): each hash table gives
+# no symbol count, so the count is the symbol table's span up to .dynstr
+NO_HASH_COUNT = {
+    "DT_HASH outside every segment":
+        ("sysv", lambda data: with_dynamic_entry(data, DT_HASH, UNMAPPED)),
+    "DT_GNU_HASH outside every segment":
+        ("gnu", lambda data: with_dynamic_entry(data, DT_GNU_HASH, UNMAPPED)),
+    "GNU hash bucket count past the end of the file":
+        ("gnu", lambda data: gnu_hash_header(data, 0xFFFFFFFF)),
+}
+
+
+@pytest.mark.parametrize("case", NO_HASH_COUNT)
+def test_a_hash_table_that_gives_no_count_leaves_the_count_to_the_tables_span(tmp_path,
+                                                                               case):
+    style, change = NO_HASH_COUNT[case]
+    spec = ElfSpec(needed=["libc.so.6"], soname="libh.so", hash_style=style,
+                   defined=[("f", GLOBAL), ("g", WEAK)], undefined=[("h", GLOBAL), ("k", WEAK)])
+    data = change(build_elf(spec))
+    declared = (spec.expect_undefined, spec.expect_exported, spec.expect_weak_undefined)
+    assert read_symbols(data) == declared
+    if READELF:  # it reads .dynsym by its section header, which no change touched
+        path = tmp_path / "libh.so"
+        path.write_bytes(data)
+        assert read_symbols(data) == readelf_dyn_syms(str(path))
+
+
+def test_every_gnu_hash_bucket_empty_counts_the_unhashed_symbols(tmp_path):
+    # no defined symbol: symoffset, the count of symbols before the hashed
+    # ones, is every symbol, as GNU ld writes it for a file that only imports
+    spec = ElfSpec(needed=["libc.so.6"], hash_style="gnu",
+                   undefined=[("h", GLOBAL), ("k", WEAK), ("m", GLOBAL)])
+    data = build_elf(spec)
+    assert depex.elf._Reader(data)._gnu_hash_count(gnu_hash_offset(data)) == 4  # not the span
+    assert read_symbols(data) == ({"h", "k", "m"}, set(), {"k"})
+    if READELF:
+        path = tmp_path / "libimports.so"
+        path.write_bytes(data)
+        assert read_symbols(data) == readelf_dyn_syms(str(path))
 
 
 def test_image_outside_eq_hash_and_repr():

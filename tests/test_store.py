@@ -180,13 +180,17 @@ def test_duplicate_needed_name_rejected(tmp_path):
         save_snapshot(FakeResult(nodes, edges), "dup", db_file(tmp_path))
 
 
+def _replace(records: list, i: int, **fields) -> None:
+    records[i] = records[i]._replace(**fields)
+
+
 UNSTORABLE = {
-    "duplicate path": lambda r: setattr(r.nodes[2], "canonical_path", "/lib/liba.so"),
-    "NUL in a path": lambda r: setattr(r.nodes[1], "canonical_path", "/lib/li\0ba.so"),
+    "duplicate path": lambda r: _replace(r.nodes, 2, canonical_path="/lib/liba.so"),
+    "NUL in a path": lambda r: _replace(r.nodes, 1, canonical_path="/lib/li\0ba.so"),
     "NUL in an alias": lambda r: r.nodes[0].alias_paths.append("/alias/\0app"),
-    "NUL in a soname": lambda r: setattr(r.nodes[1], "soname", "liba.so\0"),
-    "NUL in a needed name": lambda r: setattr(r.edges[1], "needed_name", "\0libmissing.so"),
-    "size past int64": lambda r: setattr(r.nodes[1], "size_bytes", 2**63),
+    "NUL in a soname": lambda r: _replace(r.nodes, 1, soname="liba.so\0"),
+    "NUL in a needed name": lambda r: _replace(r.edges, 1, needed_name="\0libmissing.so"),
+    "size past int64": lambda r: _replace(r.nodes, 1, size_bytes=2**63),
 }
 
 
@@ -702,6 +706,40 @@ def test_a_failed_vacuum_after_a_conversion_keeps_the_save(v0_db, monkeypatch):
     con = connect_plain(v0_db)
     assert con.execute("PRAGMA freelist_count").fetchone()[0] > 0  # the pages stay free
     con.close()
+
+
+def test_a_save_into_a_locked_database_fails_and_leaves_it_unchanged(tmp_path, monkeypatch,
+                                                                      capsys, demo_sysroot):
+    db = db_file(tmp_path)
+    save_snapshot(small_result(), "keep", db)
+    before = file_hash(db)
+    holder = sqlite3.connect(db, isolation_level=None)
+    holder.execute("BEGIN IMMEDIATE")  # readers may read on; no other writer may begin
+    connect = sqlite3.connect  # a short busy timeout, not the default 5 s
+    monkeypatch.setattr(sqlite3, "connect",
+                        lambda *args, **kwargs: connect(*args, **{**kwargs, "timeout": 0.05}))
+    locked = f"cannot write database {db!r}: database is locked"
+    try:
+        with pytest.raises(StorageFailure, match=f"^{re.escape(locked)}$"):
+            save_snapshot(small_result(), "new", db)
+        code = run_cli(["scan", "--sysroot", demo_sysroot.root, "--label", "new", "--db", db])
+        assert (code, capsys.readouterr().err) == (2, f"depex: {locked}\n")
+    finally:
+        holder.close()
+    assert file_hash(db) == before
+
+
+def test_a_failed_insert_after_a_conversion_rolls_the_conversion_back(v3_db):
+    con = sqlite3.connect(v3_db)
+    con.execute("CREATE TRIGGER refuse BEFORE INSERT ON snapshots"
+                " BEGIN SELECT RAISE(ABORT, 'no new snapshot'); END")
+    con.commit()
+    con.close()
+    before = file_hash(v3_db)
+    with pytest.raises(StorageFailure, match="^no new snapshot$"):
+        save_snapshot(release(3), "3", v3_db)  # after _convert has rewritten every graphs row
+    assert file_hash(v3_db) == before
+    assert schema(v3_db)[0] == 3
 
 
 def test_old_schema_dependencies_in_no_source_order_load_grouped_by_source(v0_db):
