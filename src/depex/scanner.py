@@ -225,13 +225,13 @@ def scan_tree(options: ScanOptions) -> ScanResult:
     for idx, (canonical, size, kind, soname, resolutions) in enumerate(files):
         nodes.append(FileNode(idx, None, canonical, sorted(aliases.get(canonical, ())),
                               kind, soname, size))
-        for resolution in resolutions:
+        for name, path, origin in resolutions:
             # a hit on a hard-linked spelling lands on its primary's node; a
             # hit that is no node at all (non-ELF or excluded) would fail in
             # the loader too, so it stays an unmet requirement
-            target = node_ids.get(alias_of.get(resolution.path))
-            edges.append(DependencyEdge(len(edges), None, idx, resolution.needed_name, target,
-                                        None if target is None else resolution.origin))
+            target = node_ids.get(alias_of.get(path))
+            edges.append(DependencyEdge(len(edges), None, idx, name, target,
+                                        None if target is None else origin))
     kinds = [node.kind for node in nodes]
     counts = ScanCounts(files_seen=len(canonical_files), elf_parsed=len(nodes),
                         executables=kinds.count(FileKind.EXECUTABLE_BINARY),

@@ -220,7 +220,7 @@ def gnu_hash(name: str) -> int:
     return h
 
 
-def _dynamic_entry(data: bytes, tag: int) -> tuple[int, int]:
+def dynamic_entry(data: bytes, tag: int) -> tuple[int, int]:
     """(file offset, value) of the first dynamic entry of `tag` in a 64-bit
     little-endian image; ValueError if it has no such entry."""
     phoff, = struct.unpack_from("<Q", data, 32)
@@ -238,13 +238,9 @@ def _dynamic_entry(data: bytes, tag: int) -> tuple[int, int]:
         off += 16
 
 
-def dynamic_value(data: bytes, tag: int) -> int:
-    return _dynamic_entry(data, tag)[1]
-
-
 def with_dynamic_entry(data: bytes, tag: int, value: int) -> bytes:
     """A 64-bit little-endian image with the value of its first dynamic
     entry of `tag` replaced; ValueError if it has no such entry."""
     img = bytearray(data)
-    struct.pack_into("<qQ", img, _dynamic_entry(data, tag)[0], tag, value)
+    struct.pack_into("<qQ", img, dynamic_entry(data, tag)[0], tag, value)
     return bytes(img)

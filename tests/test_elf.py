@@ -16,7 +16,7 @@ from depex.elf import (DT_SYMENT, DT_SYMTAB, ByteOrder, ElfError, FileKind,
                        Malformed, NotElf, ObjectType, Truncated, WordSize,
                        classify_kind, parse_elf, read_symbols)
 from elfbuild import (DT_GNU_HASH, DT_HASH, GLOBAL, LOCAL, WEAK, ElfSpec, build_elf,
-                      dynamic_value, with_dynamic_entry)
+                      dynamic_entry, with_dynamic_entry)
 from oracles import READELF, readelf_dyn_syms
 
 
@@ -238,7 +238,7 @@ UNMAPPED = 0xDEAD0000  # an address that no PT_LOAD segment of an elfbuild image
 
 def gnu_hash_offset(data: bytes) -> int:
     """File offset of the DT_GNU_HASH table: elfbuild maps offset 0 at its base address."""
-    return dynamic_value(data, DT_GNU_HASH) - ElfSpec().base_vaddr
+    return dynamic_entry(data, DT_GNU_HASH)[1] - ElfSpec().base_vaddr
 
 
 def gnu_hash_header(data: bytes, nbuckets: int) -> bytes:

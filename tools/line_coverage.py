@@ -1,10 +1,10 @@
 """Run the tests of tests/ under a line tracer and print the lines of src/depex that never ran.
 
-    python3 tools/line_coverage.py [PYTEST ARGS...]
+    python3 tools/line_coverage.py
 
-The tests run in this process (pytest's default arguments here: `-q -p
-no:cacheprovider tests`), with `sys.settrace` and `threading.settrace`
-recording every line event in a file of `src/depex`. A line can run when
+The tests run in this process (`pytest -q -p no:cacheprovider tests`),
+with `sys.settrace` and `threading.settrace` recording every line event
+in a file of `src/depex`. A line can run when
 some code object of its file lists it in `co_lines`; each such line that
 never ran is printed as FILE:LINE, its function and its source text.
 
@@ -87,7 +87,7 @@ def _allowed() -> dict[tuple[str, str, str, int], str]:
     return entries
 
 
-def main(argv: list[str]) -> int:
+def main() -> int:
     import pytest
 
     ran: set[tuple[str, int]] = set()
@@ -105,7 +105,7 @@ def main(argv: list[str]) -> int:
     threading.settrace(trace_calls)
     sys.settrace(trace_calls)
     try:
-        status = pytest.main(argv or ["-q", "-p", "no:cacheprovider", "tests"])
+        status = pytest.main(["-q", "-p", "no:cacheprovider", "tests"])
     finally:
         sys.settrace(None)
         threading.settrace(None)  # type: ignore[arg-type]
@@ -134,4 +134,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
