@@ -4,9 +4,9 @@
 
 The tests run in this process (`pytest -q -p no:cacheprovider tests`),
 with `sys.settrace` and `threading.settrace` recording every line event
-in a file of `src/depex`. A line can run when
-some code object of its file lists it in `co_lines`; each such line that
-never ran is printed as FILE:LINE, its function and its source text.
+in a file of `src/depex`. A line can run when some code object of its
+file lists it in `co_lines`; each such line that never ran is printed as
+FILE:LINE, its function and its source text.
 
 `tools/unrun_lines.txt` lists the lines that these tests cannot run, each under
 its reason. An entry names its line by file, function and source text, not
