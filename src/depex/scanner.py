@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 from depex.elf import ELF_MAGIC, ElfError, ElfSummary, classify_kind, parse_elf
 from depex.resolver import Resolver, SearchConfig
-from depex.store import DependencyEdge, FileKind, FileNode, Resolution
+from depex.store import DependencyEdge, FileKind, FileNode, Resolution, collector_paused
 
 DEFAULT_EXCLUDES = ("/proc", "/sys", "/dev", "/run")
 _FIRST_READ = 4096  # bytes: a page, which holds most non-ELF files whole
@@ -160,6 +160,7 @@ def _extract_one(canonical: str, options: ScanOptions
         return len(data), None, f"parser crashed: {type(exc).__name__}: {exc}"
 
 
+@collector_paused
 def scan_tree(options: ScanOptions) -> ScanResult:
     """Walk the sysroot and build the node/edge sets for one snapshot.
 

@@ -37,6 +37,7 @@ give the freed pages back. A depex reading only versions 0-3 refuses a v4 file.
 
 from __future__ import annotations
 
+import gc
 import os
 import re
 import sqlite3
@@ -47,7 +48,7 @@ from collections.abc import Collection, Mapping, Sequence
 from contextlib import contextmanager, suppress
 from datetime import datetime, timezone
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, wraps
 from itertools import accumulate, chain, islice, repeat
 from operator import itemgetter
 from types import MappingProxyType
@@ -581,6 +582,21 @@ def require_new_label(label: str, db_path: str) -> None:
                 raise DuplicateLabel(label)  # no snapshots table, or no answer: the save checks
 
 
+def collector_paused(fn):
+    """fn with the cyclic collector off, then on if it was: a scan or save makes no cycle."""
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        was_on = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if was_on:
+                gc.enable()
+    return paused
+
+
+@collector_paused
 def save_snapshot(result, label: str, db_path: str) -> Snapshot:
     """Write one scan (a depex.scanner.ScanResult: its root, nodes and edges)
     as a snapshot, one graphs row; all-or-nothing. The scan's records become

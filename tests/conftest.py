@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import os
 import sqlite3
 from pathlib import Path
@@ -80,6 +81,16 @@ def make_demo_sysroot(builder: SysrootBuilder) -> SysrootBuilder:
 @pytest.fixture
 def demo_sysroot(sysroot) -> SysrootBuilder:
     return make_demo_sysroot(sysroot)
+
+
+@pytest.fixture(params=[True, False], ids=["collector on", "collector off"])
+def collector(request) -> bool:
+    """Whether the cyclic garbage collector is on, as the test starts with
+    it; the caller's own state comes back afterwards."""
+    was_on = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was_on else gc.disable)()
 
 
 def database_from_dump(tmp_path, name: str) -> str:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import errno
+import gc
 import json
 import os
 import posixpath
@@ -22,7 +23,7 @@ from depex.cli import run_cli
 from depex.elf import DT_SYMENT, DT_SYMTAB, FileKind, classify_kind, parse_elf
 from depex.resolver import Origin, Resolver, SearchConfig
 from depex.scanner import RelativePath, ScanOptions, SysrootUnreadable, scan_tree
-from depex.store import save_snapshot
+from depex.store import DuplicateLabel, save_snapshot
 from conftest import SysrootBuilder, make_demo_sysroot
 from elfbuild import ElfSpec, build_elf, with_dynamic_entry
 from oracles import NO_SUCH_PATH, canonical_reference, resolve_reference
@@ -100,6 +101,57 @@ def test_empty_sysroot(sysroot):
 def test_unreadable_sysroot_is_fatal(tmp_path):
     with pytest.raises(SysrootUnreadable):
         scan_tree(ScanOptions(SearchConfig(str(tmp_path / "absent"))))
+
+
+def test_scan_leaves_the_collector_as_it_found_it(demo_sysroot, tmp_path, monkeypatch,
+                                                 collector):
+    seen = []
+    parse = depex.scanner.parse_elf
+    monkeypatch.setattr(depex.scanner, "parse_elf",
+                        lambda data: seen.append(gc.isenabled()) or parse(data))
+    assert scan_tree(options_for(demo_sysroot)).counts.elf_parsed == len(seen) == 10
+    assert not any(seen)  # paused while the scan runs
+    assert gc.isenabled() is collector
+    with pytest.raises(SysrootUnreadable):
+        scan_tree(ScanOptions(SearchConfig(str(tmp_path / "absent"))))
+    assert gc.isenabled() is collector
+    options = options_for(demo_sysroot)
+    options.excluded_prefixes.append("usr/lib")
+    with pytest.raises(RelativePath):
+        scan_tree(options)
+    assert gc.isenabled() is collector
+
+
+@pytest.mark.parametrize("tree", ["demo", "errors"])
+def test_a_scan_and_a_save_make_no_reference_cycle(sysroot, tmp_path, tree):
+    """What pausing the collector over them rests on: reference counting
+    frees everything a scan, a save and a refused save drop."""
+    if tree == "demo":
+        make_demo_sysroot(sysroot)
+    else:
+        sysroot.elf("/usr/bin/app", ElfSpec(e_type=2, needed=["libok.so", "libgone.so"]))
+        sysroot.elf("/usr/lib/libok.so", ElfSpec(soname="libok.so"))
+        sysroot.write("/usr/lib/libbad.so", build_elf(ElfSpec(soname="libbad.so"))[:60])
+        sysroot.symlink("/usr/lib/loopa", "loopb")
+        sysroot.symlink("/usr/lib/loopb", "loopa")
+    db = str(tmp_path / "scan.db")
+    was_on = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        result = scan_tree(options_for(sysroot))
+        if tree == "errors":
+            assert sorted(error for _, error in result.error_records) == \
+                ["Truncated: program header table past end of file", "symlink loop",
+                 "symlink loop"]
+        save_snapshot(result, "s", db)
+        with pytest.raises(DuplicateLabel):
+            save_snapshot(result, "s", db)
+        del result
+        assert gc.collect() == 0
+    finally:
+        if was_on:
+            gc.enable()
 
 
 def test_symlinked_directory_counts_once(demo_sysroot):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import os
 import random
@@ -14,6 +15,7 @@ from array import array
 
 import pytest
 
+import depex.store
 from depex.cli import run_cli
 from depex.dot import dot_chunks
 from depex.elf import FileKind
@@ -118,6 +120,23 @@ def test_duplicate_label(tmp_path):
     save_snapshot(small_result(), "s1", db)
     with pytest.raises(DuplicateLabel):
         save_snapshot(small_result(), "s1", db)
+
+
+def test_save_leaves_the_collector_as_it_found_it(tmp_path, monkeypatch, collector):
+    seen = []
+    pack = depex.store._pack
+    monkeypatch.setattr(depex.store, "_pack",
+                        lambda *columns: seen.append(gc.isenabled()) or pack(*columns))
+    db = db_file(tmp_path)
+    save_snapshot(small_result(), "s1", db)
+    assert seen == [False]  # paused while the save runs
+    assert gc.isenabled() is collector
+    with pytest.raises(DuplicateLabel):
+        save_snapshot(small_result(), "s1", db)
+    assert gc.isenabled() is collector
+    with pytest.raises(StorageFailure):
+        save_snapshot(FakeResult(small_result().nodes[:1], small_result().edges), "s2", db)
+    assert gc.isenabled() is collector
 
 
 def test_unknown_label(tmp_path):
